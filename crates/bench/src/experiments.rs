@@ -1,11 +1,10 @@
 //! The experiment suite (E1–E20): one function per table/figure of the
-//! reconstructed evaluation (`DESIGN.md §4`; E12–E16 cover the streaming
-//! subsystems, E17 the persistent worker pool, E18 the query-serving
-//! tier, E19 the admin plane, E20 the cross-process cluster tier). Each
-//! prints an aligned
-//! table to stdout, writes the same
-//! data to `bench_results/<id>.csv`, and states the *expected shape* so
-//! `EXPERIMENTS.md` can record measured-vs-expected.
+//! reconstructed evaluation (E1–E11 follow the paper's own evaluation;
+//! E12–E16 cover the streaming subsystems, E17 the persistent worker pool,
+//! E18 the query-serving tier, E19 the admin plane, E20 the cross-process
+//! cluster tier). Each prints an aligned table to stdout, writes the same
+//! data to `bench_results/<id>.csv`, and states the *expected shape* in
+//! its header line so a run can be read as measured-vs-expected.
 
 use dds_core::{
     core_approx, parallel, DcExact, ExactOptions, ExhaustivePeel, FlowExact, GridPeel, SolveContext,
@@ -1209,17 +1208,13 @@ pub fn e16_shard_scaling(quick: bool) {
 
 /// E17 — the persistent worker pool. Two sweeps:
 ///
-/// 1. **Per-ratio parallelism on a single-dominant-ratio instance.** The
-///    planted block concentrates nearly all solve time in the ratios
-///    around the planted `|S|/|T|`, which is exactly where the interval
-///    queue alone cannot help: one interval, one worker, everyone else
-///    idle. Config A is the serial engine (threads = 1), config B is the
-///    pool-backed interval queue with the per-ratio levers *off*, and
-///    config C turns on parallel Dinic phases plus speculative guess
-///    racing. All three must land on the **bit-identical** density (the
-///    levers change scheduling, never answers); with ≥ 4 real cores and
-///    full workloads, C must beat B by ≥ 2x — on fewer cores the table
-///    still records the honest numbers and the assertion is skipped.
+/// 1. **The exact interval queue on a single-dominant-ratio instance.**
+///    Config A is the serial engine (threads = 1), config B the
+///    pool-backed interval queue with one worker per core. Both must land
+///    on the **bit-identical** density (the queue changes scheduling,
+///    never answers). The planted block concentrates nearly all solve
+///    time in the ratios around its own `|S|/|T|`, so B is not expected
+///    to beat A here; the table records the honest numbers.
 /// 2. **Shard apply scaling at batch 2500** (batch 250 in quick mode)
 ///    through the same pool: K ∈ {1, 4} shard replays of the churn
 ///    workload, asserting K = 4 beats K = 1 by ≥ 2x on ≥ 4 cores.
@@ -1230,7 +1225,7 @@ pub fn e17_pool_parallel(quick: bool) {
     use dds_core::{SolveContext, WorkerPool};
 
     println!(
-        "\n=== E17: worker pool + per-ratio parallelism (expected: bit-identical densities at every config, C >= 2x B and K4 >= 2x K1 with >= 4 cores)"
+        "\n=== E17: worker pool (expected: bit-identical densities serial vs interval queue, K4 >= 2x K1 with >= 4 cores)"
     );
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let n = if quick { 250 } else { 2_500 };
@@ -1245,36 +1240,17 @@ pub fn e17_pool_parallel(quick: bool) {
     );
 
     let mut t = Table::new(
-        "exact solve: serial vs interval queue vs per-ratio levers",
-        &[
-            "config",
-            "threads",
-            "wall_ms",
-            "ratios",
-            "flows",
-            "spec",
-            "spec_wins",
-            "density",
-        ],
+        "exact solve: serial vs interval queue",
+        &["config", "threads", "wall_ms", "ratios", "flows", "density"],
     );
-    let levers_off = ExactOptions {
-        per_ratio_parallel: false,
-        speculation: false,
-        ..ExactOptions::default()
-    };
     let (serial, wall_a) = time(|| DcExact::new().solve(&p.graph));
-    let (queue_only, wall_b) = time(|| {
-        let mut ctx = SolveContext::new();
-        parallel::dc_exact_parallel_with(&mut ctx, &p.graph, levers_off, cores)
-    });
-    let (levers_on, wall_c) = time(|| {
+    let (queue, wall_b) = time(|| {
         let mut ctx = SolveContext::new();
         parallel::dc_exact_parallel_with(&mut ctx, &p.graph, ExactOptions::default(), cores)
     });
     for (label, threads, report, wall) in [
         ("A serial", 1, &serial, wall_a),
-        ("B queue-only", cores, &queue_only, wall_b),
-        ("C levers-on", cores, &levers_on, wall_c),
+        ("B interval queue", cores, &queue, wall_b),
     ] {
         t.row(vec![
             label.to_string(),
@@ -1282,23 +1258,17 @@ pub fn e17_pool_parallel(quick: bool) {
             format!("{:.1}", wall.as_secs_f64() * 1e3),
             report.ratios_solved.to_string(),
             report.flow_decisions.to_string(),
-            report.speculative_solves.to_string(),
-            report.speculative_wins.to_string(),
             format!("{:.6}", report.solution.density.to_f64()),
         ]);
     }
     println!("{}", t.render());
     t.write_csv("e17_pool_parallel");
     assert_eq!(
-        queue_only.solution.density, serial.solution.density,
+        queue.solution.density, serial.solution.density,
         "pool-backed interval queue diverged from serial"
     );
     assert_eq!(
-        levers_on.solution.density, serial.solution.density,
-        "per-ratio levers diverged from serial"
-    );
-    assert_eq!(
-        levers_on.solution.pair.density(&p.graph),
+        queue.solution.pair.density(&p.graph),
         serial.solution.density,
         "the parallel witness must certify the serial density"
     );
@@ -1306,26 +1276,6 @@ pub fn e17_pool_parallel(quick: bool) {
         serial.solution.density >= planted_rho,
         "solver missed the planted block"
     );
-    if !quick && cores >= 4 {
-        let ratio = wall_b.as_secs_f64() / wall_c.as_secs_f64().max(1e-9);
-        assert!(
-            ratio >= 2.0,
-            "per-ratio levers must beat the interval queue alone by >= 2x on {cores} cores \
-             (B {:.0} ms / C {:.0} ms = {ratio:.2}x)",
-            wall_b.as_secs_f64() * 1e3,
-            wall_c.as_secs_f64() * 1e3,
-        );
-    } else {
-        println!(
-            "lever speedup assertion skipped ({}): B/C = {:.2}x",
-            if quick {
-                "quick mode"
-            } else {
-                "fewer than 4 cores"
-            },
-            wall_b.as_secs_f64() / wall_c.as_secs_f64().max(1e-9),
-        );
-    }
 
     // Sweep 2: shard apply scaling at the PR's batch size through the
     // same global pool (`for_each_mut` routes the per-shard applies).

@@ -2,9 +2,9 @@
 //!
 //! The binary (`cargo run -p dds-bench --release -- <experiment|all>`)
 //! regenerates the paper-style tables and figure series (experiments
-//! E1–E18 in `DESIGN.md §4`; E13 covers the `SolveContext` pipeline, E14
-//! the window-native engine, E17 the worker pool, E18 the query-serving
-//! tier); the criterion benches under `benches/` cover the per-kernel
+//! E1–E20, one function each in [`experiments`]; E13 covers the
+//! `SolveContext` pipeline, E14 the window-native engine, E17 the worker
+//! pool, E18 the query-serving tier); the criterion benches under `benches/` cover the per-kernel
 //! microbenchmarks, and the `*-smoke` subcommands (`smoke`,
 //! `window-smoke`, …, `serve-smoke`) run the CI budget checks. Results
 //! print as aligned tables and are also written as CSV under

@@ -396,7 +396,7 @@ fn measure_e16(quick: bool) -> Measurement {
 }
 
 /// E17 — the worker pool's exact kernel: the serial engine's
-/// deterministic counters plus the pool-backed (all levers on, one
+/// deterministic counters plus the pool-backed (interval queue, one
 /// worker per core) wall clock on the planted single-dominant-ratio
 /// instance. The density ratio factor pins answer identity: anything
 /// other than exactly 1.0 means the parallel engine diverged.

@@ -3,7 +3,7 @@
 //! The SIGMOD 2020 evaluation uses ~a dozen real directed graphs spanning
 //! 10³–10⁹ edges. Those corpora are not redistributable here, so each tier
 //! below pairs a size class with the three structural families that drive
-//! the algorithms' behaviour (`DESIGN.md §5`): uniform (`UN-*`, flat
+//! the algorithms' behaviour: uniform (`UN-*`, flat
 //! degrees — pruning's worst case), power-law (`PL-*`, heavy tails — the
 //! regime of real web/social graphs), and planted (`PD-*`, a known dense
 //! block — recovery ground truth). All generators are seeded; every run of

@@ -58,12 +58,11 @@
 //! that clips the interval (see [`choose_test_ratio`]) — because the two
 //! child intervals still cover everything else.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Condvar, Mutex, RwLock};
-use std::time::Duration;
 
-use dds_flow::{FlowArena, FlowExecutor, SerialExecutor};
+use dds_flow::FlowArena;
 use dds_graph::DiGraph;
 use dds_num::{candidate_ratios, cmp_prod3, simplest_between, Density, Frac, Ratio};
 use dds_xycore::CoreCache;
@@ -93,20 +92,6 @@ pub struct ExactOptions {
     /// answer). Fixes the `Θ(n)` tie-spine around the optimum's own ratio
     /// on planted-block-style graphs.
     pub tie_pruning: bool,
-    /// Run the Dinic inner loop of each flow decision on the shared
-    /// [`WorkerPool`] (parallel BFS level builds plus a concurrent
-    /// blocking flow) once the network crosses
-    /// [`dds_flow::PARALLEL_EDGE_THRESHOLD`]. Takes effect only with
-    /// `threads > 1`; cut verdicts — and therefore the whole search — are
-    /// bit-identical to the serial flow (min-cut sides are invariant
-    /// across maximum flows).
-    pub per_ratio_parallel: bool,
-    /// Let idle interval workers race speculative Stern–Brocot
-    /// neighbours of the incumbent's own ratio against the in-flight
-    /// solves (losers are discarded by the exact density comparison, so
-    /// this only ever adds certificates and incumbent improvements).
-    /// Takes effect only with `threads > 1`.
-    pub speculation: bool,
 }
 
 impl Default for ExactOptions {
@@ -117,8 +102,6 @@ impl Default for ExactOptions {
             gamma_pruning: true,
             warm_start: true,
             tie_pruning: true,
-            per_ratio_parallel: true,
-            speculation: true,
         }
     }
 }
@@ -159,11 +142,11 @@ pub struct ExactReport {
     /// Density of the context's revalidated previous witness, when the
     /// solve ran on a warm [`SolveContext`].
     pub context_seed_density: Option<f64>,
-    /// Ratio solves launched speculatively by idle workers (disjoint from
-    /// `ratios_solved`, which counts queue-driven solves; speculative flow
-    /// decisions *are* included in `flow_decisions`).
+    /// Always 0: speculative ratio racing was removed because it lost to
+    /// the plain interval queue on measured hosts. The field stays so
+    /// report readers that export it keep compiling.
     pub speculative_solves: usize,
-    /// Speculative solves whose pair improved the incumbent.
+    /// Always 0, like `speculative_solves`.
     pub speculative_wins: usize,
 }
 
@@ -464,27 +447,6 @@ struct Metrics {
     flow_decisions: usize,
     network_nodes: Vec<usize>,
     network_edges: Vec<usize>,
-    speculative_solves: usize,
-    speculative_wins: usize,
-}
-
-/// Dedup set and concurrency budget for speculative ratio solves.
-#[derive(Default)]
-struct SpecState {
-    /// Reduced ratios already solved, claimed, or queued as test ratios —
-    /// a speculation never duplicates queue-driven work.
-    tried: HashSet<(u64, u64)>,
-    /// Speculations currently in flight (capped so speculators can never
-    /// starve the flow phases of the incumbent-path solves).
-    active: usize,
-}
-
-/// What an interval worker does next.
-enum Work {
-    /// A ratio interval popped from the shared queue.
-    Interval(Ratio, Ratio),
-    /// A speculative solve of one concrete ratio near the incumbent's.
-    Speculate(Ratio),
 }
 
 /// Everything the interval workers share; see the module docs.
@@ -504,26 +466,10 @@ struct Search<'g> {
     floor_bits: AtomicU64,
     certs: RwLock<Vec<Certificate>>,
     metrics: Mutex<Metrics>,
-    /// Executor for the Dinic inner loop of every flow decision.
-    exec: &'g dyn FlowExecutor,
-    /// Worker count the search was launched with (sizes the speculation
-    /// budget).
-    workers: usize,
-    /// The pool to donate idle cycles to ([`WorkerPool::help_compute`]);
-    /// `None` in the serial engine.
-    pool: Option<&'static WorkerPool>,
-    spec: Mutex<SpecState>,
 }
 
 impl<'g> Search<'g> {
-    fn new(
-        g: &'g DiGraph,
-        opts: ExactOptions,
-        seed: DdsSolution,
-        exec: &'g dyn FlowExecutor,
-        workers: usize,
-        pool: Option<&'static WorkerPool>,
-    ) -> Self {
+    fn new(g: &'g DiGraph, opts: ExactOptions, seed: DdsSolution) -> Self {
         let mut deque = VecDeque::new();
         deque.push_back((Ratio::ZERO, Ratio::INFINITY));
         let floor = seed.density.to_f64();
@@ -542,155 +488,30 @@ impl<'g> Search<'g> {
             floor_bits: AtomicU64::new(floor.to_bits()),
             certs: RwLock::new(Vec::new()),
             metrics: Mutex::new(Metrics::default()),
-            exec,
-            workers,
-            pool,
-            spec: Mutex::new(SpecState::default()),
         }
     }
 
-    /// Next thing for a worker to do: an interval when the queue has one;
-    /// `None` once the queue is drained and no worker is busy. In between
-    /// — queue empty but siblings still producing children — an idle
-    /// worker claims a speculative ratio near the incumbent's, or donates
-    /// its cycles to queued pool compute tasks (a sibling's flow phases),
-    /// instead of sleeping.
-    ///
-    /// With one worker the in-between state is unreachable (the only
-    /// worker is never idle while `in_flight > 0`), which is what keeps
-    /// the serial engine's behaviour bit-identical to the pre-pool one.
-    fn next_work(&self) -> Option<Work> {
+    /// The next interval for a worker, or `None` once the queue is
+    /// drained and no worker is busy. While the queue is empty but
+    /// siblings still hold intervals (which may yet push children), the
+    /// worker sleeps on the queue condvar; [`IntervalGuard`] wakes it.
+    fn next_work(&self) -> Option<(Ratio, Ratio)> {
+        let mut q = self.queue.lock().expect("queue poisoned");
         loop {
-            {
-                let mut q = self.queue.lock().expect("queue poisoned");
-                loop {
-                    if let Some((cl, cr)) = q.deque.pop_front() {
-                        q.in_flight += 1;
-                        return Some(Work::Interval(cl, cr));
-                    }
-                    if q.in_flight == 0 {
-                        return None;
-                    }
-                    if self.opts.speculation || self.pool.is_some() {
-                        break; // leave the lock and find side work
-                    }
-                    q = self.ready.wait(q).expect("queue poisoned");
-                }
+            if let Some(interval) = q.deque.pop_front() {
+                q.in_flight += 1;
+                return Some(interval);
             }
-            if let Some(c) = self.claim_speculation() {
-                return Some(Work::Speculate(c));
-            }
-            if let Some(pool) = self.pool {
-                if pool.help_compute() {
-                    continue; // ran someone's flow task; re-check the queue
-                }
-            }
-            // Nothing to steal right now: nap briefly (pool compute tasks
-            // arriving does not signal `ready`, hence the timeout), then
-            // re-check everything.
-            let q = self.queue.lock().expect("queue poisoned");
-            if q.deque.is_empty() && q.in_flight > 0 {
-                drop(
-                    self.ready
-                        .wait_timeout(q, Duration::from_micros(500))
-                        .expect("queue poisoned"),
-                );
-            }
-        }
-    }
-
-    /// Picks an unsolved reduced ratio adjacent to the incumbent's own
-    /// (`(k·a + 1)/k·b` and `k·a/(k·b + 1)` for growing `k` — the
-    /// Stern–Brocot neighbours where a near-optimal pair would live) and
-    /// claims it, respecting the in-flight speculation cap.
-    fn claim_speculation(&self) -> Option<Ratio> {
-        if !self.opts.speculation {
-            return None;
-        }
-        let (s_len, t_len) = {
-            let inc = self.incumbent.lock().expect("incumbent poisoned");
-            if inc.pair.is_empty() {
+            if q.in_flight == 0 {
                 return None;
             }
-            (inc.pair.s().len() as u64, inc.pair.t().len() as u64)
-        };
-        let base = Ratio::new(s_len, t_len);
-        let cap = (self.workers / 2).max(1);
-        let mut spec = self.spec.lock().expect("spec poisoned");
-        if spec.active >= cap {
-            return None;
-        }
-        for k in 1..=32u64 {
-            let (ka, kb) = (k * base.a(), k * base.b());
-            for (da, db) in [(1, 0), (0, 1)] {
-                let (ca, cb) = (ka + da, kb + db);
-                if ca == 0 || cb == 0 || ca > self.n || cb > self.n {
-                    continue;
-                }
-                let c = Ratio::new(ca, cb);
-                if spec.tried.insert((c.a(), c.b())) {
-                    spec.active += 1;
-                    return Some(c);
-                }
-            }
-        }
-        None
-    }
-
-    /// Runs one speculative ratio solve: prune checks first (a point
-    /// interval reuses the exact interval machinery), then the same
-    /// certify-mode search as a queue-driven solve — its certificate and
-    /// any improving pair are merged exactly like queue results, so a
-    /// losing speculation costs only the cycles an idle worker had to
-    /// spare anyway.
-    fn speculate(&self, c: Ratio, arena: &mut FlowArena, cores: &Mutex<&mut CoreCache>) {
-        struct SpecGuard<'a, 'g>(&'a Search<'g>);
-        impl Drop for SpecGuard<'_, '_> {
-            fn drop(&mut self) {
-                let mut spec = self
-                    .0
-                    .spec
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                spec.active -= 1;
-            }
-        }
-        let _retire = SpecGuard(self);
-
-        let best = self.incumbent.lock().expect("incumbent poisoned").clone();
-        if structurally_pruned(c, c, &best, self.d_out_max, self.d_in_max) {
-            return;
-        }
-        if self.opts.gamma_pruning {
-            let certs = self.certs.read().expect("certs poisoned");
-            let verdict = gamma_prunes(
-                &certs,
-                c,
-                c,
-                best.density,
-                self.floor(),
-                self.opts.tie_pruning,
-            );
-            if verdict != PruneVerdict::Keep {
-                return;
-            }
-        }
-        let outcome = self.solve_at(c, &best, arena, cores);
-        let improved = outcome
-            .as_ref()
-            .map(|sol| self.improve(sol.clone()))
-            .unwrap_or(false);
-        let mut m = self.metrics.lock().expect("metrics poisoned");
-        m.speculative_solves += 1;
-        if improved {
-            m.speculative_wins += 1;
+            q = self.ready.wait(q).expect("queue poisoned");
         }
     }
 
-    /// The shared tail of queue-driven and speculative ratio solves: run
-    /// the certify-mode per-ratio search at `c`, record its flow
-    /// decisions, publish its certificate, and return the improving
-    /// solution (if any) for the caller to merge.
+    /// Runs the per-ratio search at `c`, records its flow decisions,
+    /// publishes its certificate, and returns the improving solution (if
+    /// any) for the caller to merge.
     fn solve_at(
         &self,
         c: Ratio,
@@ -698,6 +519,8 @@ impl<'g> Search<'g> {
         arena: &mut FlowArena,
         cores: &Mutex<&mut CoreCache>,
     ) -> Option<DdsSolution> {
+        // Tight certificates are only worth their extra flows when
+        // γ-pruning consumes them.
         let tighten = self.opts.gamma_pruning;
         let floor_beta = if best.density.is_zero() {
             Frac::ZERO
@@ -711,7 +534,6 @@ impl<'g> Search<'g> {
             let mut res = RatioResources {
                 arena,
                 core_of: &mut core_of,
-                exec: self.exec,
             };
             solve_ratio(
                 self.g,
@@ -758,18 +580,15 @@ impl<'g> Search<'g> {
         f64::from_bits(self.floor_bits.load(AtomicOrdering::Relaxed))
     }
 
-    /// Merges a candidate into the incumbent and raises the atomic floor;
-    /// `true` when the incumbent strictly improved.
-    fn improve(&self, candidate: DdsSolution) -> bool {
+    /// Merges a candidate into the incumbent and raises the atomic floor.
+    fn improve(&self, candidate: DdsSolution) {
         let mut inc = self.incumbent.lock().expect("incumbent poisoned");
-        let improved = inc.improve_to(candidate);
-        if improved {
+        if inc.improve_to(candidate) {
             let bits = inc.density.to_f64().to_bits();
             // Monotone max: competing stores are all achieved densities, so
             // keep the largest (non-negative f64 order == bit order).
             self.floor_bits.fetch_max(bits, AtomicOrdering::Relaxed);
         }
-        improved
     }
 
     /// Processes one interval: prune or solve, then return the children to
@@ -818,16 +637,6 @@ impl<'g> Search<'g> {
             }
         }
 
-        // Solve the test ratio (claiming it against speculators first).
-        // Tight certificates are only worth their extra flows when
-        // γ-pruning consumes them.
-        if self.opts.speculation {
-            self.spec
-                .lock()
-                .expect("spec poisoned")
-                .tried
-                .insert((c.a(), c.b()));
-        }
         self.metrics.lock().expect("metrics poisoned").ratios_solved += 1;
         if let Some(sol) = self.solve_at(c, &best, arena, cores) {
             self.improve(sol);
@@ -835,22 +644,15 @@ impl<'g> Search<'g> {
         Some([(cl, c), (c, cr)])
     }
 
-    /// A worker's whole life: drain the queue (speculating or helping the
-    /// pool when idle) until global quiescence.
+    /// A worker's whole life: drain the queue until global quiescence.
     fn worker(&self, arena: &mut FlowArena, cores: &Mutex<&mut CoreCache>) {
-        while let Some(work) = self.next_work() {
-            match work {
-                Work::Interval(cl, cr) => {
-                    let mut guard = IntervalGuard {
-                        search: self,
-                        children: None,
-                    };
-                    guard.children = self.process(cl, cr, arena, cores);
-                    // `guard` drops here: children published, in_flight
-                    // retired.
-                }
-                Work::Speculate(c) => self.speculate(c, arena, cores),
-            }
+        while let Some((cl, cr)) = self.next_work() {
+            let mut guard = IntervalGuard {
+                search: self,
+                children: None,
+            };
+            guard.children = self.process(cl, cr, arena, cores);
+            // `guard` drops here: children published, in_flight retired.
         }
     }
 }
@@ -858,7 +660,7 @@ impl<'g> Search<'g> {
 /// Retires one popped interval on drop — *including during a panic
 /// unwind*, so a crashing worker decrements `in_flight` and wakes its
 /// siblings instead of stranding them in the condvar wait forever. The
-/// siblings then drain and exit, `thread::scope` joins, and the original
+/// siblings then drain and exit, the pool scope joins, and the original
 /// panic propagates normally.
 struct IntervalGuard<'a, 'g> {
     search: &'a Search<'g>,
@@ -915,41 +717,25 @@ pub(crate) fn run_with_context(
     }
 
     if opts.divide_and_conquer {
-        // Executor policy: the serial engine (`threads == 1`) always runs
-        // the flow on `SerialExecutor` — that keeps `DcExact::solve`
-        // bit-identical to the historical serial engine and preserves the
-        // meaning of every serial-vs-parallel pinning test. With more
-        // threads, the Dinic inner loop borrows the shared pool when the
-        // per-ratio lever is on.
-        static SERIAL: SerialExecutor = SerialExecutor;
-        let pool = (workers > 1).then(WorkerPool::global);
-        let exec: &dyn FlowExecutor = match pool {
-            Some(p) if opts.per_ratio_parallel => p,
-            _ => &SERIAL,
-        };
-        let search = Search::new(g, opts, seed, exec, workers, pool);
+        let search = Search::new(g, opts, seed);
         let SolveContext { arenas, cores, .. } = ctx;
         let cores_mx = Mutex::new(cores);
-        match pool {
-            None => search.worker(&mut arenas[0], &cores_mx),
-            Some(pool) => {
-                let search_ref = &search;
-                let cores_ref = &cores_mx;
-                pool.scope(|s| {
-                    let mut lanes = arenas.iter_mut().take(workers);
-                    let own = lanes.next().expect("at least one arena");
-                    for arena in lanes {
-                        // Worker-kind tasks: interval workers may park in
-                        // `next_work`, so idle threads must never "help"
-                        // with them (see `pool::TaskKind`).
-                        s.spawn_worker(move || search_ref.worker(arena, cores_ref));
-                    }
-                    // The calling thread is always one of the lanes, so
-                    // the search progresses even on a saturated (or
-                    // zero-background) pool.
-                    search_ref.worker(own, cores_ref);
-                });
-            }
+        if workers == 1 {
+            search.worker(&mut arenas[0], &cores_mx);
+        } else {
+            let search_ref = &search;
+            let cores_ref = &cores_mx;
+            WorkerPool::global().scope(|s| {
+                let mut lanes = arenas.iter_mut().take(workers);
+                let own = lanes.next().expect("at least one arena");
+                for arena in lanes {
+                    s.spawn(move || search_ref.worker(arena, cores_ref));
+                }
+                // The calling thread is always one of the lanes, so the
+                // search progresses even on a saturated (or zero-background)
+                // pool.
+                search_ref.worker(own, cores_ref);
+            });
         }
         let metrics = search.metrics.into_inner().expect("metrics poisoned");
         report.solution = search.incumbent.into_inner().expect("incumbent poisoned");
@@ -961,8 +747,6 @@ pub(crate) fn run_with_context(
         report.flow_decisions = metrics.flow_decisions;
         report.network_nodes = metrics.network_nodes;
         report.network_edges = metrics.network_edges;
-        report.speculative_solves = metrics.speculative_solves;
-        report.speculative_wins = metrics.speculative_wins;
     } else {
         assert!(
             g.n() <= 4096,
@@ -988,7 +772,6 @@ pub(crate) fn run_with_context(
                 let mut res = RatioResources {
                     arena,
                     core_of: &mut core_of,
-                    exec: &SerialExecutor,
                 };
                 solve_ratio(
                     g,
@@ -1039,8 +822,6 @@ impl FlowExact {
                 gamma_pruning: false,
                 warm_start: false,
                 tie_pruning: false,
-                per_ratio_parallel: false,
-                speculation: false,
             },
             &mut SolveContext::new(),
             1,
@@ -1107,7 +888,6 @@ mod tests {
                                 gamma_pruning: gamma,
                                 warm_start: warm,
                                 tie_pruning: tie,
-                                ..ExactOptions::default()
                             });
                         }
                     }

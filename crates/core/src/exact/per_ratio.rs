@@ -29,27 +29,19 @@
 //! the objective), so restricting to the core preserves the decision and
 //! every extractable optimum while shrinking the network.
 
-use dds_flow::{beta_of_pair, decide_in_with, Decision, DecisionStats, FlowArena, FlowExecutor};
+use dds_flow::{beta_of_pair, decide_in, Decision, DecisionStats, FlowArena};
 use dds_graph::{DiGraph, Pair, StMask};
 use dds_num::{simplest_between, Frac};
 
 /// The reusable machinery a ratio search borrows from its caller: the
-/// worker's flow arena, a core provider (typically the `SolveContext`
-/// memo table, possibly behind a mutex in the parallel search), and the
-/// executor the Dinic inner loop runs on ([`SerialExecutor`] for the
-/// serial engine, the shared [`WorkerPool`] when per-ratio parallelism is
-/// enabled — either way the decisions are bit-identical).
-///
-/// [`SerialExecutor`]: dds_flow::SerialExecutor
-/// [`WorkerPool`]: crate::pool::WorkerPool
+/// worker's flow arena and a core provider (typically the `SolveContext`
+/// memo table, possibly behind a mutex in the parallel search).
 pub(crate) struct RatioResources<'a> {
     /// Recyclable flow-network buffers (one per worker thread).
     pub arena: &'a mut FlowArena,
     /// Returns the full-graph `[x, y]`-core for the guess-derived
     /// thresholds.
     pub core_of: &'a mut dyn FnMut(u64, u64) -> StMask,
-    /// Fork/join lanes for the flow phases of each decision.
-    pub exec: &'a dyn FlowExecutor,
 }
 
 /// Result of one per-ratio search.
@@ -210,7 +202,7 @@ pub(crate) fn solve_ratio(
         } else {
             &full
         };
-        let (decision, stats) = decide_in_with(res.arena, g, alive, a, b, guess, res.exec);
+        let (decision, stats) = decide_in(res.arena, g, alive, a, b, guess);
         decisions.push(stats);
         match decision {
             Decision::Exceeds(pair) => {
@@ -278,7 +270,6 @@ mod tests {
         let mut res = RatioResources {
             arena: &mut arena,
             core_of: &mut core_of,
-            exec: &dds_flow::SerialExecutor,
         };
         solve_ratio(
             g,

@@ -3,8 +3,8 @@
 //! This crate implements the algorithm suite of *"Efficient Algorithms for
 //! Densest Subgraph Discovery on Large Directed Graphs"* (SIGMOD 2020) —
 //! reconstructed from the problem statement and contributions of that paper
-//! (see the workspace `DESIGN.md` for the provenance note): given a directed
-//! graph `G`, find the pair `(S, T)` maximising the Kannan–Vinay density
+//! (the workspace `PAPER.md` holds its abstract): given a directed graph
+//! `G`, find the pair `(S, T)` maximising the Kannan–Vinay density
 //!
 //! ```text
 //! ρ(S, T) = |E(S, T)| / sqrt(|S| · |T|)
@@ -12,7 +12,7 @@
 //!
 //! # Solvers
 //!
-//! | Solver | Kind | Guarantee | Cost (per `DESIGN.md`) |
+//! | Solver | Kind | Guarantee | Cost |
 //! |---|---|---|---|
 //! | [`DcExact`] | exact | optimal | few flow calls on core-shrunk networks |
 //! | [`FlowExact`] | exact baseline | optimal | `Θ(n²)` ratio searches |

@@ -4,10 +4,10 @@
 //! (`dc_exact_parallel_with`, `grid_peel_parallel`, `core_approx_parallel`,
 //! `dds-shard`'s batch applies) re-spawned OS threads through its own
 //! `thread::scope` block — measurably capping scaling at small batch sizes
-//! (experiment E16) and leaving no way for the flow inner loop to borrow
-//! idle workers. This module replaces all of them with **one** process-wide
-//! pool ([`WorkerPool::global`], lazily sized from `available_parallelism`,
-//! explicit sizes available for tests and embeddings):
+//! (experiment E16). This module replaces all of them with **one**
+//! process-wide pool ([`WorkerPool::global`], lazily sized from
+//! `available_parallelism`, explicit sizes available for tests and
+//! embeddings):
 //!
 //! * **per-worker deques + a shared injector** — tasks spawned *by* a pool
 //!   worker land on its own deque (cheap, cache-warm); tasks submitted from
@@ -20,22 +20,16 @@
 //!   closures borrowing stack data (the lifetime is erased internally and
 //!   re-proven by an unconditional join-before-return, the same contract as
 //!   `std::thread::scope`); panics inside tasks propagate to the scope
-//!   owner after all siblings finished;
-//! * **two task kinds** — [`PoolScope::spawn`] submits *compute* tasks
-//!   (run to completion without waiting on siblings: flow phases, peels,
-//!   shard applies), [`PoolScope::spawn_worker`] submits tasks that may
-//!   block waiting for work produced by their siblings (the exact interval
-//!   workers). The distinction is what makes **helping** safe: a thread
-//!   waiting for its own scope may execute any of its own tasks, and idle
-//!   threads ([`WorkerPool::help_compute`]) may execute foreign *compute*
-//!   tasks — but never a foreign worker task, which could park on a
-//!   condvar that only its own siblings can signal and deadlock the
-//!   helper.
+//!   owner after all siblings finished.
 //!
 //! The scope owner always participates (it runs its own queued tasks while
 //! joining), so every scope makes progress even when all pool threads are
 //! busy — including on a single-core host where the global pool has zero
 //! background threads and everything degenerates to the serial path.
+//! A task may block on a sibling that is already running — the exact
+//! interval workers sleep on their queue's condvar only while another
+//! worker holds an interval — but never on one still queued: with every
+//! pool thread busy, a queued task runs only once its scope owner joins.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -46,27 +40,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use dds_flow::FlowExecutor;
 use dds_obs::{Counter, Registry};
 
 /// A lifetime-erased queued closure. The erasure is sound because every
 /// spawning scope joins before returning (see [`WorkerPool::scope`]).
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// How a task may interact with its siblings — see the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TaskKind {
-    /// Runs to completion without waiting on other pool tasks; safe for
-    /// any thread to help with.
-    Compute,
-    /// May block waiting for work its scope siblings produce; only real
-    /// pool workers and the task's own scope owner ever run it.
-    Worker,
-}
-
 struct Task {
     job: Job,
-    kind: TaskKind,
     scope: Arc<ScopeState>,
 }
 
@@ -111,8 +92,6 @@ thread_local! {
     /// thread's code, or `(0, 0)` off-pool. Identity keys the *inner*
     /// allocation so distinct pools never mistake each other's workers.
     static WORKER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-    /// Re-entrancy guard for [`WorkerPool::help_compute`].
-    static HELPING: Cell<bool> = const { Cell::new(false) };
 }
 
 impl PoolInner {
@@ -176,8 +155,8 @@ impl PoolInner {
         None
     }
 
-    /// Removes one queued task belonging to `scope` (any kind), scanning
-    /// the injector and every deque. Used by the scope owner while joining.
+    /// Removes one queued task belonging to `scope`, scanning the injector
+    /// and every deque. Used by the scope owner while joining.
     fn take_scope_task(&self, scope: &Arc<ScopeState>) -> Option<Task> {
         let mut q = self.injector.lock().expect("injector poisoned");
         if let Some(pos) = q.iter().position(|t| Arc::ptr_eq(&t.scope, scope)) {
@@ -187,22 +166,6 @@ impl PoolInner {
         for deque in &self.deques {
             let mut q = deque.lock().expect("deque poisoned");
             if let Some(pos) = q.iter().position(|t| Arc::ptr_eq(&t.scope, scope)) {
-                return q.remove(pos);
-            }
-        }
-        None
-    }
-
-    /// Removes one queued **compute** task from anywhere in the pool.
-    fn take_compute_task(&self) -> Option<Task> {
-        let mut q = self.injector.lock().expect("injector poisoned");
-        if let Some(pos) = q.iter().position(|t| t.kind == TaskKind::Compute) {
-            return q.remove(pos);
-        }
-        drop(q);
-        for deque in &self.deques {
-            let mut q = deque.lock().expect("deque poisoned");
-            if let Some(pos) = q.iter().position(|t| t.kind == TaskKind::Compute) {
                 return q.remove(pos);
             }
         }
@@ -397,26 +360,6 @@ impl WorkerPool {
         result
     }
 
-    /// Executes one queued **compute** task on the calling thread, if any
-    /// is available; returns whether it did. This is how otherwise-idle
-    /// threads (e.g. exact interval workers with an empty queue) donate
-    /// their cycles to the flow phases and batch applies of their
-    /// neighbours. Never recurses: a helper already inside `help_compute`
-    /// declines, and worker-kind tasks are never taken (they may park
-    /// waiting for *their* siblings, which would strand the helper).
-    pub fn help_compute(&self) -> bool {
-        if HELPING.get() {
-            return false;
-        }
-        let Some(task) = self.inner.take_compute_task() else {
-            return false;
-        };
-        HELPING.set(true);
-        self.inner.execute(task);
-        HELPING.set(false);
-        true
-    }
-
     /// Fork/join over `count` indices with at most `parallelism`-way
     /// concurrency: claim-loop tasks pull indices from a shared atomic
     /// cursor (so uneven work never idles a lane) and the calling thread
@@ -460,29 +403,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// The flow kernel's executor seam, backed by the pool: Dinic's parallel
-/// BFS rounds and concurrent blocking-flow walkers run as compute tasks
-/// (the caller participates, so a phase completes even on a saturated
-/// pool).
-impl FlowExecutor for WorkerPool {
-    fn width(&self) -> usize {
-        WorkerPool::width(self)
-    }
-
-    fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        match tasks {
-            0 => {}
-            1 => f(0),
-            _ => self.scope(|s| {
-                for i in 1..tasks {
-                    s.spawn(move || f(i));
-                }
-                f(0);
-            }),
-        }
-    }
-}
-
 /// Spawn handle passed to the closure of [`WorkerPool::scope`].
 pub struct PoolScope<'pool, 'env> {
     pool: &'pool WorkerPool,
@@ -492,7 +412,9 @@ pub struct PoolScope<'pool, 'env> {
 }
 
 impl<'env> PoolScope<'_, 'env> {
-    fn submit(&self, f: impl FnOnce() + Send + 'env, kind: TaskKind) {
+    /// Queues `f` on the pool; the enclosing [`WorkerPool::scope`] joins
+    /// it before returning.
+    pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // Safety: the scope joins all tasks before `'env` data can go out
         // of scope (JoinGuard in `WorkerPool::scope` runs even on panic),
@@ -501,22 +423,8 @@ impl<'env> PoolScope<'_, 'env> {
         *self.state.remaining.lock().expect("latch poisoned") += 1;
         self.pool.inner.submit(Task {
             job,
-            kind,
             scope: Arc::clone(&self.state),
         });
-    }
-
-    /// Spawns a **compute** task: it must run to completion without
-    /// blocking on other pool tasks. Idle threads may help execute it.
-    pub fn spawn(&self, f: impl FnOnce() + Send + 'env) {
-        self.submit(f, TaskKind::Compute);
-    }
-
-    /// Spawns a **worker** task: one that may park waiting for work its
-    /// scope siblings produce (the exact interval workers). Only real pool
-    /// threads and this scope's owner will execute it.
-    pub fn spawn_worker(&self, f: impl FnOnce() + Send + 'env) {
-        self.submit(f, TaskKind::Worker);
     }
 }
 
@@ -637,14 +545,14 @@ mod tests {
     #[test]
     fn nested_scopes_from_worker_tasks_complete() {
         // An outer scope whose tasks each open their own inner scope on
-        // the same pool — the shape of an exact worker running parallel
-        // Dinic phases. With more tasks than workers this exercises the
-        // self-help path in the join guard.
+        // the same pool — the shape of a sharded apply escalating to a
+        // parallel exact solve. With more tasks than workers this
+        // exercises the self-help path in the join guard.
         let pool = WorkerPool::with_workers(2);
         let total = AtomicUsize::new(0);
         pool.scope(|outer| {
             for _ in 0..6 {
-                outer.spawn_worker(|| {
+                outer.spawn(|| {
                     pool.scope(|inner| {
                         for _ in 0..4 {
                             inner.spawn(|| {
@@ -659,54 +567,12 @@ mod tests {
     }
 
     #[test]
-    fn help_compute_runs_foreign_compute_but_never_worker_tasks() {
-        let pool = WorkerPool::with_workers(0); // nothing drains but us
-        let scope_state = Arc::new(ScopeState::new());
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = Arc::clone(&ran);
-        *scope_state.remaining.lock().unwrap() += 2;
-        pool.inner.submit(Task {
-            job: Box::new(move || {
-                ran2.fetch_add(1, Ordering::Relaxed);
-            }),
-            kind: TaskKind::Worker,
-            scope: Arc::clone(&scope_state),
-        });
-        let ran3 = Arc::clone(&ran);
-        pool.inner.submit(Task {
-            job: Box::new(move || {
-                ran3.fetch_add(10, Ordering::Relaxed);
-            }),
-            kind: TaskKind::Compute,
-            scope: Arc::clone(&scope_state),
-        });
-        assert!(pool.help_compute(), "the compute task is eligible");
-        assert!(!pool.help_compute(), "the worker task is not");
-        assert_eq!(ran.load(Ordering::Relaxed), 10);
-        // Clean up the planted worker task so the latch is consistent.
-        let t = pool.inner.take_scope_task(&scope_state).unwrap();
-        pool.inner.execute(t);
-        assert_eq!(ran.load(Ordering::Relaxed), 11);
-    }
-
-    #[test]
     fn global_pool_exists_and_reports_stats() {
         let pool = WorkerPool::global();
         assert_eq!(pool.width(), auto_threads());
         let before = pool.stats().tasks;
         pool.run_indexed(4, 10, &|_| {});
         assert!(pool.stats().tasks >= before);
-    }
-
-    #[test]
-    fn flow_executor_impl_runs_all_indices() {
-        let pool = WorkerPool::with_workers(3);
-        let hits: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
-        FlowExecutor::run(&pool, hits.len(), &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(FlowExecutor::width(&pool), 4);
     }
 
     #[test]

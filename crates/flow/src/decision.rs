@@ -13,26 +13,31 @@
 //! `β = w_c·√(ab)`, which is rational: `β*(S,T) = 2abE/(b|S| + a|T|)`.
 //!
 //! [`decide`] answers "does any pair have `w_c > β/√(ab)`?" by a single
-//! min-cut on the project-selection network derived in `DESIGN.md §2.3`:
-//! maximising `f(S,T) = |E(S,T)| − p|S| − q|T|` with `p = β/(2a)`,
-//! `q = β/(2b)` (both rational!), scaled by `K = 2abQ` (β = P/Q) to integer
-//! capacities:
+//! min-cut on a project-selection network. Since
+//! `w_c(S,T)·√(ab) > β ⟺ 2ab·|E(S,T)| > β·(b|S| + a|T|)`, the guess is
+//! exceeded iff some pair has a positive objective
+//! `f(S,T) = |E(S,T)| − p|S| − q|T|` with `p = β/(2a)`, `q = β/(2b)`
+//! (both rational!). Scaled by `K = 2abQ` (β = P/Q) to integer capacities,
+//! the network is
 //!
 //! ```text
 //! s → u_S : d⁺(u)·K        u_S → v_T : K   (one per edge)
 //! u_S → t : P·b            v_T → t   : P·a
 //! ```
 //!
-//! `min cut = K·m − max f_scaled`, so the guess is exceeded iff
-//! `min cut < K·m`. When the cut equals `K·m` *and* the guess hits the
-//! optimum exactly, the empty pair and the optimal pair are both
-//! maximisers; the **maximal** min-cut source side recovers the non-trivial
-//! one ([`Decision::Certified`]'s `boundary`).
+//! A cut whose source side holds the nodes of `(S, T)` severs `s → u_S`
+//! for `u ∉ S` (the out-degree `S` does not collect), `u_S → v_T` for the
+//! edges from `S` that leave `T`, and the sink edges of `S` and `T`
+//! (`pK·|S| + qK·|T|`, since `pK = P·b` and `qK = P·a`). Its capacity is
+//! therefore `K·(m − f(S,T))`, so `min cut = K·(m − max f)` and the guess
+//! is exceeded iff `min cut < K·m`. When the cut equals `K·m` *and* the
+//! guess hits the optimum exactly, the empty pair and the optimal pair are
+//! both maximisers; the **maximal** min-cut source side recovers the
+//! non-trivial one ([`Decision::Certified`]'s `boundary`).
 
 use dds_graph::{DiGraph, Pair, StMask, VertexId};
 use dds_num::Frac;
 
-use crate::executor::{FlowExecutor, SerialExecutor};
 use crate::FlowArena;
 
 /// Outcome of one guess of the per-ratio search.
@@ -96,28 +101,6 @@ pub fn decide_in(
     a: u64,
     b: u64,
     beta: Frac,
-) -> (Decision, DecisionStats) {
-    decide_in_with(arena, g, alive, a, b, beta, &SerialExecutor)
-}
-
-/// [`decide_in`] with the max-flow phases run on `exec`'s workers (see
-/// [`FlowNetwork::max_flow_with`]): identical decisions and identical
-/// recovered pairs — min-cut sides are invariant across maximum flows —
-/// with the per-guess wall time divided across the executor's width on
-/// networks above the parallel threshold.
-///
-/// [`FlowNetwork::max_flow_with`]: crate::FlowNetwork::max_flow_with
-///
-/// # Panics
-/// Same conditions as [`decide`].
-pub fn decide_in_with(
-    arena: &mut FlowArena,
-    g: &DiGraph,
-    alive: &StMask,
-    a: u64,
-    b: u64,
-    beta: Frac,
-    exec: &dyn FlowExecutor,
 ) -> (Decision, DecisionStats) {
     assert!(a > 0 && b > 0, "ratio components must be positive");
     assert!(
@@ -213,7 +196,7 @@ pub fn decide_in_with(
     let budget = u128::from(m_alive)
         .checked_mul(k)
         .expect("K·m overflowed u128");
-    let flow = net.max_flow_with(0, 1, exec);
+    let flow = net.max_flow(0, 1);
     debug_assert!(flow <= budget, "cut can never exceed the trivial {{s}} cut");
 
     let extract = |side: &[bool]| -> Pair {

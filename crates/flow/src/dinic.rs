@@ -15,21 +15,9 @@
 //!   binary-search guess hits the optimum exactly and the minimal cut
 //!   degenerates to `{s}`.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use crate::executor::FlowExecutor;
-
 /// Identifier of an edge added to a [`FlowNetwork`]; stable across the
 /// flow computation.
 pub type EdgeId = usize;
-
-/// Networks below this many edges always take the serial Dinic path in
-/// [`FlowNetwork::max_flow_with`]: per-edge locking and fork/join barriers
-/// only pay for themselves once the level graphs are wide enough to keep
-/// several workers busy between barriers.
-pub const PARALLEL_EDGE_THRESHOLD: usize = 4096;
 
 /// A mutable flow network. Create, [`add_edge`](FlowNetwork::add_edge),
 /// then call [`max_flow`](FlowNetwork::max_flow) once; afterwards the cut
@@ -63,110 +51,6 @@ pub struct MinCut {
 }
 
 const UNVISITED: u32 = u32::MAX;
-
-// The atomic view below relies on `AtomicU32` and `u32` sharing layout
-// (guaranteed size/bit-validity; alignment checked here for the platform).
-const _: () = assert!(
-    std::mem::size_of::<AtomicU32>() == 4 && std::mem::align_of::<AtomicU32>() == 4,
-    "AtomicU32 must be layout-compatible with u32"
-);
-
-/// Reborrows a level array as atomics for the concurrent phases. Sound:
-/// same layout (asserted above), and the `&mut` proves exclusive access,
-/// which the atomic view then subdivides.
-fn atomic_u32_view(xs: &mut [u32]) -> &[AtomicU32] {
-    unsafe { &*(std::ptr::from_mut::<[u32]>(xs) as *const [AtomicU32]) }
-}
-
-/// Reborrows the capacity array as unsafe cells. Sound: `UnsafeCell<T>`
-/// has the same in-memory representation as `T`, and every access goes
-/// through [`CapTable`]'s per-pair locks.
-fn cell_view(xs: &mut [u128]) -> &[UnsafeCell<u128>] {
-    unsafe { &*(std::ptr::from_mut::<[u128]>(xs) as *const [UnsafeCell<u128>]) }
-}
-
-/// Residual capacities behind per-edge-pair spinlocks — the shared-state
-/// core of the concurrent blocking flow. `u128` loads and stores are not
-/// atomic on any mainstream target, so *every* access (even reads) takes
-/// the pair's lock; the sections are a handful of instructions, which is
-/// why a spinlock beats a mutex here.
-struct CapTable<'a> {
-    cells: &'a [UnsafeCell<u128>],
-    /// One lock per forward/backward pair: `locks[e >> 1]` guards both
-    /// `cells[e]` and `cells[e ^ 1]`.
-    locks: &'a [AtomicBool],
-}
-
-// Safety: all cell access is guarded by the corresponding pair lock.
-unsafe impl Sync for CapTable<'_> {}
-
-impl CapTable<'_> {
-    fn lock(&self, pair: usize) {
-        while self.locks[pair]
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-    }
-
-    fn unlock(&self, pair: usize) {
-        self.locks[pair].store(false, Ordering::Release);
-    }
-
-    /// Locked read of one residual capacity (a guiding value only — any
-    /// decision taken on it is re-validated under [`augment`]'s full-path
-    /// locks before flow moves).
-    ///
-    /// [`augment`]: CapTable::augment
-    fn read(&self, e: usize) -> u128 {
-        let pair = e >> 1;
-        self.lock(pair);
-        let v = unsafe { *self.cells[e].get() };
-        self.unlock(pair);
-        v
-    }
-
-    /// Atomically augments along `path` (edge ids, source to sink): locks
-    /// every pair in ascending index order (two concurrent augmenters
-    /// therefore never deadlock), re-computes the bottleneck under the
-    /// locks, and commits it. Returns the units pushed (0 when another
-    /// worker saturated an edge first) and the position of the first
-    /// now-saturated edge — the caller truncates its path there, exactly
-    /// like the serial retreat.
-    fn augment(&self, path: &[usize]) -> (u128, usize) {
-        let mut pairs: Vec<usize> = path.iter().map(|&e| e >> 1).collect();
-        pairs.sort_unstable();
-        debug_assert!(pairs.windows(2).all(|w| w[0] != w[1]), "distinct pairs");
-        for &p in &pairs {
-            self.lock(p);
-        }
-        let bottleneck = path
-            .iter()
-            .map(|&e| unsafe { *self.cells[e].get() })
-            .min()
-            .expect("non-empty path");
-        let cut = if bottleneck == 0 {
-            path.iter()
-                .position(|&e| unsafe { *self.cells[e].get() } == 0)
-                .expect("a zero-capacity edge exists")
-        } else {
-            for &e in path {
-                unsafe {
-                    *self.cells[e].get() -= bottleneck;
-                    *self.cells[e ^ 1].get() += bottleneck;
-                }
-            }
-            path.iter()
-                .position(|&e| unsafe { *self.cells[e].get() } == 0)
-                .expect("some edge saturates at the bottleneck")
-        };
-        for &p in &pairs {
-            self.unlock(p);
-        }
-        (bottleneck, cut)
-    }
-}
 
 impl FlowNetwork {
     /// An empty network on `n` nodes (`0..n`).
@@ -265,205 +149,6 @@ impl FlowNetwork {
                 .expect("flow value overflowed u128");
         }
         flow
-    }
-
-    /// [`max_flow`](FlowNetwork::max_flow) with the Dinic phases spread
-    /// over `exec`'s workers: parallel BFS level construction (lock-free
-    /// CAS discovery, level-synchronous rounds — the level array is
-    /// *identical* to the serial BFS) and a concurrent blocking flow in
-    /// which workers claim disjoint source edges of the level graph and
-    /// push augmenting paths guarded by per-edge locks.
-    ///
-    /// Small networks (fewer than [`PARALLEL_EDGE_THRESHOLD`] edges) and
-    /// serial executors take the exact serial path. The returned flow
-    /// value is the (unique) max-flow value either way, and because **the
-    /// minimal and maximal min-cut sides are invariant across all maximum
-    /// flows**, the cut accessors afterwards return bit-identical answers
-    /// to a serial run — only the per-edge flow decomposition may differ.
-    ///
-    /// # Panics
-    /// Panics if `s == t`.
-    pub fn max_flow_with(&mut self, s: usize, t: usize, exec: &dyn FlowExecutor) -> u128 {
-        let width = exec.width().min(self.adj[s].len().max(1));
-        if width <= 1 || self.num_edges() < PARALLEL_EDGE_THRESHOLD {
-            return self.max_flow(s, t);
-        }
-        assert_ne!(s, t, "source and sink must differ");
-        // Per-pair locks (edge `e` and its residual twin `e ^ 1` share one
-        // lock) and per-worker DFS cursors, allocated once per call and
-        // reused across phases.
-        let locks: Vec<AtomicBool> = (0..self.to.len() / 2)
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let cursors: Vec<Mutex<Vec<usize>>> = (0..width)
-            .map(|_| Mutex::new(vec![0usize; self.adj.len()]))
-            .collect();
-        let mut flow = 0u128;
-        while self.bfs_levels_parallel(s, t, exec, width) {
-            let pushed = self.blocking_flow_parallel(s, t, exec, width, &locks, &cursors);
-            // A BFS-reachable sink guarantees ≥ 1 unit: if no worker
-            // augmented, capacities never changed during the phase, and a
-            // sequentialised DFS over constant capacities finds the path.
-            flow = flow
-                .checked_add(pushed)
-                .expect("flow value overflowed u128");
-        }
-        flow
-    }
-
-    /// Level-synchronous parallel BFS: each round splits the frontier over
-    /// the workers, discovery is a CAS on the level slot, and rounds are
-    /// joined through the executor. Levels equal the serial BFS levels
-    /// exactly (BFS distance is round-invariant); only the intra-frontier
-    /// order differs, which nothing observes.
-    fn bfs_levels_parallel(
-        &mut self,
-        s: usize,
-        t: usize,
-        exec: &dyn FlowExecutor,
-        width: usize,
-    ) -> bool {
-        self.level.iter_mut().for_each(|l| *l = UNVISITED);
-        self.level[s] = 0;
-        let levels = atomic_u32_view(&mut self.level);
-        let (to, cap, adj) = (&self.to, &self.cap, &self.adj);
-        let mut frontier: Vec<u32> = vec![s as u32];
-        let mut depth = 0u32;
-        while !frontier.is_empty() {
-            depth += 1;
-            // One output slot per worker; merged after the join.
-            let nexts: Vec<Mutex<Vec<u32>>> = (0..width).map(|_| Mutex::new(Vec::new())).collect();
-            let chunk = frontier.len().div_ceil(width);
-            let frontier_ref = &frontier;
-            exec.run(width, &|w| {
-                let Some(mine) = frontier_ref.chunks(chunk).nth(w) else {
-                    return;
-                };
-                let mut out = Vec::new();
-                for &u in mine {
-                    for &e in &adj[u as usize] {
-                        let v = to[e as usize] as usize;
-                        // `cap` is not mutated during the BFS phase, so the
-                        // plain read races with nothing.
-                        if cap[e as usize] > 0
-                            && levels[v]
-                                .compare_exchange(
-                                    UNVISITED,
-                                    depth,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                        {
-                            out.push(v as u32);
-                        }
-                    }
-                }
-                *nexts[w].lock().expect("bfs slot poisoned") = out;
-            });
-            frontier.clear();
-            for slot in nexts {
-                frontier.extend(slot.into_inner().expect("bfs slot poisoned"));
-            }
-        }
-        self.level[t] != UNVISITED
-    }
-
-    /// One concurrent blocking-flow phase. Workers claim disjoint source
-    /// edges of the level graph from a shared cursor and run independent
-    /// advance/retreat walks guided by the (shared, atomically read)
-    /// levels; every capacity access goes through the per-pair locks, and
-    /// an augmentation locks its whole path (in pair-index order, so two
-    /// augmenters can never deadlock) and re-validates the bottleneck
-    /// before committing — so the level discipline is purely a heuristic
-    /// and every committed augmentation is a genuine residual `s → t`
-    /// push. Admissible-direction capacities only decrease within a phase
-    /// (augmenting adds capacity to the *reverse*, non-admissible twin),
-    /// which is what makes cursor skipping and the shared dead-end marks
-    /// (`level[u] := UNVISITED`) sound.
-    fn blocking_flow_parallel(
-        &mut self,
-        s: usize,
-        t: usize,
-        exec: &dyn FlowExecutor,
-        width: usize,
-        locks: &[AtomicBool],
-        cursors: &[Mutex<Vec<usize>>],
-    ) -> u128 {
-        let levels = atomic_u32_view(&mut self.level);
-        let caps = CapTable {
-            cells: cell_view(&mut self.cap),
-            locks,
-        };
-        let (to, adj) = (&self.to, &self.adj);
-        let src_edges: &[u32] = &adj[s];
-        let src_cursor = AtomicUsize::new(0);
-        let total = Mutex::new(0u128);
-        let caps_ref = &caps;
-        exec.run(width, &|w| {
-            let mut iters = cursors[w].lock().expect("cursor slot poisoned");
-            iters.iter_mut().for_each(|i| *i = 0);
-            let mut path: Vec<usize> = Vec::new();
-            let mut pushed = 0u128;
-            'walk: loop {
-                if path.is_empty() {
-                    // Claim the next unexplored start of the level graph.
-                    loop {
-                        let k = src_cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&e) = src_edges.get(k) else {
-                            break 'walk;
-                        };
-                        let e = e as usize;
-                        let v = to[e] as usize;
-                        if levels[v].load(Ordering::Relaxed) == 1 && caps_ref.read(e) > 0 {
-                            path.push(e);
-                            break;
-                        }
-                    }
-                }
-                let u = to[*path.last().expect("non-empty path")] as usize;
-                if u == t {
-                    let (bottleneck, cut) = caps_ref.augment(&path);
-                    pushed = pushed
-                        .checked_add(bottleneck)
-                        .expect("phase flow overflowed u128");
-                    path.truncate(cut);
-                    continue;
-                }
-                // Advance along the next admissible edge, if any. A node
-                // another worker already dead-marked (level == UNVISITED)
-                // is retreated from immediately — without the guard the
-                // `lu + 1` comparison would wrap to 0 and walk into `s`.
-                let lu = levels[u].load(Ordering::Relaxed);
-                let mut advanced = false;
-                while lu != UNVISITED && iters[u] < adj[u].len() {
-                    let e = adj[u][iters[u]] as usize;
-                    let v = to[e] as usize;
-                    if levels[v].load(Ordering::Relaxed) == lu + 1 && caps_ref.read(e) > 0 {
-                        path.push(e);
-                        advanced = true;
-                        break;
-                    }
-                    iters[u] += 1;
-                }
-                if advanced {
-                    continue;
-                }
-                // Dead end: remove u from the level graph for everyone and
-                // step back (to the claim loop when the path empties).
-                levels[u].store(UNVISITED, Ordering::Relaxed);
-                let e = path.pop().expect("non-empty path");
-                if let Some(&prev) = path.last() {
-                    debug_assert_eq!(to[prev] as usize, to[e ^ 1] as usize);
-                }
-                let tail = to[e ^ 1] as usize;
-                if tail != s {
-                    iters[tail] += 1;
-                }
-            }
-            *total.lock().expect("total poisoned") += pushed;
-        });
-        total.into_inner().expect("total poisoned")
     }
 
     fn bfs_levels(&mut self, s: usize, t: usize) -> bool {
@@ -784,129 +469,6 @@ mod tests {
         let side = net.min_cut_source_side(0);
         assert!(side[0]);
         assert!(!side[n - 1]);
-    }
-
-    /// A genuinely multi-threaded executor for the tests (scoped threads,
-    /// one per task) — the host may be single-core, so this is what makes
-    /// the concurrency paths actually interleave under test.
-    struct ScopedExecutor(usize);
-
-    impl crate::FlowExecutor for ScopedExecutor {
-        fn width(&self) -> usize {
-            self.0
-        }
-
-        fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-            std::thread::scope(|scope| {
-                for i in 0..tasks {
-                    scope.spawn(move || f(i));
-                }
-            });
-        }
-    }
-
-    /// Deterministic xorshift, to build networks without external deps.
-    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
-        let mut state = seed | 1;
-        move |bound| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        }
-    }
-
-    /// A layered random network big enough to cross
-    /// [`PARALLEL_EDGE_THRESHOLD`], shaped like the DDS decision networks
-    /// (source fan-out, wide middle, sink fan-in).
-    fn layered_network(seed: u64, layer: usize) -> FlowNetwork {
-        let mut next = rng(seed);
-        let n = 2 + 2 * layer;
-        let mut net = FlowNetwork::new(n);
-        let a = |i: usize| 2 + i;
-        let b = |j: usize| 2 + layer + j;
-        for i in 0..layer {
-            net.add_edge(0, a(i), u128::from(1 + next(50)));
-            net.add_edge(b(i), 1, u128::from(1 + next(50)));
-        }
-        // ~6 random middle edges per left node, plus some shortcuts.
-        for i in 0..layer {
-            for _ in 0..6 {
-                net.add_edge(
-                    a(i),
-                    b(next(layer as u64) as usize),
-                    u128::from(1 + next(20)),
-                );
-            }
-            if next(4) == 0 {
-                net.add_edge(a(i), 1, u128::from(1 + next(10)));
-            }
-        }
-        assert!(net.num_edges() >= PARALLEL_EDGE_THRESHOLD);
-        net
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_layered_networks() {
-        for seed in [1u64, 7, 42, 1234] {
-            let mut serial = layered_network(seed, 600);
-            let mut parallel = serial.clone();
-            let flow = serial.max_flow(0, 1);
-            for width in [2, 3, 8] {
-                let mut net = parallel.clone();
-                let got = net.max_flow_with(0, 1, &ScopedExecutor(width));
-                assert_eq!(got, flow, "seed={seed} width={width}");
-                // Min-cut sides are unique across max flows — demand
-                // bit-identical verdicts, not just equal values.
-                assert_eq!(
-                    net.min_cut_source_side(0),
-                    serial.min_cut_source_side(0),
-                    "seed={seed} width={width}"
-                );
-                assert_eq!(
-                    net.max_cut_source_side(1),
-                    serial.max_cut_source_side(1),
-                    "seed={seed} width={width}"
-                );
-                assert_eq!(net.cut_capacity(&net.min_cut_source_side(0)), flow);
-            }
-            let got = parallel.max_flow_with(0, 1, &ScopedExecutor(1));
-            assert_eq!(got, flow, "width 1 must take the serial path");
-        }
-    }
-
-    #[test]
-    fn small_networks_take_the_serial_path_under_any_executor() {
-        let mut net = clrs();
-        assert_eq!(net.max_flow_with(0, 5, &ScopedExecutor(8)), 23);
-        assert_eq!(net.min_cut_source_side(0), clrs_min_side());
-    }
-
-    fn clrs_min_side() -> Vec<bool> {
-        let mut net = clrs();
-        let _ = net.max_flow(0, 5);
-        net.min_cut_source_side(0)
-    }
-
-    #[test]
-    fn parallel_handles_capacities_beyond_u64() {
-        // Locked u128 arithmetic must survive bottlenecks past 64 bits.
-        let mut next = rng(99);
-        let big = u128::from(u64::MAX) * 16;
-        let layer = 1200usize;
-        let mut net = FlowNetwork::new(2 + 2 * layer);
-        for i in 0..layer {
-            net.add_edge(0, 2 + i, big + u128::from(next(1000)));
-            net.add_edge(2 + i, 2 + layer + i, big / 2 + u128::from(next(1000)));
-            net.add_edge(2 + layer + i, 1, big + u128::from(next(1000)));
-            net.add_edge(2 + i, 2 + layer + ((i + 1) % layer), u128::from(next(64)));
-        }
-        assert!(net.num_edges() >= PARALLEL_EDGE_THRESHOLD);
-        let mut serial = net.clone();
-        let want = serial.max_flow(0, 1);
-        let got = net.max_flow_with(0, 1, &ScopedExecutor(4));
-        assert_eq!(got, want);
-        assert_eq!(net.min_cut_source_side(0), serial.min_cut_source_side(0));
     }
 
     #[test]

@@ -12,26 +12,15 @@
 //!   answers "is there a pair `(S, T)` whose ratio-weighted density exceeds
 //!   the guess β?", with exact rational capacities scaled to integers.
 //!   [`decide_in`] draws its network from a caller-owned arena; [`decide`]
-//!   is the one-shot wrapper.
-//! * [`executor`] — the [`FlowExecutor`] seam through which a caller-owned
-//!   thread pool reaches the Dinic inner loop
-//!   ([`FlowNetwork::max_flow_with`]: parallel BFS level builds plus a
-//!   concurrent blocking flow over disjoint level-graph starts), without
-//!   this crate depending on whoever owns the threads. Cut verdicts are
-//!   bit-identical to serial Dinic — min-cut sides are invariant across
-//!   maximum flows.
-//!
-//! See `DESIGN.md §2.3` for the derivation of the network and the β-space
-//! trick that keeps everything rational.
+//!   is the one-shot wrapper. The [`decision`] module docs derive the
+//!   network and the β-space trick that keeps everything rational.
 
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod decision;
 pub mod dinic;
-pub mod executor;
 
 pub use arena::FlowArena;
-pub use decision::{beta_of_pair, decide, decide_in, decide_in_with, Decision, DecisionStats};
-pub use dinic::{EdgeId, FlowNetwork, MinCut, PARALLEL_EDGE_THRESHOLD};
-pub use executor::{FlowExecutor, SerialExecutor};
+pub use decision::{beta_of_pair, decide, decide_in, Decision, DecisionStats};
+pub use dinic::{EdgeId, FlowNetwork, MinCut};

@@ -1,7 +1,7 @@
 //! Deterministic, seeded graph generators.
 //!
 //! These stand in for the real directed corpora the SIGMOD 2020 evaluation
-//! used (SNAP/KONECT graphs; see `DESIGN.md §5`). Three stochastic families
+//! used (SNAP/KONECT graphs). Three stochastic families
 //! cover the behaviours that drive the algorithms' relative performance:
 //!
 //! * [`gnm`] — uniform random digraphs: flat degree distributions, the

@@ -12,7 +12,8 @@
 //! * [`gen`] — deterministic, seeded workload generators (uniform `G(n,m)`,
 //!   directed power-law, planted dense blocks, plus closed-form fixtures)
 //!   used by the test suite and the experiment harness as substitutes for
-//!   the paper's real datasets (see `DESIGN.md §5`);
+//!   the paper's real datasets (`dds-bench`'s workload registry maps them
+//!   onto size classes);
 //! * [`Pair`] / [`StMask`] — the two representations of a candidate
 //!   `(S, T)` answer, with exact density evaluation via
 //!   [`dds_num::Density`].

@@ -17,6 +17,7 @@
 //!                       tail_bytes=T seal_publish_us=S idle_ms=I
 //! QUIT               -> (connection closes, no response)
 //! anything else      -> ERR epoch=E <message>
+//! line over 8 KiB    -> ERR epoch=E line too long (connection closes)
 //! ```
 //!
 //! `MEMBER` answers against the certified witness pair (`S` and `T` may

@@ -13,10 +13,13 @@
 //!
 //! Reads use a short poll timeout so every reader re-checks the shutdown
 //! flag a few times a second; [`Server::shutdown`] therefore returns even
-//! if clients are still connected.
+//! if clients are still connected. A query line longer than
+//! [`MAX_LINE_BYTES`] is answered with one `ERR` and the connection is
+//! closed, so a client that never sends `\n` cannot grow a reader's
+//! buffer without bound.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -30,6 +33,14 @@ use crate::snapshot::SnapshotCell;
 
 /// How often a blocked reader wakes to re-check the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
+
+/// Longest query line a reader accepts, in bytes without the `\n` (the
+/// same cap as the admin plane's HTTP requests).
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// How long a reader keeps discarding input after rejecting an over-long
+/// line, before it drops the connection.
+const REJECT_LINGER: Duration = Duration::from_secs(1);
 
 /// Serving-side metrics, exported through `dds-obs` when attached.
 ///
@@ -264,11 +275,19 @@ fn serve_connection(
         match stream.read(&mut buf) {
             Ok(0) => return, // client closed
             Ok(k) => {
+                // Earlier bytes were already scanned: a `\n` can only be
+                // among the new ones.
+                let mut scan = carry.len();
                 carry.extend_from_slice(&buf[..k]);
                 let mut start = 0usize;
-                while let Some(nl) = carry[start..].iter().position(|&b| b == b'\n') {
-                    let line = String::from_utf8_lossy(&carry[start..start + nl]).into_owned();
-                    start += nl + 1;
+                while let Some(nl) = carry[scan..].iter().position(|&b| b == b'\n') {
+                    let end = scan + nl;
+                    if end - start > MAX_LINE_BYTES {
+                        return reject_overlong(stream, cell, stop, metrics);
+                    }
+                    let line = String::from_utf8_lossy(&carry[start..end]).into_owned();
+                    start = end + 1;
+                    scan = start;
                     let t0 = Instant::now();
                     let snap = cell.load();
                     let Some((response, is_err)) = respond_with(&snap, Some(metrics), &line) else {
@@ -292,6 +311,9 @@ fn serve_connection(
                     }
                 }
                 carry.drain(..start);
+                if carry.len() > MAX_LINE_BYTES {
+                    return reject_overlong(stream, cell, stop, metrics);
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if stop.load(Ordering::SeqCst) {
@@ -299,6 +321,39 @@ fn serve_connection(
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Answers an over-long query line with one `ERR` and closes gracefully:
+/// the write half is shut down (the client reads the `ERR`, then EOF) and
+/// input is discarded for up to [`REJECT_LINGER`] — closing with unread
+/// input would reset the connection and could destroy the `ERR` in flight.
+fn reject_overlong(
+    mut stream: TcpStream,
+    cell: &SnapshotCell,
+    stop: &AtomicBool,
+    metrics: &ServeMetrics,
+) {
+    metrics.queries.inc();
+    metrics.query_errors.inc();
+    let response = format!("ERR epoch={} line too long\n", cell.load().epoch);
+    if stream.write_all(response.as_bytes()).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REJECT_LINGER;
+    let mut sink = [0u8; 4096];
+    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
+        match stream.read(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
             Err(_) => return,
         }
     }
@@ -405,6 +460,33 @@ mod tests {
         let slow: Vec<String> = ring.snapshot().into_iter().map(|op| op.detail).collect();
         assert!(slow.contains(&"DENSITY".to_string()), "{slow:?}");
         assert!(slow.contains(&"STATS".to_string()), "{slow:?}");
+    }
+
+    #[test]
+    fn overlong_line_gets_one_err_then_eof() {
+        let cell = Arc::new(SnapshotCell::new());
+        let metrics = Arc::new(ServeMetrics::new());
+        // One reader: the fresh connection below is only served once the
+        // rejected one released it.
+        let mut server =
+            Server::start("127.0.0.1:0", Arc::clone(&cell), 1, Arc::clone(&metrics)).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // Fail rather than hang if the server keeps buffering.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&vec![b'x'; 1 << 20]).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "ERR epoch=0 line too long\n");
+        assert_eq!(metrics.query_errors.get(), 1);
+        drop(stream);
+
+        let mut fresh = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = std::io::BufReader::new(fresh.try_clone().unwrap());
+        let density = query(&mut fresh, &mut reader, "DENSITY");
+        assert!(density.starts_with("OK DENSITY epoch=0"), "{density}");
+        server.shutdown();
     }
 
     #[test]

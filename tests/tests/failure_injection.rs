@@ -1,5 +1,5 @@
 //! Failure injection: malformed inputs, degenerate graphs, and boundary
-//! conditions across the crate stack (the checklist from `DESIGN.md §7`).
+//! conditions across the crate stack.
 
 use dds_core::{core_approx, DcExact, DdsSolution, GridPeel};
 use dds_graph::io::{read_edge_list, ParseOptions};

@@ -1,17 +1,12 @@
-//! Pinning the pool-backed parallel paths to their serial counterparts.
+//! Pinning the pool-backed exact engine to its serial counterpart.
 //!
 //! The parallelism contract of the worker pool: scheduling changes,
 //! answers do not. The pool-backed divide-and-conquer engine must return
 //! the same exact density (and a witness certifying it) as the serial
-//! engine at every thread count, and the parallel Dinic must compute the
-//! same max-flow value and the same *canonical* min-cut sides as the
-//! serial implementation — the minimal cut (residual-reachable from `s`)
-//! and the maximal cut (residual-coreachable to `t`) are invariant
-//! across all maximum flows, so they must match bit-for-bit no matter
-//! how the augmentations interleaved.
+//! engine at every thread count — also when the solves themselves run
+//! inside pool tasks, the shape sharded escalations produce.
 
-use dds_core::{parallel, DcExact, ExactOptions, SolveContext, WorkerPool};
-use dds_flow::{FlowNetwork, PARALLEL_EDGE_THRESHOLD};
+use dds_core::{parallel, DcExact, ExactOptions, SolveContext};
 use dds_graph::GraphBuilder;
 use proptest::prelude::*;
 
@@ -23,28 +18,6 @@ fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = dds_graph::
         }
         b.build()
     })
-}
-
-/// A layered `s → A → B → t` network wide enough to cross
-/// [`PARALLEL_EDGE_THRESHOLD`], with proptest-chosen capacities tiled
-/// over the middle bipartite block so the min cut lands in different
-/// places on different cases.
-fn layered_network(caps: &[u128], side: u128, k: usize) -> (FlowNetwork, usize, usize) {
-    let n = 2 * k + 2;
-    let (s, t) = (0, 1);
-    let mut net = FlowNetwork::new(n);
-    for i in 0..k {
-        net.add_edge(s, 2 + i, side + (i as u128 % 7));
-        net.add_edge(2 + k + i, t, side + (i as u128 % 5));
-    }
-    for i in 0..k {
-        for j in 0..k {
-            let cap = caps[(i * k + j) % caps.len()];
-            net.add_edge(2 + i, 2 + k + j, cap);
-        }
-    }
-    assert!(net.num_edges() >= PARALLEL_EDGE_THRESHOLD);
-    (net, s, t)
 }
 
 proptest! {
@@ -64,43 +37,29 @@ proptest! {
         prop_assert_eq!(par.solution.density, serial.solution.density);
         prop_assert_eq!(par.solution.pair.density(&g), serial.solution.density);
     }
-
-    /// Speculation and per-ratio parallelism are answer-preserving too:
-    /// every lever combination lands on the serial density.
-    #[test]
-    fn parallel_levers_are_answer_preserving(
-        g in graph_strategy(9, 32),
-        per_ratio in any::<bool>(),
-        speculation in any::<bool>(),
-    ) {
-        let serial = DcExact::new().solve(&g);
-        let opts = ExactOptions { per_ratio_parallel: per_ratio, speculation, ..ExactOptions::default() };
-        let mut ctx = SolveContext::new();
-        let par = parallel::dc_exact_parallel_with(&mut ctx, &g, opts, 3);
-        prop_assert_eq!(par.solution.density, serial.solution.density);
-        prop_assert_eq!(par.solution.pair.density(&g), serial.solution.density);
-    }
 }
 
-proptest! {
-    // Each case builds two ≥4096-edge networks; keep the case count low.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Parallel Dinic through a real multi-worker pool is bit-identical
-    /// to the serial solver: same flow value, same canonical cut sides.
-    #[test]
-    fn parallel_dinic_matches_serial_flow_and_cuts(
-        caps in prop::collection::vec(1u128..60, 32),
-        side in 8u128..64,
-    ) {
-        let k = 66; // 66² + 2·66 = 4488 ≥ PARALLEL_EDGE_THRESHOLD
-        let (mut serial, s, t) = layered_network(&caps, side, k);
-        let (mut par, _, _) = layered_network(&caps, side, k);
-        let pool = WorkerPool::with_workers(3);
-        let want = serial.max_flow(s, t);
-        let got = par.max_flow_with(s, t, &pool);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(par.min_cut_source_side(s), serial.min_cut_source_side(s));
-        prop_assert_eq!(par.max_cut_source_side(t), serial.max_cut_source_side(t));
+/// Exact solves nested inside pool tasks: `for_each_mut` fans four graphs
+/// over two lanes and each lane runs a three-worker interval queue on the
+/// same global pool, so interval workers of different solves share (and
+/// steal from) one set of pool threads while their owners are themselves
+/// pool tasks. Every solve must finish and match the serial engine.
+#[test]
+fn exact_solves_nested_in_pool_tasks_match_serial() {
+    let mut graphs: Vec<dds_graph::DiGraph> = [
+        dds_graph::gen::gnm(30, 140, 1),
+        dds_graph::gen::power_law(40, 220, 2.2, 2),
+        dds_graph::gen::gnm(24, 110, 3),
+        dds_graph::gen::planted(50, 120, 4, 5, 1.0, 4).graph,
+    ]
+    .into();
+    let densities = parallel::for_each_mut(&mut graphs, 2, |_, g| {
+        let mut ctx = SolveContext::new();
+        parallel::dc_exact_parallel_with(&mut ctx, g, ExactOptions::default(), 3)
+            .solution
+            .density
+    });
+    for (g, density) in graphs.iter().zip(densities) {
+        assert_eq!(density, DcExact::new().solve(g).solution.density);
     }
 }
