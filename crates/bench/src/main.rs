@@ -1362,15 +1362,16 @@ fn smoke_serve() {
 /// flow decisions so pruning regressions fail the build instead of
 /// silently eating wall clock.
 ///
-/// Budget calibration: the tie-pruned engine measures ~1 560 decisions on
-/// this instance (release, 2026-07); the legacy strict-margin engine needs
-/// ~4 300. The 2 500 budget therefore passes with ~60% headroom while any
-/// reversion of incumbent/tie pruning blows straight through it.
+/// Budget calibration: the engine measures 53 decisions on this instance
+/// (50 ratios, the seeded per-ratio Newton search); a per-ratio search
+/// that bisects β instead needs ~1 560, and the legacy strict-margin
+/// engine ~4 300. The 200 budget leaves room for seeding drift while any
+/// fall-back to bisection or reversion of tie pruning blows through it.
 fn smoke_exact() {
     use dds_bench::workloads::planted_block;
     use dds_core::DcExact;
 
-    const FLOW_DECISION_BUDGET: usize = 2_500;
+    const FLOW_DECISION_BUDGET: usize = 200;
     let p = planted_block(500);
     let t0 = std::time::Instant::now();
     let report = DcExact::new().solve(&p.graph);

@@ -3,8 +3,8 @@
 //! Both exact solvers share one engine differing only in options:
 //!
 //! * [`FlowExact`] — the Khuller–Saha/Charikar-style baseline: solve
-//!   **every** reduced ratio `a/b` (`a, b ≤ n`, `Θ(n²)` of them) by
-//!   flow-based binary search. Correct because any optimum has such a
+//!   **every** reduced ratio `a/b` (`a, b ≤ n`, `Θ(n²)` of them) by the
+//!   flow-based per-ratio search. Correct because any optimum has such a
 //!   ratio, and the per-ratio optimum at the true ratio *is* `ρ_opt`.
 //! * [`DcExact`] — the paper's contribution: walk the Stern–Brocot tree of
 //!   ratios (mediant-first), and prune whole subtrees with three devices:
@@ -25,10 +25,12 @@
 //!      the incumbent are discarded too (see [`ExactOptions::tie_pruning`];
 //!      without it, the tree spine adjacent to the optimum's own ratio ties
 //!      forever and `Θ(n)` hopeless ratios get solved);
-//!   3. **floors and cores** — each per-ratio search starts at the β-image
-//!      of the best density so far and runs its flows on
-//!      `[⌈β/2a⌉, ⌈β/2b⌉]`-cores (see `per_ratio`), so late ratios cost
-//!      little even when not pruned outright.
+//!   3. **seeds and cores** — each per-ratio search is Newton's iteration
+//!      from the best β-value over the incumbent and the maximisers of the
+//!      interval's two solved endpoints, carried on the queued interval,
+//!      and runs its flows on `[⌈β/2a⌉, ⌈β/2b⌉]`-cores (see `per_ratio`).
+//!      Neighbouring ratios usually share a maximiser, so most solved
+//!      ratios cost the single min cut that certifies the seed.
 //!
 //!   A warm start from [`core_approx`] seeds the best density at
 //!   `≥ ρ_opt/2` before any flow runs; a reused [`SolveContext`] seeds it
@@ -44,7 +46,10 @@
 //! * the **incumbent** — best pair + exact density, under a mutex, with its
 //!   `f64` image additionally published through an atomic so the γ fast
 //!   path never locks;
-//! * the **certificate list** — one entry per solved ratio (RwLock);
+//! * the **certificate list** — one entry per solved ratio (RwLock); the
+//!   maximisers that seed the per-ratio searches ride on the queued
+//!   intervals instead, so they are dropped with the subtree that needs
+//!   them;
 //! * per-worker [`FlowArena`]s and the context's memoised core table, so
 //!   flow networks and `[x, y]`-core peels are recycled rather than
 //!   rebuilt.
@@ -60,10 +65,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use dds_flow::FlowArena;
-use dds_graph::DiGraph;
+use dds_graph::{DiGraph, Pair};
 use dds_num::{candidate_ratios, cmp_prod3, simplest_between, Density, Frac, Ratio};
 use dds_xycore::CoreCache;
 
@@ -191,9 +196,9 @@ impl ExactReport {
 struct Certificate {
     a0: u64,
     b0: u64,
-    /// Exact inclusive bound on `β*(c₀)` — equal to `β*(c₀)` itself when
-    /// the per-ratio search could pin it (`beta_star_exact`), which is what
-    /// makes exact ties detectable.
+    /// Exact inclusive bound on `β*(c₀)`: `β*(c₀)` itself, which the
+    /// certify-mode per-ratio search always pins and which is what makes
+    /// exact ties detectable.
     bound: Frac,
     /// `c₀` as `f64`.
     c0: f64,
@@ -428,11 +433,16 @@ fn structurally_pruned(
     false
 }
 
+/// A pending open ratio interval `(cl, cr)` with the maximisers of its
+/// solved endpoints (`None` at the virtual endpoints `0` and `∞`, and for
+/// a floor-fast search that exited at the floor).
+type Interval = (Ratio, Ratio, [Option<Arc<Pair>>; 2]);
+
 /// Queue of pending ratio intervals plus the in-flight count that decides
 /// termination (empty queue alone is not enough — a busy worker may still
 /// push children).
 struct QueueState {
-    deque: VecDeque<(Ratio, Ratio)>,
+    deque: VecDeque<Interval>,
     in_flight: usize,
 }
 
@@ -471,7 +481,7 @@ struct Search<'g> {
 impl<'g> Search<'g> {
     fn new(g: &'g DiGraph, opts: ExactOptions, seed: DdsSolution) -> Self {
         let mut deque = VecDeque::new();
-        deque.push_back((Ratio::ZERO, Ratio::INFINITY));
+        deque.push_back((Ratio::ZERO, Ratio::INFINITY, [None, None]));
         let floor = seed.density.to_f64();
         Search {
             g,
@@ -495,7 +505,7 @@ impl<'g> Search<'g> {
     /// drained and no worker is busy. While the queue is empty but
     /// siblings still hold intervals (which may yet push children), the
     /// worker sleeps on the queue condvar; [`IntervalGuard`] wakes it.
-    fn next_work(&self) -> Option<(Ratio, Ratio)> {
+    fn next_work(&self) -> Option<Interval> {
         let mut q = self.queue.lock().expect("queue poisoned");
         loop {
             if let Some(interval) = q.deque.pop_front() {
@@ -509,25 +519,28 @@ impl<'g> Search<'g> {
         }
     }
 
-    /// Runs the per-ratio search at `c`, records its flow decisions,
-    /// publishes its certificate, and returns the improving solution (if
-    /// any) for the caller to merge.
+    /// Runs the per-ratio search at `c`, seeded with the incumbent and the
+    /// interval's endpoint maximisers, records its flow decisions,
+    /// publishes its certificate, merges an improving maximiser into the
+    /// incumbent, and returns the maximiser for the child intervals.
     fn solve_at(
         &self,
         c: Ratio,
         best: &DdsSolution,
+        ends: &[Option<Arc<Pair>>; 2],
         arena: &mut FlowArena,
         cores: &Mutex<&mut CoreCache>,
-    ) -> Option<DdsSolution> {
-        // Tight certificates are only worth their extra flows when
-        // γ-pruning consumes them.
+    ) -> Option<Arc<Pair>> {
+        // Exact certificates are only worth the extra flows of a ratio that
+        // cannot beat the floor when γ-pruning consumes them.
         let tighten = self.opts.gamma_pruning;
         let floor_beta = if best.density.is_zero() {
             Frac::ZERO
         } else {
             best.density.beta_lower_bound(c.a(), c.b())
         };
-        let seed_pair = (!best.pair.is_empty()).then(|| best.pair.clone());
+        let mut seeds = vec![&best.pair];
+        seeds.extend(ends.iter().flatten().map(|p| &**p));
         let outcome = {
             let mut core_of =
                 |x: u64, y: u64| cores.lock().expect("cores poisoned").core(self.g, x, y);
@@ -542,7 +555,7 @@ impl<'g> Search<'g> {
                 floor_beta,
                 self.opts.core_pruning,
                 tighten,
-                seed_pair.as_ref(),
+                &seeds,
                 &mut res,
             )
         };
@@ -555,9 +568,7 @@ impl<'g> Search<'g> {
             }
         }
         if tighten {
-            // Prefer the pinned β*(c) when the search proved it — that is
-            // what makes exact ties against the incumbent detectable.
-            let bound = outcome.beta_star_exact.unwrap_or(outcome.certified_upper);
+            let bound = outcome.certified_upper;
             let ab = (c.a() as f64) * (c.b() as f64);
             self.certs
                 .write()
@@ -570,9 +581,14 @@ impl<'g> Search<'g> {
                     g0: (bound.to_f64() / ab.sqrt()) * (1.0 + PRUNE_MARGIN),
                 });
         }
-        outcome
-            .best
-            .map(|(pair, _)| DdsSolution::from_pair(self.g, pair))
+        let maximizer = outcome.maximizer.map(Arc::new);
+        if let Some(pair) = maximizer
+            .as_ref()
+            .filter(|_| outcome.certified_upper > floor_beta)
+        {
+            self.improve(DdsSolution::from_pair(self.g, Pair::clone(pair)));
+        }
+        maximizer
     }
 
     /// Lock-free read of the freshest published incumbent density.
@@ -595,11 +611,10 @@ impl<'g> Search<'g> {
     /// publish (`None` when the subtree is discarded).
     fn process(
         &self,
-        cl: Ratio,
-        cr: Ratio,
+        (cl, cr, ends): Interval,
         arena: &mut FlowArena,
         cores: &Mutex<&mut CoreCache>,
-    ) -> Option<[(Ratio, Ratio); 2]> {
+    ) -> Option<[Interval; 2]> {
         let best = self.incumbent.lock().expect("incumbent poisoned").clone();
         let c = choose_test_ratio(cl, cr, &best, self.d_out_max, self.d_in_max, self.n)?;
         {
@@ -638,20 +653,19 @@ impl<'g> Search<'g> {
         }
 
         self.metrics.lock().expect("metrics poisoned").ratios_solved += 1;
-        if let Some(sol) = self.solve_at(c, &best, arena, cores) {
-            self.improve(sol);
-        }
-        Some([(cl, c), (c, cr)])
+        let mc = self.solve_at(c, &best, &ends, arena, cores);
+        let [ml, mr] = ends;
+        Some([(cl, c, [ml, mc.clone()]), (c, cr, [mc, mr])])
     }
 
     /// A worker's whole life: drain the queue until global quiescence.
     fn worker(&self, arena: &mut FlowArena, cores: &Mutex<&mut CoreCache>) {
-        while let Some((cl, cr)) = self.next_work() {
+        while let Some(interval) = self.next_work() {
             let mut guard = IntervalGuard {
                 search: self,
                 children: None,
             };
-            guard.children = self.process(cl, cr, arena, cores);
+            guard.children = self.process(interval, arena, cores);
             // `guard` drops here: children published, in_flight retired.
         }
     }
@@ -664,7 +678,7 @@ impl<'g> Search<'g> {
 /// panic propagates normally.
 struct IntervalGuard<'a, 'g> {
     search: &'a Search<'g>,
-    children: Option<[(Ratio, Ratio); 2]>,
+    children: Option<[Interval; 2]>,
 }
 
 impl Drop for IntervalGuard<'_, '_> {
@@ -765,8 +779,6 @@ pub(crate) fn run_with_context(
             } else {
                 report.solution.density.beta_lower_bound(a, b)
             };
-            let seed_pair =
-                (!report.solution.pair.is_empty()).then(|| report.solution.pair.clone());
             let outcome = {
                 let mut core_of = |x: u64, y: u64| cores.core(g, x, y);
                 let mut res = RatioResources {
@@ -780,7 +792,7 @@ pub(crate) fn run_with_context(
                     floor,
                     opts.core_pruning,
                     false,
-                    seed_pair.as_ref(),
+                    &[&report.solution.pair],
                     &mut res,
                 )
             };
@@ -790,7 +802,10 @@ pub(crate) fn run_with_context(
                 report.network_nodes.push(d.nodes);
                 report.network_edges.push(d.edges);
             }
-            if let Some((pair, _)) = outcome.best {
+            if let Some(pair) = outcome
+                .maximizer
+                .filter(|_| outcome.certified_upper > floor)
+            {
                 report.solution.improve_to(DdsSolution::from_pair(g, pair));
             }
         }
@@ -803,8 +818,8 @@ pub(crate) fn run_with_context(
     report
 }
 
-/// The `Θ(n²)`-ratio exact baseline (flow binary search at every candidate
-/// ratio, no pruning devices). This is the algorithm the paper's exact
+/// The `Θ(n²)`-ratio exact baseline (the per-ratio flow search at every
+/// candidate ratio, no pruning devices). This is the algorithm the paper's exact
 /// solver is benchmarked against; expect it to be orders of magnitude
 /// slower than [`DcExact`] beyond toy sizes.
 #[derive(Clone, Copy, Debug, Default)]
@@ -1010,6 +1025,26 @@ mod tests {
             base.ratios_solved
         );
         assert!(dc.flow_decisions * 5 < base.flow_decisions);
+    }
+
+    #[test]
+    fn newton_search_takes_about_one_flow_per_ratio() {
+        // Seeded from neighbouring maximisers (DC) or certified at the
+        // floor (the baseline), most ratios close with a single min cut.
+        for seed in 0..4 {
+            let g = gen::gnm(40, 300, seed);
+            let dc = DcExact::new().solve(&g);
+            let base = FlowExact.solve(&g);
+            assert_eq!(dc.solution.density, base.solution.density, "seed={seed}");
+            for (name, r) in [("DcExact", &dc), ("FlowExact", &base)] {
+                assert!(
+                    r.flow_decisions <= 2 * r.ratios_solved,
+                    "{name} seed={seed}: {} flows for {} ratios",
+                    r.flow_decisions,
+                    r.ratios_solved
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,37 +1,40 @@
-//! Exact per-ratio search in β-space.
+//! Exact per-ratio search in β-space: Newton's (Dinkelbach's) iteration.
 //!
-//! For a fixed ratio `c = a/b` the search brackets
+//! For a fixed ratio `c = a/b` the search finds
 //! `β*(c) = max over pairs of 2abE/(b|S| + a|T|)` — the β-image of the
-//! c-weighted density (see `dds-flow::decision`) — between an *achieved*
-//! lower bound `l` and a *certified* upper bound `u`:
+//! c-weighted density (see `dds-flow::decision`) — with one min cut per
+//! step. Every step guesses an *achieved* value `l = β(P)` of some pair `P`:
 //!
-//! * every guess is the **simplest rational strictly inside `(l, u)`**,
-//!   which keeps flow capacities small and doubles as the termination
-//!   certificate: candidate values have denominator ≤ `n(a+b)` (they are
-//!   `2abE/D` with `D = b|S| + a|T| ≤ n(a+b)`), so once the simplest
-//!   fraction in the interval is more complex than that, the interval is
-//!   empty of candidates and `l` is the optimum;
-//! * a cut that **finds** a pair jumps `l` to the pair's *exact* β-value
-//!   (not the guess), so `l` only ever sits on achievable values;
-//! * a cut that **certifies** lowers `u` to the guess; if the guess hit
-//!   `β*` exactly, the maximal min cut recovers an optimal pair on the
-//!   spot (`boundary`), closing the interval.
+//! * a cut that **exceeds** `l` returns the minimal min cut's pair, a
+//!   maximiser of `|E| − l/(2a)·|S| − l/(2b)·|T|`; its exact β-value,
+//!   strictly above `l`, is the next guess (Dinkelbach's step);
+//! * a cut that **certifies** `l` proves `β*(c) ≤ l`, and `P` attains `l`,
+//!   so the ratio closes with `β*(c) = l` exactly. The maximal min cut's
+//!   pair attains it too and is returned as the ratio's maximiser, which
+//!   the divide-and-conquer engine hands to neighbouring ratios as a seed.
 //!
-//! Termination: certifications walk the Stern–Brocot tree toward `l`, so
-//! the guess denominator grows at least Fibonacci-fast — `O(log max_den)`
-//! consecutive certifications suffice — and improvements move `l` through
-//! the finite candidate set monotonically.
+//! The first guess is the best β over the caller's seed pairs (the
+//! incumbent and neighbouring maximisers), or the whole graph's when no
+//! seed has an edge, so a seed that already attains `β*(c)` closes the
+//! ratio with a single cut.
+//!
+//! Termination: `l` strictly rises through the finitely many values
+//! `2abE/D` (`E ≤ m`, `D ≤ n(a+b)`), and Dinkelbach's iteration converges
+//! superlinearly, so a ratio takes a handful of cuts even from a poor seed.
 //!
 //! With `core_pruning`, each decision runs on the
 //! `[⌈β/2a⌉, ⌈β/2b⌉]`-core: every maximiser of the cut objective at guess
 //! `β` has `d⁺ ≥ β/(2a)` on the S side and `d⁻ ≥ β/(2b)` on the T side
 //! within the pair (dropping a vertex below the threshold would increase
 //! the objective), so restricting to the core preserves the decision and
-//! every extractable optimum while shrinking the network.
+//! every extractable optimum while shrinking the network. The same
+//! argument keeps the certifying cut's maximiser non-empty: at the guess
+//! `l = β*(c)` the pair attaining `l` has objective 0, the maximum, so it
+//! lies in the core and inside the maximal min cut's source side.
 
 use dds_flow::{beta_of_pair, decide_in, Decision, DecisionStats, FlowArena};
-use dds_graph::{DiGraph, Pair, StMask};
-use dds_num::{simplest_between, Frac};
+use dds_graph::{DiGraph, Pair, StMask, VertexId};
+use dds_num::Frac;
 
 /// The reusable machinery a ratio search borrows from its caller: the
 /// worker's flow arena and a core provider (typically the `SolveContext`
@@ -47,21 +50,16 @@ pub(crate) struct RatioResources<'a> {
 /// Result of one per-ratio search.
 #[derive(Clone, Debug)]
 pub(crate) struct RatioOutcome {
-    /// Best pair with `β* > floor`, and its exact β-value (`None` when the
-    /// ratio cannot beat the floor).
-    pub best: Option<(Pair, Frac)>,
     /// Certified inclusive upper bound on `β*(c)` over **all** pairs; used
-    /// by the divide-and-conquer driver to prune neighbouring ratio
-    /// intervals via the γ transfer bound. In certify mode this is `β*(c)`
-    /// itself whenever the search can prove it (see `beta_star_exact`),
-    /// which is what lets the driver discard intervals that merely *tie*
-    /// the incumbent.
+    /// by the divide-and-conquer engine to prune neighbouring ratio
+    /// intervals via the γ transfer bound. It is `β*(c)` itself whenever
+    /// `maximizer` is set, which is what lets the engine discard intervals
+    /// that merely *tie* the incumbent.
     pub certified_upper: Frac,
-    /// `Some(β*(c))` when the search proved the exact optimum: either the
-    /// bracket closed (`l == u`), or certify mode ended with an achieved
-    /// lower bound `l`, a strictly-certified upper bound, and a
-    /// candidate-free open interval between them — which pins `β* = l`.
-    pub beta_star_exact: Option<Frac>,
+    /// A pair attaining `β*(c)`. Unset only on an edgeless graph, or when
+    /// a floor-fast search's first guess, the floor, certified strictly
+    /// (`certified_upper` is then the floor).
+    pub maximizer: Option<Pair>,
     /// Instrumentation for every flow decision run.
     pub decisions: Vec<DecisionStats>,
 }
@@ -75,23 +73,31 @@ fn ceil_div(beta: Frac, k: u64) -> u64 {
     u64::try_from(Frac::new(beta.num(), den).ceil()).expect("core threshold fits u64")
 }
 
-/// Searches ratio `a/b` exactly. `floor_beta` filters: only pairs with
-/// `β* > floor_beta` are reported in `best` (the caller passes the β-image
-/// of the best density found so far).
+/// The whole graph as one pair: every vertex with an out-edge in `S`,
+/// every vertex with an in-edge in `T`.
+fn whole_graph(g: &DiGraph) -> Pair {
+    let vertices = 0..g.n() as VertexId;
+    Pair::new(
+        vertices.clone().filter(|&v| g.out_degree(v) > 0).collect(),
+        vertices.filter(|&v| g.in_degree(v) > 0).collect(),
+    )
+}
+
+/// Solves ratio `a/b` exactly by Newton's iteration, starting from the
+/// best β-value among `seeds`. `floor_beta`, the β-image of the best
+/// density found so far, only steers floor-fast mode; deciding whether
+/// the maximiser improves on it is the caller's job.
 ///
 /// `tighten` picks the search regime:
 ///
-/// * `false` — **floor-fast**: the lower search bound starts at the floor,
-///   so ratios that cannot beat the incumbent exit after a handful of
-///   certifications. The certified upper bound then sits just above the
-///   floor — useless for γ transfer. Right when no caller consumes
-///   certificates (the all-ratios baseline, or DC with γ-pruning off).
-/// * `true` — **certify**: the search brackets the true `β*(c)` from both
-///   sides (lower bound starts at 0; the floor is tried as the *first
-///   guess*, which restores most of the fast-exit behaviour), leaving
-///   `certified_upper` within one candidate gap of `β*(c)`. That tight
-///   bound is what lets the divide-and-conquer driver discard whole ratio
-///   intervals.
+/// * `true` — **certify**: every guess is achieved, so the search always
+///   ends with `β*(c)` and a maximiser. The exact certificate is what lets
+///   the divide-and-conquer engine discard whole ratio intervals.
+/// * `false` — **floor-fast**: when the floor lies above every seed, it is
+///   the first guess, and a ratio that cannot beat the incumbent exits
+///   after that one cut with the floor as its (loose) certificate. Right
+///   when no caller consumes certificates (the all-ratios baseline, or DC
+///   with γ-pruning off).
 #[allow(clippy::too_many_arguments)] // search knobs + borrowed resources
 pub(crate) fn solve_ratio(
     g: &DiGraph,
@@ -100,151 +106,62 @@ pub(crate) fn solve_ratio(
     floor_beta: Frac,
     core_pruning: bool,
     tighten: bool,
-    seed_pair: Option<&Pair>,
+    seeds: &[&Pair],
     res: &mut RatioResources<'_>,
 ) -> RatioOutcome {
-    let n = g.n() as u64;
-    let m = g.m() as u64;
-    debug_assert!(a >= 1 && b >= 1 && a <= n && b <= n);
-
-    // Inclusive upper bound before any flow: D = b|S| + a|T| ≥ a + b, so
-    // β* ≤ 2abm/(a+b).
-    let u0 = Frac::new(
-        2i128 * i128::from(a) * i128::from(b) * i128::from(m),
-        i128::from(a + b),
-    );
-    let max_den = i128::from(n) * i128::from(a + b);
-
-    let floor = if floor_beta.is_negative() {
-        Frac::ZERO
-    } else {
-        floor_beta
-    };
-    // Certify mode brackets β*(c) from 0; jump-starting the achieved lower
-    // bound at a known pair's exact β-value (typically the incumbent best
-    // pair, whose weighted-density bump dominates near its own ratio)
-    // removes the log-many "climb from zero" flows per ratio.
-    let seed = seed_pair
+    debug_assert!(a >= 1 && b >= 1 && a <= g.n() as u64 && b <= g.n() as u64);
+    let mut decisions = Vec::new();
+    if g.m() == 0 {
+        return RatioOutcome {
+            certified_upper: Frac::ZERO,
+            maximizer: None,
+            decisions,
+        };
+    }
+    let seeded = seeds
+        .iter()
         .filter(|p| !p.is_empty())
         .map(|p| beta_of_pair(g, p, a, b))
-        .unwrap_or(Frac::ZERO);
-    let mut l = if tighten { seed } else { floor.max(seed) };
-    let mut u = u0;
-    // In certify mode, probing the floor first either jumps `l` past it or
-    // slams `u` onto it — one flow either way.
-    let mut first_guess = if tighten && l < floor && floor < u0 {
-        Some(floor)
+        .max()
+        .filter(|beta| !beta.is_zero())
+        .unwrap_or_else(|| beta_of_pair(g, &whole_graph(g), a, b));
+    let mut guess = if !tighten && floor_beta > seeded {
+        floor_beta
     } else {
-        None
+        seeded
     };
-    let mut best: Option<(Pair, Frac)> = None;
-    let mut decisions = Vec::new();
-    let full = StMask::full(g.n());
-    // Consecutive guesses usually round to the same integer thresholds, so
-    // keep the last core locally; threshold changes go through the caller's
-    // provider (the `SolveContext` memo, shared across ratios and solves).
-    let mut core_cache: Option<((u64, u64), StMask)> = None;
-    // True once a `Certified { boundary: None }` decision set `u`: the final
-    // upper bound is then *strictly* above β*, which (combined with an
-    // achieved `l` and a candidate-free gap) pins β* = l exactly.
-    let mut u_certified_strict = false;
-    // Whether `l` is a sound lower bound on β*: certify mode starts at 0 or
-    // an achieved pair value; floor-fast mode starts at the (possibly
-    // unachievable) floor and becomes sound only once a pair sets it.
-    let mut l_achieved = tighten;
-
-    let mut iterations = 0usize;
-    while l < u {
-        iterations += 1;
-        assert!(
-            iterations < 200_000,
-            "per-ratio search failed to converge (bug)"
-        );
-        let guess = match first_guess.take() {
-            Some(f) if l < f && f < u => f,
-            _ => {
-                let simplest = simplest_between(l, u);
-                if simplest.den() > max_den {
-                    // No candidate β-value remains strictly inside (l, u).
-                    break;
-                }
-                // In certify mode, guess inside the middle third of (l, u):
-                // every outcome then shrinks the interval by ≥ 1/3 (Exceeds
-                // raises l past the guess, Certified drops u onto it),
-                // giving geometric convergence; plain simplest-in-interval
-                // can shave slivers when the simplest fraction hugs an
-                // endpoint. The interval-wide simplest is preferred when it
-                // already lies in the middle third — its denominator (and
-                // hence the scaled flow capacities) is minimal. In
-                // floor-fast mode, hugging the floor is exactly the cheap
-                // hopeless-exit behaviour, so the simplest guess stays.
-                if !tighten {
-                    simplest
-                } else {
-                    let third = (u - l) * Frac::new(1, 3);
-                    let (lo3, hi3) = (l + third, u - third);
-                    if lo3 < simplest && simplest < hi3 {
-                        simplest
-                    } else {
-                        simplest_between(lo3, hi3)
-                    }
-                }
-            }
-        };
-        let alive: &StMask = if core_pruning {
-            let x = ceil_div(guess, 2 * a);
-            let y = ceil_div(guess, 2 * b);
-            let stale = !matches!(&core_cache, Some((key, _)) if *key == (x, y));
-            if stale {
-                core_cache = Some(((x, y), (res.core_of)(x, y)));
-            }
-            &core_cache.as_ref().expect("cache populated above").1
+    // Every guess but a floor-fast floor is the β-value of some pair.
+    let mut achieved = guess == seeded;
+    loop {
+        let alive = if core_pruning {
+            (res.core_of)(ceil_div(guess, 2 * a), ceil_div(guess, 2 * b))
         } else {
-            &full
+            StMask::full(g.n())
         };
-        let (decision, stats) = decide_in(res.arena, g, alive, a, b, guess);
+        let (decision, stats) = decide_in(res.arena, g, &alive, a, b, guess);
         decisions.push(stats);
         match decision {
             Decision::Exceeds(pair) => {
                 let beta = beta_of_pair(g, &pair, a, b);
-                debug_assert!(beta > guess, "found pair must beat the guess");
-                l = beta;
-                l_achieved = true;
-                if beta > floor {
-                    best = Some((pair, beta));
-                }
+                assert!(beta > guess, "found pair must beat the guess");
+                guess = beta;
+                achieved = true;
             }
             Decision::Certified { boundary } => {
-                if let Some(pair) = boundary {
-                    debug_assert_eq!(beta_of_pair(g, &pair, a, b), guess);
-                    if guess > floor {
-                        best = Some((pair, guess));
-                    }
-                    l = guess; // optimum reached exactly: l == u ends the loop
-                    l_achieved = true;
-                } else {
-                    u_certified_strict = true; // β* < guess = new u
-                }
-                u = guess;
+                debug_assert!(
+                    boundary.is_some() || !achieved,
+                    "the pair attaining an achieved guess lies in the maximal cut"
+                );
+                debug_assert!(boundary
+                    .as_ref()
+                    .is_none_or(|p| beta_of_pair(g, p, a, b) == guess));
+                return RatioOutcome {
+                    certified_upper: guess,
+                    maximizer: boundary,
+                    decisions,
+                };
             }
         }
-    }
-    // Pin β*(c) exactly when the bracket allows it. Soundness:
-    // * `l == u` — an achieved value meets a certified bound; β* = l.
-    // * certify mode, loop broke with `l < u` — then (l, u) holds no
-    //   candidate β-value, `l ≤ β* ≤ u` (certify-mode `l` is always 0 or an
-    //   achieved pair value), and β* is itself a candidate, so β* ∈ {l, u};
-    //   a strict final certification rules out `u`, leaving β* = l.
-    let beta_star_exact = if l_achieved && (l == u || u_certified_strict) {
-        Some(l)
-    } else {
-        None
-    };
-    RatioOutcome {
-        best,
-        certified_upper: beta_star_exact.unwrap_or(u),
-        beta_star_exact,
-        decisions,
     }
 }
 
@@ -263,7 +180,7 @@ mod tests {
         floor_beta: Frac,
         core_pruning: bool,
         tighten: bool,
-        seed_pair: Option<&Pair>,
+        seeds: &[&Pair],
     ) -> RatioOutcome {
         let mut arena = FlowArena::new();
         let mut core_of = |x: u64, y: u64| xy_core_within(g, &StMask::full(g.n()), x, y);
@@ -271,16 +188,12 @@ mod tests {
             arena: &mut arena,
             core_of: &mut core_of,
         };
-        solve_ratio(
-            g,
-            a,
-            b,
-            floor_beta,
-            core_pruning,
-            tighten,
-            seed_pair,
-            &mut res,
-        )
+        solve_ratio(g, a, b, floor_beta, core_pruning, tighten, seeds, &mut res)
+    }
+
+    /// `Some(β*(c))` when the search proved the exact optimum.
+    fn beta_star_exact(out: &RatioOutcome) -> Option<Frac> {
+        out.maximizer.as_ref().map(|_| out.certified_upper)
     }
 
     /// Brute-force β*(c) over all non-empty pairs.
@@ -301,19 +214,32 @@ mod tests {
     }
 
     fn check_all_ratios(g: &DiGraph, core_pruning: bool) {
+        // Seeds exercise both Newton's climb (a single edge, far below
+        // β*) and the one-cut close (the whole graph, often optimal).
+        let (u, v) = g.edges().next().expect("fixtures have edges");
+        let edge = Pair::new(vec![u], vec![v]);
+        let whole = whole_graph(g);
         for r in candidate_ratios(g.n() as u64) {
             let (a, b) = (r.a(), r.b());
             let want = brute_beta_star(g, a, b);
             for tighten in [false, true] {
-                let out = run(g, a, b, Frac::ZERO, core_pruning, tighten, None);
-                let got = out.best.as_ref().map_or(Frac::ZERO, |(_, beta)| *beta);
-                assert_eq!(
-                    got, want,
-                    "ratio {a}/{b} core={core_pruning} tighten={tighten}"
-                );
-                assert!(out.certified_upper >= want, "certificate must bound β*");
-                if let Some((pair, beta)) = &out.best {
-                    assert_eq!(beta_of_pair(g, pair, a, b), *beta);
+                for seeds in [&[][..], &[&edge], &[&edge, &whole]] {
+                    let out = run(g, a, b, Frac::ZERO, core_pruning, tighten, seeds);
+                    let ctx = format!(
+                        "ratio {a}/{b} core={core_pruning} tighten={tighten} seeds={}",
+                        seeds.len()
+                    );
+                    assert!(
+                        out.certified_upper >= want,
+                        "certificate must bound β*: {ctx}"
+                    );
+                    if tighten {
+                        assert_eq!(beta_star_exact(&out), Some(want), "{ctx}");
+                    }
+                    // Floor-fast with a zero floor never guesses the floor,
+                    // so it closes exactly too.
+                    let pair = out.maximizer.as_ref().expect("maximiser returned");
+                    assert_eq!(beta_of_pair(g, pair, a, b), want, "{ctx}");
                 }
             }
         }
@@ -344,27 +270,21 @@ mod tests {
     #[test]
     fn floor_prunes_hopeless_ratios() {
         let g = gen::complete_bipartite(2, 3);
-        // β*(1/1) = 12/5; a floor above it must return None quickly.
-        let out = run(&g, 1, 1, Frac::new(5, 2), false, false, None);
-        assert!(out.best.is_none());
+        // β*(1/1) = 12/5; a floor above it must exit after one cut with
+        // no maximiser.
+        let out = run(&g, 1, 1, Frac::new(5, 2), false, false, &[]);
+        assert!(out.maximizer.is_none());
+        assert_eq!(out.decisions.len(), 1);
         assert!(out.certified_upper >= Frac::new(12, 5));
         // A floor just below it must still find the optimum.
-        let out = run(
-            &g,
-            1,
-            1,
-            Frac::new(12, 5) - Frac::new(1, 1000),
-            false,
-            false,
-            None,
-        );
-        assert_eq!(out.best.unwrap().1, Frac::new(12, 5));
-        // Certify mode with a hopeless floor still produces a *tight*
-        // certificate: β*(1/1) = 12/5, so the bound must sit within one
-        // candidate gap of it, far below the floor.
-        let out = run(&g, 1, 1, Frac::new(5, 2), false, true, None);
-        assert!(out.best.is_none(), "floor filter still applies");
-        assert!(out.certified_upper >= Frac::new(12, 5));
+        let floor = Frac::new(12, 5) - Frac::new(1, 1000);
+        let out = run(&g, 1, 1, floor, false, false, &[]);
+        assert_eq!(beta_star_exact(&out), Some(Frac::new(12, 5)));
+        // Certify mode with a hopeless floor still produces the exact
+        // certificate, far below the floor, so the engine's floor filter
+        // reports no improvement.
+        let out = run(&g, 1, 1, Frac::new(5, 2), false, true, &[]);
+        assert_eq!(beta_star_exact(&out), Some(Frac::new(12, 5)));
         assert!(
             out.certified_upper < Frac::new(5, 2),
             "tight certificate expected"
@@ -378,8 +298,8 @@ mod tests {
         let p = gen::planted(40, 60, 4, 4, 1.0, 3);
         let g = &p.graph;
         let floor = p.pair.density(g).beta_lower_bound(1, 1);
-        let pruned = run(g, 1, 1, floor, true, false, None);
-        let unpruned = run(g, 1, 1, floor, false, false, None);
+        let pruned = run(g, 1, 1, floor, true, false, &[]);
+        let unpruned = run(g, 1, 1, floor, false, false, &[]);
         let max_alive_pruned = pruned
             .decisions
             .iter()
@@ -397,17 +317,25 @@ mod tests {
             "core pruning should shrink the decision networks ({max_alive_pruned} vs {max_alive_unpruned})"
         );
         // And both agree on the answer.
-        assert_eq!(
-            pruned.best.map(|(_, beta)| beta),
-            unpruned.best.map(|(_, beta)| beta)
-        );
+        assert_eq!(beta_star_exact(&pruned), beta_star_exact(&unpruned));
+    }
+
+    #[test]
+    fn seeded_optimum_closes_with_one_cut() {
+        // The block attains β*(1/1) = 4; seeded with it, Newton's first
+        // guess certifies, so the ratio costs a single min cut.
+        let p = gen::planted(40, 60, 4, 4, 1.0, 3);
+        let g = &p.graph;
+        let out = run(g, 1, 1, Frac::ZERO, true, true, &[&p.pair]);
+        assert_eq!(out.decisions.len(), 1);
+        assert_eq!(beta_star_exact(&out), Some(Frac::from(4u64)));
     }
 
     #[test]
     fn edgeless_graph_terminates_immediately() {
         let g = DiGraph::empty(4);
-        let out = run(&g, 1, 1, Frac::ZERO, true, true, None);
-        assert!(out.best.is_none());
+        let out = run(&g, 1, 1, Frac::ZERO, true, true, &[]);
+        assert!(out.maximizer.is_none());
         assert!(out.decisions.is_empty());
     }
 

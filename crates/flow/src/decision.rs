@@ -9,7 +9,7 @@
 //!
 //! By AM–GM `w_c(S,T) ≤ ρ(S,T)` always, with equality iff `|S|/|T| = c`
 //! exactly; maximised over all pairs it equals `ρ_opt` at the optimum's own
-//! ratio. The exact algorithms binary-search the *β-image* of this value,
+//! ratio. The exact algorithms search the *β-image* of this value,
 //! `β = w_c·√(ab)`, which is rational: `β*(S,T) = 2abE/(b|S| + a|T|)`.
 //!
 //! [`decide`] answers "does any pair have `w_c > β/√(ab)`?" by a single

@@ -12,8 +12,8 @@
 //!   smallest maximizer of the cut objective;
 //! * the *maximal* source side (complement of the set that reaches `t` in
 //!   the residual graph) — required to recover an optimal pair when the
-//!   binary-search guess hits the optimum exactly and the minimal cut
-//!   degenerates to `{s}`.
+//!   guess hits the optimum exactly and the minimal cut degenerates to
+//!   `{s}`.
 
 /// Identifier of an edge added to a [`FlowNetwork`]; stable across the
 /// flow computation.

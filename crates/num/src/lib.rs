@@ -13,9 +13,8 @@
 //!   `+∞`) used to index the `|S|/|T|` ratio space, plus Stern–Brocot
 //!   mediants;
 //! * [`simplest_between`] — the unique minimum-denominator fraction strictly
-//!   inside an open interval, used both to pick flow guesses with small
-//!   capacities and to certify that a search interval holds no more
-//!   candidate values;
+//!   inside an open interval, used to pick the test ratio inside a ratio
+//!   interval and to certify that the interval holds no candidate ratio;
 //! * [`isqrt`] — floor integer square root on `u128`, used to build rational
 //!   under-approximations of irrational density bounds.
 //!
@@ -32,8 +31,8 @@
 //! // …and equality is mathematical: 5/√25 = 1/√1.
 //! assert_eq!(Density::new(5, 5, 5), Density::new(1, 1, 1));
 //!
-//! // The simplest rational strictly between two bounds (the flow-search
-//! // guess generator): between 5/7 and 3/4 it is 8/11.
+//! // The simplest rational strictly between two bounds (the ratio
+//! // search's test ratio): between 5/7 and 3/4 it is 8/11.
 //! let g = simplest_between(Frac::new(5, 7), Frac::new(3, 4));
 //! assert_eq!(g, Frac::new(8, 11));
 //! ```

@@ -5,15 +5,12 @@ use crate::Frac;
 /// Returns the unique fraction with the smallest denominator (ties broken by
 /// smallest numerator) strictly inside the open interval `(lo, hi)`.
 ///
-/// Two uses in the exact DDS search:
-///
-/// * **guess selection** — picking the simplest rational between the current
-///   binary-search bounds keeps the integer flow capacities (which scale
-///   with the guess's denominator) as small as possible;
-/// * **termination certificates** — every candidate optimum in β-space has
-///   denominator ≤ `n(a+b)`; if the simplest fraction inside `(l, u)`
-///   already exceeds that, the interval provably contains no candidate and
-///   the search can stop.
+/// The exact DDS search uses it on the `|S|/|T|` ratio space: the
+/// divide-and-conquer engine solves the simplest ratio inside each open
+/// ratio interval (for Stern–Brocot neighbours, their mediant), and since
+/// every rational strictly inside the interval is a Stern–Brocot
+/// descendant of that one, a simplest ratio with a component above `n`
+/// certifies that the interval holds no candidate ratio.
 ///
 /// Implementation: the classic continued-fraction walk. When the interval
 /// contains an integer, the smallest one wins; otherwise both endpoints
