@@ -1,4 +1,11 @@
 //! Command implementations and argument parsing for the `dds` binary.
+//!
+//! The ingest commands — `dds stream` (replay, `--window`, `--follow`),
+//! `dds shard` and `dds serve` — share one loop, [`ingest`], over the
+//! CLI-private [`Tier`] trait that the stream, window and sharded engines
+//! implement. Replay and follow differ only in their batch [`Source`]:
+//! the per-epoch rows, checkpoints, metrics, admin plane and closing
+//! summary are the same code in every mode.
 
 use std::fmt;
 use std::io::Write;
@@ -8,14 +15,15 @@ use dds_core::{
     FlowExact, GridPeel, SolveStats, TopKSolver,
 };
 use dds_graph::io::{load_edge_list, save_edge_list, ParseOptions};
-use dds_graph::{gen, DiGraph, GraphStats};
+use dds_graph::{gen, DiGraph, GraphStats, Pair};
 use dds_obs::{AdminServer, LagGauges, Registry, SlowRing, StatusBoard, TraceProfile, Tracer};
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
 use dds_shard::{ShardConfig, ShardedEngine};
 use dds_sketch::{SketchConfig, SketchEngine, SketchStats};
 use dds_stream::{
-    batch_slices, follow_events, BatchBy, DynamicGraph, Event, FollowConfig, SketchTier,
-    SolverKind, StreamConfig, StreamEngine, WindowConfig, WindowEngine, WindowMode,
+    batch_slices, follow_events, Batch, BatchBy, CertifiedBounds, DynamicGraph, Event,
+    FollowConfig, SketchTier, SnapshotError, SolverKind, StreamConfig, StreamEngine, WindowConfig,
+    WindowEngine, WindowMode,
 };
 use dds_xycore::{max_product_core, skyline, xy_core};
 
@@ -95,10 +103,11 @@ const USAGE: &str = "usage:
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
               (--window: expire edges W ticks after arrival; --sketch: re-certify via exact-on-sketch past M live edges;
                --follow: tail the growing event file, sealing epochs every N events and checkpointing to FILE
-               (composes with --window, except --checkpoint: the window engine has no snapshot);
+               (composes with --window, except --checkpoint: the window engine has no snapshot); replay and
+               --follow print the same rows and one closing summary;
                --metrics: keep a Prometheus-style exposition file fresh every E epochs, plus FILE.jsonl at exit;
                --trace: stream deterministic span JSONL — identical replays diff byte-for-byte;
-               --admin: live HTTP introspection on ADDR (/metrics /healthz /readyz /status /slow);
+               --admin: live HTTP introspection on ADDR (/metrics /healthz /readyz /status /slow), replay or follow;
                --slow-us: record epoch seals slower than N µs in the slow-op ring, drained at exit and by /slow)
   dds sketch  <event-file> [--batch N | --time-window T] [--bound B] [--drift F] [--threads N] [--seed S] [--log-every K]
               (standalone sublinear sketch replay: certified bracket + (1+eps) estimate per epoch)
@@ -106,7 +115,7 @@ const USAGE: &str = "usage:
               [--follow [--poll-ms P] [--idle-ms T]] [--checkpoint FILE [--checkpoint-every E]] [--resume]
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
               (edge-partitioned parallel ingestion over K shards with merged certification; --resume restarts
-               from the checkpoint and replays nothing twice)
+               from the checkpoint and replays nothing twice; replay and --follow print one summary)
   dds serve   <event-file> --listen ADDR [--readers R] [--core X,Y] [--topk K] [--shards K] [--batch N]
               [--tolerance T] [--slack S] [--solver exact|approx] [--threads N] [--log-every K]
               [--poll-ms P] [--idle-ms T] [--checkpoint FILE [--checkpoint-every E]] [--resume]
@@ -172,6 +181,54 @@ fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Re
         .map_err(|_| CliError::Usage(format!("invalid value {v:?} for {flag}")))
 }
 
+/// Parses a flag value that must be positive (NaN is rejected too).
+fn positive<T>(flag: &str, value: Option<&str>) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let v: T = parse_flag_value(flag, value)?;
+    if v > T::default() {
+        Ok(v)
+    } else {
+        Err(CliError::Usage(format!("{flag} must be positive")))
+    }
+}
+
+/// Parses a flag value that must be ≥ 0 (NaN is rejected too).
+fn non_negative(flag: &str, value: Option<&str>) -> Result<f64, CliError> {
+    let v: f64 = parse_flag_value(flag, value)?;
+    if v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(CliError::Usage(format!("{flag} must be ≥ 0")))
+    }
+}
+
+/// Parses an `X,Y` pair of core thresholds (`--xy`, `--core`).
+fn xy_pair(flag: &str, value: Option<&str>) -> Result<(u64, u64), CliError> {
+    let v: String = parse_flag_value(flag, value)?;
+    let (x, y) = v
+        .split_once(',')
+        .ok_or_else(|| CliError::Usage(format!("{flag} expects X,Y")))?;
+    Ok((
+        x.parse()
+            .map_err(|_| CliError::Usage(format!("bad x {x:?}")))?,
+        y.parse()
+            .map_err(|_| CliError::Usage(format!("bad y {y:?}")))?,
+    ))
+}
+
+/// Parses a `--solver` value.
+fn solver(value: Option<&str>) -> Result<SolverKind, CliError> {
+    match parse_flag_value::<String>("--solver", value)?.as_str() {
+        "exact" => Ok(SolverKind::Exact),
+        "approx" => Ok(SolverKind::CoreApprox),
+        other => Err(CliError::Usage(format!(
+            "unknown --solver {other:?} (expected exact|approx)"
+        ))),
+    }
+}
+
 /// Resolve a `--threads` flag for the commands that auto-detect: an
 /// explicit positive count is taken as given; `0` or an omitted flag
 /// picks the host parallelism ([`dds_core::auto_threads`]). The second
@@ -198,9 +255,9 @@ fn write_solution(out: &mut dyn Write, sol: &DdsSolution) -> Result<(), CliError
 }
 
 /// The one formatter for accumulated [`SolveStats`] — every command that
-/// reports exact-solve instrumentation (`dds exact`, the stream/window
-/// replay summaries, `dds sketch`, `dds shard`) goes through here, so the
-/// counters and their order cannot drift between commands again.
+/// reports exact-solve instrumentation (`dds exact`, the ingest summaries,
+/// `dds sketch`) goes through here, so the counters and their order cannot
+/// drift between commands again.
 fn write_solve_totals(out: &mut dyn Write, label: &str, s: &SolveStats) -> Result<(), CliError> {
     writeln!(
         out,
@@ -211,7 +268,7 @@ fn write_solve_totals(out: &mut dyn Write, label: &str, s: &SolveStats) -> Resul
 }
 
 /// The one formatter for the sketch-tier summary line shared by the
-/// stream and window replays (`what` names their re-certification unit:
+/// stream and window engines (`what` names their re-certification unit:
 /// "re-solves" vs "refreshes").
 fn write_sketch_tier(
     out: &mut dyn Write,
@@ -225,6 +282,19 @@ fn write_sketch_tier(
         "sketch tier: {sketched} of {total} {what} sketched; retained {} (peak {}), level {}, {} subsamples, {} refreshes",
         stats.retained, stats.peak_retained, stats.level, stats.subsamples, stats.refreshes,
     )?;
+    Ok(())
+}
+
+/// The summary's witness line, when there is a witness pair.
+fn write_witness(out: &mut dyn Write, pair: Option<&Pair>) -> Result<(), CliError> {
+    if let Some(pair) = pair {
+        writeln!(
+            out,
+            "witness |S| = {}, |T| = {}",
+            pair.s().len(),
+            pair.t().len()
+        )?;
+    }
     Ok(())
 }
 
@@ -248,20 +318,6 @@ fn sketch_mode_label(
     flows: impl fmt::Display,
 ) -> String {
     format!("{verb} (retained {retained}, level {level}, {flows} flows)")
-}
-
-/// Mode label for a stream-engine re-solve — sketch tier if it ran,
-/// exact otherwise. Shared by the replay summary and the follow loop.
-fn stream_mode_label(sketch: Option<&SketchStats>, solve: Option<SolveStats>) -> String {
-    match sketch {
-        Some(sk) => sketch_mode_label(
-            "SKETCH RESOLVE",
-            sk.retained,
-            sk.level,
-            solve.map_or(0, |s| s.flow_decisions),
-        ),
-        None => solve_mode_label("RESOLVE", solve),
-    }
 }
 
 fn cmd_stats<'a>(
@@ -448,18 +504,7 @@ fn cmd_core<'a>(
     let mut want_skyline = false;
     while let Some(flag) = it.next() {
         match flag {
-            "--xy" => {
-                let v: String = parse_flag_value("--xy", it.next())?;
-                let (x, y) = v
-                    .split_once(',')
-                    .ok_or_else(|| CliError::Usage("--xy expects X,Y".into()))?;
-                xy = Some((
-                    x.parse()
-                        .map_err(|_| CliError::Usage(format!("bad x {x:?}")))?,
-                    y.parse()
-                        .map_err(|_| CliError::Usage(format!("bad y {y:?}")))?,
-                ));
-            }
+            "--xy" => xy = Some(xy_pair("--xy", it.next())?),
             "--max-product" => max_product = true,
             "--skyline" => want_skyline = true,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
@@ -684,15 +729,14 @@ fn cmd_stream<'a>(
     let mut batch_by = BatchBy::Count(25);
     let mut tolerance = 0.25f64;
     let mut slack = 2.0f64;
-    let mut solver: Option<SolverKind> = None;
-    let mut log_every = 0usize;
+    let mut solver_kind: Option<SolverKind> = None;
+    let mut log_every = 0u64;
     let mut window: Option<u64> = None;
     let mut escalate = true;
     let mut threads: Option<usize> = None;
     let mut sketch = false;
-    let mut sketch_min_m = 50_000usize;
-    let mut sketch_flags_used = false;
-    let mut sketch_bound = SketchConfig::default().state_bound;
+    let mut sketch_min_m: Option<usize> = None;
+    let mut sketch_bound: Option<usize> = None;
     let mut follow = false;
     let mut serving = ServingFlags::default();
     let mut obs = ObsFlags::default();
@@ -704,69 +748,23 @@ fn cmd_stream<'a>(
             "--follow" => follow = true,
             "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
             "--sketch" => sketch = true,
-            "--sketch-min-m" => {
-                sketch_min_m = parse_flag_value("--sketch-min-m", it.next())?;
-                sketch_flags_used = true;
-            }
-            "--sketch-bound" => {
-                sketch_bound = parse_flag_value("--sketch-bound", it.next())?;
-                sketch_flags_used = true;
-                if sketch_bound == 0 {
-                    return Err(CliError::Usage("--sketch-bound must be positive".into()));
-                }
-            }
-            "--window" => {
-                let w: u64 = parse_flag_value("--window", it.next())?;
-                if w == 0 {
-                    return Err(CliError::Usage("--window must be positive".into()));
-                }
-                window = Some(w);
-            }
+            "--sketch-min-m" => sketch_min_m = Some(parse_flag_value("--sketch-min-m", it.next())?),
+            "--sketch-bound" => sketch_bound = Some(positive("--sketch-bound", it.next())?),
+            "--window" => window = Some(positive("--window", it.next())?),
             "--no-escalate" => escalate = false,
-            "--batch" => {
-                let n: usize = parse_flag_value("--batch", it.next())?;
-                if n == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-                batch_by = BatchBy::Count(n);
-            }
+            "--batch" => batch_by = BatchBy::Count(positive("--batch", it.next())?),
             "--time-window" => {
-                let w: u64 = parse_flag_value("--time-window", it.next())?;
-                if w == 0 {
-                    return Err(CliError::Usage("--time-window must be positive".into()));
-                }
-                batch_by = BatchBy::TimeWindow(w);
+                batch_by = BatchBy::TimeWindow(positive("--time-window", it.next())?);
             }
-            "--tolerance" => {
-                tolerance = parse_flag_value("--tolerance", it.next())?;
-                if tolerance.is_nan() || tolerance < 0.0 {
-                    return Err(CliError::Usage("--tolerance must be ≥ 0".into()));
-                }
-            }
-            "--slack" => {
-                slack = parse_flag_value("--slack", it.next())?;
-                if slack.is_nan() || slack < 0.0 {
-                    return Err(CliError::Usage("--slack must be ≥ 0".into()));
-                }
-            }
-            "--solver" => {
-                let v: String = parse_flag_value("--solver", it.next())?;
-                solver = Some(match v.as_str() {
-                    "exact" => SolverKind::Exact,
-                    "approx" => SolverKind::CoreApprox,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown --solver {other:?} (expected exact|approx)"
-                        )))
-                    }
-                });
-            }
+            "--tolerance" => tolerance = non_negative("--tolerance", it.next())?,
+            "--slack" => slack = non_negative("--slack", it.next())?,
+            "--solver" => solver_kind = Some(solver(it.next())?),
             "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
 
-    if sketch_flags_used && !sketch {
+    if !sketch && (sketch_min_m.is_some() || sketch_bound.is_some()) {
         return Err(CliError::Usage(
             "--sketch-min-m/--sketch-bound require --sketch".into(),
         ));
@@ -781,87 +779,53 @@ fn cmd_stream<'a>(
                 .into(),
         ));
     }
-    let tier = sketch.then_some(SketchTier {
-        min_m: sketch_min_m,
+    // Only `--checkpoint` actually needs an engine snapshot; plain
+    // `--follow --window` (tail the file, expire edges, no restart story)
+    // is a perfectly serviceable combination.
+    if window.is_some() && serving.checkpoint.is_some() {
+        return Err(CliError::Usage(
+            "--checkpoint does not support --window (the window engine has no snapshot)".into(),
+        ));
+    }
+    if window.is_some() && solver_kind.is_some() {
+        return Err(CliError::Usage(
+            "--solver does not apply with --window (the window engine picks its own escalation; see --no-escalate)".into(),
+        ));
+    }
+    if window.is_none() && !escalate {
+        return Err(CliError::Usage("--no-escalate requires --window".into()));
+    }
+    let source = match (follow, batch_by) {
+        (false, by) => Source::Whole(by),
+        (true, BatchBy::Count(batch)) => Source::Tail { batch, follow },
+        (true, BatchBy::TimeWindow(_)) => {
+            return Err(CliError::Usage(
+                "--follow seals epochs by event count; use --batch, not --time-window".into(),
+            ))
+        }
+    };
+    let tier = sketch.then(|| SketchTier {
+        min_m: sketch_min_m.unwrap_or(50_000),
         config: SketchConfig {
-            state_bound: sketch_bound,
+            state_bound: sketch_bound.unwrap_or(SketchConfig::default().state_bound),
             threads,
             ..SketchConfig::default()
         },
     });
-    if follow {
-        // Only `--checkpoint` actually needs an engine snapshot; plain
-        // `--follow --window` (tail the file, expire edges, no restart
-        // story) is a perfectly serviceable combination.
-        if window.is_some() && serving.checkpoint.is_some() {
-            return Err(CliError::Usage(
-                "--checkpoint does not support --window (the window engine has no snapshot)".into(),
-            ));
-        }
-        let batch = match batch_by {
-            BatchBy::Count(n) => n,
-            BatchBy::TimeWindow(_) => {
-                return Err(CliError::Usage(
-                    "--follow seals epochs by event count; use --batch, not --time-window".into(),
-                ))
-            }
-        };
-        if let Some(w) = window {
-            if solver.is_some() {
-                return Err(CliError::Usage(
-                    "--solver does not apply with --window (the window engine picks its own escalation; see --no-escalate)".into(),
-                ));
-            }
-            let config = WindowConfig {
-                tolerance,
-                slack,
-                exact_escalation: escalate,
-                threads,
-                sketch: tier,
-                ..WindowConfig::new(w)
-            };
-            return stream_follow_window(
-                out,
-                path,
-                config,
-                batch,
-                log_every,
-                threads_auto,
-                &serving,
-                &obs,
-            );
-        }
-        if !escalate {
-            return Err(CliError::Usage("--no-escalate requires --window".into()));
-        }
-        let config = StreamConfig {
-            tolerance,
-            slack,
-            solver: solver.unwrap_or(SolverKind::Exact),
-            threads,
-            sketch: tier,
-        };
-        return stream_follow(
+    let run = Ingest {
+        path,
+        role: "stream",
+        source,
+        log_every,
+        threads: (threads, threads_auto),
+        serving,
+        obs,
+        serve: None,
+    };
+    match window {
+        Some(w) => ingest::<WindowEngine>(
             out,
-            path,
-            config,
-            batch,
-            log_every,
-            threads_auto,
-            &serving,
-            &obs,
-        );
-    }
-    let events = dds_stream::load_events(path)?;
-    if let Some(w) = window {
-        if solver.is_some() {
-            return Err(CliError::Usage(
-                "--solver does not apply with --window (the window engine picks its own escalation; see --no-escalate)".into(),
-            ));
-        }
-        return stream_window(
-            out,
-            &events,
+            &run,
             WindowConfig {
                 tolerance,
                 slack,
@@ -870,357 +834,180 @@ fn cmd_stream<'a>(
                 sketch: tier,
                 ..WindowConfig::new(w)
             },
-            batch_by,
-            log_every,
-            threads_auto,
-            &obs,
-        );
-    }
-    if !escalate {
-        return Err(CliError::Usage("--no-escalate requires --window".into()));
-    }
-    let mut engine = StreamEngine::new(StreamConfig {
-        tolerance,
-        slack,
-        solver: solver.unwrap_or(SolverKind::Exact),
-        threads,
-        sketch: tier,
-    });
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let started = std::time::Instant::now();
-    let reports = dds_stream::replay(&mut engine, &events, batch_by);
-    let wall = started.elapsed();
-
-    writeln!(
-        out,
-        "epoch      m    density      [lower, upper]      factor  mode"
-    )?;
-    let last_epoch = reports.last().map_or(0, |r| r.epoch);
-    for r in &reports {
-        let logged = r.resolved
-            || (log_every > 0 && r.epoch % log_every as u64 == 0)
-            || r.epoch == last_epoch;
-        if logged {
-            let mode = if r.resolved {
-                stream_mode_label(r.sketch.as_ref(), r.solve_stats)
-            } else {
-                "incremental".into()
-            };
-            writeln!(
-                out,
-                "{:>5} {:>6}   {:>8.4}   [{:>8.4}, {:>8.4}]   {:>6.3}  {}",
-                r.epoch,
-                r.m,
-                r.density.to_f64(),
-                r.lower,
-                r.upper,
-                r.certified_factor,
-                mode,
-            )?;
-        }
-    }
-
-    let epochs = reports.len();
-    let resolves = reports.iter().filter(|r| r.resolved).count();
-    let incremental = 100.0 * (epochs.saturating_sub(resolves)) as f64 / epochs.max(1) as f64;
-    let max_factor = reports
-        .iter()
-        .map(|r| r.certified_factor)
-        .fold(1.0f64, f64::max);
-    writeln!(out)?;
-    writeln!(
-        out,
-        "replayed {} events in {} epochs ({wall:.2?}): {} re-solves, {:.1}% incremental",
-        events.len(),
-        epochs,
-        resolves,
-        incremental,
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    writeln!(
-        out,
-        "max certified factor {max_factor:.4} (tolerance {tolerance}, slack {slack})"
-    )?;
-    let totals =
-        reports
-            .iter()
-            .filter_map(|r| r.solve_stats)
-            .fold(SolveStats::default(), |mut acc, s| {
-                acc.merge(s);
-                acc
-            });
-    if totals.ratios_solved > 0 {
-        write_solve_totals(out, "re-solve totals", &totals)?;
-    }
-    if let Some(stats) = engine.sketch_stats() {
-        write_sketch_tier(
+        ),
+        None => ingest::<StreamEngine>(
             out,
-            engine.sketch_resolves(),
-            engine.resolves(),
-            "re-solves",
-            &stats,
-        )?;
+            &run,
+            StreamConfig {
+                tolerance,
+                slack,
+                solver: solver_kind.unwrap_or(SolverKind::Exact),
+                threads,
+                sketch: tier,
+            },
+        ),
     }
-    if let Some(last) = reports.last() {
-        writeln!(
-            out,
-            "final density {} over n = {}, m = {}",
-            last.density, last.n, last.m
-        )?;
-        if let Some(pair) = engine.witness() {
-            writeln!(
-                out,
-                "witness |S| = {}, |T| = {}",
-                pair.s().len(),
-                pair.t().len()
-            )?;
-        }
-    }
-    if let Some(sink) = obs.sink(registry.as_ref()) {
-        sink.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
 }
 
-/// The `--window` replay path: sliding-window maintenance through
-/// [`WindowEngine`] (expiry handled by the engine; the event file only
-/// needs arrivals, though explicit deletions still work).
-fn stream_window(
+/// `dds shard`: edge-partitioned parallel ingestion over K shards with
+/// merged certification — replay mode drains the file and exits; with
+/// `--follow` it keeps tailing. Both modes tail from the engine's byte
+/// cursor, so `--checkpoint`/`--resume` behave identically in each.
+fn cmd_shard<'a>(
+    it: &mut impl Iterator<Item = &'a str>,
     out: &mut dyn Write,
-    events: &[dds_stream::TimedEvent],
-    config: WindowConfig,
-    batch_by: BatchBy,
-    log_every: usize,
-    threads_auto: &str,
-    obs: &ObsFlags,
 ) -> Result<(), CliError> {
-    let (window, tolerance, slack, escalate, threads) = (
-        config.window,
-        config.tolerance,
-        config.slack,
-        config.exact_escalation,
-        config.threads,
-    );
-    let mut engine = WindowEngine::new(config);
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let started = std::time::Instant::now();
-    let reports = dds_stream::replay_window(&mut engine, events, batch_by);
-    let wall = started.elapsed();
-
-    writeln!(
-        out,
-        "epoch      m    density      [lower, upper]      factor  mode"
-    )?;
-    let last_epoch = reports.last().map_or(0, |r| r.epoch);
-    for r in &reports {
-        let refreshed = r.mode != WindowMode::Incremental;
-        let logged = refreshed
-            || (log_every > 0 && r.epoch % log_every as u64 == 0)
-            || r.epoch == last_epoch;
-        if logged {
-            let mode = window_mode_label(r);
-            writeln!(
-                out,
-                "{:>5} {:>6}   {:>8.4}   [{:>8.4}, {:>8.4}]   {:>6.3}  {}",
-                r.epoch,
-                r.m,
-                r.density.to_f64(),
-                r.lower,
-                r.upper,
-                r.certified_factor,
-                mode,
-            )?;
+    let path = it
+        .next()
+        .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
+    let mut config = ShardConfig::default();
+    let mut batch = 100usize;
+    let mut threads: Option<usize> = None;
+    let mut log_every = 0u64;
+    let mut follow = false;
+    let mut serving = ServingFlags::default();
+    let mut obs = ObsFlags::default();
+    while let Some(flag) = it.next() {
+        if serving.parse(flag, it)? || obs.parse(flag, it)? {
+            continue;
+        }
+        match flag {
+            "--shards" => config.shards = positive("--shards", it.next())?,
+            "--batch" => batch = positive("--batch", it.next())?,
+            "--bound" => config.sketch.state_bound = positive("--bound", it.next())?,
+            "--seed" => config.sketch.seed = parse_flag_value("--seed", it.next())?,
+            "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
+            "--drift" => config.refresh_drift = positive("--drift", it.next())?,
+            "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
+            "--follow" => follow = true,
+            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
-
-    let epochs = reports.len();
-    let refreshes = reports
-        .iter()
-        .filter(|r| r.mode != WindowMode::Incremental)
-        .count();
-    let exact = reports
-        .iter()
-        .filter(|r| r.mode == WindowMode::ExactResolve)
-        .count();
-    let incremental = 100.0 * (epochs.saturating_sub(refreshes)) as f64 / epochs.max(1) as f64;
-    let certified = reports.iter().filter(|r| r.within_band).count();
-    let max_factor = reports
-        .iter()
-        .map(|r| r.certified_factor)
-        .fold(1.0f64, f64::max);
-    writeln!(out)?;
-    writeln!(
-        out,
-        "replayed {} events in {} epochs ({wall:.2?}): {} core refreshes ({} escalated to exact), {:.1}% incremental",
-        events.len(),
-        epochs,
-        refreshes,
-        exact,
-        incremental,
-    )?;
-    writeln!(
-        out,
-        "window {window}: {} edges expired, {} core-repair peels, {certified}/{epochs} epochs within band",
-        engine.expired(),
-        engine.repairs(),
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    if let Some(stats) = engine.sketch_stats() {
-        write_sketch_tier(
-            out,
-            engine.sketch_refreshes(),
-            engine.refreshes(),
-            "refreshes",
-            &stats,
-        )?;
-    }
-    writeln!(
-        out,
-        "max certified factor {max_factor:.4} (tolerance {tolerance}, slack {slack}, escalation {})",
-        if escalate { "on" } else { "off" }
-    )?;
-    if let Some(last) = reports.last() {
-        writeln!(
-            out,
-            "final density {} over n = {}, m = {} live edges at t = {}",
-            last.density, last.n, last.m, last.now
-        )?;
-        if let Some((x, y)) = engine.core_thresholds() {
-            writeln!(out, "maintained core [{x},{y}]")?;
-        }
-    }
-    if let Some(sink) = obs.sink(registry.as_ref()) {
-        sink.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
-}
-
-/// How a window epoch certified itself, as one row label — shared by the
-/// replay and follow paths so the vocabulary cannot drift.
-fn window_mode_label(r: &dds_stream::WindowReport) -> String {
-    match r.mode {
-        WindowMode::Incremental => "incremental".to_string(),
-        WindowMode::CoreRefresh => {
-            let (x, y) = r.core.unwrap_or((0, 0));
-            format!("CORE REFRESH [{x},{y}]")
-        }
-        WindowMode::ExactResolve => solve_mode_label("EXACT", r.solve_stats),
-        WindowMode::SketchRefresh => match &r.sketch {
-            Some(sk) => sketch_mode_label(
-                "SKETCH REFRESH",
-                sk.retained,
-                sk.level,
-                r.solve_stats.map_or(0, |s| s.flow_decisions),
-            ),
-            None => "SKETCH REFRESH".into(),
-        },
-    }
-}
-
-/// The `dds stream --follow --window` serving loop: tail the event file
-/// with sliding-window expiry. No checkpoint/resume — the window engine
-/// has no snapshot, and `cmd_stream` rejects `--checkpoint` up front —
-/// so the loop always starts from byte 0 of the event file.
-#[allow(clippy::too_many_arguments)] // parsed CLI flags + borrowed sinks
-fn stream_follow_window(
-    out: &mut dyn Write,
-    path: &str,
-    config: WindowConfig,
-    batch: usize,
-    log_every: usize,
-    threads_auto: &str,
-    serving: &ServingFlags,
-    obs: &ObsFlags,
-) -> Result<(), CliError> {
-    let (window, threads) = (config.window, config.threads);
-    let mut engine = WindowEngine::new(config);
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let admin = obs.admin_rig(out, "stream", registry.as_ref(), &tracer)?;
-    writeln!(
-        out,
-        "following {path} from byte 0 (batch {batch}, window {window})"
-    )?;
-    let setup = ServingSetup {
+    serving.validate(follow)?;
+    obs.validate()?;
+    let (threads, threads_auto) = resolve_threads(threads);
+    config.threads = threads;
+    let run = Ingest {
         path,
-        follow: true,
-        batch,
+        role: "shard",
+        source: Source::Tail { batch, follow },
         log_every,
-        cursor: 0,
-    };
-    let (outcome, elapsed) = run_serving_loop(
-        out,
-        &setup,
+        threads: (threads, threads_auto),
         serving,
-        &LoopObs {
-            metrics: obs.sink(registry.as_ref()).as_ref(),
-            admin: admin.as_ref(),
-        },
-        &mut engine,
-        |engine, batch| {
-            let r = engine.apply(batch);
-            EpochRow {
-                epoch: r.epoch,
-                m: r.m as u64,
-                density: r.density.to_f64(),
-                lower: r.lower,
-                upper: r.upper,
-                factor: r.certified_factor,
-                mode: (r.mode != WindowMode::Incremental).then(|| window_mode_label(&r)),
-            }
-        },
-        |_, _, _| -> Result<(), dds_stream::SnapshotError> {
-            unreachable!("--checkpoint is rejected with --window before the loop starts")
-        },
-    )?;
-    let bounds = engine.bounds();
-    writeln!(
-        out,
-        "followed {} events in {} epochs ({elapsed:.2?}): {} refreshes ({} exact), final m = {}, bracket [{:.4}, {:.4}], cursor {}",
-        outcome.events,
-        outcome.epochs,
-        engine.refreshes(),
-        engine.exact_solves(),
-        engine.m(),
-        bounds.lower.to_f64(),
-        bounds.upper,
-        outcome.cursor,
-    )?;
-    writeln!(
-        out,
-        "window {window}: {} edges expired, {} core-repair peels",
-        engine.expired(),
-        engine.repairs(),
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
+        obs,
+        serve: None,
+    };
+    ingest::<ShardedEngine>(out, &run, config)
 }
 
-/// The serving-loop flags shared by `dds stream --follow` and `dds shard`:
-/// poll/idle cadence of the tail loop plus checkpoint/resume plumbing.
+/// Options specific to `dds serve`, beyond the shared serving/obs flags.
+struct ServeOpts {
+    listen: String,
+    readers: usize,
+    core: Option<(u64, u64)>,
+    top_k: usize,
+}
+
+/// `dds serve`: the query-serving front end. Follows the event file like
+/// `dds stream --follow` (or `dds shard --follow` with `--shards`),
+/// publishing an immutable [`EpochSnapshot`](dds_serve::EpochSnapshot)
+/// once per sealed epoch, while a TCP reader pool answers
+/// `DENSITY`/`MEMBER`/`CORE`/`TOPK` queries from the published snapshot —
+/// readers never touch the engine, so no query ever waits on a refresh.
+fn cmd_serve<'a>(
+    it: &mut impl Iterator<Item = &'a str>,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let path = it
+        .next()
+        .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
+    let mut listen: Option<String> = None;
+    let mut readers = 4usize;
+    let mut core: Option<(u64, u64)> = None;
+    let mut top_k = 0usize;
+    let mut shards = 0usize;
+    let mut batch = 100usize;
+    let mut tolerance: Option<f64> = None;
+    let mut slack: Option<f64> = None;
+    let mut solver_kind: Option<SolverKind> = None;
+    let mut log_every = 0u64;
+    let mut threads: Option<usize> = None;
+    let mut serving = ServingFlags::default();
+    let mut obs = ObsFlags::default();
+    while let Some(flag) = it.next() {
+        if serving.parse(flag, it)? || obs.parse(flag, it)? {
+            continue;
+        }
+        match flag {
+            "--listen" => listen = Some(parse_flag_value("--listen", it.next())?),
+            "--readers" => readers = positive("--readers", it.next())?,
+            "--core" => core = Some(xy_pair("--core", it.next())?),
+            "--topk" => top_k = parse_flag_value("--topk", it.next())?,
+            "--shards" => shards = parse_flag_value("--shards", it.next())?,
+            "--batch" => batch = positive("--batch", it.next())?,
+            "--tolerance" => tolerance = Some(non_negative("--tolerance", it.next())?),
+            "--slack" => slack = Some(non_negative("--slack", it.next())?),
+            "--solver" => solver_kind = Some(solver(it.next())?),
+            "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
+            "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
+            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
+        }
+    }
+    let listen =
+        listen.ok_or_else(|| CliError::Usage("dds serve requires --listen ADDR".into()))?;
+    if shards > 0 && solver_kind.is_some() {
+        return Err(CliError::Usage(
+            "--solver does not apply with --shards (the sharded engine certifies by merge)".into(),
+        ));
+    }
+    if shards > 0 && (tolerance.is_some() || slack.is_some()) {
+        return Err(CliError::Usage(
+            "--tolerance/--slack do not apply with --shards (the sharded engine certifies by merge)"
+                .into(),
+        ));
+    }
+    serving.validate(true)?;
+    obs.validate()?;
+    let (threads, threads_auto) = resolve_threads(threads);
+    let run = Ingest {
+        path,
+        role: "serve",
+        source: Source::Tail {
+            batch,
+            follow: true,
+        },
+        log_every,
+        threads: (threads, threads_auto),
+        serving,
+        obs,
+        serve: Some(ServeOpts {
+            listen,
+            readers,
+            core,
+            top_k,
+        }),
+    };
+    if shards > 0 {
+        let config = ShardConfig {
+            shards,
+            threads,
+            ..ShardConfig::default()
+        };
+        return ingest::<ShardedEngine>(out, &run, config);
+    }
+    let config = StreamConfig {
+        tolerance: tolerance.unwrap_or(0.25),
+        slack: slack.unwrap_or(2.0),
+        solver: solver_kind.unwrap_or(SolverKind::Exact),
+        threads,
+        sketch: None,
+    };
+    ingest::<StreamEngine>(out, &run, config)
+}
+
+/// The tail-loop and checkpoint flags shared by `dds stream`, `dds shard`
+/// and `dds serve`: poll/idle cadence of the tail loop plus
+/// checkpoint/resume plumbing.
 #[derive(Debug, Default)]
 struct ServingFlags {
     poll_ms: Option<u64>,
@@ -1238,29 +1025,11 @@ impl ServingFlags {
         it: &mut impl Iterator<Item = &'a str>,
     ) -> Result<bool, CliError> {
         match flag {
-            "--poll-ms" => {
-                let ms: u64 = parse_flag_value("--poll-ms", it.next())?;
-                if ms == 0 {
-                    return Err(CliError::Usage("--poll-ms must be positive".into()));
-                }
-                self.poll_ms = Some(ms);
-            }
-            "--idle-ms" => {
-                let ms: u64 = parse_flag_value("--idle-ms", it.next())?;
-                if ms == 0 {
-                    return Err(CliError::Usage("--idle-ms must be positive".into()));
-                }
-                self.idle_ms = Some(ms);
-            }
+            "--poll-ms" => self.poll_ms = Some(positive("--poll-ms", it.next())?),
+            "--idle-ms" => self.idle_ms = Some(positive("--idle-ms", it.next())?),
             "--checkpoint" => self.checkpoint = Some(parse_flag_value("--checkpoint", it.next())?),
             "--checkpoint-every" => {
-                let every: u64 = parse_flag_value("--checkpoint-every", it.next())?;
-                if every == 0 {
-                    return Err(CliError::Usage(
-                        "--checkpoint-every must be positive".into(),
-                    ));
-                }
-                self.checkpoint_every = Some(every);
+                self.checkpoint_every = Some(positive("--checkpoint-every", it.next())?);
             }
             "--resume" => self.resume = true,
             _ => return Ok(false),
@@ -1298,18 +1067,15 @@ impl ServingFlags {
             cursor,
         }
     }
-
-    fn checkpoint_every(&self) -> u64 {
-        self.checkpoint_every.unwrap_or(50)
-    }
 }
 
-/// The observability flags shared by `dds stream` and `dds shard`:
-/// `--metrics FILE` keeps a Prometheus-style exposition file fresh
-/// (rewritten atomically every `--metrics-every` epochs while serving,
-/// plus a final `FILE.jsonl` snapshot at exit); `--trace FILE` streams
-/// span JSONL in deterministic mode — no wall-clock in the output, so
-/// two identical replays produce byte-identical traces.
+/// The observability flags shared by `dds stream`, `dds shard`,
+/// `dds serve` and `dds cluster-coordinator`: `--metrics FILE` keeps a
+/// Prometheus-style exposition file fresh (rewritten atomically every
+/// `--metrics-every` epochs, plus a final `FILE.jsonl` snapshot at exit);
+/// `--trace FILE` streams span JSONL in deterministic mode — no
+/// wall-clock in the output, so two identical replays produce
+/// byte-identical traces.
 #[derive(Debug, Default)]
 struct ObsFlags {
     metrics: Option<String>,
@@ -1334,11 +1100,7 @@ impl ObsFlags {
         match flag {
             "--metrics" => self.metrics = Some(parse_flag_value("--metrics", it.next())?),
             "--metrics-every" => {
-                let every: u64 = parse_flag_value("--metrics-every", it.next())?;
-                if every == 0 {
-                    return Err(CliError::Usage("--metrics-every must be positive".into()));
-                }
-                self.metrics_every = Some(every);
+                self.metrics_every = Some(positive("--metrics-every", it.next())?);
             }
             "--trace" => self.trace = Some(parse_flag_value("--trace", it.next())?),
             "--admin" => self.admin = Some(parse_flag_value("--admin", it.next())?),
@@ -1362,7 +1124,7 @@ impl ObsFlags {
     }
 
     /// The live introspection plane, when `--admin`/`--slow-us` asked for
-    /// one. Everything clock-shaped in the serving loops is gated on this
+    /// one. Everything clock-shaped in the ingest loop is gated on this
     /// returning `Some` — without it a replay never reads the wall clock,
     /// so `--trace` output stays byte-identical across runs.
     fn admin_rig(
@@ -1417,7 +1179,7 @@ impl ObsFlags {
         }
     }
 
-    /// Where the serving loop flushes the exposition, if anywhere.
+    /// Where the ingest loop flushes the exposition, if anywhere.
     fn sink<'a>(&'a self, registry: Option<&'a Registry>) -> Option<MetricsSink<'a>> {
         match (registry, &self.metrics) {
             (Some(registry), Some(path)) => Some(MetricsSink {
@@ -1430,7 +1192,7 @@ impl ObsFlags {
     }
 }
 
-/// A metrics exposition file kept fresh by the serving loop.
+/// A metrics exposition file kept fresh epoch by epoch.
 struct MetricsSink<'a> {
     registry: &'a Registry,
     path: &'a str,
@@ -1461,7 +1223,7 @@ impl MetricsSink<'_> {
 /// The live introspection plane behind `--admin`/`--slow-us`: the status
 /// board the HTTP routes read, the slow-op ring, and the `dds_lag_*`
 /// staleness gauges. Only constructed when asked for; its absence is the
-/// serving loops' license to never touch the wall clock.
+/// ingest loop's license to never touch the wall clock.
 struct AdminRig {
     board: std::sync::Arc<StatusBoard>,
     ring: std::sync::Arc<SlowRing>,
@@ -1526,8 +1288,8 @@ impl AdminRig {
     }
 }
 
-/// One epoch's loggable facts, engine-agnostic — what the shared serving
-/// loop prints per row.
+/// One epoch's loggable facts, engine-agnostic — the row the ingest
+/// loop and the cluster coordinator print, and what the summary tallies.
 struct EpochRow {
     epoch: u64,
     m: u64,
@@ -1538,386 +1300,644 @@ struct EpochRow {
     /// `Some(label)` when this epoch re-certified (always logged); `None`
     /// for incremental epochs (logged on the `--log-every` cadence only).
     mode: Option<String>,
+    /// Whether the epoch ended inside its certification band (only the
+    /// window engine reports a verdict that can be false).
+    within_band: bool,
+    /// Instrumentation of the epoch's exact solve, if one ran.
+    solve: Option<SolveStats>,
 }
 
-/// What the shared serving loop needs to know about this invocation,
-/// besides the flags: where the stream lives and how to pace it.
-struct ServingSetup<'a> {
+impl EpochRow {
+    const HEADER: &'static str = "epoch      m    density      [lower, upper]      factor  mode";
+
+    fn write(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        writeln!(
+            out,
+            "{:>5} {:>6}   {:>8.4}   [{:>8.4}, {:>8.4}]   {:>6.3}  {}",
+            self.epoch,
+            self.m,
+            self.density,
+            self.lower,
+            self.upper,
+            self.factor,
+            self.mode.as_deref().unwrap_or("incremental"),
+        )
+    }
+}
+
+/// What the ingest loop tallies over a run's epochs for the summary.
+#[derive(Default)]
+struct Totals {
+    events: u64,
+    epochs: u64,
+    /// Epochs that re-certified (their row carries a mode label).
+    recertified: u64,
+    /// Epochs that ended inside their certification band.
+    in_band: u64,
+    max_factor: f64,
+    /// Summed instrumentation of the run's exact solves.
+    solve: SolveStats,
+}
+
+impl Totals {
+    fn add(&mut self, row: &EpochRow, events: usize) {
+        self.events += events as u64;
+        self.epochs += 1;
+        self.recertified += u64::from(row.mode.is_some());
+        self.in_band += u64::from(row.within_band);
+        self.max_factor = self.max_factor.max(row.factor);
+        if let Some(s) = row.solve {
+            self.solve.merge(s);
+        }
+    }
+}
+
+/// Where an ingest run's batches come from.
+enum Source {
+    /// `dds stream` replay: the whole file, loaded up front and cut by
+    /// event count or stream time.
+    Whole(BatchBy),
+    /// The file tailed from the engine's byte cursor in `batch`-event
+    /// epochs: drained to EOF (`dds shard` replay) or followed until idle.
+    Tail { batch: usize, follow: bool },
+}
+
+/// One run of `dds stream`, `dds shard` or `dds serve`, as its flags
+/// asked for it.
+struct Ingest<'a> {
     path: &'a str,
-    follow: bool,
-    batch: usize,
-    log_every: usize,
-    cursor: u64,
+    /// The role the admin plane reports on `/status`.
+    role: &'static str,
+    source: Source,
+    log_every: u64,
+    /// The resolved `--threads` count and its footer suffix.
+    threads: (usize, &'static str),
+    serving: ServingFlags,
+    obs: ObsFlags,
+    /// The query tier, for `dds serve`.
+    serve: Option<ServeOpts>,
 }
 
-/// The serving loop's optional observability hooks: the `--metrics`
-/// exposition sink and the `--admin`/`--slow-us` introspection rig.
-#[derive(Clone, Copy)]
-struct LoopObs<'a> {
-    metrics: Option<&'a MetricsSink<'a>>,
-    admin: Option<&'a AdminRig>,
+/// What the ingest loop needs from an engine. Implemented directly on
+/// the three ingest engines; it stays in the CLI because [`ingest`] is
+/// its only generic caller.
+trait Tier: Sized {
+    type Config;
+    fn new(config: Self::Config) -> Self;
+    /// Restores a checkpoint: the engine and the byte cursor to resume
+    /// tailing from.
+    fn restore_from(config: Self::Config, path: &str) -> Result<(Self, u64), SnapshotError>;
+    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError>;
+    /// The certification knobs the opening line reports.
+    fn describe(config: &Self::Config) -> String;
+    fn attach(&mut self, registry: Option<&Registry>, tracer: Tracer);
+    /// Applies one sealed batch.
+    fn apply_row(&mut self, batch: &Batch) -> EpochRow;
+    fn epoch(&self) -> u64;
+    fn n(&self) -> usize;
+    fn m(&self) -> u64;
+    fn bounds(&self) -> CertifiedBounds;
+    fn witness(&self) -> Option<&Pair>;
+    fn materialize(&self) -> DiGraph;
+    /// The re-certification counts in the summary's headline.
+    fn counts(&self) -> String;
+    /// The engine's own summary lines.
+    fn summary(&self, out: &mut dyn Write, totals: &Totals) -> Result<(), CliError>;
 }
 
-/// The serving loop shared by `dds stream --follow` and `dds shard`:
-/// tail the event file, apply each sealed batch through `apply`, print
-/// the per-epoch row, checkpoint via `save` every `--checkpoint-every`
-/// epochs and once more at the end, and keep the `--metrics` exposition
-/// fresh on its own epoch cadence — so the row format, checkpoint and
-/// scrape cadence, and error plumbing cannot diverge between the two
-/// commands. Returns the tail outcome and the wall clock spent.
-fn run_serving_loop<E>(
+impl Tier for StreamEngine {
+    type Config = StreamConfig;
+
+    fn new(config: StreamConfig) -> Self {
+        StreamEngine::new(config)
+    }
+
+    fn restore_from(config: StreamConfig, path: &str) -> Result<(Self, u64), SnapshotError> {
+        StreamEngine::restore_from(config, path)
+    }
+
+    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError> {
+        StreamEngine::save_snapshot(self, path, cursor)
+    }
+
+    fn describe(config: &StreamConfig) -> String {
+        format!("tolerance {}, slack {}", config.tolerance, config.slack)
+    }
+
+    fn attach(&mut self, registry: Option<&Registry>, tracer: Tracer) {
+        if let Some(reg) = registry {
+            self.attach_obs(reg);
+        }
+        self.attach_tracer(tracer);
+    }
+
+    fn apply_row(&mut self, batch: &Batch) -> EpochRow {
+        let r = self.apply(batch);
+        EpochRow {
+            epoch: r.epoch,
+            m: r.m as u64,
+            density: r.density.to_f64(),
+            lower: r.lower,
+            upper: r.upper,
+            factor: r.certified_factor,
+            mode: r.resolved.then(|| match &r.sketch {
+                Some(sk) => sketch_mode_label(
+                    "SKETCH RESOLVE",
+                    sk.retained,
+                    sk.level,
+                    r.solve_stats.map_or(0, |s| s.flow_decisions),
+                ),
+                None => solve_mode_label("RESOLVE", r.solve_stats),
+            }),
+            within_band: true,
+            solve: r.solve_stats,
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        StreamEngine::epoch(self)
+    }
+
+    fn n(&self) -> usize {
+        StreamEngine::n(self)
+    }
+
+    fn m(&self) -> u64 {
+        StreamEngine::m(self) as u64
+    }
+
+    fn bounds(&self) -> CertifiedBounds {
+        StreamEngine::bounds(self)
+    }
+
+    fn witness(&self) -> Option<&Pair> {
+        StreamEngine::witness(self)
+    }
+
+    fn materialize(&self) -> DiGraph {
+        StreamEngine::materialize(self)
+    }
+
+    fn counts(&self) -> String {
+        format!("{} re-solves", self.resolves())
+    }
+
+    fn summary(&self, out: &mut dyn Write, totals: &Totals) -> Result<(), CliError> {
+        if totals.solve.ratios_solved > 0 {
+            write_solve_totals(out, "re-solve totals", &totals.solve)?;
+        }
+        if let Some(stats) = self.sketch_stats() {
+            write_sketch_tier(
+                out,
+                self.sketch_resolves(),
+                self.resolves(),
+                "re-solves",
+                &stats,
+            )?;
+        }
+        Ok(())
+    }
+}
+
+impl Tier for WindowEngine {
+    type Config = WindowConfig;
+
+    fn new(config: WindowConfig) -> Self {
+        WindowEngine::new(config)
+    }
+
+    fn restore_from(_: WindowConfig, _: &str) -> Result<(Self, u64), SnapshotError> {
+        unreachable!("--checkpoint is rejected with --window before ingest starts")
+    }
+
+    fn save_snapshot(&self, _: &str, _: u64) -> Result<(), SnapshotError> {
+        unreachable!("--checkpoint is rejected with --window before ingest starts")
+    }
+
+    fn describe(config: &WindowConfig) -> String {
+        format!(
+            "window {}, tolerance {}, slack {}, escalation {}",
+            config.window,
+            config.tolerance,
+            config.slack,
+            if config.exact_escalation { "on" } else { "off" },
+        )
+    }
+
+    fn attach(&mut self, registry: Option<&Registry>, tracer: Tracer) {
+        if let Some(reg) = registry {
+            self.attach_obs(reg);
+        }
+        self.attach_tracer(tracer);
+    }
+
+    fn apply_row(&mut self, batch: &Batch) -> EpochRow {
+        let r = self.apply(batch);
+        let mode = match (r.mode, &r.sketch) {
+            (WindowMode::Incremental, _) => None,
+            (WindowMode::CoreRefresh, _) => {
+                let (x, y) = r.core.unwrap_or((0, 0));
+                Some(format!("CORE REFRESH [{x},{y}]"))
+            }
+            (WindowMode::ExactResolve, _) => Some(solve_mode_label("EXACT", r.solve_stats)),
+            (WindowMode::SketchRefresh, Some(sk)) => Some(sketch_mode_label(
+                "SKETCH REFRESH",
+                sk.retained,
+                sk.level,
+                r.solve_stats.map_or(0, |s| s.flow_decisions),
+            )),
+            (WindowMode::SketchRefresh, None) => Some("SKETCH REFRESH".into()),
+        };
+        EpochRow {
+            epoch: r.epoch,
+            m: r.m as u64,
+            density: r.density.to_f64(),
+            lower: r.lower,
+            upper: r.upper,
+            factor: r.certified_factor,
+            mode,
+            within_band: r.within_band,
+            solve: r.solve_stats,
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        WindowEngine::epoch(self)
+    }
+
+    fn n(&self) -> usize {
+        WindowEngine::n(self)
+    }
+
+    fn m(&self) -> u64 {
+        WindowEngine::m(self) as u64
+    }
+
+    fn bounds(&self) -> CertifiedBounds {
+        WindowEngine::bounds(self)
+    }
+
+    fn witness(&self) -> Option<&Pair> {
+        WindowEngine::witness(self)
+    }
+
+    fn materialize(&self) -> DiGraph {
+        WindowEngine::materialize(self)
+    }
+
+    fn counts(&self) -> String {
+        format!(
+            "{} core refreshes ({} escalated to exact)",
+            self.refreshes(),
+            self.exact_solves()
+        )
+    }
+
+    fn summary(&self, out: &mut dyn Write, totals: &Totals) -> Result<(), CliError> {
+        writeln!(
+            out,
+            "window {}: {} edges expired, {} core-repair peels, {}/{} epochs within band, stream time {}",
+            self.window(),
+            self.expired(),
+            self.repairs(),
+            totals.in_band,
+            totals.epochs,
+            self.now(),
+        )?;
+        if let Some(stats) = self.sketch_stats() {
+            write_sketch_tier(
+                out,
+                self.sketch_refreshes(),
+                self.refreshes(),
+                "refreshes",
+                &stats,
+            )?;
+        }
+        if let Some((x, y)) = self.core_thresholds() {
+            writeln!(out, "maintained core [{x},{y}]")?;
+        }
+        Ok(())
+    }
+}
+
+impl Tier for ShardedEngine {
+    type Config = ShardConfig;
+
+    fn new(config: ShardConfig) -> Self {
+        ShardedEngine::new(config)
+    }
+
+    fn restore_from(config: ShardConfig, path: &str) -> Result<(Self, u64), SnapshotError> {
+        ShardedEngine::restore_from(config, path)
+    }
+
+    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError> {
+        ShardedEngine::save_snapshot(self, path, cursor)
+    }
+
+    fn describe(config: &ShardConfig) -> String {
+        format!(
+            "across {} shards, bound {}/shard, drift {}",
+            config.shards, config.sketch.state_bound, config.refresh_drift
+        )
+    }
+
+    fn attach(&mut self, registry: Option<&Registry>, tracer: Tracer) {
+        if let Some(reg) = registry {
+            self.attach_obs(reg);
+        }
+        self.attach_tracer(tracer);
+    }
+
+    fn apply_row(&mut self, batch: &Batch) -> EpochRow {
+        let r = self.apply(batch);
+        EpochRow {
+            epoch: r.epoch,
+            m: r.m,
+            density: r.density.to_f64(),
+            lower: r.lower,
+            upper: r.upper,
+            factor: r.certified_factor,
+            mode: r.refreshed.then(|| {
+                sketch_mode_label(
+                    "MERGED REFRESH",
+                    r.retained,
+                    r.merged_level.unwrap_or(0),
+                    r.solve_stats.map_or(0, |s| s.flow_decisions),
+                )
+            }),
+            within_band: true,
+            solve: r.solve_stats,
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        ShardedEngine::epoch(self)
+    }
+
+    fn n(&self) -> usize {
+        ShardedEngine::n(self)
+    }
+
+    fn m(&self) -> u64 {
+        ShardedEngine::m(self)
+    }
+
+    fn bounds(&self) -> CertifiedBounds {
+        ShardedEngine::bounds(self)
+    }
+
+    fn witness(&self) -> Option<&Pair> {
+        ShardedEngine::witness(self)
+    }
+
+    fn materialize(&self) -> DiGraph {
+        ShardedEngine::materialize(self)
+    }
+
+    fn counts(&self) -> String {
+        let stats = self.stats();
+        format!(
+            "{} merged refreshes ({} escalated, {} cold-start)",
+            stats.refreshes, stats.escalations, stats.cold_escalations
+        )
+    }
+
+    fn summary(&self, out: &mut dyn Write, _: &Totals) -> Result<(), CliError> {
+        let stats = self.stats();
+        writeln!(
+            out,
+            "shards: levels {:?}, retained {} of {} live edges, apply {:.2?}, certify {:.2?}",
+            stats.levels,
+            stats.retained,
+            ShardedEngine::m(self),
+            stats.apply,
+            stats.certify,
+        )?;
+        if stats.solve.ratios_solved > 0 {
+            write_solve_totals(out, "escalated solve totals", &stats.solve)?;
+        }
+        Ok(())
+    }
+}
+
+/// The one ingest loop behind `dds stream`, `dds shard` and `dds serve`,
+/// in replay and follow alike: open (or resume) the engine, then for each
+/// sealed batch apply → publish (serve only) → admin plane → row →
+/// checkpoint → metrics refresh, and close with one summary.
+fn ingest<T: Tier>(
     out: &mut dyn Write,
-    setup: &ServingSetup<'_>,
-    serving: &ServingFlags,
-    hooks: &LoopObs<'_>,
-    engine: &mut E,
-    mut apply: impl FnMut(&mut E, &dds_stream::Batch) -> EpochRow,
-    save: impl Fn(&E, &str, u64) -> Result<(), dds_stream::SnapshotError>,
-) -> Result<(dds_stream::FollowOutcome, std::time::Duration), CliError> {
-    let LoopObs { metrics, admin } = *hooks;
-    let every = serving.checkpoint_every();
-    let log_every = setup.log_every as u64;
+    run: &Ingest<'_>,
+    config: T::Config,
+) -> Result<(), CliError> {
+    // A whole-file replay loads first, so a bad file fails before
+    // anything starts.
+    let events = match run.source {
+        Source::Whole(_) => dds_stream::load_events(run.path)?,
+        Source::Tail { .. } => Vec::new(),
+    };
+    let about = T::describe(&config);
+    let (mut engine, cursor) = match &run.serving.checkpoint {
+        Some(ck) if run.serving.resume && std::path::Path::new(ck).exists() => {
+            let (engine, cursor) = T::restore_from(config, ck)?;
+            writeln!(
+                out,
+                "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
+                engine.epoch(),
+                engine.m()
+            )?;
+            (engine, cursor)
+        }
+        _ => (T::new(config), 0),
+    };
+    let registry = run.obs.registry();
+    if let Some(reg) = &registry {
+        dds_core::WorkerPool::global().attach_obs(reg);
+    }
+    let tracer = run.obs.tracer()?;
+    engine.attach(registry.as_ref(), tracer.clone());
+    let admin = run
+        .obs
+        .admin_rig(out, run.role, registry.as_ref(), &tracer)?;
+    let mut query = match &run.serve {
+        Some(opts) => Some(ServeRig::start(
+            out,
+            opts,
+            registry.as_ref(),
+            admin.as_ref(),
+        )?),
+        None => None,
+    };
+    // A resumed engine has answers before the first new batch arrives:
+    // publish them immediately rather than serving the empty epoch 0.
+    if let Some(rig) = query.as_mut().filter(|_| engine.epoch() > 0) {
+        let bounds = engine.bounds();
+        rig.publisher.publish(
+            EpochFacts {
+                epoch: engine.epoch(),
+                n: engine.n(),
+                m: engine.m(),
+                density: bounds.lower.to_f64(),
+                lower: bounds.lower.to_f64(),
+                upper: bounds.upper,
+                witness: engine.witness(),
+                resolved: true,
+            },
+            || engine.materialize(),
+        );
+        if let Some(admin) = &admin {
+            admin.on_snapshot(engine.epoch());
+            admin.board.set_ready();
+        }
+    }
+    let follow = matches!(run.source, Source::Tail { follow: true, .. });
+    let cut = match run.source {
+        Source::Whole(BatchBy::TimeWindow(t)) => format!("time window {t}"),
+        Source::Whole(BatchBy::Count(n)) | Source::Tail { batch: n, .. } => format!("batch {n}"),
+    };
     writeln!(
         out,
-        "epoch      m    density      [lower, upper]      factor  mode"
+        "{} {} from byte {cursor} ({cut}, {about})",
+        if follow { "following" } else { "replaying" },
+        run.path,
     )?;
+    writeln!(out, "{}", EpochRow::HEADER)?;
+
+    let sink = run.obs.sink(registry.as_ref());
+    let mut totals = Totals {
+        max_factor: 1.0,
+        ..Totals::default()
+    };
     let mut checkpoints = 0u64;
-    let mut events_total = 0u64;
-    let mut deferred: Option<CliError> = None;
+    // The latest row when it went unlogged: printed after the loop, so
+    // every run ends its table on the final epoch.
+    let mut unlogged: Option<EpochRow> = None;
     let started = std::time::Instant::now();
-    let outcome = follow_events(
-        setup.path,
-        serving.follow_config(setup.follow, setup.batch, setup.cursor),
-        |batch, cur| {
-            let sealed_at = admin.map(|_| std::time::Instant::now());
-            let row = apply(engine, &batch);
-            if let (Some(rig), Some(t0)) = (admin, sealed_at) {
-                events_total += batch.events.len() as u64;
-                rig.on_seal(setup.path, &row, events_total, cur, t0);
+    let mut seal = |batch: Batch, cur: u64| -> Result<(), CliError> {
+        let sealed_at = admin.as_ref().map(|_| std::time::Instant::now());
+        let row = engine.apply_row(&batch);
+        if let Some(rig) = query.as_mut() {
+            let published_at = admin.as_ref().map(|_| std::time::Instant::now());
+            rig.publisher.publish(
+                EpochFacts {
+                    epoch: row.epoch,
+                    n: engine.n(),
+                    m: row.m,
+                    density: row.density,
+                    lower: row.lower,
+                    upper: row.upper,
+                    witness: engine.witness(),
+                    resolved: row.mode.is_some(),
+                },
+                || engine.materialize(),
+            );
+            if let (Some(admin), Some(t0)) = (&admin, published_at) {
+                let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+                admin.lag.seal_publish_us.set(us);
+                admin.on_snapshot(row.epoch);
+                admin.board.set_ready();
             }
-            if row.mode.is_some() || (log_every > 0 && row.epoch.is_multiple_of(log_every)) {
-                let mode = row.mode.as_deref().unwrap_or("incremental");
-                if let Err(e) = writeln!(
-                    out,
-                    "{:>5} {:>6}   {:>8.4}   [{:>8.4}, {:>8.4}]   {:>6.3}  {mode}",
-                    row.epoch, row.m, row.density, row.lower, row.upper, row.factor,
-                ) {
-                    deferred = Some(e.into());
-                    return std::ops::ControlFlow::Break(());
-                }
-            }
-            if let Some(ck) = &serving.checkpoint {
-                if row.epoch.is_multiple_of(every) {
-                    match save(engine, ck, cur) {
-                        Ok(()) => {
-                            checkpoints += 1;
-                            // Without a query tier, the checkpoint is the
-                            // durable snapshot staleness is measured from.
-                            if let Some(rig) = admin {
-                                if rig.board.snapshot_epoch() < row.epoch {
-                                    rig.on_snapshot(row.epoch);
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            deferred = Some(e.into());
-                            return std::ops::ControlFlow::Break(());
-                        }
+        }
+        totals.add(&row, batch.events.len());
+        if let (Some(admin), Some(t0)) = (&admin, sealed_at) {
+            admin.on_seal(run.path, &row, totals.events, cur, t0);
+        }
+        let epoch = row.epoch;
+        if row.mode.is_some() || (run.log_every > 0 && epoch.is_multiple_of(run.log_every)) {
+            row.write(out)?;
+            unlogged = None;
+        } else {
+            unlogged = Some(row);
+        }
+        if let Some(ck) = &run.serving.checkpoint {
+            if epoch.is_multiple_of(run.serving.checkpoint_every.unwrap_or(50)) {
+                engine.save_snapshot(ck, cur)?;
+                checkpoints += 1;
+                // Without a query tier, the checkpoint is the durable
+                // snapshot staleness is measured from.
+                if let Some(admin) = &admin {
+                    if admin.board.snapshot_epoch() < epoch {
+                        admin.on_snapshot(epoch);
                     }
                 }
             }
-            if let Some(sink) = metrics {
-                if row.epoch.is_multiple_of(sink.every) {
-                    if let Err(e) = sink.refresh() {
-                        deferred = Some(e.into());
-                        return std::ops::ControlFlow::Break(());
-                    }
+        }
+        if let Some(sink) = &sink {
+            if epoch.is_multiple_of(sink.every) {
+                sink.refresh()?;
+            }
+        }
+        Ok(())
+    };
+    let mut deferred: Option<CliError> = None;
+    let mut on_batch = |batch: Batch, cur: u64| match seal(batch, cur) {
+        Ok(()) => std::ops::ControlFlow::Continue(()),
+        Err(e) => {
+            deferred = Some(e);
+            std::ops::ControlFlow::Break(())
+        }
+    };
+    let cursor = match run.source {
+        Source::Whole(batch_by) => {
+            // The whole file was read up front, so every epoch's cursor
+            // is the end of the file.
+            let end = std::fs::metadata(run.path)?.len();
+            for chunk in batch_slices(&events, batch_by) {
+                if on_batch(Batch::from_events(chunk.to_vec()), end).is_break() {
+                    break;
                 }
             }
-            std::ops::ControlFlow::Continue(())
-        },
-    )?;
+            end
+        }
+        Source::Tail { batch, follow } => {
+            let config = run.serving.follow_config(follow, batch, cursor);
+            follow_events(run.path, config, &mut on_batch)?.cursor
+        }
+    };
     if let Some(e) = deferred {
         return Err(e);
     }
-    if let Some(ck) = &serving.checkpoint {
-        save(engine, ck, outcome.cursor)?;
+    if let Some(row) = &unlogged {
+        row.write(out)?;
+    }
+    if let Some(ck) = &run.serving.checkpoint {
+        engine.save_snapshot(ck, cursor)?;
         checkpoints += 1;
-        writeln!(out, "checkpointed {checkpoints} times to {ck}")?;
     }
-    if let Some(sink) = metrics {
-        sink.finish(out)?;
-    }
-    Ok((outcome, started.elapsed()))
-}
+    let wall = started.elapsed();
 
-/// The `dds stream --follow` serving loop: tail the event file, apply
-/// each sealed batch, and checkpoint the engine (with the stream cursor)
-/// so a restart resumes with nothing replayed twice.
-#[allow(clippy::too_many_arguments)] // parsed CLI flags + borrowed sinks
-fn stream_follow(
-    out: &mut dyn Write,
-    path: &str,
-    config: StreamConfig,
-    batch: usize,
-    log_every: usize,
-    threads_auto: &str,
-    serving: &ServingFlags,
-    obs: &ObsFlags,
-) -> Result<(), CliError> {
-    let threads = config.threads;
-    let (mut engine, cursor) = match &serving.checkpoint {
-        Some(ck) if serving.resume && std::path::Path::new(ck).exists() => {
-            let (engine, cursor) = StreamEngine::restore_from(config, ck)?;
-            writeln!(
-                out,
-                "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
-                engine.epoch(),
-                engine.m()
-            )?;
-            (engine, cursor)
-        }
-        _ => (StreamEngine::new(config), 0),
-    };
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let admin = obs.admin_rig(out, "stream", registry.as_ref(), &tracer)?;
-    writeln!(out, "following {path} from byte {cursor} (batch {batch})")?;
-    let setup = ServingSetup {
-        path,
-        follow: true,
-        batch,
-        log_every,
-        cursor,
-    };
-    let (outcome, elapsed) = run_serving_loop(
-        out,
-        &setup,
-        serving,
-        &LoopObs {
-            metrics: obs.sink(registry.as_ref()).as_ref(),
-            admin: admin.as_ref(),
-        },
-        &mut engine,
-        |engine, batch| {
-            let r = engine.apply(batch);
-            EpochRow {
-                epoch: r.epoch,
-                m: r.m as u64,
-                density: r.density.to_f64(),
-                lower: r.lower,
-                upper: r.upper,
-                factor: r.certified_factor,
-                mode: r
-                    .resolved
-                    .then(|| stream_mode_label(r.sketch.as_ref(), r.solve_stats)),
-            }
-        },
-        |engine, ck, cur| engine.save_snapshot(ck, cur),
-    )?;
-    let bounds = engine.bounds();
-    writeln!(
-        out,
-        "followed {} events in {} epochs ({elapsed:.2?}): {} re-solves, final m = {}, bracket [{:.4}, {:.4}], cursor {}",
-        outcome.events,
-        outcome.epochs,
-        engine.resolves(),
-        engine.m(),
-        bounds.lower.to_f64(),
-        bounds.upper,
-        outcome.cursor,
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
-}
-
-/// `dds shard`: edge-partitioned parallel ingestion over K shards with
-/// merged certification — replay mode drains the file and exits; with
-/// `--follow` it keeps tailing. Both modes run through the same
-/// cursor-aware tail loop, so `--checkpoint`/`--resume` behave
-/// identically in each.
-fn cmd_shard<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let path = it
-        .next()
-        .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
-    let mut shards = 4usize;
-    let mut batch = 100usize;
-    let mut bound = SketchConfig::default().state_bound;
-    let mut seed = SketchConfig::default().seed;
-    let mut threads: Option<usize> = None;
-    let mut drift = 0.25f64;
-    let mut log_every = 0usize;
-    let mut follow = false;
-    let mut serving = ServingFlags::default();
-    let mut obs = ObsFlags::default();
-    while let Some(flag) = it.next() {
-        if serving.parse(flag, it)? || obs.parse(flag, it)? {
-            continue;
-        }
-        match flag {
-            "--shards" => {
-                shards = parse_flag_value("--shards", it.next())?;
-                if shards == 0 {
-                    return Err(CliError::Usage("--shards must be positive".into()));
-                }
-            }
-            "--batch" => {
-                batch = parse_flag_value("--batch", it.next())?;
-                if batch == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-            }
-            "--bound" => {
-                bound = parse_flag_value("--bound", it.next())?;
-                if bound == 0 {
-                    return Err(CliError::Usage("--bound must be positive".into()));
-                }
-            }
-            "--seed" => seed = parse_flag_value("--seed", it.next())?,
-            "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
-            "--drift" => {
-                drift = parse_flag_value("--drift", it.next())?;
-                if drift.is_nan() || drift <= 0.0 {
-                    return Err(CliError::Usage("--drift must be positive".into()));
-                }
-            }
-            "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
-            "--follow" => follow = true,
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
-    }
-    serving.validate(follow)?;
-    obs.validate()?;
-    let (threads, threads_auto) = resolve_threads(threads);
-    let config = ShardConfig {
-        shards,
-        threads,
-        refresh_drift: drift,
-        sketch: SketchConfig {
-            state_bound: bound,
-            seed,
-            ..SketchConfig::default()
-        },
-    };
-    let (mut engine, cursor) = match &serving.checkpoint {
-        Some(ck) if serving.resume && std::path::Path::new(ck).exists() => {
-            let (engine, cursor) = ShardedEngine::restore_from(config, ck)?;
-            writeln!(
-                out,
-                "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
-                engine.epoch(),
-                engine.m()
-            )?;
-            (engine, cursor)
-        }
-        _ => (ShardedEngine::new(config), 0),
-    };
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let admin = obs.admin_rig(out, "shard", registry.as_ref(), &tracer)?;
-    writeln!(
-        out,
-        "{} {path} across {shards} shards ({} apply workers{threads_auto}, batch {batch}, bound {bound}/shard)",
-        if follow { "following" } else { "replaying" },
-        config.threads,
-    )?;
-    let setup = ServingSetup {
-        path,
-        follow,
-        batch,
-        log_every,
-        cursor,
-    };
-    let (outcome, elapsed) = run_serving_loop(
-        out,
-        &setup,
-        &serving,
-        &LoopObs {
-            metrics: obs.sink(registry.as_ref()).as_ref(),
-            admin: admin.as_ref(),
-        },
-        &mut engine,
-        |engine, batch| {
-            let r = engine.apply(batch);
-            EpochRow {
-                epoch: r.epoch,
-                m: r.m,
-                density: r.density.to_f64(),
-                lower: r.lower,
-                upper: r.upper,
-                factor: r.certified_factor,
-                mode: r.refreshed.then(|| {
-                    sketch_mode_label(
-                        "MERGED REFRESH",
-                        r.retained,
-                        r.merged_level.unwrap_or(0),
-                        r.solve_stats.map_or(0, |s| s.flow_decisions),
-                    )
-                }),
-            }
-        },
-        |engine, ck, cur| engine.save_snapshot(ck, cur),
-    )?;
-    let stats = engine.stats();
-    let bounds = engine.bounds();
     writeln!(out)?;
     writeln!(
         out,
-        "{} {} events in {} epochs ({elapsed:.2?}): {} merged refreshes ({} escalated, {} cold-start), cursor {}",
+        "{} {} events in {} epochs ({wall:.2?}): {}, {:.1}% incremental, cursor {cursor}",
         if follow { "followed" } else { "replayed" },
-        outcome.events,
-        outcome.epochs,
-        stats.refreshes,
-        stats.escalations,
-        stats.cold_escalations,
-        outcome.cursor,
+        totals.events,
+        totals.epochs,
+        engine.counts(),
+        100.0 * (totals.epochs - totals.recertified) as f64 / totals.epochs.max(1) as f64,
     )?;
-    writeln!(
-        out,
-        "shards: levels {:?}, retained {} of {} live edges, apply {:.2?}, certify {:.2?}",
-        stats.levels,
-        stats.retained,
-        engine.m(),
-        stats.apply,
-        stats.certify,
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    if stats.solve.ratios_solved > 0 {
-        write_solve_totals(out, "escalated solve totals", &stats.solve)?;
-    }
+    writeln!(out, "threads {}{}", run.threads.0, run.threads.1)?;
+    writeln!(out, "max certified factor {:.4}", totals.max_factor)?;
+    engine.summary(out, &totals)?;
+    let bounds = engine.bounds();
     writeln!(
         out,
         "final density {} over n = {}, m = {}, bracket [{:.4}, {:.4}]",
-        engine.witness_density(),
+        bounds.lower,
         engine.n(),
         engine.m(),
         bounds.lower.to_f64(),
         bounds.upper,
     )?;
-    if let Some(pair) = engine.witness() {
-        writeln!(
-            out,
-            "witness |S| = {}, |T| = {}",
-            pair.s().len(),
-            pair.t().len()
-        )?;
+    write_witness(out, engine.witness())?;
+    if let Some(ck) = &run.serving.checkpoint {
+        writeln!(out, "checkpointed {checkpoints} times to {ck}")?;
+    }
+    if let Some(sink) = &sink {
+        sink.finish(out)?;
+    }
+    if let Some(rig) = query {
+        rig.finish(out)?;
     }
     if let Some(rig) = &admin {
         rig.finish(out)?;
@@ -1926,159 +1946,11 @@ fn cmd_shard<'a>(
     Ok(())
 }
 
-/// Options specific to `dds serve`, beyond the shared serving/obs flags.
-struct ServeOpts {
-    listen: String,
-    readers: usize,
-    core: Option<(u64, u64)>,
-    top_k: usize,
-}
-
-/// `dds serve`: the query-serving front end. Follows the event file like
-/// `dds stream --follow` (or `dds shard --follow` with `--shards`),
-/// publishing an immutable [`EpochSnapshot`](dds_serve::EpochSnapshot)
-/// once per sealed epoch, while a TCP reader pool answers
-/// `DENSITY`/`MEMBER`/`CORE`/`TOPK` queries from the published snapshot —
-/// readers never touch the engine, so no query ever waits on a refresh.
-fn cmd_serve<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let path = it
-        .next()
-        .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
-    let mut listen: Option<String> = None;
-    let mut readers = 4usize;
-    let mut core: Option<(u64, u64)> = None;
-    let mut top_k = 0usize;
-    let mut shards = 0usize;
-    let mut batch = 100usize;
-    let mut tolerance = 0.25f64;
-    let mut slack = 2.0f64;
-    let mut solver: Option<SolverKind> = None;
-    let mut log_every = 0usize;
-    let mut threads: Option<usize> = None;
-    let mut serving = ServingFlags::default();
-    let mut obs = ObsFlags::default();
-    while let Some(flag) = it.next() {
-        if serving.parse(flag, it)? || obs.parse(flag, it)? {
-            continue;
-        }
-        match flag {
-            "--listen" => listen = Some(parse_flag_value("--listen", it.next())?),
-            "--readers" => {
-                readers = parse_flag_value("--readers", it.next())?;
-                if readers == 0 {
-                    return Err(CliError::Usage("--readers must be positive".into()));
-                }
-            }
-            "--core" => {
-                let v: String = parse_flag_value("--core", it.next())?;
-                let (x, y) = v
-                    .split_once(',')
-                    .ok_or_else(|| CliError::Usage("--core expects X,Y".into()))?;
-                core = Some((
-                    x.parse()
-                        .map_err(|_| CliError::Usage(format!("bad x {x:?}")))?,
-                    y.parse()
-                        .map_err(|_| CliError::Usage(format!("bad y {y:?}")))?,
-                ));
-            }
-            "--topk" => top_k = parse_flag_value("--topk", it.next())?,
-            "--shards" => shards = parse_flag_value("--shards", it.next())?,
-            "--batch" => {
-                batch = parse_flag_value("--batch", it.next())?;
-                if batch == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-            }
-            "--tolerance" => {
-                tolerance = parse_flag_value("--tolerance", it.next())?;
-                if tolerance.is_nan() || tolerance < 0.0 {
-                    return Err(CliError::Usage("--tolerance must be ≥ 0".into()));
-                }
-            }
-            "--slack" => {
-                slack = parse_flag_value("--slack", it.next())?;
-                if slack.is_nan() || slack < 0.0 {
-                    return Err(CliError::Usage("--slack must be ≥ 0".into()));
-                }
-            }
-            "--solver" => {
-                let v: String = parse_flag_value("--solver", it.next())?;
-                solver = Some(match v.as_str() {
-                    "exact" => SolverKind::Exact,
-                    "approx" => SolverKind::CoreApprox,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown --solver {other:?} (expected exact|approx)"
-                        )))
-                    }
-                });
-            }
-            "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
-            "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
-            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-        }
-    }
-    let listen =
-        listen.ok_or_else(|| CliError::Usage("dds serve requires --listen ADDR".into()))?;
-    if shards > 0 && solver.is_some() {
-        return Err(CliError::Usage(
-            "--solver does not apply with --shards (the sharded engine certifies by merge)".into(),
-        ));
-    }
-    serving.validate(true)?;
-    obs.validate()?;
-    let (threads, threads_auto) = resolve_threads(threads);
-    let opts = ServeOpts {
-        listen,
-        readers,
-        core,
-        top_k,
-    };
-    if shards > 0 {
-        serve_shard(
-            out,
-            path,
-            ShardConfig {
-                shards,
-                threads,
-                refresh_drift: 0.25,
-                sketch: SketchConfig::default(),
-            },
-            batch,
-            log_every,
-            threads_auto,
-            &opts,
-            &serving,
-            &obs,
-        )
-    } else {
-        serve_stream(
-            out,
-            path,
-            StreamConfig {
-                tolerance,
-                slack,
-                solver: solver.unwrap_or(SolverKind::Exact),
-                threads,
-                sketch: None,
-            },
-            batch,
-            log_every,
-            threads_auto,
-            &opts,
-            &serving,
-            &obs,
-        )
-    }
-}
-
-/// The pieces of the query server every `dds serve` engine branch sets up
-/// the same way: the snapshot cell, the metrics, and the TCP front end.
+/// The query tier `dds serve` and `dds cluster-coordinator --serve` set
+/// up the same way: the TCP front end, its metrics, and the publisher
+/// that swaps each sealed epoch's snapshot in.
 struct ServeRig {
-    cell: std::sync::Arc<SnapshotCell>,
+    publisher: Publisher,
     metrics: std::sync::Arc<ServeMetrics>,
     server: Server,
 }
@@ -2125,8 +1997,16 @@ impl ServeRig {
                 String::new()
             },
         )?;
-        Ok(ServeRig {
+        let publisher = Publisher::new(
             cell,
+            PublishOptions {
+                core: opts.core,
+                top_k: opts.top_k,
+            },
+            std::sync::Arc::clone(&metrics),
+        );
+        Ok(ServeRig {
+            publisher,
             metrics,
             server,
         })
@@ -2145,294 +2025,6 @@ impl ServeRig {
         )?;
         Ok(())
     }
-}
-
-/// `dds serve` on the incremental [`StreamEngine`] (the default).
-#[allow(clippy::too_many_arguments)] // parsed CLI flags + borrowed sinks
-fn serve_stream(
-    out: &mut dyn Write,
-    path: &str,
-    config: StreamConfig,
-    batch: usize,
-    log_every: usize,
-    threads_auto: &str,
-    opts: &ServeOpts,
-    serving: &ServingFlags,
-    obs: &ObsFlags,
-) -> Result<(), CliError> {
-    let threads = config.threads;
-    let (mut engine, cursor) = match &serving.checkpoint {
-        Some(ck) if serving.resume && std::path::Path::new(ck).exists() => {
-            let (engine, cursor) = StreamEngine::restore_from(config, ck)?;
-            writeln!(
-                out,
-                "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
-                engine.epoch(),
-                engine.m()
-            )?;
-            (engine, cursor)
-        }
-        _ => (StreamEngine::new(config), 0),
-    };
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let admin = obs.admin_rig(out, "serve", registry.as_ref(), &tracer)?;
-    let rig = ServeRig::start(out, opts, registry.as_ref(), admin.as_ref())?;
-    let mut publisher = Publisher::new(
-        std::sync::Arc::clone(&rig.cell),
-        PublishOptions {
-            core: opts.core,
-            top_k: opts.top_k,
-        },
-        std::sync::Arc::clone(&rig.metrics),
-    );
-    // A resumed engine has answers before the first new batch arrives:
-    // publish them immediately rather than serving the empty epoch 0.
-    if engine.epoch() > 0 {
-        let bounds = engine.bounds();
-        publisher.publish(
-            EpochFacts {
-                epoch: engine.epoch(),
-                n: engine.n(),
-                m: engine.m() as u64,
-                density: bounds.lower.to_f64(),
-                lower: bounds.lower.to_f64(),
-                upper: bounds.upper,
-                witness: engine.witness(),
-                resolved: true,
-            },
-            || engine.materialize(),
-        );
-        if let Some(rig) = &admin {
-            rig.on_snapshot(engine.epoch());
-            rig.board.set_ready();
-        }
-    }
-    writeln!(out, "following {path} from byte {cursor} (batch {batch})")?;
-    let setup = ServingSetup {
-        path,
-        follow: true,
-        batch,
-        log_every,
-        cursor,
-    };
-    let (outcome, elapsed) = run_serving_loop(
-        out,
-        &setup,
-        serving,
-        &LoopObs {
-            metrics: obs.sink(registry.as_ref()).as_ref(),
-            admin: admin.as_ref(),
-        },
-        &mut engine,
-        |engine, batch| {
-            let r = engine.apply(batch);
-            let sealed_at = admin.as_ref().map(|_| std::time::Instant::now());
-            publisher.publish(
-                EpochFacts {
-                    epoch: r.epoch,
-                    n: r.n,
-                    m: r.m as u64,
-                    density: r.density.to_f64(),
-                    lower: r.lower,
-                    upper: r.upper,
-                    witness: engine.witness(),
-                    resolved: r.resolved,
-                },
-                || engine.materialize(),
-            );
-            if let (Some(rig), Some(t0)) = (admin.as_ref(), sealed_at) {
-                let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-                rig.lag.seal_publish_us.set(us);
-                rig.on_snapshot(r.epoch);
-                rig.board.set_ready();
-            }
-            EpochRow {
-                epoch: r.epoch,
-                m: r.m as u64,
-                density: r.density.to_f64(),
-                lower: r.lower,
-                upper: r.upper,
-                factor: r.certified_factor,
-                mode: r
-                    .resolved
-                    .then(|| stream_mode_label(r.sketch.as_ref(), r.solve_stats)),
-            }
-        },
-        |engine, ck, cur| engine.save_snapshot(ck, cur),
-    )?;
-    let bounds = engine.bounds();
-    writeln!(
-        out,
-        "followed {} events in {} epochs ({elapsed:.2?}): {} re-solves, final m = {}, bracket [{:.4}, {:.4}], cursor {}",
-        outcome.events,
-        outcome.epochs,
-        engine.resolves(),
-        engine.m(),
-        bounds.lower.to_f64(),
-        bounds.upper,
-        outcome.cursor,
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    rig.finish(out)?;
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
-}
-
-/// `dds serve --shards K`: the same front end over [`ShardedEngine`]
-/// ingestion.
-#[allow(clippy::too_many_arguments)] // parsed CLI flags + borrowed sinks
-fn serve_shard(
-    out: &mut dyn Write,
-    path: &str,
-    config: ShardConfig,
-    batch: usize,
-    log_every: usize,
-    threads_auto: &str,
-    opts: &ServeOpts,
-    serving: &ServingFlags,
-    obs: &ObsFlags,
-) -> Result<(), CliError> {
-    let threads = config.threads;
-    let shards = config.shards;
-    let (mut engine, cursor) = match &serving.checkpoint {
-        Some(ck) if serving.resume && std::path::Path::new(ck).exists() => {
-            let (engine, cursor) = ShardedEngine::restore_from(config, ck)?;
-            writeln!(
-                out,
-                "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
-                engine.epoch(),
-                engine.m()
-            )?;
-            (engine, cursor)
-        }
-        _ => (ShardedEngine::new(config), 0),
-    };
-    let registry = obs.registry();
-    if let Some(reg) = &registry {
-        engine.attach_obs(reg);
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = obs.tracer()?;
-    engine.attach_tracer(tracer.clone());
-    let admin = obs.admin_rig(out, "serve", registry.as_ref(), &tracer)?;
-    let rig = ServeRig::start(out, opts, registry.as_ref(), admin.as_ref())?;
-    let mut publisher = Publisher::new(
-        std::sync::Arc::clone(&rig.cell),
-        PublishOptions {
-            core: opts.core,
-            top_k: opts.top_k,
-        },
-        std::sync::Arc::clone(&rig.metrics),
-    );
-    if engine.epoch() > 0 {
-        let bounds = engine.bounds();
-        publisher.publish(
-            EpochFacts {
-                epoch: engine.epoch(),
-                n: engine.n(),
-                m: engine.m(),
-                density: bounds.lower.to_f64(),
-                lower: bounds.lower.to_f64(),
-                upper: bounds.upper,
-                witness: engine.witness(),
-                resolved: true,
-            },
-            || engine.materialize(),
-        );
-        if let Some(rig) = &admin {
-            rig.on_snapshot(engine.epoch());
-            rig.board.set_ready();
-        }
-    }
-    writeln!(
-        out,
-        "following {path} from byte {cursor} across {shards} shards (batch {batch})"
-    )?;
-    let setup = ServingSetup {
-        path,
-        follow: true,
-        batch,
-        log_every,
-        cursor,
-    };
-    let (outcome, elapsed) = run_serving_loop(
-        out,
-        &setup,
-        serving,
-        &LoopObs {
-            metrics: obs.sink(registry.as_ref()).as_ref(),
-            admin: admin.as_ref(),
-        },
-        &mut engine,
-        |engine, batch| {
-            let r = engine.apply(batch);
-            let sealed_at = admin.as_ref().map(|_| std::time::Instant::now());
-            publisher.publish(
-                EpochFacts {
-                    epoch: r.epoch,
-                    n: r.n,
-                    m: r.m,
-                    density: r.density.to_f64(),
-                    lower: r.lower,
-                    upper: r.upper,
-                    witness: engine.witness(),
-                    resolved: r.refreshed,
-                },
-                || engine.materialize(),
-            );
-            if let (Some(rig), Some(t0)) = (admin.as_ref(), sealed_at) {
-                let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-                rig.lag.seal_publish_us.set(us);
-                rig.on_snapshot(r.epoch);
-                rig.board.set_ready();
-            }
-            EpochRow {
-                epoch: r.epoch,
-                m: r.m,
-                density: r.density.to_f64(),
-                lower: r.lower,
-                upper: r.upper,
-                factor: r.certified_factor,
-                mode: r.refreshed.then(|| {
-                    sketch_mode_label(
-                        "MERGED REFRESH",
-                        r.retained,
-                        r.merged_level.unwrap_or(0),
-                        r.solve_stats.map_or(0, |s| s.flow_decisions),
-                    )
-                }),
-            }
-        },
-        |engine, ck, cur| engine.save_snapshot(ck, cur),
-    )?;
-    let bounds = engine.bounds();
-    writeln!(
-        out,
-        "followed {} events in {} epochs ({elapsed:.2?}): {} merged refreshes, final m = {}, bracket [{:.4}, {:.4}], cursor {}",
-        outcome.events,
-        outcome.epochs,
-        engine.stats().refreshes,
-        engine.m(),
-        bounds.lower.to_f64(),
-        bounds.upper,
-        outcome.cursor,
-    )?;
-    writeln!(out, "threads {threads}{threads_auto}")?;
-    rig.finish(out)?;
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
 }
 
 /// `dds cluster-shard`: one worker process of the cross-process sharded
@@ -2479,31 +2071,11 @@ fn cmd_cluster_shard<'a>(
                 }
                 shard_id = Some((i, k));
             }
-            "--batch" => {
-                batch = parse_flag_value("--batch", it.next())?;
-                if batch == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-            }
-            "--bound" => {
-                bound = parse_flag_value("--bound", it.next())?;
-                if bound == 0 {
-                    return Err(CliError::Usage("--bound must be positive".into()));
-                }
-            }
+            "--batch" => batch = positive("--batch", it.next())?,
+            "--bound" => bound = positive("--bound", it.next())?,
             "--seed" => seed = parse_flag_value("--seed", it.next())?,
-            "--poll-ms" => {
-                poll_ms = parse_flag_value("--poll-ms", it.next())?;
-                if poll_ms == 0 {
-                    return Err(CliError::Usage("--poll-ms must be positive".into()));
-                }
-            }
-            "--idle-ms" => {
-                idle_ms = parse_flag_value("--idle-ms", it.next())?;
-                if idle_ms == 0 {
-                    return Err(CliError::Usage("--idle-ms must be positive".into()));
-                }
-            }
+            "--poll-ms" => poll_ms = positive("--poll-ms", it.next())?,
+            "--idle-ms" => idle_ms = positive("--idle-ms", it.next())?,
             "--checkpoint" => checkpoint = Some(parse_flag_value("--checkpoint", it.next())?),
             "--compact-every" => compact_every = parse_flag_value("--compact-every", it.next())?,
             "--resume" => resume = true,
@@ -2571,47 +2143,15 @@ fn cmd_cluster_coordinator<'a>(
         }
         match flag {
             "--listen" => listen = Some(parse_flag_value("--listen", it.next())?),
-            "--shards" => {
-                shards = parse_flag_value("--shards", it.next())?;
-                if shards == 0 {
-                    return Err(CliError::Usage("--shards must be positive".into()));
-                }
-            }
-            "--batch" => {
-                batch = parse_flag_value("--batch", it.next())?;
-                if batch == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-            }
-            "--bound" => {
-                bound = parse_flag_value("--bound", it.next())?;
-                if bound == 0 {
-                    return Err(CliError::Usage("--bound must be positive".into()));
-                }
-            }
+            "--shards" => shards = positive("--shards", it.next())?,
+            "--batch" => batch = positive("--batch", it.next())?,
+            "--bound" => bound = positive("--bound", it.next())?,
             "--seed" => seed = parse_flag_value("--seed", it.next())?,
-            "--drift" => {
-                drift = parse_flag_value("--drift", it.next())?;
-                if drift.is_nan() || drift <= 0.0 {
-                    return Err(CliError::Usage("--drift must be positive".into()));
-                }
-            }
-            "--straggler-ms" => {
-                let ms: u64 = parse_flag_value("--straggler-ms", it.next())?;
-                if ms == 0 {
-                    return Err(CliError::Usage("--straggler-ms must be positive".into()));
-                }
-                straggler_ms = Some(ms);
-            }
+            "--drift" => drift = positive("--drift", it.next())?,
+            "--straggler-ms" => straggler_ms = Some(positive("--straggler-ms", it.next())?),
             "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
             "--serve" => serve_addr = Some(parse_flag_value("--serve", it.next())?),
-            "--readers" => {
-                let r: usize = parse_flag_value("--readers", it.next())?;
-                if r == 0 {
-                    return Err(CliError::Usage("--readers must be positive".into()));
-                }
-                readers = Some(r);
-            }
+            "--readers" => readers = Some(positive("--readers", it.next())?),
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -2643,7 +2183,7 @@ fn cmd_cluster_coordinator<'a>(
     // query tier serves the snapshot-backed types only (DENSITY / MEMBER
     // / STATS) — no --core/--topk, and the publisher therefore never
     // asks us to materialize.
-    let serve_rig = match &serve_addr {
+    let mut serve_rig = match &serve_addr {
         Some(addr) => Some(ServeRig::start(
             out,
             &ServeOpts {
@@ -2657,16 +2197,6 @@ fn cmd_cluster_coordinator<'a>(
         )?),
         None => None,
     };
-    let mut publisher = serve_rig.as_ref().map(|rig| {
-        Publisher::new(
-            std::sync::Arc::clone(&rig.cell),
-            PublishOptions {
-                core: None,
-                top_k: 0,
-            },
-            std::sync::Arc::clone(&rig.metrics),
-        )
-    });
     let listener = std::net::TcpListener::bind(&listen).map_err(|e| {
         CliError::Io(std::io::Error::new(
             e.kind(),
@@ -2682,10 +2212,7 @@ fn cmd_cluster_coordinator<'a>(
             |ms| format!(", straggler limit {ms} ms")
         ),
     )?;
-    writeln!(
-        out,
-        "epoch      m    density      [lower, upper]      factor  mode"
-    )?;
+    writeln!(out, "{}", EpochRow::HEADER)?;
     let opts = dds_cluster::CoordinatorOptions {
         straggler: straggler_ms.map(std::time::Duration::from_millis),
         registry: registry.clone(),
@@ -2712,22 +2239,23 @@ fn cmd_cluster_coordinator<'a>(
             None
         };
         if mode.is_some() || (log_every > 0 && epoch.epoch.is_multiple_of(log_every)) {
-            let mode = mode.as_deref().unwrap_or("incremental");
-            if let Err(e) = writeln!(
-                out,
-                "{:>5} {:>6}   {:>8.4}   [{:>8.4}, {:>8.4}]   {:>6.3}  {mode}",
-                epoch.epoch,
-                epoch.m,
-                epoch.lower,
-                epoch.lower,
-                epoch.upper,
-                epoch.certified_factor(),
-            ) {
+            let row = EpochRow {
+                epoch: epoch.epoch,
+                m: epoch.m,
+                density: epoch.lower,
+                lower: epoch.lower,
+                upper: epoch.upper,
+                factor: epoch.certified_factor(),
+                mode,
+                within_band: true,
+                solve: None,
+            };
+            if let Err(e) = row.write(out) {
                 deferred = Some(e.into());
             }
         }
-        if let Some(publisher) = publisher.as_mut() {
-            publisher.publish(
+        if let Some(rig) = serve_rig.as_mut() {
+            rig.publisher.publish(
                 EpochFacts {
                     epoch: epoch.epoch,
                     n: epoch.n as usize,
@@ -2775,14 +2303,7 @@ fn cmd_cluster_coordinator<'a>(
             "final bracket [{:.4}, {:.4}] over n = {}, m = {}, retained {}",
             last.lower, last.upper, last.n, last.m, last.retained,
         )?;
-        if let Some(pair) = &last.witness {
-            writeln!(
-                out,
-                "witness |S| = {}, |T| = {}",
-                pair.s().len(),
-                pair.t().len()
-            )?;
-        }
+        write_witness(out, last.witness.as_ref())?;
     }
     if let Some(sink) = &sink {
         sink.finish(out)?;
@@ -2816,38 +2337,13 @@ fn cmd_sketch<'a>(
     let mut log_every = 0usize;
     while let Some(flag) = it.next() {
         match flag {
-            "--batch" => {
-                let n: usize = parse_flag_value("--batch", it.next())?;
-                if n == 0 {
-                    return Err(CliError::Usage("--batch must be positive".into()));
-                }
-                batch_by = BatchBy::Count(n);
-            }
+            "--batch" => batch_by = BatchBy::Count(positive("--batch", it.next())?),
             "--time-window" => {
-                let w: u64 = parse_flag_value("--time-window", it.next())?;
-                if w == 0 {
-                    return Err(CliError::Usage("--time-window must be positive".into()));
-                }
-                batch_by = BatchBy::TimeWindow(w);
+                batch_by = BatchBy::TimeWindow(positive("--time-window", it.next())?);
             }
-            "--bound" => {
-                config.state_bound = parse_flag_value("--bound", it.next())?;
-                if config.state_bound == 0 {
-                    return Err(CliError::Usage("--bound must be positive".into()));
-                }
-            }
-            "--drift" => {
-                config.refresh_drift = parse_flag_value("--drift", it.next())?;
-                if config.refresh_drift.is_nan() || config.refresh_drift <= 0.0 {
-                    return Err(CliError::Usage("--drift must be positive".into()));
-                }
-            }
-            "--threads" => {
-                config.threads = parse_flag_value("--threads", it.next())?;
-                if config.threads == 0 {
-                    return Err(CliError::Usage("--threads must be positive".into()));
-                }
-            }
+            "--bound" => config.state_bound = positive("--bound", it.next())?,
+            "--drift" => config.refresh_drift = positive("--drift", it.next())?,
+            "--threads" => config.threads = positive("--threads", it.next())?,
             "--seed" => config.seed = parse_flag_value("--seed", it.next())?,
             "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
@@ -3797,6 +3293,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Replay and `--follow` run one loop, so on a file that does not
+    /// grow they end on the same final row and print the same summary.
+    #[test]
+    fn replay_and_follow_print_the_same_summary() {
+        let path = temp_events();
+        let line = |out: &str, prefix: &str| {
+            out.lines()
+                .find(|l| l.starts_with(prefix))
+                .map(str::to_string)
+        };
+        // The row table ends at the first blank line.
+        let final_row = |out: &str| {
+            out.lines()
+                .take_while(|l| !l.is_empty())
+                .last()
+                .map(str::to_string)
+        };
+        for (cmd, flags, has_witness) in [
+            ("stream", &["--batch", "2"][..], true),
+            ("stream", &["--batch", "2", "--window", "3"][..], false),
+            ("shard", &["--batch", "2", "--shards", "2"][..], true),
+        ] {
+            let mut replay = vec![cmd, path.as_str()];
+            replay.extend_from_slice(flags);
+            let mut follow = replay.clone();
+            follow.extend_from_slice(&["--follow", "--idle-ms", "80", "--poll-ms", "10"]);
+            let (a, b) = (run_ok(&replay), run_ok(&follow));
+            let row = final_row(&a);
+            assert!(
+                row.as_deref().is_some_and(|r| r.starts_with("    3 ")),
+                "6 events at batch 2 end on epoch 3: {a}"
+            );
+            assert_eq!(row, final_row(&b), "{a}\n{b}");
+            assert!(line(&a, "final density").is_some(), "{a}");
+            assert_eq!(line(&a, "witness |S|").is_some(), has_witness, "{a}");
+            for prefix in ["final density", "witness |S|"] {
+                assert_eq!(line(&a, prefix), line(&b, prefix), "{a}\n{b}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn serve_usage_errors() {
         let path = temp_events();
@@ -3816,6 +3354,28 @@ mod tests {
                 "2",
                 "--solver",
                 "exact",
+            ],
+            // The sharded engine certifies by merge: the stream engine's
+            // certification knobs do not reach it.
+            vec![
+                "serve",
+                &path,
+                "--listen",
+                "127.0.0.1:0",
+                "--shards",
+                "2",
+                "--tolerance",
+                "0.5",
+            ],
+            vec![
+                "serve",
+                &path,
+                "--listen",
+                "127.0.0.1:0",
+                "--shards",
+                "2",
+                "--slack",
+                "1",
             ],
             vec!["serve", &path, "--listen", "127.0.0.1:0", "--bogus"],
         ] {
@@ -4363,6 +3923,24 @@ mod tests {
             "{metrics}"
         );
         handle.join().unwrap().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Replays build the admin plane like follow does: `--slow-us 0`
+    /// drains the slow-op ring at exit and `--admin` starts the endpoint,
+    /// for both stream engines.
+    #[test]
+    fn stream_replay_runs_the_admin_plane() {
+        let path = temp_events();
+        for extra in [&[][..], &["--window", "3"][..]] {
+            let mut args = vec!["stream", path.as_str(), "--batch", "2", "--slow-us", "0"];
+            args.extend_from_slice(extra);
+            let out = run_ok(&args);
+            assert!(out.contains("slow ops (threshold 0 us"), "{out}");
+            args.extend_from_slice(&["--admin", "127.0.0.1:0"]);
+            let out = run_ok(&args);
+            assert!(out.contains("admin endpoint on"), "{out}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }
