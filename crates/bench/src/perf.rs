@@ -16,11 +16,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use dds_core::{parallel, DcExact, ExactOptions, SolveContext, SolveStats};
-use dds_shard::{ShardConfig, ShardedEngine};
-use dds_sketch::{SketchConfig, SketchEngine};
+use dds_shard::{Partition, ShardConfig, ShardedEngine};
+use dds_sketch::SketchConfig;
 use dds_stream::{
-    replay, replay_window, Batch, BatchBy, DynamicGraph, Event, StreamConfig, StreamEngine,
-    WindowConfig, WindowEngine, WindowMode,
+    replay, replay_window, Batch, BatchBy, Event, StreamConfig, StreamEngine, WindowConfig,
+    WindowEngine, WindowMode,
 };
 
 use crate::report::time;
@@ -298,7 +298,7 @@ fn measure_e14(quick: bool) -> Measurement {
     )
 }
 
-/// E15 — the sublinear sketch tier behind a canonicalising mirror.
+/// E15 — the sublinear sketch tier behind a canonicalising partition.
 fn measure_e15(quick: bool) -> Measurement {
     let events = stream_workloads::churn(
         400,
@@ -307,8 +307,7 @@ fn measure_e15(quick: bool) -> Measurement {
         if quick { 20_000 } else { 100_000 },
         0xDD5,
     );
-    let mut mirror = DynamicGraph::new();
-    let mut sketch = SketchEngine::new(SketchConfig {
+    let mut part = Partition::new(SketchConfig {
         state_bound: 500,
         ..SketchConfig::default()
     });
@@ -316,31 +315,15 @@ fn measure_e15(quick: bool) -> Measurement {
     let mut max_ratio = 1.0f64;
     let ((), wall) = time(|| {
         for chunk in events.chunks(100) {
-            for ev in chunk {
-                match ev.event {
-                    Event::Insert(u, v) => {
-                        if mirror.insert(u, v) {
-                            sketch.insert(u, v);
-                        }
-                    }
-                    Event::Delete(u, v) => {
-                        if mirror.delete(u, v) {
-                            sketch.delete(u, v);
-                        }
-                    }
-                }
-            }
-            if sketch.is_undersampled() {
-                sketch.rebuild(mirror.edges());
-            }
-            let r = sketch.seal_epoch();
+            part.apply(chunk.iter().map(|ev| &ev.event), |_| {});
+            let r = part.seal_epoch();
             epochs += 1;
             if r.lower > 0.0 {
                 max_ratio = max_ratio.max(r.upper / r.lower);
             }
         }
     });
-    let stats = sketch.stats();
+    let stats = part.sketch().stats();
     (
         wall.as_millis() as u64,
         counter_map([
@@ -365,7 +348,6 @@ fn measure_e16(quick: bool) -> Measurement {
     );
     let mut engine = ShardedEngine::new(ShardConfig {
         shards: 4,
-        threads: 4,
         sketch: SketchConfig {
             state_bound: 500,
             ..SketchConfig::default()

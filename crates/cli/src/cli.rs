@@ -18,12 +18,11 @@ use dds_graph::io::{load_edge_list, save_edge_list, ParseOptions};
 use dds_graph::{gen, DiGraph, GraphStats, Pair};
 use dds_obs::{AdminServer, LagGauges, Registry, SlowRing, StatusBoard, TraceProfile, Tracer};
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
-use dds_shard::{ShardConfig, ShardedEngine};
-use dds_sketch::{SketchConfig, SketchEngine, SketchStats};
+use dds_shard::{Partition, ShardConfig, ShardedEngine};
+use dds_sketch::{SketchConfig, SketchStats};
 use dds_stream::{
-    batch_slices, follow_events, Batch, BatchBy, CertifiedBounds, DynamicGraph, Event,
-    FollowConfig, SketchTier, SnapshotError, SolverKind, StreamConfig, StreamEngine, WindowConfig,
-    WindowEngine, WindowMode,
+    batch_slices, follow_events, Batch, BatchBy, CertifiedBounds, FollowConfig, SketchTier,
+    SnapshotError, SolverKind, StreamConfig, StreamEngine, WindowConfig, WindowEngine, WindowMode,
 };
 use dds_xycore::{max_product_core, skyline, xy_core};
 
@@ -111,10 +110,10 @@ const USAGE: &str = "usage:
                --slow-us: record epoch seals slower than N µs in the slow-op ring, drained at exit and by /slow)
   dds sketch  <event-file> [--batch N | --time-window T] [--bound B] [--drift F] [--threads N] [--seed S] [--log-every K]
               (standalone sublinear sketch replay: certified bracket + (1+eps) estimate per epoch)
-  dds shard   <event-file> [--shards K] [--batch N] [--bound B] [--seed S] [--threads N] [--drift F] [--log-every K]
+  dds shard   <event-file> [--shards K] [--batch N] [--bound B] [--seed S] [--drift F] [--log-every K]
               [--follow [--poll-ms P] [--idle-ms T]] [--checkpoint FILE [--checkpoint-every E]] [--resume]
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
-              (edge-partitioned parallel ingestion over K shards with merged certification; --resume restarts
+              (edge-partitioned ingestion over K shards with merged certification; --resume restarts
                from the checkpoint and replays nothing twice; replay and --follow print one summary)
   dds serve   <event-file> --listen ADDR [--readers R] [--core X,Y] [--topk K] [--shards K] [--batch N]
               [--tolerance T] [--slack S] [--solver exact|approx] [--threads N] [--log-every K]
@@ -140,8 +139,9 @@ const USAGE: &str = "usage:
               (aggregate a --trace file into a per-span count/total/self-time table; --folded also writes
                flamegraph-ready folded stacks — weights are self-µs for timed traces, span counts otherwise)
   dds help
-(--threads 0 or omitted on exact/stream/shard auto-detects the host parallelism; the resolved
- count is printed in each command's stats footer, marked \"(auto)\" when detected)";
+(--threads 0 or omitted on exact/stream/serve auto-detects the host parallelism; the resolved
+ count is printed in each command's stats footer, marked \"(auto)\" when detected; dds serve
+ --shards takes no --threads, as the sharded engine applies its partitions in one serial pass)";
 
 /// Entry point shared by `main` and the tests.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -817,7 +817,7 @@ fn cmd_stream<'a>(
         role: "stream",
         source,
         log_every,
-        threads: (threads, threads_auto),
+        threads: Some((threads, threads_auto)),
         serving,
         obs,
         serve: None,
@@ -849,8 +849,8 @@ fn cmd_stream<'a>(
     }
 }
 
-/// `dds shard`: edge-partitioned parallel ingestion over K shards with
-/// merged certification — replay mode drains the file and exits; with
+/// `dds shard`: edge-partitioned ingestion over K shards with merged
+/// certification — replay mode drains the file and exits; with
 /// `--follow` it keeps tailing. Both modes tail from the engine's byte
 /// cursor, so `--checkpoint`/`--resume` behave identically in each.
 fn cmd_shard<'a>(
@@ -862,7 +862,6 @@ fn cmd_shard<'a>(
         .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
     let mut config = ShardConfig::default();
     let mut batch = 100usize;
-    let mut threads: Option<usize> = None;
     let mut log_every = 0u64;
     let mut follow = false;
     let mut serving = ServingFlags::default();
@@ -876,7 +875,6 @@ fn cmd_shard<'a>(
             "--batch" => batch = positive("--batch", it.next())?,
             "--bound" => config.sketch.state_bound = positive("--bound", it.next())?,
             "--seed" => config.sketch.seed = parse_flag_value("--seed", it.next())?,
-            "--threads" => threads = Some(parse_flag_value("--threads", it.next())?),
             "--drift" => config.refresh_drift = positive("--drift", it.next())?,
             "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
             "--follow" => follow = true,
@@ -885,14 +883,12 @@ fn cmd_shard<'a>(
     }
     serving.validate(follow)?;
     obs.validate()?;
-    let (threads, threads_auto) = resolve_threads(threads);
-    config.threads = threads;
     let run = Ingest {
         path,
         role: "shard",
         source: Source::Tail { batch, follow },
         log_every,
-        threads: (threads, threads_auto),
+        threads: None,
         serving,
         obs,
         serve: None,
@@ -955,16 +951,17 @@ fn cmd_serve<'a>(
     }
     let listen =
         listen.ok_or_else(|| CliError::Usage("dds serve requires --listen ADDR".into()))?;
-    if shards > 0 && solver_kind.is_some() {
-        return Err(CliError::Usage(
-            "--solver does not apply with --shards (the sharded engine certifies by merge)".into(),
-        ));
-    }
-    if shards > 0 && (tolerance.is_some() || slack.is_some()) {
-        return Err(CliError::Usage(
-            "--tolerance/--slack do not apply with --shards (the sharded engine certifies by merge)"
-                .into(),
-        ));
+    let stream_only = [
+        ("--solver", solver_kind.is_some()),
+        ("--tolerance", tolerance.is_some()),
+        ("--slack", slack.is_some()),
+        ("--threads", threads.is_some()),
+    ];
+    if let Some((flag, _)) = stream_only.iter().find(|&&(_, set)| shards > 0 && set) {
+        return Err(CliError::Usage(format!(
+            "{flag} does not apply with --shards (the sharded engine certifies by merge and \
+             applies its partitions in one serial pass)"
+        )));
     }
     serving.validate(true)?;
     obs.validate()?;
@@ -977,7 +974,7 @@ fn cmd_serve<'a>(
             follow: true,
         },
         log_every,
-        threads: (threads, threads_auto),
+        threads: Some((threads, threads_auto)),
         serving,
         obs,
         serve: Some(ServeOpts {
@@ -990,7 +987,6 @@ fn cmd_serve<'a>(
     if shards > 0 {
         let config = ShardConfig {
             shards,
-            threads,
             ..ShardConfig::default()
         };
         return ingest::<ShardedEngine>(out, &run, config);
@@ -1370,8 +1366,9 @@ struct Ingest<'a> {
     role: &'static str,
     source: Source,
     log_every: u64,
-    /// The resolved `--threads` count and its footer suffix.
-    threads: (usize, &'static str),
+    /// The resolved `--threads` count and its footer suffix (`None` for
+    /// `dds shard`, which has no solver threads).
+    threads: Option<(usize, &'static str)>,
     serving: ServingFlags,
     obs: ObsFlags,
     /// The query tier, for `dds serve`.
@@ -1916,7 +1913,9 @@ fn ingest<T: Tier>(
         engine.counts(),
         100.0 * (totals.epochs - totals.recertified) as f64 / totals.epochs.max(1) as f64,
     )?;
-    writeln!(out, "threads {}{}", run.threads.0, run.threads.1)?;
+    if let Some((threads, auto)) = run.threads {
+        writeln!(out, "threads {threads}{auto}")?;
+    }
     writeln!(out, "max certified factor {:.4}", totals.max_factor)?;
     engine.summary(out, &totals)?;
     let bounds = engine.bounds();
@@ -2318,10 +2317,11 @@ fn cmd_cluster_coordinator<'a>(
     Ok(())
 }
 
-/// `dds sketch`: standalone sublinear-sketch replay. A full
-/// [`DynamicGraph`] mirror canonicalises the event file (the sketch's
-/// turnstile contract: only *applied* mutations reach it — in production
-/// that dedup belongs to whatever upstream engine owns the edge set), the
+/// `dds sketch`: standalone sublinear-sketch replay. One
+/// [`Partition`] holding the whole stream canonicalises the event file
+/// (the sketch's turnstile contract: only *applied* mutations reach it —
+/// in production that dedup belongs to whatever upstream engine owns the
+/// edge set) and recovers an over-thinned sample from its edge set, the
 /// sketch maintains its sublinear summary, and each batch seals one epoch:
 /// certified bracket, scaled estimate with its `(1+ε)` loss, retained
 /// state, and exact-on-sketch instrumentation.
@@ -2351,8 +2351,7 @@ fn cmd_sketch<'a>(
     }
 
     let events = dds_stream::load_events(path)?;
-    let mut mirror = DynamicGraph::new();
-    let mut sketch = SketchEngine::new(config);
+    let mut part = Partition::new(config);
     let started = std::time::Instant::now();
     let slices = batch_slices(&events, batch_by);
     let epochs = slices.len();
@@ -2361,26 +2360,8 @@ fn cmd_sketch<'a>(
         "epoch      m  retained  lvl   [lower, upper]      estimate (+/-eps)  mode"
     )?;
     for (i, chunk) in slices.iter().enumerate() {
-        for ev in *chunk {
-            match ev.event {
-                Event::Insert(u, v) => {
-                    if mirror.insert(u, v) {
-                        sketch.insert(u, v);
-                    }
-                }
-                Event::Delete(u, v) => {
-                    if mirror.delete(u, v) {
-                        sketch.delete(u, v);
-                    }
-                }
-            }
-        }
-        // The mirror is the authoritative edge set: recover a sample that
-        // over-thinned after the live graph shrank (see `is_undersampled`).
-        if sketch.is_undersampled() {
-            sketch.rebuild(mirror.edges());
-        }
-        let r = sketch.seal_epoch();
+        part.apply(chunk.iter().map(|ev| &ev.event), |_| {});
+        let r = part.seal_epoch();
         let logged = r.refreshed
             || (log_every > 0 && r.epoch.is_multiple_of(log_every as u64))
             || i + 1 == epochs;
@@ -2399,6 +2380,7 @@ fn cmd_sketch<'a>(
     }
     let wall = started.elapsed();
 
+    let sketch = part.sketch();
     let stats = sketch.stats();
     writeln!(out)?;
     writeln!(
@@ -2413,8 +2395,8 @@ fn cmd_sketch<'a>(
         out,
         "state: {} retained of {} live edges ({:.1}%), peak {}, level {} (rate 1/{}), bound {}",
         stats.retained,
-        mirror.m(),
-        100.0 * stats.retained as f64 / mirror.m().max(1) as f64,
+        part.m(),
+        100.0 * stats.retained as f64 / part.m().max(1) as f64,
         stats.peak_retained,
         stats.level,
         1u64 << stats.level.min(63),
@@ -2818,10 +2800,6 @@ mod tests {
         let path = temp_events();
         let out = run_ok(&["shard", &path, "--shards", "3", "--batch", "2"]);
         assert!(out.contains("across 3 shards"), "{out}");
-        assert!(
-            out.contains("(auto)"),
-            "omitted --threads auto-detects: {out}"
-        );
         assert!(out.contains("MERGED REFRESH"), "{out}");
         assert!(out.contains("merged refreshes"), "{out}");
         assert!(out.contains("final density"), "{out}");
@@ -2880,6 +2858,8 @@ mod tests {
             vec!["shard", &path, "--drift", "0"],
             vec!["shard", &path, "--resume"],
             vec!["shard", &path, "--poll-ms", "50"],
+            // The partitions apply in one serial pass: no solver threads.
+            vec!["shard", &path, "--threads", "2"],
             vec!["shard", &path, "--frobnicate"],
         ] {
             assert!(matches!(run_err(&bad), CliError::Usage(_)), "{bad:?}");
@@ -3376,6 +3356,16 @@ mod tests {
                 "2",
                 "--slack",
                 "1",
+            ],
+            vec![
+                "serve",
+                &path,
+                "--listen",
+                "127.0.0.1:0",
+                "--shards",
+                "2",
+                "--threads",
+                "2",
             ],
             vec!["serve", &path, "--listen", "127.0.0.1:0", "--bogus"],
         ] {

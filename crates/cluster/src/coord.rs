@@ -37,37 +37,32 @@
 //!
 //! # Merged refreshes
 //!
-//! The refresh trigger mirrors [`dds_shard::ShardedEngine`]'s pooled
-//! drift policy over the digest-reported mutation counters. A refresh
-//! rebuilds one [`SketchEngine`] per fresh replica
+//! The trigger, the structural bound and the merged refresh are the
+//! shared ones of [`dds_sketch::certify`] ([`refresh_due`] over the
+//! digest-reported mutation counters, [`structural_upper`],
+//! [`MergedCertifier`]), exactly as [`dds_shard::ShardedEngine`] runs
+//! them. A refresh rebuilds one [`SketchEngine`] per fresh replica
 //! ([`SketchEngine::restore_at`] — deterministic admission makes the
-//! replica self-describing) and merges them with the exact PR 5
-//! machinery ([`SketchEngine::merged`]: counters sum, samples union at
-//! the max level, state bound re-enforced), then runs the usual
-//! two-tier solve. Two documented deviations from the single-process
-//! engine: the fresh witness replaces the incumbent whenever the solve
-//! produces one (the coordinator has no full graph to run
-//! `denser_pair` on), and the lower bound is the witness's density on
-//! the merged **sample**, not on the full graph — both keep the bracket
-//! sound, just wider.
+//! replica self-describing) and hands them to the certifier, which
+//! unions them at the max level and runs the usual two-tier solve. Two
+//! documented deviations from the single-process engine: the fresh
+//! witness replaces the incumbent whenever the solve produces one (the
+//! coordinator has no full graph to run `denser_pair` on), and the lower
+//! bound is the witness's density on the merged **sample**, counted per
+//! slot over fresh replicas only — both keep the bracket sound, just
+//! wider.
 
 use std::collections::{BTreeMap, HashSet};
 use std::mem;
 
 use dds_graph::{Pair, VertexId};
 use dds_num::Density;
+use dds_sketch::certify::{
+    refresh_due, structural_upper, CertifiedBounds, MergedCertifier, WitnessTracker,
+};
 use dds_sketch::{SketchConfig, SketchEngine};
 
 use crate::wire::{put_varint, Hello, ShardDigest, WireError};
-
-/// Relative inflation applied to the floating-point upper bound so
-/// rounding can never flip the certificate (same discipline as every
-/// other engine in the workspace).
-const SAFETY: f64 = 1e-9;
-
-/// Pooled retained sets smaller than this still wait for a few
-/// mutations before refreshing (mirrors the shard policy).
-const DRIFT_FLOOR: usize = 32;
 
 /// Configuration of a [`ClusterCore`] (and, via identity checks, of
 /// every worker allowed to join it).
@@ -218,13 +213,11 @@ impl ClusterEpoch {
     /// and the upper is not).
     #[must_use]
     pub fn certified_factor(&self) -> f64 {
-        if self.lower > 0.0 {
-            self.upper / self.lower
-        } else if self.upper > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
+        CertifiedBounds {
+            lower: self.density,
+            upper: self.upper,
         }
+        .certified_factor()
     }
 
     /// Canonical byte encoding of everything this epoch certifies —
@@ -275,11 +268,11 @@ pub struct ClusterCore {
     config: ClusterConfig,
     slots: Vec<Slot>,
     sealed: u64,
-    witness: Option<Pair>,
-    in_s: Vec<bool>,
-    in_t: Vec<bool>,
-    escalate_next: bool,
-    merged_level: u32,
+    /// The incumbent witness. Its lower bound counts only fresh replicas,
+    /// so the per-slot `hits` carry the counts and the tracker holds the
+    /// pair and its membership.
+    witness: WitnessTracker,
+    certifier: MergedCertifier,
     refreshes: u64,
     escalations: u64,
     digest_bytes: u64,
@@ -299,11 +292,8 @@ impl ClusterCore {
             config,
             slots: (0..config.shards).map(|_| Slot::new()).collect(),
             sealed: 0,
-            witness: None,
-            in_s: Vec::new(),
-            in_t: Vec::new(),
-            escalate_next: false,
-            merged_level: 0,
+            witness: WitnessTracker::default(),
+            certifier: MergedCertifier::default(),
             refreshes: 0,
             escalations: 0,
             digest_bytes: 0,
@@ -416,11 +406,7 @@ impl ClusterCore {
     /// the replica (validating it), overwrites the absolute counters,
     /// and maintains the witness hit count incrementally.
     fn fold(&mut self, k: usize, d: &ShardDigest) -> Result<(), WireError> {
-        let (in_s, in_t) = (&self.in_s, &self.in_t);
-        let in_witness = |u: VertexId, v: VertexId| {
-            in_s.get(u as usize).copied().unwrap_or(false)
-                && in_t.get(v as usize).copied().unwrap_or(false)
-        };
+        let witness = &self.witness;
         let slot = &mut self.slots[k];
         if d.rebase {
             if !d.dropped.is_empty() {
@@ -437,7 +423,7 @@ impl ClusterCore {
                     d.epoch
                 )));
             }
-            if in_witness(u, v) {
+            if witness.contains(u, v) {
                 slot.hits -= 1;
             }
         }
@@ -449,7 +435,7 @@ impl ClusterCore {
                     d.epoch
                 )));
             }
-            if in_witness(u, v) {
+            if witness.contains(u, v) {
                 slot.hits += 1;
             }
         }
@@ -511,25 +497,8 @@ impl ClusterCore {
             n = n.max(slot.n);
         }
         let refreshed = self.maybe_refresh(e);
-        let fresh_hits: u64 = self
-            .slots
-            .iter()
-            .filter(|s| s.folded == e)
-            .map(|s| s.hits)
-            .sum();
-        let density = match &self.witness {
-            Some(pair) if !pair.is_empty() => {
-                Density::new(fresh_hits, pair.s().len() as u64, pair.t().len() as u64)
-            }
-            _ => Density::ZERO,
-        };
-        let upper = if m == 0 {
-            0.0
-        } else {
-            let sqrt_m = (m as f64).sqrt();
-            let degree = ((out as f64) * (inc as f64)).sqrt();
-            sqrt_m.min(degree) * (1.0 + SAFETY)
-        };
+        let density = self.fresh_density(e);
+        let upper = structural_upper(m, out, inc);
         let degraded = !stale.is_empty();
         if degraded {
             self.degraded_seals += 1;
@@ -544,70 +513,55 @@ impl ClusterCore {
             stale,
             degraded,
             refreshed,
-            merged_level: self.merged_level,
+            merged_level: self.certifier.level(),
             retained: self.slots.iter().map(|s| s.replica.len() as u64).sum(),
             density,
             lower: density.to_f64(),
             upper,
-            witness: self.witness.clone(),
+            witness: self.witness.pair().cloned(),
         }))
     }
 
-    /// The pooled drift policy over digest-reported mutation counters,
+    /// The witness's density over the replicas fresh at epoch `e`.
+    fn fresh_density(&self, e: u64) -> Density {
+        let hits = self.slots.iter().filter(|s| s.folded == e).map(|s| s.hits);
+        self.witness.density_with(hits.sum())
+    }
+
+    /// The shared drift trigger over digest-reported mutation counters,
     /// then a merged refresh of the fresh replicas when it fires.
     fn maybe_refresh(&mut self, e: u64) -> bool {
-        let retained: usize = self.slots.iter().map(|s| s.replica.len()).sum();
-        if retained == 0 {
-            return false;
-        }
-        let fresh_hits: u64 = self
+        let retained = self.slots.iter().map(|s| s.replica.len()).sum();
+        let dead = self.fresh_density(e).is_zero();
+        // Workers report cumulative mutations; a restart resets them,
+        // which the saturating diff reads as "no drift yet".
+        let drift = self
             .slots
             .iter()
-            .filter(|s| s.folded == e)
-            .map(|s| s.hits)
-            .sum();
-        let dead = self.witness.is_none() || fresh_hits == 0;
-        if !dead {
-            // Workers report cumulative mutations; a restart resets
-            // them, which the saturating diff reads as "no drift yet".
-            let drift: u64 = self
-                .slots
-                .iter()
-                .map(|s| s.mutations.saturating_sub(s.baseline))
-                .sum();
-            if (drift as f64) < self.config.refresh_drift * (retained.max(DRIFT_FLOOR) as f64) {
-                return false;
-            }
+            .map(|s| s.mutations.saturating_sub(s.baseline));
+        if !refresh_due(retained, dead, drift.sum(), self.config.refresh_drift) {
+            return false;
         }
-        let fresh: Vec<&Slot> = self
+        let engines: Vec<SketchEngine> = self
             .slots
             .iter()
             .filter(|s| s.folded == e && !s.replica.is_empty())
-            .collect();
-        if fresh.is_empty() {
-            return false;
-        }
-        self.refreshes += 1;
-        let engines: Vec<SketchEngine> = fresh
-            .iter()
             .map(|s| {
                 SketchEngine::restore_at(self.config.sketch, s.level, s.replica.iter().copied())
             })
             .collect();
-        let refs: Vec<&SketchEngine> = engines.iter().collect();
-        let mut merged = SketchEngine::merged(self.config.sketch, &refs);
-        if mem::take(&mut self.escalate_next) {
-            merged.arm_escalation();
+        if engines.is_empty() {
+            return false;
         }
-        let stats = merged.force_refresh();
-        if stats.is_some() {
+        self.refreshes += 1;
+        let refs: Vec<&SketchEngine> = engines.iter().collect();
+        let refresh = self
+            .certifier
+            .refresh(self.config.sketch, &refs, dead, None);
+        if refresh.stats.is_some() {
             self.escalations += 1;
         }
-        // The merged engine's cold-start detector always sees a dead
-        // incumbent; only honour it when ours is dead too.
-        self.escalate_next = merged.escalation_armed() && dead;
-        self.merged_level = merged.level();
-        if let Some(pair) = merged.witness_pair().cloned().filter(|p| !p.is_empty()) {
+        if let Some(pair) = refresh.fresh {
             self.adopt_witness(pair);
         }
         for slot in &mut self.slots {
@@ -616,33 +570,18 @@ impl ClusterCore {
         true
     }
 
-    /// Adopts a fresh witness: rebuild the bitmaps and recount every
-    /// slot's replica against it.
+    /// Adopts a fresh witness and recounts every slot's replica against
+    /// it.
     fn adopt_witness(&mut self, pair: Pair) {
         let n = self.slots.iter().map(|s| s.n).max().unwrap_or(0) as usize;
-        self.in_s = vec![false; n];
-        self.in_t = vec![false; n];
-        for &u in pair.s() {
-            if (u as usize) < n {
-                self.in_s[u as usize] = true;
-            }
-        }
-        for &v in pair.t() {
-            if (v as usize) < n {
-                self.in_t[v as usize] = true;
-            }
-        }
+        self.witness.reset(n, Some(pair), std::iter::empty());
         for slot in &mut self.slots {
-            slot.hits = slot
+            let hits = slot
                 .replica
                 .iter()
-                .filter(|&&(u, v)| {
-                    self.in_s.get(u as usize).copied().unwrap_or(false)
-                        && self.in_t.get(v as usize).copied().unwrap_or(false)
-                })
-                .count() as u64;
+                .filter(|&&(u, v)| self.witness.contains(u, v));
+            slot.hits = hits.count() as u64;
         }
-        self.witness = Some(pair);
     }
 
     /// A worker signed off cleanly.

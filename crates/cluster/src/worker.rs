@@ -5,10 +5,8 @@
 //! every worker sees the same epoch boundaries, but applies only the
 //! events [`dds_shard::route_edge`] assigns to its slot — exactly the
 //! slice a shard inside a single-process
-//! [`dds_shard::ShardedEngine`] would own, applied with the same
-//! semantics (ids register even for no-ops, self-loops and duplicate
-//! inserts and absent deletes are ignored, an undersampled sketch
-//! rebuilds from the partition). Per epoch it ships a [`ShardDigest`]
+//! [`dds_shard::ShardedEngine`] would own, applied by the same
+//! [`dds_shard::Partition`]. Per epoch it ships a [`ShardDigest`]
 //! to the coordinator — absolute counters plus the retained-set *delta*
 //! since the last shipped epoch — and checkpoints itself through a
 //! [`DeltaTracker`] (`DDSD` base + delta frames).
@@ -44,8 +42,9 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dds_graph::VertexId;
-use dds_shard::route_edge;
-use dds_sketch::{SketchConfig, SketchEngine};
+pub use dds_shard::SliceTallies;
+use dds_shard::{route_edge, Partition};
+use dds_sketch::SketchConfig;
 use dds_stream::delta::{replay_chain_edges, DeltaChain, DeltaFrame, DeltaTracker};
 use dds_stream::snapshot::{SnapshotError, SnapshotKind, SnapshotReader, SnapshotWriter};
 use dds_stream::{follow_events, Batch, Event, FollowConfig, StreamError};
@@ -109,20 +108,6 @@ impl Default for WorkerOptions {
     }
 }
 
-/// Per-epoch slice tallies (events routed to this shard, including
-/// no-ops).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SliceTallies {
-    /// Events routed here this epoch.
-    pub events: u64,
-    /// Applied insertions.
-    pub inserts: u64,
-    /// Applied deletions.
-    pub deletes: u64,
-    /// No-ops (self-loops, duplicate inserts, absent deletes).
-    pub ignored: u64,
-}
-
 /// What one worker run did.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerSummary {
@@ -142,16 +127,13 @@ pub struct WorkerSummary {
     pub cursor: u64,
 }
 
-/// One shard partition's in-process state: the authoritative edge set,
-/// the sketch over it, and the digest diff baseline. Mirrors the shard
-/// semantics of [`dds_shard::ShardedEngine`] exactly — the cluster
-/// oracle holds both to the same stream and compares.
+/// One shard partition's in-process state: the [`Partition`] a
+/// [`dds_shard::ShardedEngine`] shard is built on, the epoch, and the
+/// digest diff baseline.
 #[derive(Debug)]
 pub struct WorkerState {
     config: WorkerConfig,
-    edges: HashSet<(VertexId, VertexId)>,
-    sketch: SketchEngine,
-    n: usize,
+    part: Partition,
     epoch: u64,
     last_sent: Option<HashSet<(VertexId, VertexId)>>,
 }
@@ -231,57 +213,26 @@ impl WorkerState {
         assert!(config.batch > 0, "batch size must be positive");
         WorkerState {
             config,
-            edges: HashSet::new(),
-            sketch: SketchEngine::new(config.sketch),
-            n: 0,
+            part: Partition::new(config.sketch),
             epoch: 0,
             last_sent: None,
         }
     }
 
     /// Applies one **global** batch: filters to this shard's slice with
-    /// the routing hash, applies with the exact shard semantics, runs
-    /// the undersample-rebuild recovery, and advances the epoch.
+    /// the routing hash, applies it to the partition, and advances the
+    /// epoch.
     pub fn apply_batch(&mut self, batch: &Batch) -> SliceTallies {
-        let mut t = SliceTallies::default();
         let (seed, shards, me) = (
             self.config.sketch.seed,
             self.config.shards,
             self.config.shard,
         );
-        for ev in &batch.events {
-            match ev.event {
-                Event::Insert(u, v) => {
-                    if route_edge(seed, u, v, shards) != me {
-                        continue;
-                    }
-                    t.events += 1;
-                    // Ids register even for no-ops, like `DynamicGraph`.
-                    self.n = self.n.max(u as usize + 1).max(v as usize + 1);
-                    if u == v || !self.edges.insert((u, v)) {
-                        t.ignored += 1;
-                        continue;
-                    }
-                    self.sketch.insert(u, v);
-                    t.inserts += 1;
-                }
-                Event::Delete(u, v) => {
-                    if route_edge(seed, u, v, shards) != me {
-                        continue;
-                    }
-                    t.events += 1;
-                    if !self.edges.remove(&(u, v)) {
-                        t.ignored += 1;
-                        continue;
-                    }
-                    self.sketch.delete(u, v);
-                    t.deletes += 1;
-                }
-            }
-        }
-        if self.sketch.is_undersampled() {
-            self.sketch.rebuild(self.edges.iter().copied());
-        }
+        let slice = batch.events.iter().map(|ev| &ev.event).filter(|ev| {
+            let (Event::Insert(u, v) | Event::Delete(u, v)) = **ev;
+            route_edge(seed, u, v, shards) == me
+        });
+        let t = self.part.apply(slice, |_| {});
         self.epoch += 1;
         t
     }
@@ -290,7 +241,7 @@ impl WorkerState {
     /// shipping anything — called when silent replay reaches the epoch
     /// the coordinator already holds.
     pub fn sync_baseline(&mut self) {
-        self.last_sent = Some(self.sketch.retained_edges().collect());
+        self.last_sent = Some(self.part.sketch().retained_edges().collect());
     }
 
     /// Builds this epoch's digest: absolute counters plus the retained
@@ -304,7 +255,8 @@ impl WorkerState {
         tail_bytes: u64,
         rebase: bool,
     ) -> ShardDigest {
-        let now: HashSet<(VertexId, VertexId)> = self.sketch.retained_edges().collect();
+        let sketch = self.part.sketch();
+        let now: HashSet<(VertexId, VertexId)> = sketch.retained_edges().collect();
         let (rebase, added, dropped) = match (&self.last_sent, rebase) {
             (Some(last), false) => (
                 false,
@@ -313,7 +265,7 @@ impl WorkerState {
             ),
             _ => (true, now.iter().copied().collect(), Vec::new()),
         };
-        let (out, inc) = self.sketch.degree_trackers();
+        let (out, inc) = sketch.degree_trackers();
         let digest = ShardDigest {
             shard: self.config.shard as u32,
             epoch: self.epoch,
@@ -322,14 +274,14 @@ impl WorkerState {
             inserts: t.inserts,
             deletes: t.deletes,
             ignored: t.ignored,
-            n: self.n as u64,
-            m: self.sketch.m(),
+            n: self.part.n() as u64,
+            m: sketch.m(),
             out_max: out.max(),
             out_mult: out.max_multiplicity(),
             in_max: inc.max(),
             in_mult: inc.max_multiplicity(),
-            level: self.sketch.level(),
-            mutations: self.sketch.sample_mutations(),
+            level: sketch.level(),
+            mutations: sketch.sample_mutations(),
             cursor,
             tail_bytes,
             added,
@@ -348,12 +300,12 @@ impl WorkerState {
     /// Live edge count of this partition.
     #[must_use]
     pub fn m(&self) -> u64 {
-        self.sketch.m()
+        self.part.m()
     }
 
     /// Iterates the authoritative partition edge set (arbitrary order).
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.edges.iter().copied()
+        self.part.edges()
     }
 
     /// Serializes the worker to a full checkpoint (kind
@@ -381,12 +333,12 @@ impl WorkerState {
         w.put_u64(self.config.sketch.seed);
         w.put_u64(self.config.sketch.state_bound as u64);
         w.put_u64(self.config.batch as u64);
-        w.put_u64(self.n as u64);
+        w.put_u64(self.part.n() as u64);
         w.put_u64(self.epoch);
-        w.put_u32(self.sketch.level());
-        w.put_u64(self.sketch.sample_mutations());
+        w.put_u32(self.part.sketch().level());
+        w.put_u64(self.part.sketch().sample_mutations());
         let mut edges: Vec<(VertexId, VertexId)> = if with_edges {
-            self.edges.iter().copied().collect()
+            self.part.edges().collect()
         } else {
             Vec::new()
         };
@@ -413,35 +365,25 @@ impl WorkerState {
     }
 
     fn from_parts(config: WorkerConfig, parts: WorkerSnapshotParts) -> Result<Self, SnapshotError> {
-        let mut edges = HashSet::with_capacity(parts.edges.len());
-        for &(u, v) in &parts.edges {
-            if u as usize >= parts.n || v as usize >= parts.n {
-                return Err(SnapshotError::Format(format!(
-                    "edge ({u}, {v}) beyond the stored vertex count {}",
-                    parts.n
-                )));
-            }
-            if u == v {
-                return Err(SnapshotError::Format(format!("self-loop ({u}, {v})")));
-            }
-            if route_edge(config.sketch.seed, u, v, config.shards) != config.shard {
-                return Err(SnapshotError::Format(format!(
-                    "edge ({u}, {v}) does not route to shard {}",
-                    config.shard
-                )));
-            }
-            if !edges.insert((u, v)) {
-                return Err(SnapshotError::Format(format!("duplicate edge ({u}, {v})")));
-            }
+        let routed_away = |&&(u, v): &&(VertexId, VertexId)| {
+            route_edge(config.sketch.seed, u, v, config.shards) != config.shard
+        };
+        if let Some(&(u, v)) = parts.edges.iter().find(routed_away) {
+            return Err(SnapshotError::Format(format!(
+                "edge ({u}, {v}) does not route to shard {}",
+                config.shard
+            )));
         }
-        let mut sketch =
-            SketchEngine::restore_at(config.sketch, parts.level, edges.iter().copied());
-        sketch.set_sample_mutations(parts.mutations);
+        let part = Partition::restore(
+            config.sketch,
+            parts.n,
+            parts.level,
+            parts.mutations,
+            parts.edges,
+        )?;
         Ok(WorkerState {
             config,
-            edges,
-            sketch,
-            n: parts.n,
+            part,
             epoch: parts.epoch,
             last_sent: None,
         })
@@ -747,7 +689,7 @@ mod tests {
         for e in &second.added {
             assert!(replica.insert(*e));
         }
-        let now: HashSet<(VertexId, VertexId)> = w.sketch.retained_edges().collect();
+        let now: HashSet<(VertexId, VertexId)> = w.part.sketch().retained_edges().collect();
         assert_eq!(replica, now);
         assert_eq!(second.m, w.m());
     }

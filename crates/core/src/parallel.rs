@@ -18,8 +18,7 @@
 //!   own nested base from the full graph, trading a little redundant
 //!   peeling for independence);
 //! * [`for_each_mut`] — the bare work queue itself, generic over mutable
-//!   items: `dds-shard` drives its edge-partitioned shards' batch applies
-//!   through it, and the two helpers above are thin wrappers over it.
+//!   items: the two helpers above are thin wrappers over it.
 //!
 //! Every helper here executes on the process-wide persistent
 //! [`WorkerPool`](crate::pool::WorkerPool) — no per-call thread spawns —

@@ -1,39 +1,30 @@
-//! The sharded engine: deterministic edge routing, parallel batch apply,
-//! merged certification, and snapshot/restore.
+//! The sharded engine: deterministic edge routing, one serial batch
+//! apply over the partitions, merged certification, and snapshot/restore.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
-use dds_core::{parallel, SolveStats};
+use dds_core::SolveStats;
 use dds_graph::{DiGraph, GraphBuilder, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{span, Counter, Gauge, Histogram, Registry, Tracer};
+use dds_sketch::certify::{
+    refresh_due, structural_upper, CertifiedBounds, MergedCertifier, WitnessTracker,
+};
 use dds_sketch::{MaxTracker, SketchConfig, SketchEngine};
 use dds_stream::delta::{replay_chain_edges, DeltaChain, DeltaFrame};
 use dds_stream::snapshot::{
     read_snapshot_file, write_snapshot_file, SnapshotError, SnapshotKind, SnapshotReader,
     SnapshotWriter,
 };
-use dds_stream::{denser_pair, Batch, CertifiedBounds, Event, TimedEvent};
+use dds_stream::{denser_pair, Batch, Event, TimedEvent};
 
-/// Relative inflation applied to the floating-point upper bound so
-/// rounding can never flip the certificate (same discipline as the other
-/// engines).
-const SAFETY: f64 = 1e-9;
-
-/// Pooled retained sets smaller than this still wait for a few mutations
-/// before refreshing (mirrors the standalone sketch policy).
-const DRIFT_FLOOR: usize = 32;
+use crate::partition::Partition;
 
 /// Configuration of a [`ShardedEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
-    /// Number of edge partitions `K`. Must be positive; 1 is the serial
-    /// baseline (same code path, no spawns).
+    /// Number of edge partitions `K`. Must be positive.
     pub shards: usize,
-    /// Worker threads for the parallel batch apply (capped at `shards`;
-    /// 1 applies inline). Must be positive.
-    pub threads: usize,
     /// Fraction of the pooled retained set that must have churned since
     /// the last merged refresh before one fires. Must be positive.
     pub refresh_drift: f64,
@@ -46,12 +37,11 @@ pub struct ShardConfig {
 }
 
 impl Default for ShardConfig {
-    /// 4 shards, 4 apply workers, the standalone sketch drift (0.25), and
-    /// the default sketch configuration.
+    /// 4 shards, the standalone sketch drift (0.25), and the default
+    /// sketch configuration.
     fn default() -> Self {
         ShardConfig {
             shards: 4,
-            threads: 4,
             refresh_drift: 0.25,
             sketch: SketchConfig::default(),
         }
@@ -73,7 +63,7 @@ pub struct ShardStats {
     pub escalations: u64,
     /// How many ran with the cold-start one-shot escalation armed.
     pub cold_escalations: u64,
-    /// Wall-clock spent in the (possibly parallel) batch applies.
+    /// Wall-clock spent in the batch applies.
     pub apply: Duration,
     /// Wall-clock spent certifying (counter merges, merged refreshes).
     pub certify: Duration,
@@ -117,90 +107,12 @@ pub struct ShardReport {
     /// Instrumentation of this epoch's escalated merged solve (`None` for
     /// unescalated refreshes and quiet epochs).
     pub solve_stats: Option<SolveStats>,
-    /// Wall-clock spent applying the batch (the parallel section).
+    /// Wall-clock spent applying the batch.
     pub apply: Duration,
     /// Wall-clock spent certifying the epoch.
     pub certify: Duration,
     /// Total wall-clock of this `apply` call.
     pub elapsed: Duration,
-}
-
-/// One edge partition: the authoritative edge set (turnstile dedup, the
-/// sample's rebuild source, snapshot payload) plus the shard's sketch.
-#[derive(Debug)]
-struct Shard {
-    edges: HashSet<(VertexId, VertexId)>,
-    sketch: SketchEngine,
-    n: usize,
-}
-
-/// What one shard's batch apply reports back to the engine.
-#[derive(Clone, Copy, Debug, Default)]
-struct ApplyOut {
-    inserts: usize,
-    deletes: usize,
-    ignored: usize,
-    witness_delta: i64,
-    n: usize,
-}
-
-impl Shard {
-    fn new(sketch: SketchConfig) -> Self {
-        Shard {
-            edges: HashSet::new(),
-            sketch: SketchEngine::new(sketch),
-            n: 0,
-        }
-    }
-
-    /// Applies this shard's slice of a batch: dedup against the partition,
-    /// forward applied mutations to the sketch, and track how many of the
-    /// incumbent witness's edges appeared/vanished (`in_s`/`in_t` are the
-    /// engine's read-only witness bitmaps — the witness only changes at
-    /// refresh time, never mid-apply).
-    fn apply(&mut self, events: &[TimedEvent], in_s: &[bool], in_t: &[bool]) -> ApplyOut {
-        let mut out = ApplyOut::default();
-        let in_witness = |u: VertexId, v: VertexId| {
-            in_s.get(u as usize).copied().unwrap_or(false)
-                && in_t.get(v as usize).copied().unwrap_or(false)
-        };
-        for ev in events {
-            match ev.event {
-                Event::Insert(u, v) => {
-                    // Ids register even for no-ops, like `DynamicGraph`.
-                    self.n = self.n.max(u as usize + 1).max(v as usize + 1);
-                    if u == v || !self.edges.insert((u, v)) {
-                        out.ignored += 1;
-                        continue;
-                    }
-                    self.sketch.insert(u, v);
-                    out.inserts += 1;
-                    if in_witness(u, v) {
-                        out.witness_delta += 1;
-                    }
-                }
-                Event::Delete(u, v) => {
-                    if !self.edges.remove(&(u, v)) {
-                        out.ignored += 1;
-                        continue;
-                    }
-                    self.sketch.delete(u, v);
-                    out.deletes += 1;
-                    if in_witness(u, v) {
-                        out.witness_delta -= 1;
-                    }
-                }
-            }
-        }
-        // A partition that shrank far below its peak leaves the sample
-        // over-thinned; the shard owns its authoritative edge set, so it
-        // recovers locally (no cross-shard coordination).
-        if self.sketch.is_undersampled() {
-            self.sketch.rebuild(self.edges.iter().copied());
-        }
-        out.n = self.n;
-        out
-    }
 }
 
 /// A decoded snapshot payload, identity not yet checked.
@@ -263,22 +175,16 @@ impl ShardSnapshotParts {
     }
 }
 
-/// Edge-partitioned parallel DDS maintenance (see the crate docs).
+/// Edge-partitioned DDS maintenance (see the crate docs).
 #[derive(Debug)]
 pub struct ShardedEngine {
     config: ShardConfig,
-    shards: Vec<Shard>,
-    n: usize,
+    parts: Vec<Partition>,
     /// The incumbent witness with its full-graph edge count maintained per
-    /// event (bitmaps sized to `n` at adoption).
-    witness: Option<Pair>,
-    in_s: Vec<bool>,
-    in_t: Vec<bool>,
-    witness_edges: u64,
-    /// Cold-start one-shot, carried across merged refreshes (each merge
-    /// starts a fresh [`SketchEngine`]).
-    escalate_next: bool,
-    merged_level: u32,
+    /// event.
+    witness: WitnessTracker,
+    /// The merged refresh with its carried one-shot escalation.
+    certifier: MergedCertifier,
     metrics: ShardMetrics,
     tracer: Tracer,
     /// Registry to re-home each merged refresh's fresh [`SketchEngine`]
@@ -369,25 +275,19 @@ impl ShardedEngine {
     /// A fresh engine over an empty graph.
     ///
     /// # Panics
-    /// Panics on zero shards, zero threads, or non-positive drift (the
-    /// sketch config's own invariants are checked by the shards).
+    /// Panics on zero shards or non-positive drift (the sketch config's
+    /// own invariants are checked by the partitions).
     #[must_use]
     pub fn new(config: ShardConfig) -> Self {
         assert!(config.shards > 0, "need at least one shard");
-        assert!(config.threads > 0, "need at least one apply worker");
         assert!(config.refresh_drift > 0.0, "refresh drift must be positive");
         ShardedEngine {
-            shards: (0..config.shards)
-                .map(|_| Shard::new(config.sketch))
+            parts: (0..config.shards)
+                .map(|_| Partition::new(config.sketch))
                 .collect(),
             config,
-            n: 0,
-            witness: None,
-            in_s: Vec::new(),
-            in_t: Vec::new(),
-            witness_edges: 0,
-            escalate_next: false,
-            merged_level: 0,
+            witness: WitnessTracker::default(),
+            certifier: MergedCertifier::default(),
             metrics: ShardMetrics::default(),
             tracer: Tracer::detached(),
             obs: None,
@@ -405,8 +305,8 @@ impl ShardedEngine {
     /// histograms.
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.metrics.attach(registry);
-        for shard in &mut self.shards {
-            shard.sketch.attach_obs(registry);
+        for part in &mut self.parts {
+            part.attach_obs(registry);
         }
         self.obs = Some(registry.clone());
     }
@@ -421,63 +321,50 @@ impl ShardedEngine {
     /// Which shard owns the edge `u → v` (deterministic, seed-keyed).
     #[must_use]
     pub fn shard_of(&self, u: VertexId, v: VertexId) -> usize {
-        (route_hash(self.config.sketch.seed, u, v) % self.config.shards as u64) as usize
+        route_edge(self.config.sketch.seed, u, v, self.config.shards)
     }
 
-    /// Applies one batch — partition by the edge router, apply the slices
-    /// across the work-queue workers, then certify the epoch globally
-    /// (summed counters; a merged-sketch refresh when the pooled drift
-    /// policy asks for one).
+    /// Applies one batch — route each event to its partition, apply the
+    /// partitions in one serial pass (the witness count follows every
+    /// applied mutation), then certify the epoch globally (summed
+    /// counters; a merged-sketch refresh when the pooled drift policy
+    /// asks for one).
     pub fn apply(&mut self, batch: &Batch) -> ShardReport {
         let start = Instant::now();
         let mut span = span!(self.tracer, "shard.apply");
-        let shards_n = self.config.shards;
-        let mut parts: Vec<Vec<TimedEvent>> = vec![Vec::new(); shards_n];
+        let mut slices: Vec<Vec<&Event>> = vec![Vec::new(); self.config.shards];
         for ev in &batch.events {
-            let (u, v) = match ev.event {
-                Event::Insert(u, v) | Event::Delete(u, v) => (u, v),
-            };
-            parts[(route_hash(self.config.sketch.seed, u, v) % shards_n as u64) as usize].push(*ev);
+            let (Event::Insert(u, v) | Event::Delete(u, v)) = ev.event;
+            slices[self.shard_of(u, v)].push(&ev.event);
         }
-        let workers = self.config.threads.min(shards_n);
-        let (shards, in_s, in_t) = (&mut self.shards, &self.in_s, &self.in_t);
-        let outs = parallel::for_each_mut(shards, workers, |i, shard| {
-            shard.apply(&parts[i], in_s, in_t)
-        });
+        let (mut inserts, mut deletes, mut ignored) = (0u64, 0u64, 0u64);
+        let witness = &mut self.witness;
+        for (part, slice) in self.parts.iter_mut().zip(slices) {
+            let t = part.apply(slice, |ev| match *ev {
+                Event::Insert(u, v) => witness.on_insert(u, v),
+                Event::Delete(u, v) => witness.on_delete(u, v),
+            });
+            inserts += t.inserts;
+            deletes += t.deletes;
+            ignored += t.ignored;
+        }
         let apply = start.elapsed();
         self.apply_wall += apply;
         self.metrics.apply_latency.observe(apply);
-
-        let (mut inserts, mut deletes, mut ignored) = (0usize, 0usize, 0usize);
-        let mut witness_delta = 0i64;
-        for out in &outs {
-            inserts += out.inserts;
-            deletes += out.deletes;
-            ignored += out.ignored;
-            witness_delta += out.witness_delta;
-            self.n = self.n.max(out.n);
-        }
-        self.witness_edges = self
-            .witness_edges
-            .checked_add_signed(witness_delta)
-            .expect("witness edge count underflow");
         self.metrics.epochs.inc();
         let epoch = self.metrics.epochs.get();
-        self.metrics.inserts.add(inserts as u64);
-        self.metrics.deletes.add(deletes as u64);
-        self.metrics.ignored.add(ignored as u64);
+        self.metrics.inserts.add(inserts);
+        self.metrics.deletes.add(deletes);
+        self.metrics.ignored.add(ignored);
 
         let certify_start = Instant::now();
         let refreshed = self.needs_refresh();
-        let (solve_stats, merged_level) = if refreshed {
-            let (stats, level) = self.refresh_merged();
-            (stats, Some(level))
+        let solve_stats = if refreshed {
+            self.refresh_merged()
         } else {
-            (None, None)
+            None
         };
-        let density = self.witness_density();
-        let lower = density.to_f64();
-        let upper = self.structural_upper();
+        let bounds = self.bounds();
         let certify = certify_start.elapsed();
         self.certify_wall += certify;
         self.metrics.certify_latency.observe(certify);
@@ -495,24 +382,18 @@ impl ShardedEngine {
         ShardReport {
             epoch,
             events: batch.events.len(),
-            inserts,
-            deletes,
-            ignored,
-            n: self.n,
+            inserts: inserts as usize,
+            deletes: deletes as usize,
+            ignored: ignored as usize,
+            n: self.n(),
             m: self.m(),
             retained: self.retained(),
             refreshed,
-            merged_level,
-            density,
-            lower,
-            upper,
-            certified_factor: if lower > 0.0 {
-                upper / lower
-            } else if upper > 0.0 {
-                f64::INFINITY
-            } else {
-                1.0
-            },
+            merged_level: refreshed.then(|| self.certifier.level()),
+            density: bounds.lower,
+            lower: bounds.lower.to_f64(),
+            upper: bounds.upper,
+            certified_factor: bounds.certified_factor(),
             solve_stats,
             apply,
             certify,
@@ -520,72 +401,56 @@ impl ShardedEngine {
         }
     }
 
-    /// Whether the pooled drift policy wants a merged refresh now
-    /// (mirrors the standalone sketch policy over the summed state).
+    /// Whether the pooled drift policy wants a merged refresh now (the
+    /// shared [`refresh_due`] rule over the summed state).
     fn needs_refresh(&self) -> bool {
-        let retained = self.retained();
-        if retained == 0 {
-            return false;
-        }
-        if self.witness.is_none() || self.witness_density().is_zero() {
-            return true;
-        }
-        let mutations: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.sketch.sample_mutations())
-            .sum();
-        mutations as f64 >= self.config.refresh_drift * (retained.max(DRIFT_FLOOR) as f64)
+        let mutations = self.parts.iter().map(|p| p.sketch().sample_mutations());
+        refresh_due(
+            self.retained(),
+            self.witness.is_dead(),
+            mutations.sum(),
+            self.config.refresh_drift,
+        )
     }
 
-    /// Runs a merged refresh now: union the shard sketches at the maximum
-    /// shard level, run the two-tier solve of the merged sample, and keep
-    /// the denser of the fresh pair and the incumbent witness measured on
-    /// the full graph. The merged engine is **fresh every time** (cold
-    /// solver context): the sample is small, so warmth buys little, and
-    /// history-independence is what makes a restored engine resume
-    /// bit-identically.
-    fn refresh_merged(&mut self) -> (Option<SolveStats>, u32) {
+    /// Runs a merged refresh now ([`MergedCertifier::refresh`] over the
+    /// partition sketches) and keeps the denser of the fresh pair and the
+    /// incumbent witness, measured on the full graph.
+    fn refresh_merged(&mut self) -> Option<SolveStats> {
         let timer = self.metrics.merge_latency.timer();
         let mut span = span!(self.tracer, "shard.merge");
         self.metrics.refreshes.inc();
-        let incumbent_dead = self.witness.is_none() || self.witness_density().is_zero();
-        let parts: Vec<&SketchEngine> = self.shards.iter().map(|s| &s.sketch).collect();
-        let mut merged = SketchEngine::merged(self.config.sketch, &parts);
-        if let Some(registry) = &self.obs {
-            merged.attach_obs(registry);
-        }
-        if std::mem::take(&mut self.escalate_next) {
-            merged.arm_escalation();
+        let sketches: Vec<&SketchEngine> = self.parts.iter().map(Partition::sketch).collect();
+        let refresh = self.certifier.refresh(
+            self.config.sketch,
+            &sketches,
+            self.witness.is_dead(),
+            self.obs.as_ref(),
+        );
+        if refresh.cold {
             self.metrics.cold_escalations.inc();
         }
-        let stats = merged.force_refresh();
-        if let Some(stats) = stats {
+        if let Some(stats) = refresh.stats {
             self.metrics.escalations.inc();
             self.solve_totals.merge(stats);
         }
-        // The merged engine's cold-start detector always sees a dead
-        // incumbent (it is freshly built); only honour it when the
-        // *sharded* engine's incumbent is dead too.
-        self.escalate_next = merged.escalation_armed() && incumbent_dead;
-        self.merged_level = merged.level();
-        let fresh = merged.witness_pair().cloned().filter(|p| !p.is_empty());
-        let pair = match (fresh, self.witness.take()) {
-            (Some(a), Some(b)) => Some(denser_pair(self.n, self.edges(), a, b)),
+        let pair = match (refresh.fresh, self.witness.pair().cloned()) {
+            (Some(a), Some(b)) => Some(denser_pair(self.n(), self.edges(), a, b)),
             (a, b) => a.or(b),
         };
         self.adopt_witness(pair);
-        for shard in &mut self.shards {
-            shard.sketch.set_sample_mutations(0);
+        for part in &mut self.parts {
+            part.reset_drift();
         }
+        let level = u64::from(self.certifier.level());
         if let Some(g) = &self.metrics.merged_level {
-            g.set(u64::from(self.merged_level));
+            g.set(level);
         }
-        span.record("level", u64::from(self.merged_level));
-        span.record_flag("escalated", stats.is_some());
+        span.record("level", level);
+        span.record_flag("escalated", refresh.stats.is_some());
         span.close();
         timer.stop();
-        (stats, self.merged_level)
+        refresh.stats
     }
 
     /// Forces a merged refresh regardless of the drift policy and returns
@@ -595,96 +460,55 @@ impl ShardedEngine {
         self.bounds()
     }
 
-    /// Adopts `pair` (or clears), rebuilding the bitmaps and recounting
-    /// its live edges across every shard.
+    /// Adopts `pair` (or clears), recounting its live edges across every
+    /// partition.
     fn adopt_witness(&mut self, pair: Option<Pair>) {
-        self.in_s = vec![false; self.n];
-        self.in_t = vec![false; self.n];
-        self.witness_edges = 0;
-        if let Some(pair) = &pair {
-            for &u in pair.s() {
-                self.in_s[u as usize] = true;
-            }
-            for &v in pair.t() {
-                self.in_t[v as usize] = true;
-            }
-            let (in_s, in_t) = (&self.in_s, &self.in_t);
-            self.witness_edges = self
-                .shards
-                .iter()
-                .flat_map(|s| s.edges.iter())
-                .filter(|&&(u, v)| in_s[u as usize] && in_t[v as usize])
-                .count() as u64;
-        }
-        self.witness = pair;
+        let n = self.n();
+        let edges = self.parts.iter().flat_map(Partition::edges);
+        self.witness.reset(n, pair, edges);
     }
 
-    /// Exact density of the incumbent witness on the full graph
-    /// ([`Density::ZERO`] before the first refresh).
+    /// The current certified bracket `lower ≤ ρ_opt ≤ upper`: the
+    /// witness's exact density on the full graph, and the structural
+    /// bound over the **summed** partition counters. Degrees sum across
+    /// partitions (they are disjoint), so the bound is the exact
+    /// full-graph one.
     #[must_use]
-    pub fn witness_density(&self) -> Density {
-        match &self.witness {
-            Some(pair) if !pair.is_empty() => Density::new(
-                self.witness_edges,
-                pair.s().len() as u64,
-                pair.t().len() as u64,
-            ),
-            _ => Density::ZERO,
-        }
-    }
-
-    /// The structural upper bound from the **summed** shard counters:
-    /// `min(√m, √(d⁺_max · d⁻_max))`, safety-inflated. Degrees sum across
-    /// shards (disjoint partition), so this is the exact full-graph bound.
-    #[must_use]
-    pub fn structural_upper(&self) -> f64 {
-        let m = self.m();
-        if m == 0 {
-            return 0.0;
-        }
-        let mut out = MaxTracker::default();
-        let mut inc = MaxTracker::default();
-        for shard in &self.shards {
-            let (o, i) = shard.sketch.degree_trackers();
+    pub fn bounds(&self) -> CertifiedBounds {
+        let (mut out, mut inc) = (MaxTracker::default(), MaxTracker::default());
+        for part in &self.parts {
+            let (o, i) = part.sketch().degree_trackers();
             out.merge(o);
             inc.merge(i);
         }
-        let sqrt_m = (m as f64).sqrt();
-        let degree = ((out.max() as f64) * (inc.max() as f64)).sqrt();
-        sqrt_m.min(degree) * (1.0 + SAFETY)
-    }
-
-    /// The current certified bracket `lower ≤ ρ_opt ≤ upper`.
-    #[must_use]
-    pub fn bounds(&self) -> CertifiedBounds {
         CertifiedBounds {
-            lower: self.witness_density(),
-            upper: self.structural_upper(),
+            lower: self.witness.density(),
+            upper: structural_upper(self.m(), out.max(), inc.max()),
         }
     }
 
     /// The incumbent witness pair, if a refresh has produced one.
     #[must_use]
     pub fn witness(&self) -> Option<&Pair> {
-        self.witness.as_ref()
+        self.witness.pair()
     }
 
-    /// Live edge count, summed over shards.
+    /// Live edge count, summed over partitions.
     #[must_use]
     pub fn m(&self) -> u64 {
-        self.shards.iter().map(|s| s.edges.len() as u64).sum()
+        self.parts.iter().map(Partition::m).sum()
     }
 
     /// Vertex count (one past the largest id seen).
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.parts.iter().map(Partition::n).max().unwrap_or(0)
     }
 
-    /// Retained (sampled) edges, summed over shards.
+    /// Retained (sampled) edges, summed over partitions.
     #[must_use]
     pub fn retained(&self) -> usize {
-        self.shards.iter().map(|s| s.sketch.retained()).sum()
+        self.parts.iter().map(|p| p.sketch().retained()).sum()
     }
 
     /// Number of batches applied so far.
@@ -707,20 +531,20 @@ impl ShardedEngine {
 
     /// Iterates the full live edge set (arbitrary order, shard by shard).
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.shards.iter().flat_map(|s| s.edges.iter().copied())
+        self.parts.iter().flat_map(Partition::edges)
     }
 
     /// The per-shard sketches, in shard order — what a merged refresh
     /// unions, exposed so differential oracles can compare the union
     /// against a single engine over the whole stream.
     pub fn shard_sketches(&self) -> Vec<&SketchEngine> {
-        self.shards.iter().map(|s| &s.sketch).collect()
+        self.parts.iter().map(Partition::sketch).collect()
     }
 
     /// Freezes the full graph into the CSR form the static solvers use.
     #[must_use]
     pub fn materialize(&self) -> DiGraph {
-        let mut b = GraphBuilder::with_min_vertices(self.n);
+        let mut b = GraphBuilder::with_min_vertices(self.n());
         for (u, v) in self.edges() {
             b.add_edge(u, v);
         }
@@ -732,8 +556,8 @@ impl ShardedEngine {
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             retained: self.retained(),
-            levels: self.shards.iter().map(|s| s.sketch.level()).collect(),
-            merged_level: self.merged_level,
+            levels: self.parts.iter().map(|p| p.sketch().level()).collect(),
+            merged_level: self.certifier.level(),
             refreshes: self.metrics.refreshes.get(),
             escalations: self.metrics.escalations.get(),
             cold_escalations: self.metrics.cold_escalations.get(),
@@ -774,7 +598,7 @@ impl ShardedEngine {
         w.put_u32(self.config.shards as u32);
         w.put_u64(self.config.sketch.seed);
         w.put_u64(self.config.sketch.state_bound as u64);
-        w.put_u64(self.n as u64);
+        w.put_u64(self.n() as u64);
         w.put_u64(self.metrics.epochs.get());
         w.put_u64(self.metrics.refreshes.get());
         w.put_u64(self.metrics.escalations.get());
@@ -782,11 +606,11 @@ impl ShardedEngine {
         w.put_u64(self.metrics.inserts.get());
         w.put_u64(self.metrics.deletes.get());
         w.put_u64(self.metrics.ignored.get());
-        w.put_u32(self.merged_level);
-        w.put_u8(u8::from(self.escalate_next));
-        for shard in &self.shards {
-            w.put_u32(shard.sketch.level());
-            w.put_u64(shard.sketch.sample_mutations());
+        w.put_u32(self.certifier.level());
+        w.put_u8(u8::from(self.certifier.armed()));
+        for part in &self.parts {
+            w.put_u32(part.sketch().level());
+            w.put_u64(part.sketch().sample_mutations());
         }
         let mut edges: Vec<(VertexId, VertexId)> = if with_edges {
             self.edges().collect()
@@ -794,7 +618,7 @@ impl ShardedEngine {
             Vec::new()
         };
         w.put_edges(&mut edges);
-        w.put_pair(self.witness.as_ref());
+        w.put_pair(self.witness.pair());
         w.finish()
     }
 
@@ -924,7 +748,6 @@ impl ShardedEngine {
     /// Builds an engine from decoded (and identity-checked) parts.
     fn from_parts(config: ShardConfig, parts: ShardSnapshotParts) -> Result<Self, SnapshotError> {
         let ShardSnapshotParts {
-            shards,
             n,
             epoch,
             refreshes,
@@ -941,13 +764,8 @@ impl ShardedEngine {
             ..
         } = parts;
         // Untrusted ids must be range-checked against the stored vertex
-        // count before anything sizes a bitmap to it — a flipped byte
-        // must be a Format error, not an index panic.
-        if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u.max(v) as usize >= n) {
-            return Err(SnapshotError::Format(format!(
-                "edge {u} -> {v} is beyond the stored vertex count {n}"
-            )));
-        }
+        // count (the partitions check their edges) — a flipped byte must
+        // be a Format error, not a bogus witness.
         if let Some(pair) = &witness {
             if let Some(&id) = pair
                 .s()
@@ -961,36 +779,19 @@ impl ShardedEngine {
             }
         }
         let mut engine = ShardedEngine::new(config);
-        // Re-partition with the router, then rebuild every shard's state
-        // deterministically from its partition at the stored level.
-        let mut parts: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); shards];
+        // Re-partition with the router, then rebuild every partition's
+        // state deterministically from its edges at the stored level.
+        let mut slices: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); config.shards];
         for &(u, v) in &edges {
-            if u == v {
-                return Err(SnapshotError::Format(format!("self-loop {u} -> {u}")));
-            }
-            parts[engine.shard_of(u, v)].push((u, v));
+            slices[engine.shard_of(u, v)].push((u, v));
         }
-        for (shard, (part, &(level, mutations))) in engine
-            .shards
-            .iter_mut()
-            .zip(parts.into_iter().zip(levels.iter()))
-        {
-            let before = part.len();
-            shard.edges = part.iter().copied().collect();
-            if shard.edges.len() != before {
-                return Err(SnapshotError::Format(
-                    "duplicate edge in snapshot".to_string(),
-                ));
-            }
-            shard.n = part
-                .iter()
-                .map(|&(u, v)| (u.max(v) as usize) + 1)
-                .max()
-                .unwrap_or(0);
-            shard.sketch = SketchEngine::restore_at(config.sketch, level, part);
-            shard.sketch.set_sample_mutations(mutations);
-        }
-        engine.n = n;
+        engine.parts = slices
+            .into_iter()
+            .zip(levels)
+            .map(|(slice, (level, mutations))| {
+                Partition::restore(config.sketch, n, level, mutations, slice)
+            })
+            .collect::<Result<_, _>>()?;
         engine.metrics.epochs.store(epoch);
         engine.metrics.refreshes.store(refreshes);
         engine.metrics.escalations.store(escalations);
@@ -998,8 +799,7 @@ impl ShardedEngine {
         engine.metrics.inserts.store(inserts);
         engine.metrics.deletes.store(deletes);
         engine.metrics.ignored.store(ignored);
-        engine.merged_level = merged_level;
-        engine.escalate_next = escalate_next;
+        engine.certifier = MergedCertifier::restore(escalate_next, merged_level);
         engine.adopt_witness(witness);
         Ok(engine)
     }
@@ -1056,7 +856,6 @@ mod tests {
     fn config(shards: usize) -> ShardConfig {
         ShardConfig {
             shards,
-            threads: shards,
             sketch: SketchConfig {
                 state_bound: 64,
                 ..SketchConfig::default()
@@ -1166,7 +965,6 @@ mod tests {
     fn per_shard_state_bounds_hold() {
         let mut engine = ShardedEngine::new(ShardConfig {
             shards: 4,
-            threads: 2,
             sketch: SketchConfig {
                 state_bound: 16,
                 ..SketchConfig::default()
@@ -1177,7 +975,7 @@ mod tests {
         for chunk in edges.chunks(50) {
             insert_all(&mut engine, chunk);
             assert!(
-                engine.shards.iter().all(|s| s.sketch.retained() <= 16),
+                engine.parts.iter().all(|p| p.sketch().retained() <= 16),
                 "a shard broke its state bound"
             );
         }
@@ -1201,7 +999,7 @@ mod tests {
         assert_eq!(restored.n(), engine.n());
         assert_eq!(restored.epoch(), engine.epoch());
         assert_eq!(restored.witness(), engine.witness());
-        assert_eq!(restored.witness_edges, engine.witness_edges);
+        assert_eq!(restored.witness.edges(), engine.witness.edges());
         let (a, b) = (engine.bounds(), restored.bounds());
         assert_eq!(a.lower, b.lower);
         assert_eq!(a.upper.to_bits(), b.upper.to_bits());

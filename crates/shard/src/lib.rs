@@ -1,24 +1,26 @@
-//! Edge-partitioned parallel DDS ingestion: hash-sharded counters and
-//! sketches, batch applies spread over a work queue, and globally
-//! certified density brackets recovered by **merging** the shard state —
-//! plus snapshot/restore, so the whole thing runs as a restartable
-//! serving loop (`dds shard`, `dds stream --follow`).
+//! Edge-partitioned DDS ingestion: hash-routed partitions with their own
+//! counters and sketches, and globally certified density brackets
+//! recovered by **merging** the partition state — plus snapshot/restore,
+//! so the whole thing runs as a restartable serving loop (`dds shard`,
+//! `dds stream --follow`).
 //!
 //! # Why sharding works here
 //!
 //! A [`ShardedEngine`] routes every edge to one of `K` shards by a
-//! deterministic hash of the edge alone, so the same edge always lands on
-//! the same shard and each shard owns a *disjoint partition* of the live
-//! edge set. Per shard, the state is exactly what one
-//! [`dds_sketch::SketchEngine`] keeps: the authoritative partition (for
-//! turnstile dedup and sample rebuilds), exact `O(1)` counters (live `m`,
-//! count-of-counts degree maxima), and the subsampled retained set at the
-//! shard's own level — all of it updated by that shard alone, which is
-//! what makes batch applies embarrassingly parallel
-//! ([`dds_core::parallel::for_each_mut`] drives them through the same
-//! work-queue discipline as the exact solver's ratio intervals).
+//! deterministic hash of the edge alone ([`route_edge`]), so the same
+//! edge always lands on the same shard and each shard owns a *disjoint
+//! partition* of the live edge set. A [`Partition`] holds it: the
+//! authoritative edge set (for turnstile dedup and sample rebuilds), and
+//! the [`dds_sketch::SketchEngine`] over it with exact `O(1)` counters
+//! (live `m`, count-of-counts degree maxima) and the subsampled retained
+//! set at the partition's own level. A batch apply routes each event to
+//! its partition and applies the partitions in one serial pass; each
+//! slice ends with one undersample check. The `dds-cluster` worker
+//! processes are built on the same [`Partition`], so an out-of-process
+//! shard applies exactly the slice rule of an in-process one.
 //!
-//! Global certification then needs two merges, both exact:
+//! Global certification then needs two merges, both exact, and runs
+//! through the shared rule of [`dds_sketch::certify`]:
 //!
 //! * **counters sum** — the partition is disjoint, so a vertex's global
 //!   degree is the sum of its per-shard degrees
@@ -31,17 +33,19 @@
 //!   retained set a single engine at level `L` would hold over the whole
 //!   graph ([`dds_sketch::SketchEngine::merged`]; property-tested against
 //!   a single engine in `tests/tests/shard_oracle.rs`). The merged sample
-//!   is refreshed with the same two-tier solve the sketch tier runs
-//!   everywhere else — core sweep of the sample, escalated to
-//!   exact-on-sketch when the sweep's own bracket is loose — and the
-//!   winning pair is adopted only if it beats the incumbent witness
-//!   *measured on the full graph* ([`dds_stream::denser_pair`]).
+//!   is refreshed by [`dds_sketch::certify::MergedCertifier`] with the
+//!   same two-tier solve the sketch tier runs everywhere else — core
+//!   sweep of the sample, escalated to exact-on-sketch when the sweep's
+//!   own bracket is loose — and the winning pair is adopted only if it
+//!   beats the incumbent witness *measured on the full graph*
+//!   ([`dds_stream::denser_pair`]).
 //!
 //! The certified bracket per epoch is therefore the familiar one: lower =
 //! the witness pair's exact density on the full graph (maintained per
 //! event, across shards), upper = the structural bound from the summed
-//! counters. Refreshes are drift-triggered, pooling the shards' retained-
-//! set churn exactly like the standalone sketch policy.
+//! counters. Refreshes are drift-triggered
+//! ([`dds_sketch::certify::refresh_due`]), pooling the shards'
+//! retained-set churn exactly like the standalone sketch policy.
 //!
 //! # Restartability
 //!
@@ -61,5 +65,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod partition;
 
 pub use engine::{replay_sharded, route_edge, ShardConfig, ShardReport, ShardStats, ShardedEngine};
+pub use partition::{Partition, SliceTallies};

@@ -9,17 +9,9 @@ use dds_graph::{DiGraph, GraphBuilder, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{Counter, Gauge, Histogram, Registry};
 
+use crate::certify::{refresh_due, structural_upper, CertifiedBounds, WitnessTracker};
 use crate::maxtrack::MaxTracker;
 use crate::sample::SampleStore;
-
-/// Relative inflation applied to the floating-point upper bound so
-/// rounding can never flip the certificate (same discipline as
-/// `dds-stream`'s drift bounds).
-const SAFETY: f64 = 1e-9;
-
-/// Retained sets smaller than this still wait for a few mutations before
-/// refreshing — otherwise tiny sketches would re-solve on every event.
-const DRIFT_FLOOR: usize = 32;
 
 /// The cold-start degradation threshold: a sweep-first refresh whose
 /// certified lower bound lands within this fraction of the bottom of the
@@ -108,7 +100,7 @@ pub struct SketchStats {
     /// How many refreshes ran with a **one-shot escalation** armed by the
     /// cold-start degradation detector (a sweep-first refresh that left
     /// the bracket pinned at the structural bound with no surviving
-    /// incumbent — see [`SketchEngine::escalation_armed`]).
+    /// incumbent — see [`SketchEngine::force_refresh`]).
     pub cold_escalations: u64,
     /// Full rebuilds from the authoritative edge set (the
     /// [`SketchEngine::is_undersampled`] recovery path).
@@ -183,13 +175,9 @@ pub struct SketchEngine {
     m: u64,
     out_deg: MaxTracker,
     in_deg: MaxTracker,
-    /// Witness of the last exact-on-sketch solve, with its retained edge
-    /// count maintained per event (membership bitmaps sized to `n` at
-    /// adoption time).
-    witness: Option<Pair>,
-    in_s: Vec<bool>,
-    in_t: Vec<bool>,
-    witness_edges: u64,
+    /// Witness of the last refresh, with its retained edge count
+    /// maintained per event.
+    witness: WitnessTracker,
     /// Retained-set changes (inserts, deletes, subsample drops) since the
     /// last refresh — the standalone refresh trigger.
     mutations: u64,
@@ -282,10 +270,7 @@ impl SketchEngine {
             m: 0,
             out_deg: MaxTracker::default(),
             in_deg: MaxTracker::default(),
-            witness: None,
-            in_s: Vec::new(),
-            in_t: Vec::new(),
-            witness_edges: 0,
+            witness: WitnessTracker::default(),
             mutations: 0,
             escalate_once: false,
             ctx: SolveContext::new(),
@@ -380,11 +365,6 @@ impl SketchEngine {
         engine
     }
 
-    fn witness_contains(&self, u: VertexId, v: VertexId) -> bool {
-        self.in_s.get(u as usize).copied().unwrap_or(false)
-            && self.in_t.get(v as usize).copied().unwrap_or(false)
-    }
-
     /// Ingests an **applied** insertion (see the crate docs' turnstile
     /// contract): `O(1)` counters always, retained-set admission by the
     /// deterministic hash, subsampling when the state bound is hit.
@@ -397,9 +377,7 @@ impl SketchEngine {
         self.ev_inserts += 1;
         if self.sample.try_insert(u, v) {
             self.mutations += 1;
-            if self.witness_contains(u, v) {
-                self.witness_edges += 1;
-            }
+            self.witness.on_insert(u, v);
             self.enforce_state_bound();
             self.peak_retained = self.peak_retained.max(self.sample.len());
         }
@@ -421,9 +399,7 @@ impl SketchEngine {
         self.ev_deletes += 1;
         if self.sample.remove(u, v) {
             self.mutations += 1;
-            if self.witness_contains(u, v) {
-                self.witness_edges -= 1;
-            }
+            self.witness.on_delete(u, v);
         }
     }
 
@@ -435,9 +411,7 @@ impl SketchEngine {
             self.epoch_subsamples += 1;
             for (u, v) in self.sample.raise_level() {
                 self.mutations += 1;
-                if self.witness_contains(u, v) {
-                    self.witness_edges -= 1;
-                }
+                self.witness.on_delete(u, v);
             }
         }
     }
@@ -455,9 +429,7 @@ impl SketchEngine {
         self.epoch_subsamples += 1;
         for (u, v) in self.sample.raise_to(level) {
             self.mutations += 1;
-            if self.witness_contains(u, v) {
-                self.witness_edges -= 1;
-            }
+            self.witness.on_delete(u, v);
         }
     }
 
@@ -489,10 +461,7 @@ impl SketchEngine {
         self.m = 0;
         self.out_deg.clear();
         self.in_deg.clear();
-        self.witness = None;
-        self.in_s.clear();
-        self.in_t.clear();
-        self.witness_edges = 0;
+        self.witness = WitnessTracker::default();
         self.mutations = 0;
         // Histogram edges by the deepest level still admitting them, then
         // walk levels up from 0 until the admitted count fits the bound
@@ -527,14 +496,12 @@ impl SketchEngine {
 
     /// Whether the standalone refresh policy wants a solve now.
     fn needs_refresh(&self) -> bool {
-        if self.sample.is_empty() {
-            return false;
-        }
-        if self.witness.is_none() || self.witness_density().is_zero() {
-            return true; // retained edges exist but no live witness
-        }
-        self.mutations as f64
-            >= self.config.refresh_drift * (self.sample.len().max(DRIFT_FLOOR) as f64)
+        refresh_due(
+            self.sample.len(),
+            self.witness.is_dead(),
+            self.mutations,
+            self.config.refresh_drift,
+        )
     }
 
     /// Runs a refresh now — the two-tier scheme on the **materialised
@@ -552,7 +519,7 @@ impl SketchEngine {
     /// bracket sufficed).
     pub fn force_refresh(&mut self) -> Option<SolveStats> {
         let timer = self.metrics.refresh_latency.timer();
-        let incumbent_dead = self.witness.is_none() || self.witness_density().is_zero();
+        let incumbent_dead = self.witness.is_dead();
         let g = self.materialize();
         self.metrics.refreshes.inc();
         self.metrics
@@ -604,19 +571,7 @@ impl SketchEngine {
     }
 
     fn adopt_witness(&mut self, pair: Option<Pair>, h: &DiGraph) {
-        self.in_s = vec![false; self.n];
-        self.in_t = vec![false; self.n];
-        self.witness_edges = 0;
-        if let Some(pair) = &pair {
-            for &u in pair.s() {
-                self.in_s[u as usize] = true;
-            }
-            for &v in pair.t() {
-                self.in_t[v as usize] = true;
-            }
-            self.witness_edges = pair.edges_between(h);
-        }
-        self.witness = pair;
+        self.witness.reset(self.n, pair, h.edges());
     }
 
     /// Closes one reporting epoch: runs the standalone refresh policy and
@@ -646,13 +601,11 @@ impl SketchEngine {
             upper,
             estimate: self.estimate(),
             loss: self.loss_epsilon(),
-            certified_factor: if lower > 0.0 {
-                upper / lower
-            } else if upper > 0.0 {
-                f64::INFINITY
-            } else {
-                1.0
-            },
+            certified_factor: CertifiedBounds {
+                lower: density,
+                upper,
+            }
+            .certified_factor(),
             solve_stats: if refreshed {
                 self.last_solve_stats
             } else {
@@ -673,26 +626,14 @@ impl SketchEngine {
     /// the first refresh or after the witness decays away).
     #[must_use]
     pub fn witness_density(&self) -> Density {
-        match &self.witness {
-            Some(pair) if !pair.is_empty() => Density::new(
-                self.witness_edges,
-                pair.s().len() as u64,
-                pair.t().len() as u64,
-            ),
-            _ => Density::ZERO,
-        }
+        self.witness.density()
     }
 
-    /// Certified upper bound on the true optimum from the exact counters:
-    /// `min(√m, √(d⁺_max · d⁻_max))`, safety-inflated.
+    /// Certified upper bound on the true optimum from the exact counters
+    /// ([`structural_upper`]).
     #[must_use]
     pub fn certified_upper(&self) -> f64 {
-        if self.m == 0 {
-            return 0.0;
-        }
-        let sqrt_m = (self.m as f64).sqrt();
-        let degree = ((self.out_deg.max() as f64) * (self.in_deg.max() as f64)).sqrt();
-        sqrt_m.min(degree) * (1.0 + SAFETY)
+        structural_upper(self.m, self.out_deg.max(), self.in_deg.max())
     }
 
     /// The scaled point estimate `ρ_H(witness) · 2^level` of the witness
@@ -710,10 +651,11 @@ impl SketchEngine {
         if self.sample.level() == 0 {
             return 0.0;
         }
-        if self.witness_edges == 0 {
+        let k = self.witness.edges();
+        if k == 0 {
             return f64::INFINITY;
         }
-        (3.0 * (2.0 / self.config.delta).ln() / (self.witness_edges as f64)).sqrt()
+        (3.0 * (2.0 / self.config.delta).ln() / (k as f64)).sqrt()
     }
 
     /// Freezes the retained subgraph into the CSR form the solvers use
@@ -730,7 +672,7 @@ impl SketchEngine {
     /// The maintained witness pair, if a refresh has produced one.
     #[must_use]
     pub fn witness_pair(&self) -> Option<&Pair> {
-        self.witness.as_ref()
+        self.witness.pair()
     }
 
     /// Lifetime counters in one struct (the report-plumbing form).
@@ -792,7 +734,7 @@ impl SketchEngine {
     /// Retained-set changes (inserts, deletes, subsample drops) since the
     /// last refresh — the standalone drift trigger, exposed so embedding
     /// engines that pool several sketches (`dds-shard`) can run the same
-    /// policy over the summed drift.
+    /// [`refresh_due`] rule over the summed drift.
     #[must_use]
     pub fn sample_mutations(&self) -> u64 {
         self.mutations
@@ -809,15 +751,16 @@ impl SketchEngine {
     /// Whether the cold-start detector has armed a one-shot escalation
     /// for the next refresh (see [`SketchStats::cold_escalations`]).
     #[must_use]
-    pub fn escalation_armed(&self) -> bool {
+    pub(crate) fn escalation_armed(&self) -> bool {
         self.escalate_once
     }
 
     /// Arms a one-shot escalation by hand: the next refresh runs with
     /// `escalate_factor` forced to 1, then the configured factor applies
-    /// again. The sharded engine uses this to carry an armed escalation
-    /// across merged sketches (each merge starts a fresh engine).
-    pub fn arm_escalation(&mut self) {
+    /// again. [`MergedCertifier`](crate::certify::MergedCertifier) uses
+    /// this to carry an armed escalation across merged sketches (each
+    /// merge starts a fresh engine).
+    pub(crate) fn arm_escalation(&mut self) {
         self.escalate_once = true;
     }
 

@@ -30,6 +30,10 @@
 //! Total state: `O(n + state_bound)` — sublinear in `m` whenever it
 //! matters.
 //!
+//! The certification rule itself — witness tracker, structural bound,
+//! factor rule, drift trigger, merged refresh — lives in [`certify`], the
+//! one copy every tier above this crate calls.
+//!
 //! # The certified bracket, and what is only estimated
 //!
 //! Let `H ⊆ G` be the retained subgraph. Two bounds hold **always**,
@@ -87,6 +91,7 @@
 
 #![warn(missing_docs)]
 
+pub mod certify;
 mod engine;
 mod maxtrack;
 mod sample;

@@ -86,11 +86,6 @@ impl SampleStore {
         self.retained.len()
     }
 
-    /// Whether nothing is retained.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.retained.is_empty()
-    }
-
     /// Iterates the retained edges (arbitrary order).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.retained.iter().copied()

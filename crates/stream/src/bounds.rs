@@ -1,11 +1,11 @@
 //! Incremental certified bounds on the current optimum density.
 //!
-//! See the crate docs for the upper bounds and their proofs. Two reusable
-//! pieces live here alongside [`BoundTracker`] (the grow-mostly engine's
-//! state), because the window engine certifies with the same ingredients:
+//! See the crate docs for the upper bounds and their proofs. The lower
+//! bound, the structural upper bound and the factor rule are the shared
+//! ones of [`dds_sketch::certify`]. Two reusable pieces live here
+//! alongside [`BoundTracker`] (the grow-mostly engine's state), because
+//! the window engine certifies with the same drift ingredients:
 //!
-//! * [`WitnessState`] — an `(S, T)` pair with its live edge count
-//!   maintained per event, giving an exact lower bound in `O(1)`;
 //! * [`DeltaDrift`] — the **delta graph** (edges inserted since the last
 //!   certification and still present) with exact degree maxima `aΔ`/`bΔ`
 //!   (deleting an edge that postdates the certification refunds its
@@ -27,106 +27,10 @@ use std::collections::HashSet;
 
 use dds_graph::{Pair, VertexId};
 use dds_num::Density;
+use dds_sketch::certify::{structural_upper, CertifiedBounds, WitnessTracker, SAFETY};
 use dds_sketch::MaxTracker;
 
 use crate::state::DynamicGraph;
-
-/// Relative inflation applied to every floating-point upper bound so
-/// rounding can never flip a certificate.
-pub(crate) const SAFETY: f64 = 1e-9;
-
-/// A certified bracket around the current optimum density `ρ_opt`:
-/// `lower ≤ ρ_opt ≤ upper`.
-#[derive(Clone, Copy, Debug)]
-pub struct CertifiedBounds {
-    /// Exact density of the maintained witness pair (a real pair of the
-    /// current graph, so never above the optimum).
-    pub lower: Density,
-    /// Certified upper bound on the optimum (carries a `1e-9` relative
-    /// float-safety margin).
-    pub upper: f64,
-}
-
-impl CertifiedBounds {
-    /// `upper / lower` — the proven approximation factor of the reported
-    /// density. `f64::INFINITY` when the witness is empty but edges exist.
-    #[must_use]
-    pub fn certified_factor(&self) -> f64 {
-        let lo = self.lower.to_f64();
-        if lo > 0.0 {
-            self.upper / lo
-        } else if self.upper > 0.0 {
-            f64::INFINITY
-        } else {
-            1.0
-        }
-    }
-}
-
-/// A fixed `(S, T)` pair with its live `E(S, T)` maintained per event: an
-/// exact, `O(1)`-per-update lower bound on the current optimum.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WitnessState {
-    pair: Option<Pair>,
-    in_s: Vec<bool>,
-    in_t: Vec<bool>,
-    edges: u64,
-}
-
-impl WitnessState {
-    fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        self.in_s.get(u as usize).copied().unwrap_or(false)
-            && self.in_t.get(v as usize).copied().unwrap_or(false)
-    }
-
-    /// Records an applied insertion.
-    pub(crate) fn on_insert(&mut self, u: VertexId, v: VertexId) {
-        if self.contains(u, v) {
-            self.edges += 1;
-        }
-    }
-
-    /// Records an applied deletion.
-    pub(crate) fn on_delete(&mut self, u: VertexId, v: VertexId) {
-        if self.contains(u, v) {
-            self.edges -= 1;
-        }
-    }
-
-    /// Adopts `pair` (or clears on `None`), recounting its live edges on
-    /// the current graph.
-    pub(crate) fn reset(&mut self, g: &DynamicGraph, pair: Option<Pair>) {
-        self.in_s = vec![false; g.n()];
-        self.in_t = vec![false; g.n()];
-        self.edges = 0;
-        if let Some(pair) = &pair {
-            for &u in pair.s() {
-                self.in_s[u as usize] = true;
-            }
-            for &v in pair.t() {
-                self.in_t[v as usize] = true;
-            }
-            self.edges = g.edges().filter(|&(u, v)| self.contains(u, v)).count() as u64;
-        }
-        self.pair = pair;
-    }
-
-    /// The maintained pair, if any.
-    pub(crate) fn pair(&self) -> Option<&Pair> {
-        self.pair.as_ref()
-    }
-
-    /// Exact density of the maintained pair on the current graph
-    /// ([`Density::ZERO`] when no pair is held or a side is empty).
-    pub(crate) fn density(&self) -> Density {
-        match &self.pair {
-            Some(pair) if !pair.is_empty() => {
-                Density::new(self.edges, pair.s().len() as u64, pair.t().len() as u64)
-            }
-            _ => Density::ZERO,
-        }
-    }
-}
 
 /// The delta graph: edges inserted since the last certification and still
 /// present, with exact per-side degree maxima (see module docs).
@@ -243,20 +147,6 @@ impl CertEdges {
     }
 }
 
-/// The structural upper bound that needs no certification history:
-/// `min(sqrt(m), sqrt(d⁺_max · d⁻_max))` on the current graph, safety-
-/// inflated. This is also what the sketch tier anchors `ρ₁` to after an
-/// exact-on-sketch resolve (which certifies a lower bound, never an upper).
-pub(crate) fn structural_upper(g: &DynamicGraph) -> f64 {
-    let m = g.m();
-    if m == 0 {
-        return 0.0;
-    }
-    let sqrt_m = (m as f64).sqrt();
-    let degree = ((g.max_out_degree() as f64) * (g.max_in_degree() as f64)).sqrt();
-    sqrt_m.min(degree) * (1.0 + SAFETY)
-}
-
 /// Certified upper bound on the current optimum given `rho_cert` (a
 /// certified upper bound at the last certification) and the drift since:
 /// the minimum of four independently valid bounds (crate docs prove each):
@@ -270,17 +160,15 @@ pub(crate) fn structural_upper(g: &DynamicGraph) -> f64 {
 ///    AM–GM as the delta) and post-certification inserts
 ///    (`E_Δ ≤ q·sqrt(aΔ·bΔ)`). The `aC·bC` arm refunds pre-certification
 ///    deletions/expiries, which the frozen `ρ₁` cannot;
-/// 3. `sqrt(m)` on the current graph;
-/// 4. `sqrt(d⁺_max · d⁻_max)` on the current graph (exact maxima).
+/// 3. and 4. the structural `min(sqrt(m), sqrt(d⁺_max · d⁻_max))` on the
+///    current graph ([`structural_upper`]), which is 0 on an edgeless
+///    graph.
 pub(crate) fn certified_upper(
     g: &DynamicGraph,
     rho_cert: f64,
     drift: &DeltaDrift,
     cert: &CertEdges,
 ) -> f64 {
-    if g.m() == 0 {
-        return 0.0;
-    }
     let k = drift.len() as f64;
     let crossing = 0.5 * (rho_cert + (rho_cert * rho_cert + 4.0 * k).sqrt());
     let (a, b) = drift.degree_maxima();
@@ -288,9 +176,8 @@ pub(crate) fn certified_upper(
     let (ac, bc) = cert.degree_maxima();
     let surviving = ((ac as f64) * (bc as f64)).sqrt();
     let delta_deg = rho_cert.min(surviving) + delta;
-    let sqrt_m = (g.m() as f64).sqrt();
-    let degree = ((g.max_out_degree() as f64) * (g.max_in_degree() as f64)).sqrt();
-    crossing.min(delta_deg).min(sqrt_m).min(degree) * (1.0 + SAFETY)
+    let structural = structural_upper(g.m() as u64, g.max_out_degree(), g.max_in_degree());
+    (crossing.min(delta_deg) * (1.0 + SAFETY)).min(structural)
 }
 
 /// The certification band both engines share, before their gap factor:
@@ -312,7 +199,7 @@ pub(crate) struct BoundTracker {
     gap_at_solve: f64,
     drift: DeltaDrift,
     cert: CertEdges,
-    witness: WitnessState,
+    witness: WitnessTracker,
 }
 
 impl BoundTracker {
@@ -348,7 +235,7 @@ impl BoundTracker {
         self.drift.clear();
         self.cert.reset(g);
         self.rho_at_solve = rho_upper * (1.0 + SAFETY);
-        self.witness.reset(g, witness);
+        self.witness.reset(g.n(), witness, g.edges());
         let bounds = self.bounds(g);
         self.gap_at_solve = bounds.certified_factor().max(1.0);
     }
@@ -406,9 +293,9 @@ impl BoundTracker {
             gap_at_solve,
             drift,
             cert: CertEdges::restore(cert_edges),
-            witness: WitnessState::default(),
+            witness: WitnessTracker::default(),
         };
-        tracker.witness.reset(g, witness);
+        tracker.witness.reset(g.n(), witness, g.edges());
         tracker
     }
 
@@ -443,7 +330,7 @@ impl BoundTracker {
         let degree = ((g.max_out_degree() as f64) * (g.max_in_degree() as f64)).sqrt();
         format!(
             "rho1={rho:.4} k={k} cross={crossing:.4} aD={a} bD={b} aC={ac} bC={bc} ddeg={delta_deg:.4} sqrtm={sqrt_m:.4} deg={degree:.4} wE={}",
-            self.witness.edges
+            self.witness.edges()
         )
     }
 }

@@ -7,9 +7,10 @@ use dds_core::{core_approx, parallel, DcExact, ExactOptions, SolveContext, Solve
 use dds_graph::{DiGraph, Pair};
 use dds_num::Density;
 use dds_obs::{span, Counter, Gauge, Histogram, Registry, Tracer};
+use dds_sketch::certify::{structural_upper, CertifiedBounds};
 use dds_sketch::{SketchConfig, SketchEngine, SketchStats};
 
-use crate::bounds::{structural_upper, BoundTracker, CertifiedBounds};
+use crate::bounds::BoundTracker;
 use crate::events::{Batch, Event, TimedEvent};
 use crate::snapshot::{SnapshotError, SnapshotKind, SnapshotReader, SnapshotWriter};
 use crate::state::DynamicGraph;
@@ -408,7 +409,9 @@ impl StreamEngine {
             let (pair, stats) = sketch_tier_refresh(sk, &self.state, incumbent);
             self.last_solve_stats = stats;
             self.metrics.sketch_resolves.inc();
-            (pair, structural_upper(&self.state))
+            let s = &self.state;
+            let upper = structural_upper(s.m() as u64, s.max_out_degree(), s.max_in_degree());
+            (pair, upper)
         } else {
             let g = self.state.materialize();
             match self.config.solver {

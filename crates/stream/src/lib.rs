@@ -124,7 +124,7 @@ mod state;
 mod window;
 mod witness;
 
-pub use bounds::CertifiedBounds;
+pub use dds_sketch::certify::CertifiedBounds;
 pub use engine::{
     batch_slices, replay, BatchBy, EpochReport, SketchTier, SolverKind, StreamConfig, StreamEngine,
 };

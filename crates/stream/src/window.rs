@@ -43,13 +43,11 @@ use dds_core::{core_approx, parallel, DcExact, ExactOptions, SolveContext, Solve
 use dds_graph::{DiGraph, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{span, Counter, Gauge, Histogram, Registry, Tracer};
+use dds_sketch::certify::{structural_upper, CertifiedBounds, WitnessTracker, SAFETY};
 use dds_sketch::{SketchEngine, SketchStats};
 use dds_xycore::DecrementalCore;
 
-use crate::bounds::{
-    certification_band, certified_upper, structural_upper, CertEdges, CertifiedBounds, DeltaDrift,
-    WitnessState, SAFETY,
-};
+use crate::bounds::{certification_band, certified_upper, CertEdges, DeltaDrift};
 use crate::engine::{batch_slices, sketch_tier_refresh, BatchBy, SketchTier};
 use crate::events::{Batch, Event, TimedEvent};
 use crate::state::DynamicGraph;
@@ -193,7 +191,7 @@ pub struct WindowEngine {
     live_since: HashMap<(VertexId, VertexId), u64>,
     now: u64,
     core: Option<DecrementalCore>,
-    witness: WitnessState,
+    witness: WitnessTracker,
     drift: DeltaDrift,
     /// The certified graph's surviving edges: refunds pre-certification
     /// expiries in the upper bound (see [`crate::bounds::CertEdges`]).
@@ -289,7 +287,7 @@ impl WindowEngine {
             live_since: HashMap::new(),
             now: 0,
             core: None,
-            witness: WitnessState::default(),
+            witness: WitnessTracker::default(),
             drift: DeltaDrift::default(),
             cert: CertEdges::default(),
             rho_at_cert: 0.0,
@@ -515,7 +513,7 @@ impl WindowEngine {
             DecrementalCore::from_mask(&g, approx.x, approx.y, approx.solution.pair.to_mask(g.n()))
         });
         self.rho_at_cert = approx.upper_bound * (1.0 + SAFETY);
-        self.witness.reset(&self.state, None);
+        self.witness.reset(self.state.n(), None, self.state.edges());
         self.drift.clear();
         self.cert.reset(&self.state);
         self.last_solve_stats = None;
@@ -541,7 +539,7 @@ impl WindowEngine {
                 self.last_solve_stats = Some(report.stats());
                 self.rho_at_cert = report.solution.density.to_f64() * (1.0 + SAFETY);
                 let pair = (!report.solution.pair.is_empty()).then_some(report.solution.pair);
-                self.witness.reset(&self.state, pair);
+                self.witness.reset(self.state.n(), pair, self.state.edges());
                 self.metrics.exact_solves.inc();
                 self.last_escalation = Some(self.now);
                 mode = WindowMode::ExactResolve;
@@ -564,7 +562,7 @@ impl WindowEngine {
 
     /// The sketch tier's re-certification: exact-on-sketch witness as the
     /// full-graph lower bound (its true live edge count is recounted and
-    /// then maintained per event by [`WitnessState`]), structural upper,
+    /// then maintained per event by [`WitnessTracker`]), structural upper,
     /// no decremental core, no full-graph pass.
     fn sketch_refresh(&mut self) -> WindowMode {
         let sk = self.sketch.as_mut().expect("tier implies a sketch");
@@ -574,8 +572,9 @@ impl WindowEngine {
         self.metrics.refreshes.inc();
         self.metrics.sketch_refreshes.inc();
         self.core = None;
-        self.rho_at_cert = structural_upper(&self.state);
-        self.witness.reset(&self.state, pair);
+        let s = &self.state;
+        self.rho_at_cert = structural_upper(s.m() as u64, s.max_out_degree(), s.max_in_degree());
+        self.witness.reset(s.n(), pair, s.edges());
         self.drift.clear();
         self.cert.reset(&self.state);
         let bounds = self.bounds();

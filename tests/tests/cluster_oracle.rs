@@ -176,7 +176,6 @@ fn tcp_coordinator_matches_the_in_process_core() {
         .collect();
     let mut sharded = ShardedEngine::new(ShardConfig {
         shards: SHARDS,
-        threads: 1,
         refresh_drift: 0.25,
         sketch: config.sketch,
     });

@@ -109,7 +109,6 @@ fn snapshot_restore_replay_keeps_counter_values() {
     let half = (events.len() / 2) / 100 * 100;
     let config = ShardConfig {
         shards: 3,
-        threads: 1,
         sketch: SketchConfig {
             state_bound: 300,
             ..SketchConfig::default()

@@ -62,7 +62,6 @@ fn check_sharded_epochs(
     };
     let mut engine = ShardedEngine::new(ShardConfig {
         shards,
-        threads: shards,
         sketch: sketch_config,
         ..ShardConfig::default()
     });
@@ -184,7 +183,6 @@ proptest! {
     ) {
         let config = ShardConfig {
             shards,
-            threads: shards,
             sketch: SketchConfig { state_bound: 12, ..SketchConfig::default() },
             ..ShardConfig::default()
         };
