@@ -375,11 +375,7 @@ fn cmd_exact<'a>(
             ctx.attach_obs(reg);
             dds_core::WorkerPool::global().attach_obs(reg);
         }
-        if threads > 1 {
-            parallel::dc_exact_parallel_with(&mut ctx, &g, opts, threads)
-        } else {
-            DcExact::with_options(opts).solve_with(&mut ctx, &g)
-        }
+        parallel::dc_exact_parallel_with(&mut ctx, &g, opts, threads)
     };
     write_solution(out, &report.solution)?;
     write_solve_totals(out, "solve totals", &report.stats())?;

@@ -70,20 +70,16 @@ impl ClusterMetrics {
 
     /// Rebinds every cell into `registry`, carrying values over.
     pub fn attach_obs(&mut self, registry: &Registry) {
-        let counter = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        counter(&mut self.epochs, "dds_cluster_epochs_total");
-        counter(&mut self.degraded, "dds_cluster_degraded_total");
-        counter(&mut self.digest_bytes, "dds_cluster_digest_bytes_total");
-        counter(&mut self.refreshes, "dds_cluster_refreshes_total");
-        counter(&mut self.escalations, "dds_cluster_escalations_total");
-        for (k, old) in self.shard_lag.iter_mut().enumerate() {
-            let new = registry.gauge(&format!("dds_cluster_shard_lag_epochs_{k}"));
-            new.set(old.get());
-            *old = new;
+        self.epochs.rehome(registry, "dds_cluster_epochs_total");
+        self.degraded.rehome(registry, "dds_cluster_degraded_total");
+        self.digest_bytes
+            .rehome(registry, "dds_cluster_digest_bytes_total");
+        self.refreshes
+            .rehome(registry, "dds_cluster_refreshes_total");
+        self.escalations
+            .rehome(registry, "dds_cluster_escalations_total");
+        for (k, lag) in self.shard_lag.iter_mut().enumerate() {
+            lag.rehome(registry, &format!("dds_cluster_shard_lag_epochs_{k}"));
         }
     }
 }

@@ -78,23 +78,17 @@ impl Clone for ExactMetrics {
 
 impl ExactMetrics {
     fn attach(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.solves, "dds_exact_solves_total");
-        transfer(&mut self.ratios_solved, "dds_exact_ratios_solved_total");
-        transfer(
-            &mut self.ratios_pruned_tie,
-            "dds_exact_ratios_pruned_tie_total",
-        );
-        transfer(&mut self.flow_decisions, "dds_exact_flow_decisions_total");
-        transfer(
-            &mut self.arena_reuse_hits,
-            "dds_exact_arena_reuse_hits_total",
-        );
-        transfer(&mut self.core_cache_hits, "dds_exact_core_cache_hits_total");
+        self.solves.rehome(registry, "dds_exact_solves_total");
+        self.ratios_solved
+            .rehome(registry, "dds_exact_ratios_solved_total");
+        self.ratios_pruned_tie
+            .rehome(registry, "dds_exact_ratios_pruned_tie_total");
+        self.flow_decisions
+            .rehome(registry, "dds_exact_flow_decisions_total");
+        self.arena_reuse_hits
+            .rehome(registry, "dds_exact_arena_reuse_hits_total");
+        self.core_cache_hits
+            .rehome(registry, "dds_exact_core_cache_hits_total");
     }
 
     pub(crate) fn record(&self, report: &ExactReport) {

@@ -44,10 +44,9 @@ use crate::{DdsSolution, ExactOptions, ExactReport, GridPeel, SolveContext};
 /// workers claim the next unclaimed index, so an uneven workload never
 /// idles a worker while items remain). Results come back in item order.
 /// With `threads == 1` (or a single item) everything runs inline on the
-/// caller's thread — no tasks, no locks on the hot path — which is what
-/// makes this usable as the *only* apply path of `dds-shard`'s
-/// edge-partitioned engine: `K = 1` is the serial baseline, not a
-/// separate code path.
+/// caller's thread — no tasks, no locks on the hot path — so the serial
+/// run of [`grid_peel_parallel`] and [`core_approx_parallel`] is the same
+/// code path, not a separate one.
 ///
 /// # Panics
 /// Panics if `threads == 0`, or if `f` panics on any worker.
@@ -102,8 +101,9 @@ pub fn dc_exact_parallel(g: &DiGraph, threads: usize) -> ExactReport {
 }
 
 /// Parallel exact solve on a reusable [`SolveContext`] with explicit
-/// options — the full-control entry point (the stream engine and the
-/// benchmarks use it).
+/// options — the full-control entry point. The stream and window engines,
+/// `dds exact` and the benchmarks call it at every thread count: with
+/// `threads == 1` it is exactly [`DcExact::solve_with`](crate::DcExact::solve_with).
 ///
 /// # Panics
 /// Panics if `threads == 0`.

@@ -317,14 +317,9 @@ impl WorkerPool {
     /// (the same contract as `SolveContext::attach_obs`).
     pub fn attach_obs(&self, registry: &Registry) {
         let mut obs = self.inner.obs.lock().expect("obs poisoned");
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut obs.tasks, "dds_pool_tasks_total");
-        transfer(&mut obs.steals, "dds_pool_steals_total");
-        transfer(&mut obs.parks, "dds_pool_parks_total");
+        obs.tasks.rehome(registry, "dds_pool_tasks_total");
+        obs.steals.rehome(registry, "dds_pool_steals_total");
+        obs.parks.rehome(registry, "dds_pool_parks_total");
     }
 
     /// Runs `f` with a [`PoolScope`] through which it can spawn borrowing

@@ -91,6 +91,16 @@ impl Counter {
     pub fn store(&self, value: u64) {
         self.cell.store(value, Ordering::Relaxed);
     }
+
+    /// Re-homes this handle into `registry` under `name`: the value
+    /// counted so far is added to the registered counter (which other
+    /// handles may share, so per-shard counts sum), and the handle then
+    /// points at it.
+    pub fn rehome(&mut self, registry: &Registry, name: &str) {
+        let registered = registry.counter(name);
+        registered.add(self.get());
+        *self = registered;
+    }
 }
 
 /// A point-in-time value (one relaxed atomic, set at fold points).
@@ -140,6 +150,14 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
+
+    /// Re-homes this handle into `registry` under `name`, carrying the
+    /// current value over.
+    pub fn rehome(&mut self, registry: &Registry, name: &str) {
+        let registered = registry.gauge(name);
+        registered.set(self.get());
+        *self = registered;
+    }
 }
 
 /// The staleness/lag gauge family (`dds_lag_*`): how far a serving
@@ -169,15 +187,13 @@ impl LagGauges {
     /// Re-homes the handles into `registry` under the `dds_lag_*` names,
     /// carrying the current values over.
     pub fn attach_obs(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Gauge, name: &str| {
-            let new = registry.gauge(name);
-            new.set(old.get());
-            *old = new;
-        };
-        transfer(&mut self.snapshot_age_epochs, "dds_lag_snapshot_age_epochs");
-        transfer(&mut self.tail_bytes, "dds_lag_tail_bytes");
-        transfer(&mut self.seal_publish_us, "dds_lag_seal_publish_us");
-        transfer(&mut self.follow_idle_ms, "dds_lag_follow_idle_ms");
+        self.snapshot_age_epochs
+            .rehome(registry, "dds_lag_snapshot_age_epochs");
+        self.tail_bytes.rehome(registry, "dds_lag_tail_bytes");
+        self.seal_publish_us
+            .rehome(registry, "dds_lag_seal_publish_us");
+        self.follow_idle_ms
+            .rehome(registry, "dds_lag_follow_idle_ms");
     }
 }
 

@@ -82,22 +82,14 @@ impl ServeMetrics {
     /// Re-homes the counters into `registry` (transferring accumulated
     /// counts) and arms the latency histograms.
     pub fn attach_obs(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.queries, "dds_serve_queries_total");
-        transfer(&mut self.query_errors, "dds_serve_query_errors_total");
-        transfer(&mut self.connections, "dds_serve_connections_total");
-        transfer(&mut self.publishes, "dds_serve_publish_total");
-        let regauge = |old: &mut Gauge, name: &str| {
-            let new = registry.gauge(name);
-            new.set(old.get());
-            *old = new;
-        };
-        regauge(&mut self.readers, "dds_serve_readers");
-        regauge(&mut self.readers_busy, "dds_serve_readers_busy");
+        self.queries.rehome(registry, "dds_serve_queries_total");
+        self.query_errors
+            .rehome(registry, "dds_serve_query_errors_total");
+        self.connections
+            .rehome(registry, "dds_serve_connections_total");
+        self.publishes.rehome(registry, "dds_serve_publish_total");
+        self.readers.rehome(registry, "dds_serve_readers");
+        self.readers_busy.rehome(registry, "dds_serve_readers_busy");
         self.lag.attach_obs(registry);
         self.query_latency = registry.histogram("dds_serve_query_latency_us");
         self.publish_latency = registry.histogram("dds_serve_publish_latency_us");

@@ -11,7 +11,6 @@ use dds_sketch::certify::{
     refresh_due, structural_upper, CertifiedBounds, MergedCertifier, WitnessTracker,
 };
 use dds_sketch::{MaxTracker, SketchConfig, SketchEngine};
-use dds_stream::delta::{replay_chain_edges, DeltaChain, DeltaFrame};
 use dds_stream::snapshot::{
     read_snapshot_file, write_snapshot_file, SnapshotError, SnapshotKind, SnapshotReader,
     SnapshotWriter,
@@ -220,21 +219,15 @@ struct ShardMetrics {
 
 impl ShardMetrics {
     fn attach(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.epochs, "dds_shard_epochs_total");
-        transfer(&mut self.refreshes, "dds_shard_refreshes_total");
-        transfer(&mut self.escalations, "dds_shard_escalations_total");
-        transfer(
-            &mut self.cold_escalations,
-            "dds_shard_cold_escalations_total",
-        );
-        transfer(&mut self.inserts, "dds_shard_inserts_total");
-        transfer(&mut self.deletes, "dds_shard_deletes_total");
-        transfer(&mut self.ignored, "dds_shard_ignored_total");
+        self.epochs.rehome(registry, "dds_shard_epochs_total");
+        self.refreshes.rehome(registry, "dds_shard_refreshes_total");
+        self.escalations
+            .rehome(registry, "dds_shard_escalations_total");
+        self.cold_escalations
+            .rehome(registry, "dds_shard_cold_escalations_total");
+        self.inserts.rehome(registry, "dds_shard_inserts_total");
+        self.deletes.rehome(registry, "dds_shard_deletes_total");
+        self.ignored.rehome(registry, "dds_shard_ignored_total");
         self.retained = Some(registry.gauge("dds_shard_retained"));
         self.merged_level = Some(registry.gauge("dds_shard_merged_level"));
         self.edges = Some(registry.gauge("dds_shard_edges"));
@@ -581,19 +574,6 @@ impl ShardedEngine {
     /// a follow loop should resume from.
     #[must_use]
     pub fn snapshot(&self, cursor: u64) -> Vec<u8> {
-        self.encode_snapshot(cursor, true)
-    }
-
-    /// The snapshot **meta** payload: [`ShardedEngine::snapshot`] with an
-    /// empty edge list — everything a restore needs besides the edge set.
-    /// This is what rides inside a `DDSD` delta frame, whose edge diffs
-    /// reconstruct the set the meta omits.
-    #[must_use]
-    pub fn snapshot_meta(&self, cursor: u64) -> Vec<u8> {
-        self.encode_snapshot(cursor, false)
-    }
-
-    fn encode_snapshot(&self, cursor: u64, with_edges: bool) -> Vec<u8> {
         let mut w = SnapshotWriter::new(SnapshotKind::Shard, cursor);
         w.put_u32(self.config.shards as u32);
         w.put_u64(self.config.sketch.seed);
@@ -612,11 +592,7 @@ impl ShardedEngine {
             w.put_u32(part.sketch().level());
             w.put_u64(part.sketch().sample_mutations());
         }
-        let mut edges: Vec<(VertexId, VertexId)> = if with_edges {
-            self.edges().collect()
-        } else {
-            Vec::new()
-        };
+        let mut edges: Vec<(VertexId, VertexId)> = self.edges().collect();
         w.put_edges(&mut edges);
         w.put_pair(self.witness.pair());
         w.finish()
@@ -635,56 +611,6 @@ impl ShardedEngine {
         let (parts, cursor) = Self::decode_parts(bytes)?;
         parts.check_identity(config)?;
         Ok((Self::from_parts(config, parts)?, cursor))
-    }
-
-    /// Reconstructs an engine from a **delta checkpoint chain**: the base
-    /// snapshot plus consecutive `DDSD` frames ([`dds_stream::delta`]).
-    /// The edge diffs replay over the base edge set; the last adopted
-    /// frame's embedded meta supplies everything else, so the result is
-    /// bit-identical to restoring a full snapshot taken at that epoch.
-    /// Returns the engine and the final checkpoint's stream cursor.
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Format`] on malformed bytes, an identity
-    /// mismatch, or a broken chain (diff or epoch linkage).
-    pub fn restore_chain(
-        config: ShardConfig,
-        base: &[u8],
-        frames: &[DeltaFrame],
-    ) -> Result<(Self, u64), SnapshotError> {
-        let (base_parts, base_cursor) = Self::decode_parts(base)?;
-        base_parts.check_identity(config)?;
-        let (edges, adopted, _) = replay_chain_edges(
-            base_parts.epoch,
-            base_cursor,
-            base_parts.edges.clone(),
-            frames,
-        )?;
-        if adopted == 0 {
-            return Ok((Self::from_parts(config, base_parts)?, base_cursor));
-        }
-        let (mut parts, cursor) = Self::decode_parts(&frames[adopted - 1].meta)?;
-        parts.check_identity(config)?;
-        if !parts.edges.is_empty() {
-            return Err(SnapshotError::Format(
-                "delta frame meta must carry an empty edge list".to_string(),
-            ));
-        }
-        parts.edges = edges;
-        Ok((Self::from_parts(config, parts)?, cursor))
-    }
-
-    /// Loads a delta checkpoint chain from disk ([`DeltaChain`]) and
-    /// [`ShardedEngine::restore_chain`]s from it.
-    ///
-    /// # Errors
-    /// Propagates read and format errors.
-    pub fn restore_chain_from(
-        config: ShardConfig,
-        chain: &DeltaChain,
-    ) -> Result<(Self, u64), SnapshotError> {
-        let (base, frames) = chain.load(SnapshotKind::Shard)?;
-        ShardedEngine::restore_chain(config, &base, &frames)
     }
 
     /// Decodes a snapshot payload into its parts without building an
@@ -1105,55 +1031,6 @@ mod tests {
         let err = ShardedEngine::restore(other, &bytes).unwrap_err();
         assert!(err.to_string().contains("state bound"), "{err}");
         assert!(ShardedEngine::restore(config(3), b"junk").is_err());
-    }
-
-    /// The delta-chain restore must land bit-identically on the state a
-    /// full snapshot at the same epoch would produce — the property that
-    /// lets `dds-cluster` workers checkpoint diffs instead of blobs.
-    #[test]
-    fn restore_chain_matches_restore_full() {
-        use dds_stream::delta::DeltaTracker;
-        let g = gen::planted(40, 160, 5, 5, 1.0, 17).graph;
-        let all: Vec<(u32, u32)> = g.edges().collect();
-        let cfg = config(3);
-        let mut engine = ShardedEngine::new(cfg);
-        let base = std::env::temp_dir().join(format!(
-            "dds_shard_chain_{}_{:?}.snap",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let mut tracker = DeltaTracker::new(&base, SnapshotKind::Shard, 4);
-        let mut cursor = 0u64;
-        for chunk in all.chunks(20) {
-            insert_all(&mut engine, chunk);
-            cursor += 100;
-            let edges: Vec<_> = engine.edges().collect();
-            tracker
-                .save(
-                    engine.epoch(),
-                    cursor,
-                    edges,
-                    || engine.snapshot(cursor),
-                    || engine.snapshot_meta(cursor),
-                )
-                .unwrap();
-        }
-        assert!(tracker.chain().delta_count() > 0, "chain must have deltas");
-        let (restored, got_cursor) =
-            ShardedEngine::restore_chain_from(cfg, tracker.chain()).unwrap();
-        assert_eq!(got_cursor, cursor);
-        assert_eq!(
-            restored.snapshot(cursor),
-            engine.snapshot(cursor),
-            "chain restore must be bit-identical to the live engine"
-        );
-        // And identical to restoring a freshly taken full snapshot.
-        let (full, _) = ShardedEngine::restore(cfg, &engine.snapshot(cursor)).unwrap();
-        assert_eq!(full.snapshot(cursor), restored.snapshot(cursor));
-        for i in 1..=tracker.chain().delta_count() {
-            std::fs::remove_file(tracker.chain().delta_path(i)).ok();
-        }
-        std::fs::remove_file(&base).ok();
     }
 
     #[test]

@@ -214,19 +214,15 @@ struct SketchMetrics {
 
 impl SketchMetrics {
     fn attach(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.subsamples, "dds_sketch_subsamples_total");
-        transfer(&mut self.refreshes, "dds_sketch_refreshes_total");
-        transfer(&mut self.escalations, "dds_sketch_escalations_total");
-        transfer(
-            &mut self.cold_escalations,
-            "dds_sketch_cold_escalations_total",
-        );
-        transfer(&mut self.rebuilds, "dds_sketch_rebuilds_total");
+        self.subsamples
+            .rehome(registry, "dds_sketch_subsamples_total");
+        self.refreshes
+            .rehome(registry, "dds_sketch_refreshes_total");
+        self.escalations
+            .rehome(registry, "dds_sketch_escalations_total");
+        self.cold_escalations
+            .rehome(registry, "dds_sketch_cold_escalations_total");
+        self.rebuilds.rehome(registry, "dds_sketch_rebuilds_total");
         self.retained = Some(registry.gauge("dds_sketch_retained"));
         self.level = Some(registry.gauge("dds_sketch_level"));
         self.refresh_latency = registry.histogram("dds_sketch_refresh_latency_us");

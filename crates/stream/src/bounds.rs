@@ -1,10 +1,13 @@
-//! Incremental certified bounds on the current optimum density.
+//! The one certificate both full-graph engines hold.
 //!
-//! See the crate docs for the upper bounds and their proofs. The lower
-//! bound, the structural upper bound and the factor rule are the shared
-//! ones of [`dds_sketch::certify`]. Two reusable pieces live here
-//! alongside [`BoundTracker`] (the grow-mostly engine's state), because
-//! the window engine certifies with the same drift ingredients:
+//! [`BoundTracker`] is the certificate of [`crate::StreamEngine`] and
+//! [`crate::WindowEngine`] alike: every certification (an exact solve, a
+//! core sweep, a sketch refresh) re-anchors it through one rule
+//! ([`BoundTracker::reanchor`]), and one trigger ([`BoundTracker::cause`])
+//! decides when the next is due. See the crate docs for the upper bounds
+//! and their proofs. The lower bound, the structural upper bound and the
+//! factor rule are the shared ones of [`dds_sketch::certify`]. The drift
+//! since the last certification has two ingredients:
 //!
 //! * [`DeltaDrift`] — the **delta graph** (edges inserted since the last
 //!   certification and still present) with exact degree maxima `aΔ`/`bΔ`
@@ -25,17 +28,19 @@
 
 use std::collections::HashSet;
 
+use dds_core::{CoreApproxResult, SolveStats};
 use dds_graph::{Pair, VertexId};
 use dds_num::Density;
 use dds_sketch::certify::{structural_upper, CertifiedBounds, WitnessTracker, SAFETY};
-use dds_sketch::MaxTracker;
+use dds_sketch::{MaxTracker, SketchEngine};
 
 use crate::state::DynamicGraph;
+use crate::witness::denser_pair;
 
 /// The delta graph: edges inserted since the last certification and still
 /// present, with exact per-side degree maxima (see module docs).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct DeltaDrift {
+struct DeltaDrift {
     inserted: HashSet<(VertexId, VertexId)>,
     out: MaxTracker,
     r#in: MaxTracker,
@@ -43,7 +48,7 @@ pub(crate) struct DeltaDrift {
 
 impl DeltaDrift {
     /// Records an applied insertion (the edge was genuinely added).
-    pub(crate) fn on_insert(&mut self, u: VertexId, v: VertexId) {
+    fn on_insert(&mut self, u: VertexId, v: VertexId) {
         if self.inserted.insert((u, v)) {
             self.out.incr(u as usize);
             self.r#in.incr(v as usize);
@@ -53,7 +58,7 @@ impl DeltaDrift {
     /// Records an applied deletion, refunding the drift budget when the
     /// deleted edge postdates the last certification (the bound argument
     /// only counts inserted-and-still-present edges).
-    pub(crate) fn on_delete(&mut self, u: VertexId, v: VertexId) {
+    fn on_delete(&mut self, u: VertexId, v: VertexId) {
         if self.inserted.remove(&(u, v)) {
             self.out.decr(u as usize);
             self.r#in.decr(v as usize);
@@ -61,24 +66,24 @@ impl DeltaDrift {
     }
 
     /// Forgets the delta (a fresh certification just happened).
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.inserted.clear();
         self.out.clear();
         self.r#in.clear();
     }
 
     /// Number of delta edges (`k` in the crossing bound).
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.inserted.len()
     }
 
     /// The delta graph's degree maxima `(aΔ, bΔ)`.
-    pub(crate) fn degree_maxima(&self) -> (u64, u64) {
+    fn degree_maxima(&self) -> (u64, u64) {
         (self.out.max(), self.r#in.max())
     }
 
     /// The delta edges in canonical (sorted) order — the snapshot form.
-    pub(crate) fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
+    fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
         let mut edges: Vec<_> = self.inserted.iter().copied().collect();
         edges.sort_unstable();
         edges
@@ -90,7 +95,7 @@ impl DeltaDrift {
 /// docs). Degree maxima are exact (count-of-counts), so the refund bound
 /// `sqrt(aC·bC)` decays monotonically as the certified graph erodes.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct CertEdges {
+struct CertEdges {
     present: HashSet<(VertexId, VertexId)>,
     out: MaxTracker,
     r#in: MaxTracker,
@@ -99,7 +104,7 @@ pub(crate) struct CertEdges {
 impl CertEdges {
     /// Freezes the current graph as the certified edge set (`O(m)`, run
     /// once per certification — the same order as the solve it follows).
-    pub(crate) fn reset(&mut self, g: &DynamicGraph) {
+    fn reset(&mut self, g: &DynamicGraph) {
         self.present.clear();
         self.out.clear();
         self.r#in.clear();
@@ -114,7 +119,7 @@ impl CertEdges {
     /// budget when the edge predates the certification. (Re-inserting it
     /// later does *not* restore it here — it re-enters as a delta edge in
     /// [`DeltaDrift`], preserving the C/Δ partition the bound needs.)
-    pub(crate) fn on_delete(&mut self, u: VertexId, v: VertexId) {
+    fn on_delete(&mut self, u: VertexId, v: VertexId) {
         if self.present.remove(&(u, v)) {
             self.out.decr(u as usize);
             self.r#in.decr(v as usize);
@@ -122,13 +127,13 @@ impl CertEdges {
     }
 
     /// The surviving certified edges' degree maxima `(aC, bC)`.
-    pub(crate) fn degree_maxima(&self) -> (u64, u64) {
+    fn degree_maxima(&self) -> (u64, u64) {
         (self.out.max(), self.r#in.max())
     }
 
     /// The surviving certified edges in canonical (sorted) order — the
     /// snapshot form.
-    pub(crate) fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
+    fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
         let mut edges: Vec<_> = self.present.iter().copied().collect();
         edges.sort_unstable();
         edges
@@ -136,7 +141,7 @@ impl CertEdges {
 
     /// Rebuilds the certified edge set from a snapshot's edge list (the
     /// restore path — [`CertEdges::reset`] freezes a live graph instead).
-    pub(crate) fn restore<I: IntoIterator<Item = (VertexId, VertexId)>>(edges: I) -> Self {
+    fn restore<I: IntoIterator<Item = (VertexId, VertexId)>>(edges: I) -> Self {
         let mut cert = CertEdges::default();
         for (u, v) in edges {
             cert.present.insert((u, v));
@@ -163,12 +168,7 @@ impl CertEdges {
 /// 3. and 4. the structural `min(sqrt(m), sqrt(d⁺_max · d⁻_max))` on the
 ///    current graph ([`structural_upper`]), which is 0 on an edgeless
 ///    graph.
-pub(crate) fn certified_upper(
-    g: &DynamicGraph,
-    rho_cert: f64,
-    drift: &DeltaDrift,
-    cert: &CertEdges,
-) -> f64 {
+fn certified_upper(g: &DynamicGraph, rho_cert: f64, drift: &DeltaDrift, cert: &CertEdges) -> f64 {
     let k = drift.len() as f64;
     let crossing = 0.5 * (rho_cert + (rho_cert * rho_cert + 4.0 * k).sqrt());
     let (a, b) = drift.degree_maxima();
@@ -180,33 +180,61 @@ pub(crate) fn certified_upper(
     (crossing.min(delta_deg) * (1.0 + SAFETY)).min(structural)
 }
 
-/// The certification band both engines share, before their gap factor:
-/// `max(lower·(1+tolerance), lower+slack)`. The relative arm is what you
-/// configure for dense regimes; the absolute `slack` keeps quiet
-/// low-density regimes from burning re-solves on noise.
-pub(crate) fn certification_band(lower: f64, tolerance: f64, slack: f64) -> f64 {
-    (lower * (1.0 + tolerance)).max(lower + slack)
+/// The anchor a max-product core sweep certifies, for
+/// [`BoundTracker::reanchor`]: the sweep's `2·√(x·y)` upper bound on
+/// `ρ_opt`, safety-inflated. Both engines' sweeps anchor here.
+pub(crate) fn sweep_anchor(sweep: &CoreApproxResult) -> f64 {
+    sweep.upper_bound * (1.0 + SAFETY)
 }
 
-/// The incrementally-maintained bound state of [`crate::StreamEngine`]
-/// (crate-internal; the engine exposes it through [`CertifiedBounds`]).
-#[derive(Clone, Debug, Default)]
+/// Why a certificate must be renewed (feeds the engines'
+/// `*_cause_cold_total` / `*_cause_band_total` counters).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Cause {
+    /// Edges exist but the lower bound is zero: no solve has happened yet,
+    /// or every maintained pair decayed away.
+    Cold,
+    /// The certified band broke: `upper > gap · band(lower)`.
+    Band,
+}
+
+/// The one certificate both full-graph engines hold: the anchor `ρ₁` and
+/// the gap measured at the last certification, the drift since
+/// ([`DeltaDrift`]), the surviving certified edges ([`CertEdges`]) and the
+/// witness pair, plus the engine's band (`tolerance`, `slack`).
+///
+/// The lower bound is the witness's live density, raised to a caller-held
+/// `floor` that the tracker does not maintain: the window engine's
+/// decremental core, or [`Density::ZERO`] for the stream engine. Every
+/// certification re-anchors through [`BoundTracker::reanchor`].
+#[derive(Clone, Debug)]
 pub(crate) struct BoundTracker {
-    /// Certified upper bound on the optimum at the last solve (`ρ₁`),
-    /// already carrying the float-safety inflation.
-    rho_at_solve: f64,
-    /// `upper / lower` measured right after the last solve (1 for exact).
-    gap_at_solve: f64,
+    tolerance: f64,
+    slack: f64,
+    /// Certified upper bound on the optimum at the last certification
+    /// (`ρ₁`), already carrying the float-safety inflation. Starts at 0:
+    /// the empty graph is certified.
+    rho_at_cert: f64,
+    /// `upper / lower` measured right after the last certification (1 for
+    /// an exact solve).
+    gap_at_cert: f64,
     drift: DeltaDrift,
     cert: CertEdges,
     witness: WitnessTracker,
 }
 
 impl BoundTracker {
-    pub(crate) fn new() -> Self {
+    /// An empty certificate for an engine whose band is
+    /// `max(lower·(1+tolerance), lower+slack)`.
+    pub(crate) fn new(tolerance: f64, slack: f64) -> Self {
         BoundTracker {
-            gap_at_solve: 1.0,
-            ..BoundTracker::default()
+            tolerance,
+            slack,
+            rho_at_cert: 0.0,
+            gap_at_cert: 1.0,
+            drift: DeltaDrift::default(),
+            cert: CertEdges::default(),
+            witness: WitnessTracker::default(),
         }
     }
 
@@ -216,39 +244,124 @@ impl BoundTracker {
         self.witness.on_insert(u, v);
     }
 
-    /// Records an applied deletion (the edge was genuinely removed).
+    /// Records an applied deletion or expiry (the edge was genuinely
+    /// removed).
     pub(crate) fn on_delete(&mut self, u: VertexId, v: VertexId) {
         self.drift.on_delete(u, v);
         self.cert.on_delete(u, v);
         self.witness.on_delete(u, v);
     }
 
-    /// Resets the tracker after a full solve: `witness` is the solver's
-    /// pair on `g` (materialised), `rho_upper` a certified upper bound on
-    /// `ρ_opt(g)` (the exact optimum for exact solves).
-    pub(crate) fn reset_after_solve(
+    /// Re-anchors on a fresh certification of `g`: clears the drift,
+    /// re-freezes the certified edges, then [`adopt`](Self::adopt)s `pair`
+    /// and `rho_cert`.
+    pub(crate) fn reanchor(
         &mut self,
         g: &DynamicGraph,
-        witness: Option<Pair>,
-        rho_upper: f64,
+        pair: Option<Pair>,
+        rho_cert: f64,
+        floor: Density,
     ) {
         self.drift.clear();
         self.cert.reset(g);
-        self.rho_at_solve = rho_upper * (1.0 + SAFETY);
-        self.witness.reset(g.n(), witness, g.edges());
-        let bounds = self.bounds(g);
-        self.gap_at_solve = bounds.certified_factor().max(1.0);
+        self.adopt(g, pair, rho_cert, floor);
     }
 
-    /// The witness pair, if a solve has happened.
+    /// Adopts `pair` as the witness (recounting its live edges on `g`; an
+    /// empty pair counts as none) and `rho_cert` as `ρ₁`, then measures the
+    /// fresh gap against `floor`. `rho_cert` must be a certified upper
+    /// bound on `ρ_opt(g)` that already carries the [`SAFETY`] inflation.
+    /// On its own this is for a second certification of the same graph
+    /// right after [`reanchor`](Self::reanchor) (the window's exact
+    /// escalation), whose drift and certified edges are already fresh.
+    pub(crate) fn adopt(
+        &mut self,
+        g: &DynamicGraph,
+        pair: Option<Pair>,
+        rho_cert: f64,
+        floor: Density,
+    ) {
+        self.rho_at_cert = rho_cert;
+        self.witness
+            .reset(g.n(), pair.filter(|p| !p.is_empty()), g.edges());
+        self.gap_at_cert = self.bounds(g, floor).certified_factor().max(1.0);
+    }
+
+    /// The sketch tier's re-certification, shared by both engines so they
+    /// cannot diverge on adoption policy:
+    ///
+    /// 1. a graph that shrank far below its peak leaves the sample
+    ///    over-thinned (the level never decrements on its own), so reseed
+    ///    it from the authoritative edge set first;
+    /// 2. run the sketch refresh (core sweep of the sample, escalated per
+    ///    the sketch's own config);
+    /// 3. keep the denser of the fresh sketched pair and the incumbent
+    ///    witness, measured on the full graph: both are real pairs of it,
+    ///    and a subsampled sweep can be wrong about which is best;
+    /// 4. re-anchor on that pair at the structural bound, since no solver
+    ///    certified an upper bound on the full graph. No floor survives a
+    ///    sketch refresh.
+    ///
+    /// Returns the escalation's instrumentation.
+    pub(crate) fn sketch_reanchor(
+        &mut self,
+        sk: &mut SketchEngine,
+        g: &DynamicGraph,
+    ) -> Option<SolveStats> {
+        if sk.is_undersampled() {
+            sk.rebuild(g.edges());
+        }
+        let stats = sk.force_refresh();
+        let fresh = sk.witness_pair().cloned().filter(|p| !p.is_empty());
+        let pair = match (fresh, self.witness.pair().cloned()) {
+            (Some(a), Some(b)) => Some(denser_pair(g.n(), g.edges(), a, b)),
+            (a, b) => a.or(b),
+        };
+        let upper = structural_upper(g.m() as u64, g.max_out_degree(), g.max_in_degree());
+        self.reanchor(g, pair, upper, Density::ZERO);
+        stats
+    }
+
+    /// The one trigger: why the certificate must be renewed, if it must.
+    /// Never on an edgeless graph (the empty certificate `[0, 0]` is
+    /// exact); [`Cause::Cold`] when the lower bound (the witness or
+    /// `floor`) is zero; [`Cause::Band`] when the upper bound exceeds
+    /// `gap · max(lower·(1+tolerance), lower+slack)`. The engines pass the
+    /// [`gap`](Self::gap) measured at the last certification; the window
+    /// passes 1 to ask whether a fresh bracket misses the band itself.
+    pub(crate) fn cause(&self, g: &DynamicGraph, floor: Density, gap: f64) -> Option<Cause> {
+        if g.m() == 0 {
+            return None;
+        }
+        let bounds = self.bounds(g, floor);
+        let lower = bounds.lower.to_f64();
+        if lower <= 0.0 {
+            return Some(Cause::Cold);
+        }
+        let band = (lower * (1.0 + self.tolerance)).max(lower + self.slack);
+        (bounds.upper > gap * band).then_some(Cause::Band)
+    }
+
+    /// The certified gap measured right after the last certification (1
+    /// for an exact solve; up to 2 for the core approximation).
+    pub(crate) fn gap(&self) -> f64 {
+        self.gap_at_cert
+    }
+
+    /// The witness pair, if a certification adopted one.
     pub(crate) fn witness(&self) -> Option<&Pair> {
         self.witness.pair()
     }
 
-    /// The certified gap measured right after the last solve (1 for an
-    /// exact solve; up to 2 for the core approximation).
-    pub(crate) fn gap_at_solve(&self) -> f64 {
-        self.gap_at_solve
+    /// Both bounds as one bracket: the lower bound is the witness's live
+    /// density, or `floor` when the floor is at least as dense; the upper
+    /// bound is [`certified_upper`].
+    pub(crate) fn bounds(&self, g: &DynamicGraph, floor: Density) -> CertifiedBounds {
+        let witness = self.witness.density();
+        CertifiedBounds {
+            lower: if witness > floor { witness } else { floor },
+            upper: certified_upper(g, self.rho_at_cert, &self.drift, &self.cert),
+        }
     }
 
     /// The snapshot form of the certificate state: `ρ₁`, the gap, the
@@ -264,73 +377,34 @@ impl BoundTracker {
         Vec<(VertexId, VertexId)>,
     ) {
         (
-            self.rho_at_solve,
-            self.gap_at_solve,
+            self.rho_at_cert,
+            self.gap_at_cert,
             self.witness.pair(),
             self.drift.edges_sorted(),
             self.cert.edges_sorted(),
         )
     }
 
-    /// Rebuilds a tracker from snapshot state: `rho_at_solve` is stored
+    /// Resumes from snapshot state: `rho_at_cert` is stored
     /// already-inflated (bit-exact round trip, no double inflation), the
     /// witness is recounted against the restored graph, and the drift /
     /// certified-edge trackers are replayed from their edge lists.
     pub(crate) fn restore(
+        &mut self,
         g: &DynamicGraph,
-        rho_at_solve: f64,
-        gap_at_solve: f64,
+        rho_at_cert: f64,
+        gap_at_cert: f64,
         witness: Option<Pair>,
         drift_edges: &[(VertexId, VertexId)],
         cert_edges: Vec<(VertexId, VertexId)>,
-    ) -> Self {
-        let mut drift = DeltaDrift::default();
+    ) {
+        self.rho_at_cert = rho_at_cert;
+        self.gap_at_cert = gap_at_cert;
+        self.drift.clear();
         for &(u, v) in drift_edges {
-            drift.on_insert(u, v);
+            self.drift.on_insert(u, v);
         }
-        let mut tracker = BoundTracker {
-            rho_at_solve,
-            gap_at_solve,
-            drift,
-            cert: CertEdges::restore(cert_edges),
-            witness: WitnessTracker::default(),
-        };
-        tracker.witness.reset(g.n(), witness, g.edges());
-        tracker
-    }
-
-    /// Exact density of the witness on the current graph.
-    pub(crate) fn lower(&self) -> Density {
-        self.witness.density()
-    }
-
-    /// Certified upper bound on the current optimum ([`certified_upper`]).
-    pub(crate) fn upper(&self, g: &DynamicGraph) -> f64 {
-        certified_upper(g, self.rho_at_solve, &self.drift, &self.cert)
-    }
-
-    /// Both bounds as one bracket.
-    pub(crate) fn bounds(&self, g: &DynamicGraph) -> CertifiedBounds {
-        CertifiedBounds {
-            lower: self.lower(),
-            upper: self.upper(g),
-        }
-    }
-
-    /// Diagnostic string showing each bound ingredient (debug logging).
-    pub(crate) fn debug_bounds(&self, g: &DynamicGraph) -> String {
-        let k = self.drift.len() as f64;
-        let rho = self.rho_at_solve;
-        let crossing = 0.5 * (rho + (rho * rho + 4.0 * k).sqrt());
-        let (a, b) = self.drift.degree_maxima();
-        let (ac, bc) = self.cert.degree_maxima();
-        let surviving = ((ac as f64) * (bc as f64)).sqrt();
-        let delta_deg = rho.min(surviving) + ((a as f64) * (b as f64)).sqrt();
-        let sqrt_m = (g.m() as f64).sqrt();
-        let degree = ((g.max_out_degree() as f64) * (g.max_in_degree() as f64)).sqrt();
-        format!(
-            "rho1={rho:.4} k={k} cross={crossing:.4} aD={a} bD={b} aC={ac} bC={bc} ddeg={delta_deg:.4} sqrtm={sqrt_m:.4} deg={degree:.4} wE={}",
-            self.witness.edges()
-        )
+        self.cert = CertEdges::restore(cert_edges);
+        self.witness.reset(g.n(), witness, g.edges());
     }
 }

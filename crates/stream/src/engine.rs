@@ -3,18 +3,17 @@
 
 use std::time::{Duration, Instant};
 
-use dds_core::{core_approx, parallel, DcExact, ExactOptions, SolveContext, SolveStats};
+use dds_core::{core_approx, parallel, ExactOptions, SolveContext, SolveStats};
 use dds_graph::{DiGraph, Pair};
 use dds_num::Density;
 use dds_obs::{span, Counter, Gauge, Histogram, Registry, Tracer};
-use dds_sketch::certify::{structural_upper, CertifiedBounds};
+use dds_sketch::certify::{CertifiedBounds, SAFETY};
 use dds_sketch::{SketchConfig, SketchEngine, SketchStats};
 
-use crate::bounds::BoundTracker;
+use crate::bounds::{sweep_anchor, BoundTracker, Cause};
 use crate::events::{Batch, Event, TimedEvent};
 use crate::snapshot::{SnapshotError, SnapshotKind, SnapshotReader, SnapshotWriter};
 use crate::state::DynamicGraph;
-use crate::witness::denser_pair;
 
 /// Which full solver backs a re-solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,9 +86,9 @@ pub struct StreamConfig {
     pub slack: f64,
     /// Solver used for re-solves.
     pub solver: SolverKind,
-    /// Worker threads for exact re-solves (1 = the serial engine; more
-    /// opt into [`dds_core::parallel::dc_exact_parallel_with`] on the
-    /// engine's warm context). Must be positive.
+    /// Worker threads of the exact re-solves, each one call of
+    /// [`dds_core::parallel::dc_exact_parallel_with`] on the engine's warm
+    /// context (1 runs the ratio search inline). Must be positive.
     pub threads: usize,
     /// Optional sketch fallback (see [`SketchTier`]).
     pub sketch: Option<SketchTier>,
@@ -175,16 +174,6 @@ pub struct StreamEngine {
     last_resolve_sketched: bool,
 }
 
-/// Why a re-solve fired (feeds the `dds_stream_resolve_cause_*` counters).
-#[derive(Clone, Copy, Debug)]
-enum ResolveCause {
-    /// Edges exist but no certificate does (first solve, or the witness
-    /// decayed to nothing).
-    Cold,
-    /// The certified band broke: `upper > gap₀ · band(lower)`.
-    Band,
-}
-
 /// Obs-backed lifetime counters of a [`StreamEngine`] (the `dds_stream_*`
 /// series): standalone atomics by default — epoch numbering and the
 /// `resolves()`/`sketch_resolves()` accessors read them as views — re-homed
@@ -207,28 +196,17 @@ struct StreamMetrics {
 
 impl StreamMetrics {
     fn attach(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.epochs, "dds_stream_epochs_total");
-        transfer(&mut self.resolves, "dds_stream_resolves_total");
-        transfer(
-            &mut self.sketch_resolves,
-            "dds_stream_sketch_resolves_total",
-        );
-        transfer(&mut self.inserts, "dds_stream_inserts_total");
-        transfer(&mut self.deletes, "dds_stream_deletes_total");
-        transfer(&mut self.ignored, "dds_stream_ignored_total");
-        transfer(
-            &mut self.resolve_cold,
-            "dds_stream_resolve_cause_cold_total",
-        );
-        transfer(
-            &mut self.resolve_band,
-            "dds_stream_resolve_cause_band_total",
-        );
+        self.epochs.rehome(registry, "dds_stream_epochs_total");
+        self.resolves.rehome(registry, "dds_stream_resolves_total");
+        self.sketch_resolves
+            .rehome(registry, "dds_stream_sketch_resolves_total");
+        self.inserts.rehome(registry, "dds_stream_inserts_total");
+        self.deletes.rehome(registry, "dds_stream_deletes_total");
+        self.ignored.rehome(registry, "dds_stream_ignored_total");
+        self.resolve_cold
+            .rehome(registry, "dds_stream_resolve_cause_cold_total");
+        self.resolve_band
+            .rehome(registry, "dds_stream_resolve_cause_band_total");
         self.edges = Some(registry.gauge("dds_stream_edges"));
         self.apply_latency = registry.histogram("dds_stream_apply_latency_us");
         self.resolve_latency = registry.histogram("dds_stream_resolve_latency_us");
@@ -244,7 +222,7 @@ impl StreamEngine {
         assert!(config.threads > 0, "threads must be positive");
         StreamEngine {
             state: DynamicGraph::new(),
-            tracker: BoundTracker::new(),
+            tracker: BoundTracker::new(config.tolerance, config.slack),
             ctx: SolveContext::new(),
             sketch: config.sketch.map(|tier| SketchEngine::new(tier.config)),
             config,
@@ -311,23 +289,14 @@ impl StreamEngine {
         self.metrics.epochs.inc();
         let epoch = self.metrics.epochs.get();
 
-        let cause = self.resolve_cause();
+        let cause = self
+            .tracker
+            .cause(&self.state, Density::ZERO, self.tracker.gap());
         let resolved = cause.is_some();
         if let Some(cause) = cause {
             match cause {
-                ResolveCause::Cold => self.metrics.resolve_cold.inc(),
-                ResolveCause::Band => self.metrics.resolve_band.inc(),
-            }
-            if std::env::var_os("DDS_STREAM_DEBUG").is_some() {
-                let b = self.tracker.bounds(&self.state);
-                eprintln!(
-                    "resolve@{} v{}: lower={:.4} upper={:.4} {}",
-                    epoch,
-                    self.state.version(),
-                    b.lower.to_f64(),
-                    b.upper,
-                    self.tracker.debug_bounds(&self.state),
-                );
+                Cause::Cold => self.metrics.resolve_cold.inc(),
+                Cause::Band => self.metrics.resolve_band.inc(),
             }
             self.resolve();
         }
@@ -342,7 +311,7 @@ impl StreamEngine {
         span.record("m", self.state.m() as u64);
         span.record_flag("resolved", resolved);
 
-        let bounds = self.tracker.bounds(&self.state);
+        let bounds = self.bounds();
         let elapsed = start.elapsed();
         self.metrics.apply_latency.observe(elapsed);
         EpochReport {
@@ -372,23 +341,6 @@ impl StreamEngine {
         }
     }
 
-    fn resolve_cause(&self) -> Option<ResolveCause> {
-        if self.state.m() == 0 {
-            // Nothing to find; the empty certificate [0, 0] is exact.
-            return None;
-        }
-        let bounds = self.tracker.bounds(&self.state);
-        let lower = bounds.lower.to_f64();
-        if lower <= 0.0 {
-            // Edges exist but the witness is gone (or there has never been
-            // a solve): no meaningful certificate.
-            return Some(ResolveCause::Cold);
-        }
-        let band =
-            crate::bounds::certification_band(lower, self.config.tolerance, self.config.slack);
-        (bounds.upper > self.tracker.gap_at_solve() * band).then_some(ResolveCause::Band)
-    }
-
     fn resolve(&mut self) {
         let timer = self.metrics.resolve_latency.timer();
         let mut span = span!(self.tracer, "stream.resolve");
@@ -396,51 +348,42 @@ impl StreamEngine {
             .config
             .sketch
             .is_some_and(|tier| self.state.m() >= tier.min_m);
-        let (pair, rho_upper) = if self.last_resolve_sketched {
+        if self.last_resolve_sketched {
             // Sketch tier: an exact solve of the retained subgraph only.
             // Its witness is a genuine pair of the full graph (vertex ids
-            // transfer), so the tracker recounts its true edges below —
-            // the lower bound is full-graph exact even though no full
-            // solver ran. No solver certifies an upper bound here, so ρ₁
-            // re-anchors to the structural bound and the band runs
-            // gap-relative, like a `CoreApprox` solve.
+            // transfer), so the tracker recounts its true edges — the
+            // lower bound is full-graph exact even though no full solver
+            // ran — and the band runs gap-relative, like a `CoreApprox`
+            // solve.
             let sk = self.sketch.as_mut().expect("tier implies a sketch");
-            let incumbent = self.tracker.witness().cloned();
-            let (pair, stats) = sketch_tier_refresh(sk, &self.state, incumbent);
-            self.last_solve_stats = stats;
+            self.last_solve_stats = self.tracker.sketch_reanchor(sk, &self.state);
             self.metrics.sketch_resolves.inc();
-            let s = &self.state;
-            let upper = structural_upper(s.m() as u64, s.max_out_degree(), s.max_in_degree());
-            (pair, upper)
         } else {
             let g = self.state.materialize();
-            match self.config.solver {
+            let (pair, rho_cert) = match self.config.solver {
                 SolverKind::Exact => {
                     // Warm start: the context carries the previous epoch's
                     // witness, arenas, and (graph permitting) memoised cores.
-                    let report = if self.config.threads > 1 {
-                        parallel::dc_exact_parallel_with(
-                            &mut self.ctx,
-                            &g,
-                            ExactOptions::default(),
-                            self.config.threads,
-                        )
-                    } else {
-                        DcExact::new().solve_with(&mut self.ctx, &g)
-                    };
+                    let report = parallel::dc_exact_parallel_with(
+                        &mut self.ctx,
+                        &g,
+                        ExactOptions::default(),
+                        self.config.threads,
+                    );
                     self.last_solve_stats = Some(report.stats());
-                    let rho = report.solution.density.to_f64();
-                    (Some(report.solution.pair), rho)
+                    let rho = report.solution.density.to_f64() * (1.0 + SAFETY);
+                    (report.solution.pair, rho)
                 }
                 SolverKind::CoreApprox => {
                     let report = core_approx(&g);
                     self.last_solve_stats = None;
-                    (Some(report.solution.pair), report.upper_bound)
+                    let rho = sweep_anchor(&report);
+                    (report.solution.pair, rho)
                 }
-            }
-        };
-        let pair = pair.filter(|p| !p.is_empty());
-        self.tracker.reset_after_solve(&self.state, pair, rho_upper);
+            };
+            self.tracker
+                .reanchor(&self.state, Some(pair), rho_cert, Density::ZERO);
+        }
         self.metrics.resolves.inc();
         span.record_flag("sketched", self.last_resolve_sketched);
         span.record("m", self.state.m() as u64);
@@ -452,13 +395,13 @@ impl StreamEngine {
     /// the refreshed bounds.
     pub fn force_resolve(&mut self) -> CertifiedBounds {
         self.resolve();
-        self.tracker.bounds(&self.state)
+        self.bounds()
     }
 
     /// The current certified bracket `lower ≤ ρ_opt ≤ upper`.
     #[must_use]
     pub fn bounds(&self) -> CertifiedBounds {
-        self.tracker.bounds(&self.state)
+        self.tracker.bounds(&self.state, Density::ZERO)
     }
 
     /// The maintained witness pair (the last solve's answer), if any.
@@ -629,7 +572,6 @@ impl StreamEngine {
                 )));
             }
         }
-        let tracker = BoundTracker::restore(&state, rho, gap, witness, &drift, cert);
         let sketch = config.sketch.map(|tier| {
             SketchEngine::restore_at(
                 tier.config,
@@ -638,8 +580,10 @@ impl StreamEngine {
             )
         });
         let mut engine = StreamEngine::new(config);
+        engine
+            .tracker
+            .restore(&state, rho, gap, witness, &drift, cert);
         engine.state = state;
-        engine.tracker = tracker;
         engine.sketch = sketch;
         engine.metrics.epochs.store(epoch);
         engine.metrics.resolves.store(resolves);
@@ -685,37 +629,6 @@ pub enum BatchBy {
     /// One batch per half-open time window `[k·w, (k+1)·w)`; empty
     /// windows produce no batch.
     TimeWindow(u64),
-}
-
-/// The sketch tier's refresh-and-adopt sequence, shared verbatim by
-/// [`StreamEngine`] re-solves and [`crate::WindowEngine`] refreshes so the
-/// two engines cannot diverge on adoption policy:
-///
-/// 1. a graph that shrank far below its peak leaves the sample
-///    over-thinned (the level never decrements on its own) — reseed it
-///    from the authoritative edge set first;
-/// 2. run the sketch refresh (core sweep of the sample, escalated per the
-///    sketch's own config);
-/// 3. keep the denser of the fresh sketched pair and the incumbent
-///    witness, measured on the full graph — both are real pairs of it,
-///    and a subsampled sweep can be wrong about which is best.
-///
-/// Returns the adopted pair and the escalation's instrumentation.
-pub(crate) fn sketch_tier_refresh(
-    sk: &mut SketchEngine,
-    state: &DynamicGraph,
-    incumbent: Option<Pair>,
-) -> (Option<Pair>, Option<SolveStats>) {
-    if sk.is_undersampled() {
-        sk.rebuild(state.edges());
-    }
-    let stats = sk.force_refresh();
-    let fresh = sk.witness_pair().cloned().filter(|p| !p.is_empty());
-    let pair = match (fresh, incumbent) {
-        (Some(a), Some(b)) => Some(denser_pair(state.n(), state.edges(), a, b)),
-        (a, b) => a.or(b),
-    };
-    (pair, stats)
 }
 
 /// Slices `events` into the batches `batch_by` describes (shared by
@@ -768,6 +681,7 @@ pub fn replay(
 mod tests {
     use super::*;
     use dds_core::validate::brute_force_dds;
+    use dds_core::DcExact;
     use dds_graph::gen;
 
     fn insert_all(engine: &mut StreamEngine, edges: &[(u32, u32)]) -> EpochReport {

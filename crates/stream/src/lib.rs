@@ -62,7 +62,10 @@
 //! repairs it locally as edges expire, so `ρ_opt ≥ ρ(core) ≥ sqrt(x·y)`
 //! keeps holding), re-certifies with a cheap core sweep when the band
 //! breaks, and escalates to one exact solve only when the sweep bracket
-//! cannot satisfy the configured tolerance. See [`WindowEngine`].
+//! cannot satisfy the configured tolerance. Both engines hold the same
+//! certificate, re-anchor it by one rule and fire on one trigger; the
+//! window's live core is a floor under its lower bound. See
+//! [`WindowEngine`].
 //!
 //! # The sketch tier
 //!

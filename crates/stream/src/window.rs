@@ -23,32 +23,37 @@
 //!   repaired locally as its edges expire. While non-empty it proves
 //!   `ρ_opt ≥ ρ(core) ≥ sqrt(x·y)` *on the current graph*, which is what
 //!   keeps the lower bound alive between refreshes as the window slides;
-//! * the **drift upper bound** ([`crate::bounds`]): deletions only lower
-//!   the optimum, insertions are covered by the delta-degree/crossing
-//!   bounds, so `ρ_opt ≤ min(2·sqrt(P) + drift, sqrt(m), …)` holds at
-//!   every tick.
+//! * the **certificate** [`crate::StreamEngine`] holds too (the crate's
+//!   one bound tracker): the drift upper bound — deletions only lower the
+//!   optimum, insertions are covered by the delta-degree/crossing bounds,
+//!   so `ρ_opt ≤ min(2·sqrt(P) + drift, sqrt(m), …)` holds at every tick —
+//!   and the witness of the last exact escalation or sketch refresh. The
+//!   core's live density is the floor under its lower bound.
 //!
 //! When the band `upper ≤ gap · max(lower·(1+tolerance), lower+slack)`
-//! breaks, the engine **refreshes**: one `O(sqrt(m)·(n+m))` max-product
-//! core sweep re-certifies the bracket within a factor ~2. If that bracket
-//! still cannot satisfy the configured band and
-//! [`WindowConfig::exact_escalation`] is on, it escalates to one exact
-//! solve through the long-lived [`SolveContext`] — rare by design, so the
-//! steady state is core-sweep cheap and never exact-solver expensive.
+//! breaks (the trigger the stream engine uses), the engine **refreshes**:
+//! one `O(sqrt(m)·(n+m))` max-product core sweep re-anchors the
+//! certificate within a factor ~2. If that bracket still cannot satisfy
+//! the configured band and [`WindowConfig::exact_escalation`] is on, it
+//! escalates to one exact solve through the long-lived [`SolveContext`]
+//! and adopts its pair — rare by design, so the steady state is
+//! core-sweep cheap and never exact-solver expensive. With a
+//! [`SketchTier`] engaged, a refresh is the stream engine's sketch-tier
+//! re-certification instead.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use dds_core::{core_approx, parallel, DcExact, ExactOptions, SolveContext, SolveStats};
+use dds_core::{core_approx, parallel, ExactOptions, SolveContext, SolveStats};
 use dds_graph::{DiGraph, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{span, Counter, Gauge, Histogram, Registry, Tracer};
-use dds_sketch::certify::{structural_upper, CertifiedBounds, WitnessTracker, SAFETY};
+use dds_sketch::certify::{CertifiedBounds, SAFETY};
 use dds_sketch::{SketchEngine, SketchStats};
 use dds_xycore::DecrementalCore;
 
-use crate::bounds::{certification_band, certified_upper, CertEdges, DeltaDrift};
-use crate::engine::{batch_slices, sketch_tier_refresh, BatchBy, SketchTier};
+use crate::bounds::{sweep_anchor, BoundTracker, Cause};
+use crate::engine::{batch_slices, BatchBy, SketchTier};
 use crate::events::{Batch, Event, TimedEvent};
 use crate::state::DynamicGraph;
 
@@ -78,8 +83,9 @@ pub struct WindowConfig {
     /// gap-relative core bracket certifies (the same `gap₀` semantics as
     /// [`crate::StreamEngine`] with [`crate::SolverKind::CoreApprox`]).
     pub exact_escalation: bool,
-    /// Worker threads for exact escalations (1 = serial). Must be
-    /// positive.
+    /// Worker threads of the exact escalations, each one call of
+    /// [`dds_core::parallel::dc_exact_parallel_with`] on the engine's warm
+    /// context (1 runs the ratio search inline). Must be positive.
     pub threads: usize,
     /// Optional sketch fallback (see [`SketchTier`]): when the live window
     /// holds at least `min_m` edges, a band break refreshes through
@@ -190,17 +196,10 @@ pub struct WindowEngine {
     /// popped ring entry still speaks for its edge.
     live_since: HashMap<(VertexId, VertexId), u64>,
     now: u64,
+    /// The maintained max-product core: the certificate's lower-bound
+    /// floor between refreshes.
     core: Option<DecrementalCore>,
-    witness: WitnessTracker,
-    drift: DeltaDrift,
-    /// The certified graph's surviving edges: refunds pre-certification
-    /// expiries in the upper bound (see [`crate::bounds::CertEdges`]).
-    cert: CertEdges,
-    /// Certified upper bound on `ρ_opt` at the last certification (safety
-    /// inflation included). Starts at 0: the empty graph is certified.
-    rho_at_cert: f64,
-    /// `upper / lower` measured right after the last certification.
-    gap_at_cert: f64,
+    tracker: BoundTracker,
     ctx: SolveContext,
     sketch: Option<SketchEngine>,
     /// Stream time of the last exact escalation (rate-limit anchor).
@@ -232,42 +231,23 @@ struct WindowMetrics {
 
 impl WindowMetrics {
     fn attach(&mut self, registry: &Registry) {
-        let transfer = |old: &mut Counter, name: &str| {
-            let new = registry.counter(name);
-            new.add(old.get());
-            *old = new;
-        };
-        transfer(&mut self.epochs, "dds_window_epochs_total");
-        transfer(&mut self.refreshes, "dds_window_refreshes_total");
-        transfer(&mut self.exact_solves, "dds_window_exact_solves_total");
-        transfer(
-            &mut self.sketch_refreshes,
-            "dds_window_sketch_refreshes_total",
-        );
-        transfer(&mut self.expired, "dds_window_expired_total");
-        transfer(&mut self.repairs, "dds_window_repairs_total");
-        transfer(
-            &mut self.refresh_cold,
-            "dds_window_refresh_cause_cold_total",
-        );
-        transfer(
-            &mut self.refresh_band,
-            "dds_window_refresh_cause_band_total",
-        );
+        self.epochs.rehome(registry, "dds_window_epochs_total");
+        self.refreshes
+            .rehome(registry, "dds_window_refreshes_total");
+        self.exact_solves
+            .rehome(registry, "dds_window_exact_solves_total");
+        self.sketch_refreshes
+            .rehome(registry, "dds_window_sketch_refreshes_total");
+        self.expired.rehome(registry, "dds_window_expired_total");
+        self.repairs.rehome(registry, "dds_window_repairs_total");
+        self.refresh_cold
+            .rehome(registry, "dds_window_refresh_cause_cold_total");
+        self.refresh_band
+            .rehome(registry, "dds_window_refresh_cause_band_total");
         self.edges = Some(registry.gauge("dds_window_edges"));
         self.apply_latency = registry.histogram("dds_window_apply_latency_us");
         self.refresh_latency = registry.histogram("dds_window_refresh_latency_us");
     }
-}
-
-/// Why a window refresh fired (feeds the `dds_window_refresh_cause_*`
-/// counters).
-#[derive(Clone, Copy, Debug)]
-enum RefreshCause {
-    /// Edges exist but every maintained pair decayed away.
-    Cold,
-    /// The certified band broke.
-    Band,
 }
 
 impl WindowEngine {
@@ -287,11 +267,7 @@ impl WindowEngine {
             live_since: HashMap::new(),
             now: 0,
             core: None,
-            witness: WitnessTracker::default(),
-            drift: DeltaDrift::default(),
-            cert: CertEdges::default(),
-            rho_at_cert: 0.0,
-            gap_at_cert: 1.0,
+            tracker: BoundTracker::new(config.tolerance, config.slack),
             ctx: SolveContext::new(),
             sketch: config.sketch.map(|tier| SketchEngine::new(tier.config)),
             config,
@@ -326,7 +302,7 @@ impl WindowEngine {
     /// then a certification check that refreshes only when the band broke.
     ///
     /// Timestamps are expected to be non-decreasing across events (the
-    /// same contract as [`crate::events`] time-window batching); an
+    /// same contract as [`BatchBy::TimeWindow`] batching); an
     /// out-of-order timestamp never advances time backwards, it only
     /// delays that edge's expiry to the ring's pace.
     pub fn apply(&mut self, batch: &Batch) -> WindowReport {
@@ -344,8 +320,7 @@ impl WindowEngine {
                         arrivals += 1;
                         self.live_since.insert((u, v), ev.time);
                         self.ring.push_back((ev.time, (u, v)));
-                        self.drift.on_insert(u, v);
-                        self.witness.on_insert(u, v);
+                        self.tracker.on_insert(u, v);
                         if let Some(core) = &mut self.core {
                             core.insert_edge(u, v);
                         }
@@ -375,11 +350,13 @@ impl WindowEngine {
         self.metrics.epochs.inc();
         let epoch = self.metrics.epochs.get();
 
-        let cause = self.refresh_cause();
+        let cause = self
+            .tracker
+            .cause(&self.state, self.floor(), self.tracker.gap());
         let mode = if let Some(cause) = cause {
             match cause {
-                RefreshCause::Cold => self.metrics.refresh_cold.inc(),
-                RefreshCause::Band => self.metrics.refresh_band.inc(),
+                Cause::Cold => self.metrics.refresh_cold.inc(),
+                Cause::Band => self.metrics.refresh_band.inc(),
             }
             self.refresh()
         } else {
@@ -425,9 +402,15 @@ impl WindowEngine {
             lower,
             upper: bounds.upper,
             certified_factor: bounds.certified_factor(),
-            within_band: self.state.m() == 0
-                || (lower > 0.0
-                    && bounds.upper <= self.gap_at_cert * self.band(lower) * (1.0 + SAFETY)),
+            // The trigger, forgiving the float slack of a fresh gap.
+            within_band: self
+                .tracker
+                .cause(
+                    &self.state,
+                    self.floor(),
+                    self.tracker.gap() * (1.0 + SAFETY),
+                )
+                .is_none(),
             elapsed,
         }
     }
@@ -459,9 +442,7 @@ impl WindowEngine {
     /// Shared bookkeeping for any edge leaving the graph (expiry or
     /// explicit delete).
     fn on_removed(&mut self, u: VertexId, v: VertexId) {
-        self.drift.on_delete(u, v);
-        self.cert.on_delete(u, v);
-        self.witness.on_delete(u, v);
+        self.tracker.on_delete(u, v);
         if let Some(core) = &mut self.core {
             self.metrics.repairs.add(core.delete_edge(u, v) as u64);
         }
@@ -470,87 +451,65 @@ impl WindowEngine {
         }
     }
 
-    /// The band limit before the gap factor ([`certification_band`]).
-    fn band(&self, lower: f64) -> f64 {
-        certification_band(lower, self.config.tolerance, self.config.slack)
-    }
-
-    fn refresh_cause(&self) -> Option<RefreshCause> {
-        if self.state.m() == 0 {
-            return None; // the empty certificate [0, 0] is exact
-        }
-        let bounds = self.bounds();
-        let lower = bounds.lower.to_f64();
-        if lower <= 0.0 {
-            return Some(RefreshCause::Cold); // every maintained pair is gone
-        }
-        (bounds.upper > self.gap_at_cert * self.band(lower)).then_some(RefreshCause::Band)
-    }
-
-    /// Re-certifies. Sketch tier engaged: exact-on-sketch only (see
+    /// Re-certifies. Sketch tier engaged: exact-on-sketch only, with no
+    /// decremental core and no full-graph pass (see
     /// [`WindowConfig::sketch`]). Otherwise: one max-product core sweep,
-    /// escalated to an exact solve when the sweep bracket still exceeds
-    /// the band (and escalation is enabled). Resets the drift budget and
-    /// measures the fresh gap.
+    /// whose core becomes the lower-bound floor, escalated to an exact
+    /// solve when the sweep bracket still misses the band (and escalation
+    /// is enabled and cooled down).
     fn refresh(&mut self) -> WindowMode {
         let timer = self.metrics.refresh_latency.timer();
         let mut span = span!(self.tracer, "window.refresh");
-        if self
+        self.metrics.refreshes.inc();
+        let mode = if self
             .config
             .sketch
             .is_some_and(|tier| self.state.m() >= tier.min_m)
         {
-            let mode = self.sketch_refresh();
-            span.record_str("mode", "sketch");
-            span.close();
-            timer.stop();
-            return mode;
-        }
-        let g = self.state.materialize();
-        let approx = core_approx(&g);
-        self.metrics.refreshes.inc();
-        self.core = (!approx.solution.pair.is_empty()).then(|| {
-            DecrementalCore::from_mask(&g, approx.x, approx.y, approx.solution.pair.to_mask(g.n()))
-        });
-        self.rho_at_cert = approx.upper_bound * (1.0 + SAFETY);
-        self.witness.reset(self.state.n(), None, self.state.edges());
-        self.drift.clear();
-        self.cert.reset(&self.state);
-        self.last_solve_stats = None;
-        let mut mode = WindowMode::CoreRefresh;
-
-        let cooled_down = self
-            .last_escalation
-            .is_none_or(|t| self.now >= t.saturating_add(self.config.window));
-        if self.config.exact_escalation && cooled_down {
-            let lower = self.lower_density().to_f64();
-            let upper = certified_upper(&self.state, self.rho_at_cert, &self.drift, &self.cert);
-            if lower <= 0.0 || upper > self.band(lower) {
-                let report = if self.config.threads > 1 {
-                    parallel::dc_exact_parallel_with(
-                        &mut self.ctx,
-                        &g,
-                        ExactOptions::default(),
-                        self.config.threads,
-                    )
-                } else {
-                    DcExact::new().solve_with(&mut self.ctx, &g)
-                };
+            let sk = self.sketch.as_mut().expect("tier implies a sketch");
+            self.core = None;
+            self.last_solve_stats = self.tracker.sketch_reanchor(sk, &self.state);
+            self.metrics.sketch_refreshes.inc();
+            WindowMode::SketchRefresh
+        } else {
+            let g = self.state.materialize();
+            let approx = core_approx(&g);
+            self.core = (!approx.solution.pair.is_empty()).then(|| {
+                let mask = approx.solution.pair.to_mask(g.n());
+                DecrementalCore::from_mask(&g, approx.x, approx.y, mask)
+            });
+            let floor = self.floor();
+            self.tracker
+                .reanchor(&self.state, None, sweep_anchor(&approx), floor);
+            self.last_solve_stats = None;
+            let cooled_down = self
+                .last_escalation
+                .is_none_or(|t| self.now >= t.saturating_add(self.config.window));
+            if self.config.exact_escalation
+                && cooled_down
+                && self.tracker.cause(&self.state, floor, 1.0).is_some()
+            {
+                let report = parallel::dc_exact_parallel_with(
+                    &mut self.ctx,
+                    &g,
+                    ExactOptions::default(),
+                    self.config.threads,
+                );
                 self.last_solve_stats = Some(report.stats());
-                self.rho_at_cert = report.solution.density.to_f64() * (1.0 + SAFETY);
-                let pair = (!report.solution.pair.is_empty()).then_some(report.solution.pair);
-                self.witness.reset(self.state.n(), pair, self.state.edges());
+                let rho = report.solution.density.to_f64() * (1.0 + SAFETY);
+                self.tracker
+                    .adopt(&self.state, Some(report.solution.pair), rho, floor);
                 self.metrics.exact_solves.inc();
                 self.last_escalation = Some(self.now);
-                mode = WindowMode::ExactResolve;
+                WindowMode::ExactResolve
+            } else {
+                WindowMode::CoreRefresh
             }
-        }
-
-        let bounds = self.bounds();
-        self.gap_at_cert = bounds.certified_factor().max(1.0);
+        };
         span.record_str(
             "mode",
             match mode {
+                WindowMode::SketchRefresh => "sketch",
                 WindowMode::ExactResolve => "exact",
                 _ => "core",
             },
@@ -560,28 +519,6 @@ impl WindowEngine {
         mode
     }
 
-    /// The sketch tier's re-certification: exact-on-sketch witness as the
-    /// full-graph lower bound (its true live edge count is recounted and
-    /// then maintained per event by [`WitnessTracker`]), structural upper,
-    /// no decremental core, no full-graph pass.
-    fn sketch_refresh(&mut self) -> WindowMode {
-        let sk = self.sketch.as_mut().expect("tier implies a sketch");
-        let incumbent = self.witness.pair().cloned();
-        let (pair, stats) = sketch_tier_refresh(sk, &self.state, incumbent);
-        self.last_solve_stats = stats;
-        self.metrics.refreshes.inc();
-        self.metrics.sketch_refreshes.inc();
-        self.core = None;
-        let s = &self.state;
-        self.rho_at_cert = structural_upper(s.m() as u64, s.max_out_degree(), s.max_in_degree());
-        self.witness.reset(s.n(), pair, s.edges());
-        self.drift.clear();
-        self.cert.reset(&self.state);
-        let bounds = self.bounds();
-        self.gap_at_cert = bounds.certified_factor().max(1.0);
-        WindowMode::SketchRefresh
-    }
-
     /// Forces a refresh now, regardless of the certificate, and returns
     /// the refreshed bounds.
     pub fn force_refresh(&mut self) -> CertifiedBounds {
@@ -589,28 +526,20 @@ impl WindowEngine {
         self.bounds()
     }
 
-    /// The best maintained lower bound: the decremental core's live
-    /// density or the exact witness's, whichever is denser right now.
-    fn lower_density(&self) -> Density {
-        let core = self
-            .core
+    /// The decremental core's live density: the floor the certificate's
+    /// lower bound never drops below while the core is alive.
+    fn floor(&self) -> Density {
+        self.core
             .as_ref()
-            .map_or(Density::ZERO, DecrementalCore::density);
-        let witness = self.witness.density();
-        if witness > core {
-            witness
-        } else {
-            core
-        }
+            .map_or(Density::ZERO, DecrementalCore::density)
     }
 
-    /// The current certified bracket `lower ≤ ρ_opt ≤ upper`.
+    /// The current certified bracket `lower ≤ ρ_opt ≤ upper`: the lower
+    /// bound is the decremental core's live density or the exact
+    /// witness's, whichever is denser right now.
     #[must_use]
     pub fn bounds(&self) -> CertifiedBounds {
-        CertifiedBounds {
-            lower: self.lower_density(),
-            upper: certified_upper(&self.state, self.rho_at_cert, &self.drift, &self.cert),
-        }
+        self.tracker.bounds(&self.state, self.floor())
     }
 
     /// Thresholds `(x, y)` of the maintained decremental core, while it is
@@ -627,7 +556,7 @@ impl WindowEngine {
     /// escalation, until the next refresh).
     #[must_use]
     pub fn witness(&self) -> Option<&Pair> {
-        self.witness.pair()
+        self.tracker.witness()
     }
 
     /// Number of batches applied so far.
