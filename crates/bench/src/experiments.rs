@@ -551,7 +551,8 @@ pub fn e10_cores(quick: bool) {
     t.write_csv("e10_cores");
 }
 
-/// E11 — parallel speedup of the embarrassingly parallel solvers.
+/// E11 — parallel speedup of the grid peel, whose grid points are
+/// independent peels.
 pub fn e11_parallel(quick: bool) {
     println!("\n=== E11: parallel speedup (expected: near-linear for grid peel up to core count)");
     let w = registry(Scale::M, quick)
@@ -561,18 +562,16 @@ pub fn e11_parallel(quick: bool) {
     let g = &w.graph;
     let mut t = Table::new(
         format!("threads vs wall time on {}", w.name),
-        &["threads", "grid_ms", "grid_speedup", "core_ms"],
+        &["threads", "grid_ms", "grid_speedup"],
     );
     let mut grid_base = None;
     for threads in [1usize, 2, 4, 8] {
         let (_, grid_t) = time(|| parallel::grid_peel_parallel(g, 0.1, threads));
         let base = *grid_base.get_or_insert(grid_t.as_secs_f64());
-        let (_, core_t) = time(|| parallel::core_approx_parallel(g, threads));
         t.row(vec![
             threads.to_string(),
             format!("{:.1}", grid_t.as_secs_f64() * 1e3),
             format!("{:.2}x", base / grid_t.as_secs_f64().max(1e-9)),
-            format!("{:.1}", core_t.as_secs_f64() * 1e3),
         ]);
     }
     println!("{}", t.render());

@@ -451,11 +451,7 @@ fn cmd_approx<'a>(
     }
     match algo.as_str() {
         "core" => {
-            let r = if threads > 1 {
-                parallel::core_approx_parallel(&g, threads)
-            } else {
-                core_approx(&g)
-            };
+            let r = core_approx(&g);
             write_solution(out, &r.solution)?;
             writeln!(out, "core            [{}, {}]", r.x, r.y)?;
             writeln!(
@@ -3288,7 +3284,7 @@ mod tests {
         };
         for (cmd, flags, has_witness) in [
             ("stream", &["--batch", "2"][..], true),
-            ("stream", &["--batch", "2", "--window", "3"][..], false),
+            ("stream", &["--batch", "2", "--window", "3"][..], true),
             ("shard", &["--batch", "2", "--shards", "2"][..], true),
         ] {
             let mut replay = vec![cmd, path.as_str()];

@@ -13,12 +13,12 @@
 //!   differ only in order;
 //! * [`grid_peel_parallel`] — grid points are independent peels; static
 //!   chunking over `threads` workers;
-//! * [`core_approx_parallel`] — the two `√m` sweeps of the max-product
-//!   core search, each chunked over `x`-ranges (every chunk re-derives its
-//!   own nested base from the full graph, trading a little redundant
-//!   peeling for independence);
 //! * [`for_each_mut`] — the bare work queue itself, generic over mutable
-//!   items: the two helpers above are thin wrappers over it.
+//!   items: the helper above is a thin wrapper over it.
+//!
+//! The max-product core sweep behind [`core_approx`](crate::core_approx)
+//! has no parallel variant: its serial sweep skips the points its pruning
+//! rules prove cannot win, and beats a chunked sweep on two threads.
 //!
 //! Every helper here executes on the process-wide persistent
 //! [`WorkerPool`](crate::pool::WorkerPool) — no per-call thread spawns —
@@ -28,11 +28,9 @@
 
 use std::sync::Mutex;
 
-use dds_graph::{DiGraph, StMask};
-use dds_num::isqrt;
-use dds_xycore::{xy_core_within, y_max_core};
+use dds_graph::DiGraph;
 
-use crate::approx::{CoreApproxResult, PeelResult};
+use crate::approx::PeelResult;
 use crate::exact::run_with_context;
 use crate::peel::peel_at_f64_ratio;
 use crate::{DdsSolution, ExactOptions, ExactReport, GridPeel, SolveContext};
@@ -45,8 +43,7 @@ use crate::{DdsSolution, ExactOptions, ExactReport, GridPeel, SolveContext};
 /// idles a worker while items remain). Results come back in item order.
 /// With `threads == 1` (or a single item) everything runs inline on the
 /// caller's thread — no tasks, no locks on the hot path — so the serial
-/// run of [`grid_peel_parallel`] and [`core_approx_parallel`] is the same
-/// code path, not a separate one.
+/// run of [`grid_peel_parallel`] is the same code path, not a separate one.
 ///
 /// # Panics
 /// Panics if `threads == 0`, or if `f` panics on any worker.
@@ -172,111 +169,10 @@ pub fn grid_peel_parallel(g: &DiGraph, epsilon: f64, threads: usize) -> PeelResu
     }
 }
 
-/// One orientation-chunk of the parallel max-product sweep: thresholds
-/// `x ∈ [lo, hi]` on graph `g` (already transposed for the reverse
-/// orientation). Returns the best `(x, y, mask)` in the chunk.
-fn sweep_chunk(g: &DiGraph, lo: u64, hi: u64) -> Option<(u64, u64, StMask)> {
-    let mut base = StMask::full(g.n());
-    let mut best: Option<(u64, u64, StMask)> = None;
-    let mut first = true;
-    for x in lo..=hi {
-        // Nested bases inside the chunk; the first peel jumps straight to
-        // threshold `lo`.
-        base = xy_core_within(g, &base, if first { lo } else { x }, 1);
-        first = false;
-        if base.is_empty() {
-            break;
-        }
-        let Some(r) = y_max_core(g, &base, x) else {
-            break;
-        };
-        let product = x * r.y;
-        if best.as_ref().is_none_or(|(bx, by, _)| product > bx * by) {
-            best = Some((x, r.y, r.mask));
-        }
-        // Within-chunk early stop mirrors the sequential sweep.
-        if hi.saturating_mul(r.y) <= best.as_ref().map_or(0, |(bx, by, _)| bx * by) {
-            break;
-        }
-    }
-    best
-}
-
-/// Parallel `core_approx`: same certified 2-approximation, the two `√m`
-/// sweeps chunked across `threads` workers.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-#[must_use]
-pub fn core_approx_parallel(g: &DiGraph, threads: usize) -> CoreApproxResult {
-    assert!(threads > 0, "need at least one worker");
-    if g.m() == 0 {
-        return crate::core_approx(g);
-    }
-    let limit = (isqrt(g.m() as u128) as u64).max(1);
-    let rev = g.reverse();
-
-    // Split 1..=limit into contiguous chunks per orientation.
-    let per_orientation = threads.div_ceil(2).max(1);
-    let chunk = limit.div_ceil(per_orientation as u64).max(1);
-    let mut tasks: Vec<(bool, u64, u64)> = Vec::new();
-    for k in 0..per_orientation as u64 {
-        let lo = 1 + k * chunk;
-        if lo > limit {
-            break;
-        }
-        let hi = (lo + chunk - 1).min(limit);
-        tasks.push((false, lo, hi));
-        tasks.push((true, lo, hi));
-    }
-
-    let results = for_each_mut(&mut tasks, threads, |_, &mut (reversed, lo, hi)| {
-        let graph = if reversed { &rev } else { g };
-        sweep_chunk(graph, lo, hi).map(|(x, y, mask)| (reversed, x, y, mask))
-    });
-
-    let mut best: Option<(u64, u64, StMask)> = None;
-    for r in results.into_iter().flatten() {
-        let (reversed, x, y, mask) = r;
-        // Reverse-orientation results swap sides and thresholds back.
-        let (x, y, mask) = if reversed {
-            (
-                y,
-                x,
-                StMask {
-                    in_s: mask.in_t,
-                    in_t: mask.in_s,
-                },
-            )
-        } else {
-            (x, y, mask)
-        };
-        if best.as_ref().is_none_or(|(bx, by, _)| x * y > bx * by) {
-            best = Some((x, y, mask));
-        }
-    }
-
-    match best {
-        None => crate::core_approx(g), // degenerate; sequential handles it
-        Some((x, y, mask)) => {
-            let solution = DdsSolution::from_pair(g, mask.to_pair());
-            let root = ((x * y) as f64).sqrt();
-            CoreApproxResult {
-                solution,
-                x,
-                y,
-                lower_bound: root,
-                upper_bound: 2.0 * root,
-                sweep_evals: 0, // not meaningful across workers
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{core_approx, DcExact, GridPeel};
+    use crate::{DcExact, GridPeel};
     use dds_graph::gen;
 
     #[test]
@@ -333,33 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_core_approx_matches_sequential_product() {
-        for seed in [3u64, 14, 159] {
-            let g = gen::gnm(120, 900, seed);
-            let seq = core_approx(&g);
-            for threads in [1, 2, 4] {
-                let par = core_approx_parallel(&g, threads);
-                // The maximum product is unique; the arg-max core need not
-                // be, so compare the certified quantities rather than the
-                // particular pair.
-                assert_eq!(
-                    par.x * par.y,
-                    seq.x * seq.y,
-                    "seed={seed} threads={threads}"
-                );
-                assert!(par.solution.density.to_f64() >= par.lower_bound - 1e-9);
-                assert!(!par.solution.pair.is_empty());
-            }
-        }
-    }
-
-    #[test]
     fn parallel_handles_fixtures_and_degenerates() {
         let g = gen::complete_bipartite(2, 3);
-        let par = core_approx_parallel(&g, 4);
-        assert_eq!(par.solution.density, core_approx(&g).solution.density);
+        let par = grid_peel_parallel(&g, 0.5, 4);
+        assert_eq!(
+            par.solution.density,
+            GridPeel::new(0.5).solve(&g).solution.density
+        );
         let empty = DiGraph::empty(4);
-        assert!(core_approx_parallel(&empty, 2).solution.pair.is_empty());
         assert!(grid_peel_parallel(&empty, 0.5, 3).solution.pair.is_empty());
     }
 

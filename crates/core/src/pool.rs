@@ -1,10 +1,10 @@
 //! The persistent work-stealing worker pool behind every parallel path.
 //!
 //! Before this module existed, each parallel entry point
-//! (`dc_exact_parallel_with`, `grid_peel_parallel`, `core_approx_parallel`,
-//! `dds-shard`'s batch applies) re-spawned OS threads through its own
-//! `thread::scope` block — measurably capping scaling at small batch sizes
-//! (experiment E16). This module replaces all of them with **one**
+//! (`dc_exact_parallel_with`, `grid_peel_parallel`, and the since-deleted
+//! chunked core sweep and `dds-shard` batch applies) re-spawned OS threads
+//! through its own `thread::scope` block — measurably capping scaling at
+//! small batch sizes (experiment E16). This module replaces all of them with **one**
 //! process-wide pool ([`WorkerPool::global`], lazily sized from
 //! `available_parallelism`, explicit sizes available for tests and
 //! embeddings):

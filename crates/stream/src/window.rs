@@ -21,14 +21,18 @@
 //! * a **decremental max-product core** ([`dds_xycore::DecrementalCore`]) —
 //!   the `[x, y]`-core the 2-approximation certified at the last refresh,
 //!   repaired locally as its edges expire. While non-empty it proves
-//!   `ρ_opt ≥ ρ(core) ≥ sqrt(x·y)` *on the current graph*, which is what
-//!   keeps the lower bound alive between refreshes as the window slides;
+//!   `ρ_opt ≥ ρ(core) ≥ sqrt(x·y)` *on the current graph*;
 //! * the **certificate** [`crate::StreamEngine`] holds too (the crate's
 //!   one bound tracker): the drift upper bound — deletions only lower the
 //!   optimum, insertions are covered by the delta-degree/crossing bounds,
 //!   so `ρ_opt ≤ min(2·sqrt(P) + drift, sqrt(m), …)` holds at every tick —
-//!   and the witness of the last exact escalation or sketch refresh. The
-//!   core's live density is the floor under its lower bound.
+//!   and the witness of the last certification: the sweep's core pair, or
+//!   the pair of an exact escalation or sketch refresh. The witness's live
+//!   density is the lower bound, with the core's live density as a floor
+//!   under it. The witness loses one edge per expiry, while the core's
+//!   repair cascade can empty it within a few batches on a uniform
+//!   window, so it is the witness that keeps the lower bound alive between
+//!   refreshes as the window slides.
 //!
 //! When the band `upper ≤ gap · max(lower·(1+tolerance), lower+slack)`
 //! breaks (the trigger the stream engine uses), the engine **refreshes**:
@@ -454,9 +458,9 @@ impl WindowEngine {
     /// Re-certifies. Sketch tier engaged: exact-on-sketch only, with no
     /// decremental core and no full-graph pass (see
     /// [`WindowConfig::sketch`]). Otherwise: one max-product core sweep,
-    /// whose core becomes the lower-bound floor, escalated to an exact
-    /// solve when the sweep bracket still misses the band (and escalation
-    /// is enabled and cooled down).
+    /// whose pair becomes the witness and whose core the lower-bound
+    /// floor, escalated to an exact solve when the sweep bracket still
+    /// misses the band (and escalation is enabled and cooled down).
     fn refresh(&mut self) -> WindowMode {
         let timer = self.metrics.refresh_latency.timer();
         let mut span = span!(self.tracer, "window.refresh");
@@ -479,8 +483,9 @@ impl WindowEngine {
                 DecrementalCore::from_mask(&g, approx.x, approx.y, mask)
             });
             let floor = self.floor();
+            let anchor = sweep_anchor(&approx);
             self.tracker
-                .reanchor(&self.state, None, sweep_anchor(&approx), floor);
+                .reanchor(&self.state, Some(approx.solution.pair), anchor, floor);
             self.last_solve_stats = None;
             let cooled_down = self
                 .last_escalation
@@ -535,8 +540,8 @@ impl WindowEngine {
     }
 
     /// The current certified bracket `lower ≤ ρ_opt ≤ upper`: the lower
-    /// bound is the decremental core's live density or the exact
-    /// witness's, whichever is denser right now.
+    /// bound is the decremental core's live density or the witness's,
+    /// whichever is denser right now.
     #[must_use]
     pub fn bounds(&self) -> CertifiedBounds {
         self.tracker.bounds(&self.state, self.floor())
@@ -552,8 +557,9 @@ impl WindowEngine {
             .map(|c| (c.x(), c.y()))
     }
 
-    /// The maintained exact witness pair (present only after an exact
-    /// escalation, until the next refresh).
+    /// The maintained witness pair: the last refresh's core pair, exact
+    /// pair or sketched pair, whose density is measured live on the
+    /// current window. `None` until a refresh finds a non-empty pair.
     #[must_use]
     pub fn witness(&self) -> Option<&Pair> {
         self.tracker.witness()

@@ -35,16 +35,32 @@ pub struct SkylinePoint {
 /// Removals are stamped with the level at which they fell, so the core at
 /// the final level is reconstructed without cloning per level.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // parallel-array indexing
 pub fn y_max_core(g: &DiGraph, base: &StMask, x: u64) -> Option<YMaxCore> {
+    y_max_step(g, base, x).map(|step| step.core)
+}
+
+/// One sweep point: [`y_max_core`]'s answer plus what the sweep steps on.
+struct Step {
+    core: YMaxCore,
+    /// The `[x, 1]`-core of `base` the peel started from: the base of the
+    /// next sweep point.
+    x1_core: StMask,
+    /// The largest out-degree inside `x1_core`: no later sweep point has
+    /// a larger `x`.
+    max_out: u64,
+}
+
+/// [`y_max_core`], keeping the `[x, 1]`-core and its largest out-degree.
+#[allow(clippy::needless_range_loop)] // parallel-array indexing
+fn y_max_step(g: &DiGraph, base: &StMask, x: u64) -> Option<Step> {
     let n = g.n();
     let mut mask = xy_core_within(g, base, x, 1);
     if mask.is_empty() {
         return None;
     }
-    // Snapshot of the [x, 1]-core's S side: needed to reconstruct the final
-    // core when x = 0 (S vertices are then never peeled and carry no stamp).
-    let initial_core_s = mask.in_s.clone();
+    // Its S side is also needed to reconstruct the final core when x = 0
+    // (S vertices are then never peeled and carry no stamp).
+    let x1_core = mask.clone();
 
     // Degrees inside the [x, 1]-core.
     let mut deg_out = vec![0u64; n];
@@ -60,6 +76,7 @@ pub fn y_max_core(g: &DiGraph, base: &StMask, x: u64) -> Option<YMaxCore> {
         }
     }
 
+    let max_out = deg_out.iter().copied().max().unwrap_or(0);
     let max_deg = (0..n)
         .filter(|&v| mask.in_t[v])
         .map(|v| deg_in[v])
@@ -140,13 +157,17 @@ pub fn y_max_core(g: &DiGraph, base: &StMask, x: u64) -> Option<YMaxCore> {
     let y_max = final_y - 1;
     let core = StMask {
         in_s: (0..n)
-            .map(|v| level_s[v] == final_y || (level_s[v] == ALIVE && initial_core_s[v]))
+            .map(|v| level_s[v] == final_y || (level_s[v] == ALIVE && x1_core.in_s[v]))
             .collect(),
         in_t: (0..n).map(|v| level_t[v] == final_y).collect(),
     };
-    Some(YMaxCore {
-        y: y_max,
-        mask: core,
+    Some(Step {
+        core: YMaxCore {
+            y: y_max,
+            mask: core,
+        },
+        x1_core,
+        max_out,
     })
 }
 
@@ -180,15 +201,9 @@ pub fn skyline(g: &DiGraph) -> Vec<SkylinePoint> {
     let mut points = Vec::new();
     let mut base = StMask::full(g.n());
     let mut x = 1u64;
-    loop {
-        base = xy_core_within(g, &base, x, 1);
-        if base.is_empty() {
-            break;
-        }
-        match y_max_core(g, &base, x) {
-            Some(r) => points.push(SkylinePoint { x, y: r.y }),
-            None => break,
-        }
+    while let Some(step) = y_max_step(g, &base, x) {
+        points.push(SkylinePoint { x, y: step.core.y });
+        base = step.x1_core;
         x += 1;
     }
     points
@@ -200,6 +215,36 @@ pub fn skyline(g: &DiGraph) -> Vec<SkylinePoint> {
 ///
 /// This core is the `CoreApprox` answer: its density is at least
 /// `sqrt(x·y) ≥ ρ_opt / 2`.
+///
+/// The answer is the first point of maximum product in sweep order: the
+/// forward points `(x, y_max(x))` by increasing `x ≤ ⌊√m⌋`, then the
+/// reverse points `(x_max(y), y)` by increasing `y ≤ ⌊√m⌋`. The sweeps
+/// skip only evaluations that provably cannot be that point, so skipping
+/// changes neither the core nor the tie-break. With `P` the best product,
+/// `L = ⌊√m⌋` and `d⁺max`/`d⁻max` the graph's largest degrees:
+///
+/// 1. **Reverse stop.** A reverse point with `x ≤ L` is dominated by the
+///    earlier forward point `(x, y_max(x))`, as `y_max(x) ≥ y`. So the
+///    reverse sweep stops after the first `y` with `x_max(y) ≤ L`, and
+///    never starts when `d⁺max ≤ L`.
+/// 2. **Forward stop.** Later forward points have `x ≤ min(L, d⁺max(base))`,
+///    the base being the current `[x, 1]`-core, and `y ≤ y_max(x)`, so the
+///    sweep stops once that product bound cannot beat the best. The
+///    reverse sweep stops on the same bound with the sides swapped.
+/// 3. **Floor.** One probe at `x_p = ⌊min(L, d⁺max)/2⌋` gives
+///    `F = x_p·y_max(x_p) ≤ P`. Every `x < ⌈F/d⁻max⌉` has
+///    `x·y_max(x) ≤ x·d⁻max < F`, so the forward sweep starts there, with
+///    one peel from the full graph. The probe is that sweep's own point at
+///    `x_p`, reused when the sweep gets there. Below `x_p` every bound of
+///    rule 2 is at least `F`, so `F` needs no stop rule of its own. The
+///    probe runs only when one peel shows that `F > d⁻max`: when the
+///    `[x_p, ⌊d⁻max/x_p⌋ + 1]`-core is non-empty. Otherwise the start would
+///    stay at `x = 1`.
+///
+/// All comparisons are strict, as in two plain sweeps, so ties still go to
+/// the earlier point. Nor do the rules ever cost an evaluation: the probe
+/// runs only when it skips the sweep's evaluation at `x = 1`, and the rest
+/// only drop evaluations.
 #[derive(Clone, Debug)]
 pub struct MaxProductCore {
     /// Out-degree threshold of the arg-max core.
@@ -208,7 +253,8 @@ pub struct MaxProductCore {
     pub y: u64,
     /// The core itself.
     pub mask: StMask,
-    /// Number of `y_max`/`x_max` evaluations performed (instrumentation).
+    /// Number of `y_max`/`x_max` evaluations performed, the probe included
+    /// (instrumentation).
     pub sweep_evals: usize,
 }
 
@@ -221,13 +267,17 @@ impl MaxProductCore {
     }
 }
 
-/// See [`MaxProductCore`]. Returns `None` on graphs with no edges.
+/// See [`MaxProductCore`], which also states the sweep's three pruning
+/// rules and why they leave the answer unchanged. Returns `None` on
+/// graphs with no edges.
 #[must_use]
 pub fn max_product_core(g: &DiGraph) -> Option<MaxProductCore> {
     if g.m() == 0 {
         return None;
     }
     let limit = isqrt(g.m() as u128) as u64;
+    let (d_out, d_in) = (g.max_out_degree() as u64, g.max_in_degree() as u64);
+    let full = StMask::full(g.n());
     let mut best: Option<MaxProductCore> = None;
     let mut evals = 0usize;
 
@@ -242,47 +292,63 @@ pub fn max_product_core(g: &DiGraph) -> Option<MaxProductCore> {
             });
         }
     };
+    let best_product = |best: &Option<MaxProductCore>| best.as_ref().map_or(0, |b| b.product());
 
-    // Forward sweep: x = 1..⌊√m⌋, nested bases.
-    let mut base = StMask::full(g.n());
-    for x in 1..=limit.max(1) {
-        base = xy_core_within(g, &base, x, 1);
-        if base.is_empty() {
-            break;
-        }
-        let Some(r) = y_max_core(g, &base, x) else {
-            break;
+    // Rule 3: the probe, run only when it moves the start past x = 1, and
+    // the first x that can reach its product.
+    let x_p = limit.min(d_out) / 2;
+    let mut probe = if x_p >= 2 && !xy_core_within(g, &full, x_p, d_in / x_p + 1).is_empty() {
+        y_max_step(g, &full, x_p)
+    } else {
+        None
+    };
+    evals += usize::from(probe.is_some());
+    let start = probe
+        .as_ref()
+        .map_or(1, |p| (x_p * p.core.y).div_ceil(d_in));
+
+    // Forward sweep: x = start..⌊√m⌋, nested bases.
+    let mut base = full.clone();
+    for x in start..=limit {
+        let step = match probe.take_if(|_| x == x_p) {
+            Some(step) => step,
+            None => {
+                let Some(step) = y_max_step(g, &base, x) else {
+                    break;
+                };
+                evals += 1;
+                step
+            }
         };
-        evals += 1;
-        let y = r.y;
-        consider(x, y, r.mask, &mut best);
-        // y_max is non-increasing, so every later product in this sweep is
-        // ≤ limit·y_max(x); stop once that cannot beat the best.
-        if limit.saturating_mul(y) <= best.as_ref().map_or(0, MaxProductCore::product) {
+        base = step.x1_core;
+        let y = step.core.y;
+        consider(x, y, step.core.mask, &mut best);
+        // Rule 2: later points have x ≤ min(⌊√m⌋, max_out) and y ≤ y_max(x).
+        if limit.min(step.max_out).saturating_mul(y) <= best_product(&best) {
             break;
         }
     }
 
-    // Reverse sweep: y = 1..⌊√m⌋ on the transpose.
-    let rev = g.reverse();
-    let mut base = StMask::full(g.n());
-    for y in 1..=limit.max(1) {
-        base = xy_core_within(&rev, &base, y, 1);
-        if base.is_empty() {
-            break;
-        }
-        let Some(r) = y_max_core(&rev, &base, y) else {
-            break;
-        };
-        evals += 1;
-        let x = r.y;
-        let mask = StMask {
-            in_s: r.mask.in_t,
-            in_t: r.mask.in_s,
-        };
-        consider(x, y, mask, &mut best);
-        if limit.saturating_mul(x) <= best.as_ref().map_or(0, MaxProductCore::product) {
-            break;
+    // Reverse sweep: y = 1..⌊√m⌋ on the transpose, while a point with
+    // x > ⌊√m⌋ can remain (rule 1).
+    if d_out > limit {
+        let rev = g.reverse();
+        let mut base = full;
+        for y in 1..=limit {
+            let Some(step) = y_max_step(&rev, &base, y) else {
+                break;
+            };
+            evals += 1;
+            base = step.x1_core;
+            let x = step.core.y;
+            let mask = StMask {
+                in_s: step.core.mask.in_t,
+                in_t: step.core.mask.in_s,
+            };
+            consider(x, y, mask, &mut best);
+            if x <= limit || limit.min(step.max_out).saturating_mul(x) <= best_product(&best) {
+                break;
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property tests for `[x, y]`-core peeling and decomposition.
 
-use dds_graph::{DiGraph, GraphBuilder, StMask, VertexId};
+use dds_graph::{gen, DiGraph, GraphBuilder, StMask, VertexId};
+use dds_num::isqrt;
 use dds_xycore::{max_product_core, skyline, xy_core, xy_core_within, y_max_core};
 use proptest::prelude::*;
 
@@ -35,8 +36,126 @@ fn is_fixpoint(g: &DiGraph, mask: &StMask, x: u64, y: u64) -> bool {
     })
 }
 
+/// The unpruned sweep: a forward sweep over `x = 1..⌊√m⌋` and a reverse
+/// sweep over `y = 1..⌊√m⌋`, each stopping only on the `⌊√m⌋`-times-
+/// current bound. The pruned [`max_product_core`] must reproduce it point
+/// for point. Returns `(x, y, mask, sweep_evals)`.
+fn reference_max_product_core(g: &DiGraph) -> Option<(u64, u64, StMask, usize)> {
+    if g.m() == 0 {
+        return None;
+    }
+    let limit = isqrt(g.m() as u128) as u64;
+    let mut best: Option<(u64, u64, StMask)> = None;
+    let mut evals = 0usize;
+    let product = |best: &Option<(u64, u64, StMask)>| best.as_ref().map_or(0, |b| b.0 * b.1);
+
+    let mut base = StMask::full(g.n());
+    for x in 1..=limit {
+        base = xy_core_within(g, &base, x, 1);
+        let Some(r) = y_max_core(g, &base, x) else {
+            break;
+        };
+        evals += 1;
+        if x * r.y > product(&best) {
+            best = Some((x, r.y, r.mask));
+        }
+        if limit * r.y <= product(&best) {
+            break;
+        }
+    }
+
+    let rev = g.reverse();
+    let mut base = StMask::full(g.n());
+    for y in 1..=limit {
+        base = xy_core_within(&rev, &base, y, 1);
+        let Some(r) = y_max_core(&rev, &base, y) else {
+            break;
+        };
+        evals += 1;
+        if r.y * y > product(&best) {
+            let mask = StMask {
+                in_s: r.mask.in_t,
+                in_t: r.mask.in_s,
+            };
+            best = Some((r.y, y, mask));
+        }
+        if limit * r.y <= product(&best) {
+            break;
+        }
+    }
+    best.map(|(x, y, mask)| (x, y, mask, evals))
+}
+
+/// The pruned sweep returns the reference's `(x, y, mask)` and spends no
+/// more evaluations.
+fn assert_sweep_matches_reference(g: &DiGraph, what: &str) {
+    let fast = max_product_core(g);
+    let reference = reference_max_product_core(g);
+    match (fast, reference) {
+        (None, None) => {}
+        (Some(f), Some((x, y, mask, evals))) => {
+            assert_eq!((f.x, f.y), (x, y), "{what}: arg-max point");
+            assert!(f.mask == mask, "{what}: arg-max core");
+            assert!(
+                f.sweep_evals <= evals,
+                "{what}: {} evaluations, the reference spends {evals}",
+                f.sweep_evals
+            );
+        }
+        (f, r) => panic!(
+            "{what}: pruned {:?}, reference {:?}",
+            f.map(|b| (b.x, b.y)),
+            r.map(|b| (b.0, b.1))
+        ),
+    }
+}
+
+/// Stars and complete bipartite graphs, where the reverse sweep or a tie
+/// between the two sweeps decides the answer, and an in-star beside an
+/// out-star, where the hub's `[1, k]`-core stops the forward sweep before
+/// the probe point.
+#[test]
+fn pruned_sweep_matches_reference_on_stars_and_bicliques() {
+    for k in 1..=40 {
+        assert_sweep_matches_reference(&gen::out_star(k), &format!("out-star {k}"));
+        let in_star = gen::out_star(k).reverse();
+        assert_sweep_matches_reference(&in_star, &format!("in-star {k}"));
+        let mut both = GraphBuilder::new();
+        for leaf in 1..=k as VertexId {
+            both.add_edge(leaf, 0);
+            both.add_edge(k as VertexId + 1, k as VertexId + 1 + leaf);
+        }
+        assert_sweep_matches_reference(&both.build(), &format!("in-star + out-star {k}"));
+    }
+    for s in 1..=9 {
+        for t in 1..=9 {
+            let g = gen::complete_bipartite(s, t);
+            assert_sweep_matches_reference(&g, &format!("K_{{{s},{t}}}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Seeded random, power-law and planted graphs.
+    #[test]
+    fn pruned_sweep_matches_reference(
+        seed in 0u64..1_000_000,
+        n in 8usize..120,
+        density in 1usize..12,
+        block in 2usize..8,
+    ) {
+        let m = n * density.min(n / 2);
+        assert_sweep_matches_reference(&gen::gnm(n, m, seed), &format!("gnm({n}, {m}, {seed})"));
+        assert_sweep_matches_reference(
+            &gen::power_law(n, m, 2.1, seed),
+            &format!("power_law({n}, {m}, {seed})"),
+        );
+        let side = block.min(n / 2);
+        let planted = gen::planted(n, m, side, side, 0.9, seed).graph;
+        assert_sweep_matches_reference(&planted, &format!("planted({n}, {m}, {block}, {seed})"));
+    }
 
     /// Peeling yields a fixpoint that contains every other fixpoint
     /// (checked against a greedily grown witness, not full enumeration).

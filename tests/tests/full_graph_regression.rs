@@ -178,14 +178,14 @@ fn stream_engine_modes_are_pinned() {
 fn window_engine_modes_are_pinned() {
     assert_eq!(
         run_window(true, None),
-        pinned(60, (38, 4, 0), (1763, 832), 294, (82, 31, 13), "2.828427")
+        pinned(60, (20, 4, 0), (802, 832), 294, (172, 30, 44), "2.828427")
     );
     assert_eq!(
         run_window(false, None),
-        pinned(60, (37, 0, 0), (1747, 832), 294, (82, 31, 13), "3.401680")
+        pinned(60, (17, 0, 0), (739, 832), 294, (139, 26, 40), "3.401680")
     );
     assert_eq!(
         run_window(true, Some(tier(200))),
-        pinned(60, (8, 1, 5), (0, 832), 294, (8, 2, 6), "24.647515")
+        pinned(60, (7, 1, 4), (0, 832), 294, (7, 4, 12), "17.748239")
     );
 }
