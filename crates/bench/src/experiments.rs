@@ -1455,7 +1455,7 @@ pub fn e18_serve(quick: bool) {
 /// flips exactly once per run, and the final scrape reconciles with the
 /// driver's epoch count — scrapes must observe ingest, never steer it.
 pub fn e19_admin(quick: bool) {
-    use crate::serve_load::percentile;
+    use crate::serve_load::{percentile, scrape_admin};
     use dds_obs::{http_get, parse_exposition, AdminServer, Registry, SlowRing, StatusBoard};
     use dds_stream::{Batch, StreamConfig, StreamEngine};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1509,19 +1509,7 @@ pub fn e19_admin(quick: bool) {
                     let mut ready_seen = false;
                     let mut latencies_us = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        let t0 = std::time::Instant::now();
-                        let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
-                        latencies_us.push(t0.elapsed().as_micros() as u64);
-                        assert_eq!(code, 200, "failed /metrics scrape");
-                        parse_exposition(&body).expect("every scrape must parse");
-                        let (code, _) = http_get(addr, "/status").expect("scrape /status");
-                        assert_eq!(code, 200, "failed /status scrape");
-                        let (code, _) = http_get(addr, "/readyz").expect("scrape /readyz");
-                        match code {
-                            200 => ready_seen = true,
-                            503 => assert!(!ready_seen, "/readyz went back to not-ready"),
-                            other => panic!("failed /readyz scrape: {other}"),
-                        }
+                        latencies_us.push(scrape_admin(addr, &mut ready_seen));
                         scrapes += 1;
                     }
                     (scrapes, latencies_us)

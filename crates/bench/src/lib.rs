@@ -4,11 +4,16 @@
 //! regenerates the paper-style tables and figure series (experiments
 //! E1–E20, one function each in [`experiments`]; E13 covers the
 //! `SolveContext` pipeline, E14 the window-native engine, E17 the worker
-//! pool, E18 the query-serving tier); the criterion benches under `benches/` cover the per-kernel
-//! microbenchmarks, and the `*-smoke` subcommands (`smoke`,
-//! `window-smoke`, …, `serve-smoke`) run the CI budget checks. Results
-//! print as aligned tables and are also written as CSV under
-//! `bench_results/`.
+//! pool, E18 the query-serving tier). Results print as aligned tables
+//! and are also written as CSV under `bench_results/`. The criterion
+//! benches under `benches/` cover the per-kernel microbenchmarks.
+//!
+//! CI gates the streaming tiers through [`perf`]: `full` writes the
+//! committed `BENCH_E12..E20.json` records and `compare` re-measures
+//! them, each measurement asserting its experiment's contracts. Four
+//! `*-smoke` subcommands gate what no record can: `snapshot-smoke`
+//! (kill/restore equivalence), `obs-smoke` and `admin-smoke` (paired
+//! overhead budgets), and `cluster-smoke` (real worker processes).
 
 #![warn(missing_docs)]
 

@@ -5,6 +5,12 @@
 //! cargo run -p dds-bench --release -- e2 e5        # a subset
 //! cargo run -p dds-bench --release -- all --quick  # smoke-test sizes
 //!
+//! # The perf trajectory: rewrite the committed BENCH_E12..E20.json
+//! # records, or re-measure and diff against them (the CI gate; each
+//! # measurement asserts its experiment's contracts as it runs):
+//! cargo run -p dds-bench --release -- full
+//! cargo run -p dds-bench --release -- compare
+//!
 //! # Write a stream-workload event file for `dds stream`:
 //! cargo run -p dds-bench --release -- stream-gen churn --events 100000 --out churn.events
 //! ```
@@ -15,14 +21,8 @@ const USAGE: &str = "usage:
   dds-bench (all | e1..e20)... [--quick]
   dds-bench full [--quick] [--dir D]     write BENCH_E12..E20.json perf records
   dds-bench compare [--dir D]            diff a fresh run against the committed records
-  dds-bench smoke
-  dds-bench window-smoke
-  dds-bench sketch-smoke
-  dds-bench shard-smoke
   dds-bench snapshot-smoke
   dds-bench obs-smoke
-  dds-bench pool-smoke
-  dds-bench serve-smoke
   dds-bench admin-smoke
   dds-bench cluster-smoke
   dds-bench stream-gen (churn|window|emerge|arrivals|recurring) --out <file>
@@ -39,84 +39,52 @@ fn main() {
         return;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("stream-gen") {
-        if let Err(msg) = stream_gen(&args[1..]) {
-            eprintln!("dds-bench: {msg}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("smoke") {
-        smoke_exact();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("window-smoke") {
-        smoke_window();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("sketch-smoke") {
-        smoke_sketch();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("shard-smoke") {
-        smoke_shard();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("snapshot-smoke") {
-        smoke_snapshot();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("obs-smoke") {
-        smoke_obs();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("pool-smoke") {
-        smoke_pool();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve-smoke") {
-        smoke_serve();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("admin-smoke") {
-        smoke_admin();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("cluster-smoke") {
-        smoke_cluster();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("full") {
-        let quick = args.iter().any(|a| a == "--quick");
-        let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".into());
-        if let Err(e) = perf::run_full(std::path::Path::new(&dir), quick) {
-            eprintln!("dds-bench full: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("compare") {
-        let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".into());
-        match perf::compare(std::path::Path::new(&dir)) {
-            Ok(regressions) if regressions.is_empty() => println!("compare: OK"),
-            Ok(regressions) => {
-                for r in &regressions {
-                    eprintln!(
-                        "REGRESSION {} {}: baseline {} vs fresh {}",
-                        r.exp, r.what, r.old, r.new
-                    );
-                }
-                eprintln!("compare: {} regression(s)", regressions.len());
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("dds-bench compare: {e}");
+    match args.first().map(String::as_str) {
+        Some("stream-gen") => {
+            if let Err(msg) = stream_gen(&args[1..]) {
+                eprintln!("dds-bench: {msg}");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
-        return;
+        Some("snapshot-smoke") => smoke_snapshot(),
+        Some("obs-smoke") => smoke_obs(),
+        Some("admin-smoke") => smoke_admin(),
+        Some("cluster-smoke") => smoke_cluster(),
+        Some("full") => {
+            let quick = args.iter().any(|a| a == "--quick");
+            let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".into());
+            if let Err(e) = perf::run_full(std::path::Path::new(&dir), quick) {
+                eprintln!("dds-bench full: {e}");
+                std::process::exit(1);
+            }
+        }
+        Some("compare") => {
+            let dir = flag_value(&args, "--dir").unwrap_or_else(|| ".".into());
+            match perf::compare(std::path::Path::new(&dir)) {
+                Ok(regressions) if regressions.is_empty() => println!("compare: OK"),
+                Ok(regressions) => {
+                    for r in &regressions {
+                        eprintln!(
+                            "REGRESSION {} {}: baseline {} vs fresh {}",
+                            r.exp, r.what, r.old, r.new
+                        );
+                    }
+                    eprintln!("compare: {} regression(s)", regressions.len());
+                    std::process::exit(1);
+                }
+                Err(e) => {
+                    eprintln!("dds-bench compare: {e}");
+                    std::process::exit(2);
+                }
+            }
+        }
+        _ => run_experiments(&args),
     }
+}
+
+/// `(all | e1..e20)... [--quick]` — runs the named experiments in order.
+fn run_experiments(args: &[String]) {
     let quick = args.iter().any(|a| a == "--quick");
     let ids: Vec<&str> = args
         .iter()
@@ -201,266 +169,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// CI window smoke: a seeded 20k-event sliding-window replay through the
-/// window-native engine, with wall-clock-free budget assertions — every
-/// epoch must end inside its certified band and exact escalations must
-/// stay under a fixed count, so decremental-core or drift regressions
-/// fail the build instead of silently degrading to re-solve storms.
-///
-/// Budget calibration: this replay measures 105 refreshes, 5 of them exact
-/// escalations, and 46,279 core repairs over 800 epochs in 0.71 s
-/// (release, 2-vCPU host, 2026-10). A refresh keeps its sweep's pair as
-/// the witness, so the lower bound decays one expired edge at a time
-/// instead of with the decremental core; dropping that pair again
-/// measures 289 refreshes. The budgets below carry ~1.4x/2.4x headroom,
-/// while a broken decremental repair or drift certificate (which
-/// collapses the lower bound every epoch and refreshes all 800) blows
-/// through them immediately.
-fn smoke_window() {
-    use dds_stream::{replay_window, BatchBy, WindowConfig, WindowEngine, WindowMode};
-
-    const EXACT_BUDGET: usize = 12;
-    const REFRESH_BUDGET: usize = 150;
-    let events = dds_bench::stream_workloads::arrivals(400, 20_000, 0xDD5);
-    let mut engine = WindowEngine::new(WindowConfig {
-        tolerance: 0.25,
-        slack: 2.0,
-        exact_escalation: true,
-        ..WindowConfig::new(4_000)
-    });
-    let t0 = std::time::Instant::now();
-    let reports = replay_window(&mut engine, &events, BatchBy::Count(25));
-    let elapsed = t0.elapsed();
-    let epochs = reports.len();
-    let refreshes = reports
-        .iter()
-        .filter(|r| r.mode != WindowMode::Incremental)
-        .count();
-    let exact = reports
-        .iter()
-        .filter(|r| r.mode == WindowMode::ExactResolve)
-        .count();
-    let uncertified = reports.iter().filter(|r| !r.within_band).count();
-    println!(
-        "window-smoke: 20k arrivals, window 4000, {epochs} epochs in {elapsed:?}: \
-         {refreshes} refreshes ({exact} exact), {} expired, {} repairs, final m = {}",
-        engine.expired(),
-        engine.repairs(),
-        engine.m(),
-    );
-    assert_eq!(
-        uncertified, 0,
-        "{uncertified} epochs ended outside their certified band"
-    );
-    assert!(
-        exact <= EXACT_BUDGET,
-        "exact-escalation budget exceeded: {exact} > {EXACT_BUDGET} — the incremental \
-         certificate or decremental core regressed"
-    );
-    assert!(
-        refreshes <= REFRESH_BUDGET,
-        "refresh budget exceeded: {refreshes} > {REFRESH_BUDGET}"
-    );
-    println!("window-smoke: OK (budgets: {EXACT_BUDGET} exact, {REFRESH_BUDGET} refreshes)");
-}
-
-/// CI sketch smoke: a seeded 100k-event churn replay through a standalone
-/// [`dds_sketch::SketchEngine`] behind a canonicalising full-graph mirror,
-/// asserting the tier's three contracts on every epoch or at sampled
-/// epochs: (1) the retained set never exceeds the configured state bound,
-/// (2) the certified bracket contains a fresh exact solve of the full
-/// graph, (3) the whole replay fits a generous wall-time budget (the only
-/// wall-clock assert in CI — the sketch exists to be cheap, so a 10x cost
-/// regression should fail the build even if it stays "correct").
-///
-/// Budget calibration: this replay measures 107 refreshes (deterministic:
-/// seeded stream, deterministic engine) and ~2 s wall (release, 2026-07).
-/// The budgets below carry ~1.5x and ~15x headroom respectively; a broken
-/// subsampler (level stuck at 0) trips the per-epoch state-bound assert
-/// immediately. The planted
-/// block is deliberately denser than the background average (rho = 32 vs
-/// m/n ~ 13) so the sampled spot-check solves stay sharp and fast.
-fn smoke_sketch() {
-    use dds_core::DcExact;
-    use dds_sketch::{SketchConfig, SketchEngine};
-    use dds_stream::{DynamicGraph, Event};
-
-    const BOUND: usize = 500;
-    const REFRESH_BUDGET: u64 = 160;
-    const WALL_BUDGET_S: f64 = 30.0;
-    let events = dds_bench::stream_workloads::churn(400, 4_000, (32, 32), 100_000, 0xDD5);
-    let mut mirror = DynamicGraph::new();
-    let mut sketch = SketchEngine::new(SketchConfig {
-        state_bound: BOUND,
-        ..SketchConfig::default()
-    });
-    let t0 = std::time::Instant::now();
-    let mut epochs = 0u64;
-    let mut checks = 0u32;
-    for chunk in events.chunks(100) {
-        for ev in chunk {
-            match ev.event {
-                Event::Insert(u, v) => {
-                    if mirror.insert(u, v) {
-                        sketch.insert(u, v);
-                    }
-                }
-                Event::Delete(u, v) => {
-                    if mirror.delete(u, v) {
-                        sketch.delete(u, v);
-                    }
-                }
-            }
-        }
-        if sketch.is_undersampled() {
-            sketch.rebuild(mirror.edges()); // the mirror owns the live set
-        }
-        let r = sketch.seal_epoch();
-        epochs += 1;
-        assert!(
-            r.retained <= BOUND,
-            "epoch {epochs}: retained {} broke the state bound {BOUND}",
-            r.retained
-        );
-        if epochs.is_multiple_of(250) {
-            let exact = DcExact::new().solve(&mirror.materialize()).solution.density;
-            assert!(
-                r.density <= exact && exact.to_f64() <= r.upper * (1.0 + 1e-9),
-                "epoch {epochs}: bracket [{}, {}] misses exact {exact}",
-                r.lower,
-                r.upper
-            );
-            checks += 1;
-        }
-    }
-    let elapsed = t0.elapsed();
-    let stats = sketch.stats();
-    println!(
-        "sketch-smoke: {} events, {epochs} epochs in {elapsed:?}: retained {} (peak {}) of {} live, \
-         level {}, {} subsamples, {} refreshes, {checks} bracket spot-checks",
-        events.len(),
-        stats.retained,
-        stats.peak_retained,
-        mirror.m(),
-        stats.level,
-        stats.subsamples,
-        stats.refreshes,
-    );
-    assert!(stats.level >= 1, "the subsampler never engaged");
-    assert!(
-        stats.refreshes <= REFRESH_BUDGET,
-        "refresh budget exceeded: {} > {REFRESH_BUDGET} — the drift policy regressed",
-        stats.refreshes
-    );
-    assert!(
-        elapsed.as_secs_f64() < WALL_BUDGET_S,
-        "wall budget exceeded: {elapsed:?} > {WALL_BUDGET_S}s"
-    );
-    println!("sketch-smoke: OK (budgets: {REFRESH_BUDGET} refreshes, {WALL_BUDGET_S}s wall)");
-}
-
-/// CI shard smoke: the 100k-event churn replay through a K = 4
-/// [`dds_shard::ShardedEngine`] with per-epoch merged-bracket validation —
-/// every epoch must report an internally consistent bracket over an edge
-/// set identical to a `DynamicGraph` mirror's, with every shard inside
-/// its state bound; at sampled epochs the bracket must contain a fresh
-/// full-graph exact solve. A generous wall budget guards against cost
-/// regressions in the merge path (the engine exists to make batches
-/// cheap; a 10x apply/certify regression should fail the build even if
-/// it stays correct).
-///
-/// Budget calibration: this replay measures 107 merged refreshes
-/// (deterministic: seeded stream, deterministic engine) and ~2.5 s wall
-/// (release, single-core runner, 2026-07). The budgets below carry ~1.5x
-/// and ~12x headroom.
-fn smoke_shard() {
-    use dds_core::DcExact;
-    use dds_shard::{ShardConfig, ShardedEngine};
-    use dds_sketch::SketchConfig;
-    use dds_stream::{Batch, DynamicGraph};
-
-    const BOUND: usize = 500;
-    const REFRESH_BUDGET: u64 = 160;
-    const WALL_BUDGET_S: f64 = 30.0;
-    let events = dds_bench::stream_workloads::churn(400, 4_000, (32, 32), 100_000, 0xDD5);
-    let mut engine = ShardedEngine::new(ShardConfig {
-        shards: 4,
-        sketch: SketchConfig {
-            state_bound: BOUND,
-            ..SketchConfig::default()
-        },
-        ..ShardConfig::default()
-    });
-    let mut mirror = DynamicGraph::new();
-    let t0 = std::time::Instant::now();
-    let mut epochs = 0u64;
-    let mut checks = 0u32;
-    for chunk in events.chunks(100) {
-        for ev in chunk {
-            match ev.event {
-                dds_stream::Event::Insert(u, v) => {
-                    mirror.insert(u, v);
-                }
-                dds_stream::Event::Delete(u, v) => {
-                    mirror.delete(u, v);
-                }
-            }
-        }
-        let r = engine.apply(&Batch::from_events(chunk.to_vec()));
-        epochs += 1;
-        assert_eq!(
-            r.m as usize,
-            mirror.m(),
-            "epoch {epochs}: sharded edge set diverged from the mirror"
-        );
-        assert!(
-            r.lower <= r.upper * (1.0 + 1e-9),
-            "epoch {epochs}: inverted bracket [{}, {}]",
-            r.lower,
-            r.upper
-        );
-        assert!(
-            engine.stats().retained <= 4 * BOUND,
-            "epoch {epochs}: pooled retained {} broke the 4x{BOUND} bound",
-            engine.stats().retained
-        );
-        if epochs.is_multiple_of(250) {
-            let exact = DcExact::new().solve(&mirror.materialize()).solution.density;
-            assert!(
-                r.density <= exact && exact.to_f64() <= r.upper * (1.0 + 1e-9),
-                "epoch {epochs}: bracket [{}, {}] misses exact {exact}",
-                r.lower,
-                r.upper
-            );
-            checks += 1;
-        }
-    }
-    let elapsed = t0.elapsed();
-    let stats = engine.stats();
-    println!(
-        "shard-smoke: {} events, {epochs} epochs in {elapsed:?}: K=4 levels {:?}, retained {} of {} live, \
-         {} merged refreshes ({} escalated), apply {:?}, certify {:?}, {checks} bracket spot-checks",
-        events.len(),
-        stats.levels,
-        stats.retained,
-        engine.m(),
-        stats.refreshes,
-        stats.escalations,
-        stats.apply,
-        stats.certify,
-    );
-    assert!(
-        stats.refreshes <= REFRESH_BUDGET,
-        "refresh budget exceeded: {} > {REFRESH_BUDGET} — the pooled drift policy regressed",
-        stats.refreshes
-    );
-    assert!(
-        elapsed.as_secs_f64() < WALL_BUDGET_S,
-        "wall budget exceeded: {elapsed:?} > {WALL_BUDGET_S}s"
-    );
-    println!("shard-smoke: OK (budgets: {REFRESH_BUDGET} refreshes, {WALL_BUDGET_S}s wall)");
 }
 
 /// CI snapshot smoke: both snapshot-bearing engines run half a churn
@@ -682,7 +390,8 @@ fn smoke_obs() {
 /// same paired 2% overhead budget as obs-smoke — minimum over rounds of
 /// (replay with admin plane + scraper) / (replay with bare metrics).
 fn smoke_admin() {
-    use dds_obs::{http_get, parse_exposition, AdminServer, Registry, SlowRing, StatusBoard};
+    use dds_bench::serve_load::scrape_admin;
+    use dds_obs::{AdminServer, Registry, SlowRing, StatusBoard};
     use dds_stream::{follow_events, FollowConfig, StreamConfig, StreamEngine};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -764,17 +473,7 @@ fn smoke_admin() {
                 let mut scrapes = 0u64;
                 let mut ready_seen = false;
                 loop {
-                    let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
-                    assert_eq!(code, 200, "failed /metrics scrape");
-                    parse_exposition(&body).expect("every scrape must parse");
-                    let (code, _) = http_get(addr, "/status").expect("scrape /status");
-                    assert_eq!(code, 200, "failed /status scrape");
-                    let (code, _) = http_get(addr, "/readyz").expect("scrape /readyz");
-                    match code {
-                        200 => ready_seen = true,
-                        503 => assert!(!ready_seen, "/readyz went back to not-ready"),
-                        other => panic!("failed /readyz scrape: {other}"),
-                    }
+                    scrape_admin(addr, &mut ready_seen);
                     scrapes += 1;
                     if stop.load(Ordering::Relaxed) {
                         return scrapes;
@@ -1165,196 +864,4 @@ fn smoke_cluster() {
          {WALL_BUDGET_S}s wall)",
         STRAGGLER + READMIT_ALLOWANCE
     );
-}
-
-/// CI pool smoke: E17 in quick mode — the pool-backed exact interval
-/// queue must land on the bit-identical serial density (asserted inside
-/// the experiment).
-fn smoke_pool() {
-    use dds_core::WorkerPool;
-
-    dds_bench::experiments::run("e17", true);
-    let stats = WorkerPool::global().stats();
-    println!(
-        "pool-smoke: OK (global pool width {}, lifetime {} tasks, {} steals, {} parks)",
-        WorkerPool::global().width(),
-        stats.tasks,
-        stats.steals,
-        stats.parks,
-    );
-}
-
-/// CI serve smoke: a seeded 100k-event churn stream is written to a real
-/// event file and replayed through the `dds-stream` follow loop — the
-/// same tail path `dds serve` runs — publishing one immutable snapshot
-/// per sealed epoch through the arc-swap cell, while two load-generator
-/// clients hammer the TCP front end with the mixed
-/// `DENSITY`/`MEMBER`/`CORE`/`TOPK` rotation. The gate asserts the
-/// serving contracts: every event replayed, one publish per epoch, zero
-/// stale-epoch violations (epoch ids never go backwards on a
-/// connection), zero bracket violations on served `DENSITY` answers,
-/// zero `ERR` responses once publication started, and the whole drill
-/// inside a generous wall budget (the snapshot path exists to be cheap;
-/// a 10x publish regression should fail the build even if it stays
-/// correct).
-fn smoke_serve() {
-    use dds_bench::serve_load::{percentile, run_clients, ClientPlan, ClientReport};
-    use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
-    use dds_stream::{follow_events, FollowConfig, SolverKind, StreamConfig, StreamEngine};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const WALL_BUDGET_S: f64 = 60.0;
-    let events = dds_bench::stream_workloads::churn(400, 4_000, (32, 32), 100_000, 0xDD5);
-    let path = std::env::temp_dir().join(format!("dds_serve_smoke_{}.events", std::process::id()));
-    dds_stream::save_events(&events, &path).expect("write event file");
-
-    let mut engine = StreamEngine::new(StreamConfig {
-        solver: SolverKind::CoreApprox,
-        ..StreamConfig::default()
-    });
-    let cell = Arc::new(SnapshotCell::new());
-    let metrics = Arc::new(ServeMetrics::new());
-    let mut publisher = Publisher::new(
-        Arc::clone(&cell),
-        PublishOptions {
-            core: Some((1, 1)),
-            top_k: 2,
-        },
-        Arc::clone(&metrics),
-    );
-    let server = Server::start("127.0.0.1:0", Arc::clone(&cell), 2, Arc::clone(&metrics))
-        .expect("bind ephemeral port");
-    let stop = Arc::new(AtomicBool::new(false));
-    let plan = ClientPlan {
-        addr: server.addr(),
-        queries: None,
-        stop: Arc::clone(&stop),
-        core: Some((1, 1)),
-        top_k: 2,
-    };
-    let load = {
-        let plan = plan.clone();
-        std::thread::spawn(move || run_clients(2, &plan))
-    };
-
-    let t0 = std::time::Instant::now();
-    let mut epochs = 0u64;
-    let outcome = follow_events(
-        &path,
-        FollowConfig {
-            batch: 100,
-            poll: Duration::from_millis(1),
-            idle_exit: Some(Duration::ZERO),
-            cursor: 0,
-        },
-        |batch, _| {
-            let r = engine.apply(&batch);
-            publisher.publish(
-                EpochFacts {
-                    epoch: r.epoch,
-                    n: r.n,
-                    m: r.m as u64,
-                    density: r.density.to_f64(),
-                    lower: r.lower,
-                    upper: r.upper,
-                    witness: engine.witness(),
-                    resolved: r.resolved,
-                },
-                || engine.materialize(),
-            );
-            epochs += 1;
-            std::ops::ControlFlow::Continue(())
-        },
-    )
-    .expect("follow");
-    let elapsed = t0.elapsed();
-    stop.store(true, Ordering::Relaxed);
-    let reports = load.join().expect("load clients");
-    drop(server);
-    std::fs::remove_file(&path).ok();
-
-    let mut total = ClientReport::default();
-    for r in &reports {
-        total.merge(r);
-    }
-    println!(
-        "serve-smoke: {} events, {epochs} epochs in {elapsed:?}: {} publishes, \
-         {} queries answered (p50 {} us, p99 {} us), max epoch seen {}",
-        outcome.events,
-        metrics.publishes.get(),
-        total.queries,
-        percentile(&total.latencies_us, 50.0),
-        percentile(&total.latencies_us, 99.0),
-        total.max_epoch,
-    );
-    assert_eq!(
-        outcome.events,
-        events.len() as u64,
-        "the tail must replay every event"
-    );
-    assert_eq!(
-        metrics.publishes.get(),
-        epochs,
-        "one publish per sealed epoch"
-    );
-    assert_eq!(
-        total.stale_violations, 0,
-        "epoch ids went backwards on a connection"
-    );
-    assert_eq!(total.bracket_violations, 0, "a served bracket inverted");
-    assert_eq!(
-        total.errors_after_epoch0, 0,
-        "valid queries errored after publication started"
-    );
-    assert!(
-        total.max_epoch > 0 && total.queries > 0,
-        "the load generator never overlapped a published epoch"
-    );
-    assert!(
-        elapsed.as_secs_f64() < WALL_BUDGET_S,
-        "wall budget exceeded: {elapsed:?} > {WALL_BUDGET_S}s"
-    );
-    println!("serve-smoke: OK (budget {WALL_BUDGET_S}s wall)");
-}
-
-/// CI smoke: the n = 500 planted-block exact solve, with a hard budget on
-/// flow decisions so pruning regressions fail the build instead of
-/// silently eating wall clock.
-///
-/// Budget calibration: the engine measures 53 decisions on this instance
-/// (50 ratios, the seeded per-ratio Newton search); a per-ratio search
-/// that bisects β instead needs ~1 560, and the legacy strict-margin
-/// engine ~4 300. The 200 budget leaves room for seeding drift while any
-/// fall-back to bisection or reversion of tie pruning blows through it.
-fn smoke_exact() {
-    use dds_bench::workloads::planted_block;
-    use dds_core::DcExact;
-
-    const FLOW_DECISION_BUDGET: usize = 200;
-    let p = planted_block(500);
-    let t0 = std::time::Instant::now();
-    let report = DcExact::new().solve(&p.graph);
-    let elapsed = t0.elapsed();
-    let planted_rho = p.pair.density(&p.graph);
-    println!(
-        "smoke: n=500 planted block solved in {elapsed:?}: density {} (planted {}), {} ratios, {} flow decisions ({} arena hits, {} core hits)",
-        report.solution.density,
-        planted_rho,
-        report.ratios_solved,
-        report.flow_decisions,
-        report.arena_reuse_hits,
-        report.core_cache_hits,
-    );
-    assert!(
-        report.solution.density >= planted_rho,
-        "solver missed the planted block"
-    );
-    assert!(
-        report.flow_decisions <= FLOW_DECISION_BUDGET,
-        "flow-decision budget exceeded: {} > {FLOW_DECISION_BUDGET} — a pruning regression",
-        report.flow_decisions
-    );
-    println!("smoke: OK (budget {FLOW_DECISION_BUDGET})");
 }

@@ -10,17 +10,26 @@
 //! failing on regressions past tolerance. The JSON is deliberately flat
 //! — one `"key": value` pair per line — so [`parse_record`] needs no
 //! JSON library and doubles as the schema validator CI runs.
+//!
+//! Each measurement is also its workload's CI gate. It asserts the
+//! experiment's contracts outside the timed region: the planted block is
+//! reached (E13, E17), every window epoch stays in band (E14), the
+//! sampled tiers' brackets contain fresh exact solves of an independent
+//! mirror (E15, E16), and the serving contracts hold (E18, E19). The
+//! committed records are full mode, so `compare` runs the gates at their
+//! full sizes, and its counter rule bounds the work each one does.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
 use dds_core::{parallel, DcExact, ExactOptions, SolveContext, SolveStats};
+use dds_num::Density;
 use dds_shard::{Partition, ShardConfig, ShardedEngine};
 use dds_sketch::SketchConfig;
 use dds_stream::{
-    replay, replay_window, Batch, BatchBy, Event, StreamConfig, StreamEngine, WindowConfig,
-    WindowEngine, WindowMode,
+    replay, replay_window, Batch, BatchBy, DynamicGraph, Event, StreamConfig, StreamEngine,
+    TimedEvent, WindowConfig, WindowEngine, WindowMode,
 };
 
 use crate::report::time;
@@ -246,12 +255,19 @@ fn measure_e12(quick: bool) -> Measurement {
     )
 }
 
-/// E13 — the `SolveContext` exact pipeline on the planted block.
+/// E13 — the `SolveContext` exact pipeline on the planted block. The
+/// solve must reach the planted block's density; the flow-decision
+/// counter pins the pruning (a per-ratio search that bisects β, or a
+/// reverted tie pruning, multiplies it).
 fn measure_e13(quick: bool) -> Measurement {
     let p = workloads::planted_block(if quick { 200 } else { 500 });
     let (report, wall) = time(|| DcExact::new().solve(&p.graph));
     let s = report.stats();
-    let planted = p.pair.density(&p.graph).to_f64();
+    let planted = p.pair.density(&p.graph);
+    assert!(
+        report.solution.density >= planted,
+        "e13: the solver missed the planted block"
+    );
     (
         wall.as_millis() as u64,
         counter_map([
@@ -262,12 +278,15 @@ fn measure_e13(quick: bool) -> Measurement {
         ]),
         factor_map([(
             "density_vs_planted",
-            report.solution.density.to_f64() / planted.max(f64::MIN_POSITIVE),
+            report.solution.density.to_f64() / planted.to_f64().max(f64::MIN_POSITIVE),
         )]),
     )
 }
 
 /// E14 — sliding-window maintenance through the window-native engine.
+/// Every epoch must end inside its certified band; a broken decremental
+/// repair or drift certificate shows as a refresh and exact-solve storm
+/// in the counters.
 fn measure_e14(quick: bool) -> Measurement {
     let events = stream_workloads::arrivals(400, if quick { 10_000 } else { 20_000 }, 0xDD5);
     let mut engine = WindowEngine::new(WindowConfig {
@@ -277,6 +296,11 @@ fn measure_e14(quick: bool) -> Measurement {
         ..WindowConfig::new(4_000)
     });
     let (reports, wall) = time(|| replay_window(&mut engine, &events, BatchBy::Count(25)));
+    let uncertified = reports.iter().filter(|r| !r.within_band).count();
+    assert_eq!(
+        uncertified, 0,
+        "e14: {uncertified} epochs ended outside their certified band"
+    );
     let exact = reports
         .iter()
         .filter(|r| r.mode == WindowMode::ExactResolve)
@@ -299,7 +323,11 @@ fn measure_e14(quick: bool) -> Measurement {
 }
 
 /// E15 — the sublinear sketch tier behind a canonicalising partition.
+/// The sample must never peak past the state bound (checked after every
+/// admitted insert, not only at epoch ends), the subsampler must engage,
+/// and the epochs must pass [`check_sampled_epochs`].
 fn measure_e15(quick: bool) -> Measurement {
+    const BOUND: usize = 500;
     let events = stream_workloads::churn(
         400,
         4_000,
@@ -308,26 +336,39 @@ fn measure_e15(quick: bool) -> Measurement {
         0xDD5,
     );
     let mut part = Partition::new(SketchConfig {
-        state_bound: 500,
+        state_bound: BOUND,
         ..SketchConfig::default()
     });
-    let mut epochs = 0u64;
     let mut max_ratio = 1.0f64;
-    let ((), wall) = time(|| {
-        for chunk in events.chunks(100) {
+    let (epochs, wall) = time(|| {
+        let mut epochs = Vec::new();
+        for chunk in events.chunks(SAMPLED_BATCH) {
             part.apply(chunk.iter().map(|ev| &ev.event), |_| {});
             let r = part.seal_epoch();
-            epochs += 1;
             if r.lower > 0.0 {
                 max_ratio = max_ratio.max(r.upper / r.lower);
             }
+            epochs.push(SampledEpoch {
+                m: r.m,
+                retained: r.retained,
+                density: r.density,
+                upper: r.upper,
+            });
         }
+        epochs
     });
     let stats = part.sketch().stats();
+    assert!(stats.level >= 1, "e15: the subsampler never engaged");
+    assert!(
+        stats.peak_retained <= BOUND,
+        "e15: the sample peaked at {} edges, past the state bound {BOUND}",
+        stats.peak_retained
+    );
+    check_sampled_epochs("e15", &events, &epochs, BOUND);
     (
         wall.as_millis() as u64,
         counter_map([
-            ("epochs", epochs),
+            ("epochs", epochs.len() as u64),
             ("refreshes", stats.refreshes),
             ("escalations", stats.escalations),
             ("subsamples", stats.subsamples),
@@ -337,8 +378,12 @@ fn measure_e15(quick: bool) -> Measurement {
     )
 }
 
-/// E16 — shard scaling: the E15 churn workload through K = 4 shards.
+/// E16 — shard scaling: the E15 churn workload through K = 4 shards,
+/// whose pooled sample must stay inside K state bounds and whose merged
+/// brackets must pass [`check_sampled_epochs`].
 fn measure_e16(quick: bool) -> Measurement {
+    const SHARDS: usize = 4;
+    const BOUND: usize = 500;
     let events = stream_workloads::churn(
         400,
         4_000,
@@ -347,28 +392,34 @@ fn measure_e16(quick: bool) -> Measurement {
         0xDD5,
     );
     let mut engine = ShardedEngine::new(ShardConfig {
-        shards: 4,
+        shards: SHARDS,
         sketch: SketchConfig {
-            state_bound: 500,
+            state_bound: BOUND,
             ..SketchConfig::default()
         },
         ..ShardConfig::default()
     });
     let mut max_factor = 1.0f64;
     let (epochs, wall) = time(|| {
-        let mut epochs = 0u64;
-        for chunk in events.chunks(100) {
+        let mut epochs = Vec::new();
+        for chunk in events.chunks(SAMPLED_BATCH) {
             let r = engine.apply(&Batch::from_events(chunk.to_vec()));
             max_factor = max_factor.max(r.certified_factor);
-            epochs += 1;
+            epochs.push(SampledEpoch {
+                m: r.m,
+                retained: r.retained,
+                density: r.density,
+                upper: r.upper,
+            });
         }
         epochs
     });
+    check_sampled_epochs("e16", &events, &epochs, SHARDS * BOUND);
     let stats = engine.stats();
     (
         wall.as_millis() as u64,
         counter_map([
-            ("epochs", epochs),
+            ("epochs", epochs.len() as u64),
             ("refreshes", stats.refreshes),
             ("escalations", stats.escalations),
             ("retained", stats.retained as u64),
@@ -377,11 +428,69 @@ fn measure_e16(quick: bool) -> Measurement {
     )
 }
 
+/// Events per epoch of the sampled tiers' replays (E15, E16).
+const SAMPLED_BATCH: usize = 100;
+
+/// What one epoch of a sampled tier certified, kept for
+/// [`check_sampled_epochs`] after the timed replay.
+struct SampledEpoch {
+    m: u64,
+    retained: usize,
+    density: Density,
+    upper: f64,
+}
+
+/// Checks a sampled tier's epochs against an independent `DynamicGraph`
+/// mirror of the raw events, replayed in the same epochs. Every epoch
+/// must count the mirror's live edges, keep a bracket that does not
+/// invert, and retain at most `bound` edges; at every 250th epoch and at
+/// the last, the bracket must contain a fresh exact solve of the mirror.
+fn check_sampled_epochs(exp: &str, events: &[TimedEvent], epochs: &[SampledEpoch], bound: usize) {
+    let mut mirror = DynamicGraph::new();
+    let chunks = events.chunks(SAMPLED_BATCH);
+    assert_eq!(chunks.len(), epochs.len(), "{exp}: one epoch per batch");
+    for (i, (chunk, e)) in chunks.zip(epochs).enumerate() {
+        let epoch = i + 1;
+        for ev in chunk {
+            match ev.event {
+                Event::Insert(u, v) => mirror.insert(u, v),
+                Event::Delete(u, v) => mirror.delete(u, v),
+            };
+        }
+        assert_eq!(
+            e.m,
+            mirror.m() as u64,
+            "{exp} epoch {epoch}: the live edge count diverged from the mirror"
+        );
+        assert!(
+            e.density.to_f64() <= e.upper * (1.0 + 1e-9),
+            "{exp} epoch {epoch}: inverted bracket [{}, {}]",
+            e.density,
+            e.upper
+        );
+        assert!(
+            e.retained <= bound,
+            "{exp} epoch {epoch}: retained {} broke the state bound {bound}",
+            e.retained
+        );
+        if epoch % 250 == 0 || epoch == epochs.len() {
+            let exact = DcExact::new().solve(&mirror.materialize()).solution.density;
+            assert!(
+                e.density <= exact && exact.to_f64() <= e.upper * (1.0 + 1e-9),
+                "{exp} epoch {epoch}: bracket [{}, {}] misses exact {exact}",
+                e.density,
+                e.upper
+            );
+        }
+    }
+}
+
 /// E17 — the worker pool's exact kernel: the serial engine's
 /// deterministic counters plus the pool-backed (interval queue, one
 /// worker per core) wall clock on the planted single-dominant-ratio
-/// instance. The density ratio factor pins answer identity: anything
-/// other than exactly 1.0 means the parallel engine diverged.
+/// instance. The pool-backed solve must land on the serial density bit
+/// for bit, with a witness that certifies it, and the serial solve must
+/// reach the planted block.
 fn measure_e17(quick: bool) -> Measurement {
     let p = workloads::planted_block(if quick { 250 } else { 2_500 });
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -393,7 +502,16 @@ fn measure_e17(quick: bool) -> Measurement {
     });
     assert_eq!(
         par.solution.density, serial.solution.density,
-        "pool-backed solve diverged from serial"
+        "e17: the pool-backed solve diverged from serial"
+    );
+    assert_eq!(
+        par.solution.pair.density(&p.graph),
+        serial.solution.density,
+        "e17: the parallel witness must certify the serial density"
+    );
+    assert!(
+        serial.solution.density >= p.pair.density(&p.graph),
+        "e17: the solver missed the planted block"
     );
     (
         wall.as_millis() as u64,
@@ -415,9 +533,11 @@ fn measure_e17(quick: bool) -> Measurement {
 /// budgeted query count before exiting, so the total served query count
 /// is a constant regardless of how ingestion and serving interleave.
 /// Wall-clock-sensitive numbers (latency percentiles, qps) belong to the
-/// E18 table, not this record.
+/// E18 table, not this record. The serving contracts are asserted: one
+/// publish per epoch, and no client ever saw an epoch id go backwards, an
+/// inverted `DENSITY` bracket or an `ERR` once publication started.
 fn measure_e18(quick: bool) -> Measurement {
-    use crate::serve_load::{run_clients, ClientPlan};
+    use crate::serve_load::{run_clients, ClientPlan, ClientReport};
     use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -486,15 +606,35 @@ fn measure_e18(quick: bool) -> Measurement {
     for r in &epoch_reports {
         max_factor = max_factor.max(r.certified_factor);
     }
-    let stale: u64 = client_reports.iter().map(|r| r.stale_violations).sum();
-    assert_eq!(stale, 0, "epoch ids went backwards under load");
+    let mut seen = ClientReport::default();
+    for r in &client_reports {
+        seen.merge(r);
+    }
+    assert_eq!(
+        metrics.publishes.get(),
+        epoch_reports.len() as u64,
+        "e18: one publish per sealed epoch"
+    );
+    assert_eq!(
+        seen.stale_violations, 0,
+        "e18: epoch ids went backwards on a connection"
+    );
+    assert_eq!(seen.bracket_violations, 0, "e18: a served bracket inverted");
+    assert_eq!(
+        seen.errors_after_epoch0, 0,
+        "e18: valid queries errored after publication started"
+    );
+    assert!(
+        seen.max_epoch > 0,
+        "e18: the clients never saw a published epoch"
+    );
     (
         wall.as_millis() as u64,
         counter_map([
             ("epochs", epoch_reports.len() as u64),
             ("publishes", metrics.publishes.get()),
             ("resolves", engine.resolves()),
-            ("client_queries", clients as u64 * per_client),
+            ("client_queries", seen.queries),
         ]),
         factor_map([("max_certified", max_factor)]),
     )
@@ -511,6 +651,7 @@ fn measure_e18(quick: bool) -> Measurement {
 /// slowest by real duration, so — like scrape latencies — it belongs to
 /// the E19 table, not this record.
 fn measure_e19(quick: bool) -> Measurement {
+    use crate::serve_load::scrape_admin;
     use dds_obs::{http_get, parse_exposition, AdminServer, Registry, SlowRing, StatusBoard};
     use std::sync::Arc;
 
@@ -546,17 +687,7 @@ fn measure_e19(quick: bool) -> Measurement {
                 std::thread::spawn(move || {
                     let mut ready_seen = false;
                     for _ in 0..per_scraper {
-                        let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
-                        assert_eq!(code, 200, "failed /metrics scrape");
-                        parse_exposition(&body).expect("every scrape must parse");
-                        let (code, _) = http_get(addr, "/status").expect("scrape /status");
-                        assert_eq!(code, 200, "failed /status scrape");
-                        let (code, _) = http_get(addr, "/readyz").expect("scrape /readyz");
-                        match code {
-                            200 => ready_seen = true,
-                            503 => assert!(!ready_seen, "/readyz went back to not-ready"),
-                            other => panic!("failed /readyz scrape: {other}"),
-                        }
+                        scrape_admin(addr, &mut ready_seen);
                     }
                 })
             })
@@ -880,6 +1011,31 @@ mod tests {
         // Tiny counters ride the absolute slack.
         assert!(!counter_regressed(1, 3));
         assert!(counter_regressed(1, 4));
+    }
+
+    /// `compare` re-measures in each record's mode, so a quick record
+    /// would shrink the gate its experiment runs in CI.
+    #[test]
+    fn committed_records_are_full_mode() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for exp in EXPERIMENTS {
+            let path = root.join(BenchRecord::file_name(exp));
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+            let record = parse_record(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(
+                record.exp,
+                exp,
+                "{} names another experiment",
+                path.display()
+            );
+            assert_eq!(
+                record.mode,
+                "full",
+                "{} is not a full-mode record",
+                path.display()
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,25 @@
-//! Shared load generator for the query-serving experiments (E18) and the
-//! CI `serve-smoke` gate: client threads hammer a `dds-serve` front end
-//! with a mixed `DENSITY`/`MEMBER`/`CORE`/`TOPK` rotation and validate
-//! every response as it streams back — epoch ids must never go backwards
-//! on a connection (the arc-swap publication contract), `DENSITY`
-//! brackets must stay internally consistent, and `ERR` responses are
-//! only tolerated while the served epoch is still 0 (nothing published
-//! yet: `CORE` legitimately answers "no core maintained" then).
+//! Shared load generators for the serving experiments.
+//!
+//! For the query-serving tier (E18 and its perf record), client threads
+//! hammer a `dds-serve` front end with a mixed
+//! `DENSITY`/`MEMBER`/`CORE`/`TOPK` rotation and validate every response
+//! as it streams back — epoch ids must never go backwards on a
+//! connection (the arc-swap publication contract), `DENSITY` brackets
+//! must stay internally consistent, and `ERR` responses are only
+//! tolerated while the served epoch is still 0 (nothing published yet:
+//! `CORE` legitimately answers "no core maintained" then).
+//!
+//! For the admin plane (E19, its perf record and `admin-smoke`),
+//! [`scrape_admin`] is one checked scrape of `/metrics`, `/status` and
+//! `/readyz`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+use dds_obs::{http_get, parse_exposition};
 
 /// One client's marching orders.
 #[derive(Clone, Debug)]
@@ -167,6 +175,32 @@ pub fn percentile(values: &[u64], p: f64) -> u64 {
     sorted.sort_unstable();
     let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
+}
+
+/// One scrape of the admin plane at `addr`: `/metrics` must answer 200
+/// with an exposition that parses, `/status` 200, and `/readyz` 200 once
+/// ready or 503 before. `ready_seen` carries readiness across a
+/// scraper's calls, so a flip back to 503 fails. Returns the `/metrics`
+/// round trip in microseconds.
+///
+/// # Panics
+/// Panics on a failed request, an unexpected status, an exposition that
+/// does not parse, or `/readyz` going back to not-ready.
+pub fn scrape_admin(addr: SocketAddr, ready_seen: &mut bool) -> u64 {
+    let t0 = Instant::now();
+    let (code, body) = http_get(addr, "/metrics").expect("scrape /metrics");
+    let metrics_us = t0.elapsed().as_micros() as u64;
+    assert_eq!(code, 200, "failed /metrics scrape");
+    parse_exposition(&body).expect("every scrape must parse");
+    let (code, _) = http_get(addr, "/status").expect("scrape /status");
+    assert_eq!(code, 200, "failed /status scrape");
+    let (code, _) = http_get(addr, "/readyz").expect("scrape /readyz");
+    match code {
+        200 => *ready_seen = true,
+        503 => assert!(!*ready_seen, "/readyz went back to not-ready"),
+        other => panic!("failed /readyz scrape: {other}"),
+    }
+    metrics_us
 }
 
 /// Extracts `key<value>` from a space-separated response line.

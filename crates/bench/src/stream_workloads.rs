@@ -411,11 +411,10 @@ pub struct WindowScenario {
     pub window: u64,
 }
 
-/// The sliding-window scenarios experiment E14 and the CI window smoke
-/// replay, sized down in quick mode: a structureless uniform arrival
-/// stream (the optimum is weak and rotates with the window) and a
-/// recurring dense block (the optimum persists through renewals while the
-/// background slides).
+/// The sliding-window scenarios experiment E14 replays, sized down in
+/// quick mode: a structureless uniform arrival stream (the optimum is
+/// weak and rotates with the window) and a recurring dense block (the
+/// optimum persists through renewals while the background slides).
 #[must_use]
 pub fn window_registry(quick: bool) -> Vec<WindowScenario> {
     let (n, events, window, block, period) = if quick {

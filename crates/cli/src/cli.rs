@@ -444,7 +444,12 @@ fn cmd_approx<'a>(
     while let Some(flag) = it.next() {
         match flag {
             "--algo" => algo = parse_flag_value("--algo", it.next())?,
-            "--epsilon" => epsilon = parse_flag_value("--epsilon", it.next())?,
+            "--epsilon" => {
+                epsilon = positive("--epsilon", it.next())?;
+                if epsilon.is_infinite() {
+                    return Err(CliError::Usage("--epsilon must be finite".into()));
+                }
+            }
             "--threads" => threads = parse_flag_value("--threads", it.next())?,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
@@ -665,7 +670,7 @@ fn cmd_gen<'a>(
                 if parts.len() != 3 {
                     return Err(CliError::Usage("--plant expects S,T,P".into()));
                 }
-                plant = Some((
+                let (s, t, p): (usize, usize, f64) = (
                     parts[0]
                         .parse()
                         .map_err(|_| CliError::Usage("bad plant S".into()))?,
@@ -675,7 +680,14 @@ fn cmd_gen<'a>(
                     parts[2]
                         .parse()
                         .map_err(|_| CliError::Usage("bad plant P".into()))?,
-                ));
+                );
+                if s == 0 || t == 0 {
+                    return Err(CliError::Usage("--plant sides must be non-empty".into()));
+                }
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(CliError::Usage("--plant P must be in [0, 1]".into()));
+                }
+                plant = Some((s, t, p));
             }
             "--out" => out_path = Some(parse_flag_value("--out", it.next())?),
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
@@ -684,11 +696,28 @@ fn cmd_gen<'a>(
     let n = n.ok_or_else(|| CliError::Usage("gen needs --n".into()))?;
     let m = m.ok_or_else(|| CliError::Usage("gen needs --m".into()))?;
     let graph = match family.as_str() {
-        "gnm" => gen::gnm(n, m, seed),
-        "powerlaw" => gen::power_law(n, m, alpha, seed),
+        "gnm" => {
+            check_edge_count(n, m)?;
+            gen::gnm(n, m, seed)
+        }
+        "powerlaw" => {
+            if n == 0 {
+                return Err(CliError::Usage("powerlaw needs --n > 0".into()));
+            }
+            if alpha.is_nan() || alpha <= 1.0 {
+                return Err(CliError::Usage("powerlaw needs --alpha > 1".into()));
+            }
+            gen::power_law(n, m, alpha, seed)
+        }
         "planted" => {
             let (s, t, p) = plant
                 .ok_or_else(|| CliError::Usage("planted family needs --plant S,T,P".into()))?;
+            if s.saturating_add(t) > n {
+                return Err(CliError::Usage(format!(
+                    "--plant sides {s} + {t} exceed --n {n}"
+                )));
+            }
+            check_edge_count(n, m)?;
             let planted = gen::planted(n, m, s, t, p, seed);
             writeln!(out, "# planted S = {:?}", planted.pair.s())?;
             writeln!(out, "# planted T = {:?}", planted.pair.t())?;
@@ -708,6 +737,17 @@ fn cmd_gen<'a>(
         graph.n(),
         graph.m()
     )?;
+    Ok(())
+}
+
+/// `gnm` and the planted background draw `m` distinct non-loop edges.
+fn check_edge_count(n: usize, m: usize) -> Result<(), CliError> {
+    let max = n.saturating_mul(n.saturating_sub(1));
+    if m > max {
+        return Err(CliError::Usage(format!(
+            "--m {m} exceeds the {max} edges a simple digraph on {n} vertices holds"
+        )));
+    }
     Ok(())
 }
 
@@ -2500,6 +2540,15 @@ mod tests {
             run_err(&["approx", &path, "--algo", "magic"]),
             CliError::Usage(_)
         ));
+        for epsilon in ["0", "-1", "nan", "inf"] {
+            assert!(
+                matches!(
+                    run_err(&["approx", &path, "--algo", "grid", "--epsilon", epsilon]),
+                    CliError::Usage(_)
+                ),
+                "--epsilon {epsilon}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -2581,6 +2630,34 @@ mod tests {
         ]);
         assert!(msg.contains("# planted S"), "{msg}");
         std::fs::remove_file(&out_path).ok();
+    }
+
+    #[test]
+    fn gen_usage_errors() {
+        let out_path = std::env::temp_dir().join(format!(
+            "dds_cli_gen_err_{}_{:?}.txt",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let out_str = out_path.to_string_lossy().into_owned();
+        for args in [
+            &["gnm", "--n", "3", "--m", "100"][..],
+            &["powerlaw", "--n", "10", "--m", "20", "--alpha", "1"],
+            &["powerlaw", "--n", "0", "--m", "20"],
+            &["planted", "--n", "10", "--m", "20", "--plant", "20,20,0.5"],
+            &["planted", "--n", "10", "--m", "20", "--plant", "0,3,0.5"],
+            &["planted", "--n", "10", "--m", "20", "--plant", "3,3,1.5"],
+            &["planted", "--n", "10", "--m", "200", "--plant", "3,3,0.5"],
+        ] {
+            let mut argv = vec!["gen"];
+            argv.extend_from_slice(args);
+            argv.extend_from_slice(&["--out", &out_str]);
+            assert!(
+                matches!(run_err(&argv), CliError::Usage(_)),
+                "{argv:?} must be a usage error"
+            );
+        }
+        assert!(!out_path.exists(), "a rejected gen must write nothing");
     }
 
     #[test]

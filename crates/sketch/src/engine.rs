@@ -26,6 +26,11 @@ use crate::sample::SampleStore;
 /// would burn flows for nothing.
 const COLD_START_FRACTION: f64 = 0.1;
 
+/// Confidence parameter `δ` of the estimate's Chernoff loss factor: the
+/// `(1+ε)` bracket of [`SketchEngine::estimate`] holds with probability
+/// `≥ 1 − δ` per query.
+const DELTA: f64 = 0.01;
+
 /// Configuration of a [`SketchEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct SketchConfig {
@@ -38,10 +43,6 @@ pub struct SketchConfig {
     /// on its own. Must be positive (the embedding engines bypass this and
     /// call [`SketchEngine::force_refresh`] on their own band policy).
     pub refresh_drift: f64,
-    /// Confidence parameter `δ` of the estimate's Chernoff loss factor
-    /// (the `(1+ε)` bracket holds with probability `≥ 1 − δ` per query).
-    /// Must be in `(0, 1)`.
-    pub delta: f64,
     /// Escalation threshold of the two-tier refresh: a refresh first runs
     /// the `O(√m_H·(n+m_H))` core sweep **on the sketch** (`m_H ≤
     /// state_bound`, so this is the cheap tier the sketch exists for) and
@@ -59,7 +60,7 @@ pub struct SketchConfig {
 }
 
 impl Default for SketchConfig {
-    /// `state_bound = 4096`, `refresh_drift = 0.25`, `delta = 0.01`,
+    /// `state_bound = 4096`, `refresh_drift = 0.25`,
     /// `escalate_factor = 1.5`, serial solves, a fixed seed — sized so
     /// the sketch stays a few percent of any graph large enough to need
     /// one, escalating when the sweep's bracket on the sketch leaves more
@@ -70,7 +71,6 @@ impl Default for SketchConfig {
         SketchConfig {
             state_bound: 4096,
             refresh_drift: 0.25,
-            delta: 0.01,
             escalate_factor: 1.5,
             threads: 1,
             seed: 0x5EED_CA5E,
@@ -244,16 +244,12 @@ impl SketchEngine {
     /// A fresh sketch over an empty graph.
     ///
     /// # Panics
-    /// Panics on a zero state bound, non-positive drift, `δ ∉ (0, 1)`, or
-    /// zero threads.
+    /// Panics on a zero state bound, non-positive drift, an escalate
+    /// factor below 1, or zero threads.
     #[must_use]
     pub fn new(config: SketchConfig) -> Self {
         assert!(config.state_bound > 0, "state bound must be positive");
         assert!(config.refresh_drift > 0.0, "refresh drift must be positive");
-        assert!(
-            config.delta > 0.0 && config.delta < 1.0,
-            "delta must be in (0, 1)"
-        );
         assert!(
             config.escalate_factor >= 1.0,
             "escalate factor must be at least 1"
@@ -651,7 +647,7 @@ impl SketchEngine {
         if k == 0 {
             return f64::INFINITY;
         }
-        (3.0 * (2.0 / self.config.delta).ln() / (k as f64)).sqrt()
+        (3.0 * (2.0 / DELTA).ln() / (k as f64)).sqrt()
     }
 
     /// Freezes the retained subgraph into the CSR form the solvers use

@@ -54,8 +54,9 @@
 //! `ε = √(3·ln(2/δ) / k)` (`k` = the witness's retained edge count): each
 //! of the pair's `G`-edges was retained independently with probability
 //! `2⁻ℓ`, so the scaled count concentrates within `1 ± ε` of
-//! `E_G(S,T)` with probability `≥ 1 − δ`. The estimate is what you report
-//! on dashboards; the bracket is what you certify.
+//! `E_G(S,T)` with probability `≥ 1 − δ` (`δ = 0.01`, a constant of the
+//! engine). The estimate is what you report on dashboards; the bracket is
+//! what you certify.
 //!
 //! # Ingestion contract
 //!

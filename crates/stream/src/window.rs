@@ -181,7 +181,7 @@ pub struct WindowReport {
     /// Proven approximation factor of `density` (`upper / lower`).
     pub certified_factor: f64,
     /// Whether the epoch ends inside its configured certification band
-    /// (always true after a refresh; checked by E14 and the CI smoke).
+    /// (always true after a refresh; checked by E14 and its perf record).
     pub within_band: bool,
     /// Wall-clock time spent in this `apply` call.
     pub elapsed: Duration,
