@@ -467,6 +467,7 @@ fn cmd_approx<'a>(
             writeln!(out, "guarantee       2-approximation")?;
         }
         "grid" => {
+            check_grid_size(g.n(), epsilon)?;
             let r = if threads > 1 {
                 parallel::grid_peel_parallel(&g, epsilon, threads)
             } else {
@@ -489,6 +490,47 @@ fn cmd_approx<'a>(
         }
     }
     Ok(())
+}
+
+/// Rejects, before it is allocated, a `--algo grid` sweep finer than the
+/// default with more points than there are reduced ratios `a/b` with
+/// `a, b ≤ n`. A peel's side test is `s ≥ c·t` with `s, t ≤ n`, so a peel
+/// at any grid point equals a peel at one of those ratios (the ones
+/// `--algo exhaustive` tries), and a finer grid cannot do better. The
+/// default grid always runs: on 2 to 8 vertices it too has more points
+/// than ratios.
+fn check_grid_size(n: usize, epsilon: f64) -> Result<(), CliError> {
+    // `GridPeel::grid`'s point count: 2·⌈ln n / ln(1+ε)⌉ + 1.
+    let points = 2.0 * ((n as f64).ln() / (1.0 + epsilon).ln()).ceil() + 1.0;
+    // Every `a/1` and `1/b` is a ratio, so a grid of at most 2n − 1 points
+    // needs no exact count.
+    if epsilon >= GridPeel::default().epsilon || points <= (2 * n).saturating_sub(1) as f64 {
+        return Ok(());
+    }
+    let ratios = ratio_count(n);
+    // NaN points (n = 1 with ln(1 + ε) = 0) compare false: that grid is
+    // one point.
+    if points > ratios as f64 {
+        return Err(CliError::Usage(format!(
+            "--epsilon {epsilon} asks for a grid of {points} ratios on n = {n}, more than \
+             the {ratios} distinct ratios a peel can tell apart; use a larger --epsilon"
+        )));
+    }
+    Ok(())
+}
+
+/// The number of reduced ratios `a/b` with `1 ≤ a, b ≤ n`: `2·Σ φ(k) − 1`
+/// over `k ≤ n`, with Euler's totient `φ` sieved in `O(n log log n)`.
+fn ratio_count(n: usize) -> u64 {
+    let mut phi: Vec<u64> = (0..=n as u64).collect();
+    for p in 2..=n {
+        if phi[p] == p as u64 {
+            for k in (p..=n).step_by(p) {
+                phi[k] -= phi[k] / p as u64;
+            }
+        }
+    }
+    (2 * phi[1..].iter().sum::<u64>()).saturating_sub(1)
 }
 
 fn cmd_core<'a>(
@@ -2550,6 +2592,39 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_grid_is_a_usage_error() {
+        let path = std::env::temp_dir().join(format!(
+            "dds_cli_grid_{}_{:?}.txt",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        save_edge_list(&dds_graph::gen::gnm(20, 60, 1), &path).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let err = run_err(&["approx", &path, "--algo", "grid", "--epsilon", "1e-12"]);
+        let CliError::Usage(msg) = err else {
+            panic!("expected a usage error, got {err:?}")
+        };
+        assert!(msg.contains("5990931949773 ratios on n = 20"), "{msg}");
+        assert!(msg.contains("the 255 distinct ratios"), "{msg}");
+        // A fine grid inside the ratio set (205 points) still runs, on
+        // either path.
+        for threads in ["1", "2"] {
+            let args = ["approx", &path, "--algo", "grid", "--epsilon", "0.03"];
+            let out = run_ok(&[&args[..], &["--threads", threads]].concat());
+            assert!(out.contains("ratios tried"), "{out}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ratio_count_matches_the_candidate_ratios() {
+        for n in 0..=40usize {
+            let expected = dds_num::candidate_ratios(n as u64).len() as u64;
+            assert_eq!(ratio_count(n), expected, "n = {n}");
+        }
     }
 
     #[test]

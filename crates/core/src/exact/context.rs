@@ -10,7 +10,10 @@
 //!   reallocating ([`FlowNetwork::reset_for`]);
 //! * **a core memo table** — a [`CoreCache`] keyed by the `(x, y)` peel
 //!   thresholds the β floor induces, so repeated thresholds cost an `O(n)`
-//!   clone instead of an `O(n + m)` peel;
+//!   clone, and a new pair peels only inside the intersection of the
+//!   graph's `[x, 1]`- and `[1, y]`-cores: `O(n + edges of that
+//!   candidate)` instead of `O(n + m)`, after one `O(n + m)` pass per
+//!   graph;
 //! * **the incumbent** — the witness pair of the previous solve. The next
 //!   solve on the *same or a mutated* graph re-validates the pair (vertex
 //!   ids in range, density recomputed on the new graph) and uses it to

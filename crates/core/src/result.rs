@@ -19,7 +19,7 @@ pub struct SolveStats {
     /// allocating a fresh network.
     pub arena_reuse_hits: usize,
     /// `[x, y]`-core lookups answered from the `SolveContext` memo table
-    /// instead of re-peeling the graph.
+    /// instead of peeling.
     pub core_cache_hits: usize,
 }
 

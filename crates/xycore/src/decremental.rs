@@ -54,7 +54,6 @@ use std::collections::{HashMap, HashSet};
 use dds_graph::{DiGraph, Pair, StMask, VertexId};
 use dds_num::Density;
 
-use crate::cache::CoreCache;
 use crate::peel::xy_core;
 
 /// An `[x, y]`-core maintained under edge deletions (and degree-exact under
@@ -92,17 +91,6 @@ impl DecrementalCore {
     #[must_use]
     pub fn new(g: &DiGraph, x: u64, y: u64) -> Self {
         Self::from_mask(g, x, y, xy_core(g, x, y))
-    }
-
-    /// Like [`new`](DecrementalCore::new) but answers the initial peel from
-    /// a [`CoreCache`] memo (an `O(n)` clone on a hit) — the convenient
-    /// path for callers that repeatedly rebuild cores at recurring
-    /// threshold pairs. (`dds-stream`'s window engine instead adopts the
-    /// max-product mask its certification sweep just computed, via
-    /// [`from_mask`](DecrementalCore::from_mask).)
-    #[must_use]
-    pub fn with_cache(cache: &mut CoreCache, g: &DiGraph, x: u64, y: u64) -> Self {
-        Self::from_mask(g, x, y, cache.core(g, x, y))
     }
 
     /// Adopts an already-computed `[x, y]`-core `mask` of `g` (e.g. the
@@ -424,16 +412,12 @@ mod tests {
     }
 
     #[test]
-    fn with_cache_and_from_mask_agree_with_new() {
+    fn from_mask_agrees_with_new() {
         let g = gen::power_law(40, 220, 2.2, 9);
-        let mut cache = CoreCache::new();
         let a = DecrementalCore::new(&g, 2, 1);
-        let b = DecrementalCore::with_cache(&mut cache, &g, 2, 1);
-        let c = DecrementalCore::from_mask(&g, 2, 1, xy_core(&g, 2, 1));
+        let b = DecrementalCore::from_mask(&g, 2, 1, xy_core(&g, 2, 1));
         assert_eq!(a.mask(), b.mask());
-        assert_eq!(a.mask(), c.mask());
         assert_eq!(a.live_edges(), b.live_edges());
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use dds_graph::{gen, DiGraph, GraphBuilder, StMask, VertexId};
 use dds_num::isqrt;
-use dds_xycore::{max_product_core, skyline, xy_core, xy_core_within, y_max_core};
+use dds_xycore::{max_product_core, skyline, xy_core, xy_core_within, y_max_core, CoreCache};
 use proptest::prelude::*;
 
 fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = DiGraph> {
@@ -135,8 +135,78 @@ fn pruned_sweep_matches_reference_on_stars_and_bicliques() {
     }
 }
 
+/// `cache` answers every `[x, y]`-core with `x, y ≤ hi` on `g` as a direct
+/// peel does: zero thresholds peel the whole graph, the rest peel inside
+/// the level filter.
+fn assert_cache_matches_peels(cache: &mut CoreCache, g: &DiGraph, hi: u64, what: &str) {
+    for x in 0..=hi {
+        for y in 0..=hi {
+            assert!(
+                cache.core(g, x, y) == xy_core(g, x, y),
+                "{what}: the cached [{x}, {y}]-core differs from a direct peel"
+            );
+        }
+    }
+}
+
+/// Stars and bicliques, up to the first empty threshold; then an out-star
+/// followed by its reverse in one cache, where levels kept across `clear`
+/// would drop every leaf from the in-star's `[1, k]`-core.
+#[test]
+fn cached_cores_match_peels_on_stars_and_bicliques() {
+    for k in 1..=20 {
+        let out_star = gen::out_star(k);
+        let what = format!("out-star {k}, then its reverse");
+        let mut cache = CoreCache::new();
+        assert_cache_matches_peels(&mut cache, &out_star, k as u64 + 1, &what);
+        cache.clear();
+        assert_cache_matches_peels(&mut cache, &out_star.reverse(), k as u64 + 1, &what);
+    }
+    for s in 1..=7 {
+        for t in 1..=7 {
+            let g = gen::complete_bipartite(s, t);
+            let hi = s.max(t) as u64 + 1;
+            assert_cache_matches_peels(&mut CoreCache::new(), &g, hi, &format!("K_{{{s},{t}}}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every threshold pair in `0..5`, zero thresholds included, on two
+    /// graphs sharing one cache: `clear` drops the first graph's levels
+    /// with its memo.
+    #[test]
+    fn cached_cores_match_peels_across_clear(
+        g1 in graph_strategy(14, 70),
+        g2 in graph_strategy(14, 70),
+    ) {
+        let mut cache = CoreCache::new();
+        assert_cache_matches_peels(&mut cache, &g1, 4, "first graph");
+        cache.clear();
+        assert_cache_matches_peels(&mut cache, &g2, 4, "second graph");
+    }
+
+    /// Seeded random, power-law and planted graphs.
+    #[test]
+    fn cached_cores_match_peels_on_seeded_graphs(
+        seed in 0u64..1_000_000,
+        n in 8usize..120,
+        density in 1usize..12,
+        block in 2usize..8,
+    ) {
+        let m = n * density.min(n / 2);
+        let side = block.min(n / 2);
+        for (g, what) in [
+            (gen::gnm(n, m, seed), "gnm"),
+            (gen::power_law(n, m, 2.1, seed), "power_law"),
+            (gen::planted(n, m, side, side, 0.9, seed).graph, "planted"),
+        ] {
+            let what = format!("{what}({n}, {m}, {seed})");
+            assert_cache_matches_peels(&mut CoreCache::new(), &g, 8, &what);
+        }
+    }
 
     /// Seeded random, power-law and planted graphs.
     #[test]
