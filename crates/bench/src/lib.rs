@@ -10,10 +10,11 @@
 //!
 //! CI gates the streaming tiers through [`perf`]: `full` writes the
 //! committed `BENCH_E12..E20.json` records and `compare` re-measures
-//! them, each measurement asserting its experiment's contracts. Four
-//! `*-smoke` subcommands gate what no record can: `snapshot-smoke`
-//! (kill/restore equivalence), `obs-smoke` and `admin-smoke` (paired
-//! overhead budgets), and `cluster-smoke` (real worker processes).
+//! them, each by running the experiment function that prints the
+//! experiment's table and asserts its contracts. Three `*-smoke`
+//! subcommands gate what no record can: `obs-smoke` and `admin-smoke`
+//! (paired overhead budgets), and `cluster-smoke` (real worker
+//! processes).
 
 #![warn(missing_docs)]
 
@@ -25,8 +26,5 @@ pub mod stream_workloads;
 pub mod workloads;
 
 pub use report::{fmt_duration, time, Table};
-pub use stream_workloads::{
-    arrivals, churn, planted_emerge, recurring_block, sliding_window, stream_registry,
-    window_registry, StreamScenario, WindowScenario,
-};
+pub use stream_workloads::{arrivals, churn, planted_emerge, recurring_block, sliding_window};
 pub use workloads::{exact_ladder, planted_block, registry, Scale, Workload};

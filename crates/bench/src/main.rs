@@ -5,9 +5,10 @@
 //! cargo run -p dds-bench --release -- e2 e5        # a subset
 //! cargo run -p dds-bench --release -- all --quick  # smoke-test sizes
 //!
-//! # The perf trajectory: rewrite the committed BENCH_E12..E20.json
-//! # records, or re-measure and diff against them (the CI gate; each
-//! # measurement asserts its experiment's contracts as it runs):
+//! # The perf trajectory: run E12..E20 (printing their tables) and
+//! # rewrite the committed BENCH_E12..E20.json records, or re-run them
+//! # and diff against the records (the CI gate; each experiment asserts
+//! # its contracts as it runs):
 //! cargo run -p dds-bench --release -- full
 //! cargo run -p dds-bench --release -- compare
 //!
@@ -21,7 +22,6 @@ const USAGE: &str = "usage:
   dds-bench (all | e1..e20)... [--quick]
   dds-bench full [--quick] [--dir D]     write BENCH_E12..E20.json perf records
   dds-bench compare [--dir D]            diff a fresh run against the committed records
-  dds-bench snapshot-smoke
   dds-bench obs-smoke
   dds-bench admin-smoke
   dds-bench cluster-smoke
@@ -47,7 +47,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        Some("snapshot-smoke") => smoke_snapshot(),
         Some("obs-smoke") => smoke_obs(),
         Some("admin-smoke") => smoke_admin(),
         Some("cluster-smoke") => smoke_cluster(),
@@ -169,85 +168,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// CI snapshot smoke: both snapshot-bearing engines run half a churn
-/// replay, checkpoint, restore, and finish the stream twice — once on the
-/// original engine, once on the restored one. The restored `ShardedEngine`
-/// must match bit for bit (its refreshes are history-independent by
-/// design); the restored `StreamEngine` must keep an identical edge set
-/// and a sound bracket (its warm solver context is perf state, not
-/// certificate state). Both must satisfy `snapshot(restore(s)) == s`.
-fn smoke_snapshot() {
-    use dds_shard::{replay_sharded, ShardConfig, ShardedEngine};
-    use dds_sketch::SketchConfig;
-    use dds_stream::{replay, BatchBy, StreamConfig, StreamEngine};
-
-    let events = dds_bench::stream_workloads::churn(300, 2_000, (24, 24), 20_000, 0xDD5);
-    let half = 10_000;
-
-    // ShardedEngine: strict bit-identity, report by report.
-    let config = ShardConfig {
-        shards: 3,
-        sketch: SketchConfig {
-            state_bound: 400,
-            ..SketchConfig::default()
-        },
-        ..ShardConfig::default()
-    };
-    let mut original = ShardedEngine::new(config);
-    replay_sharded(&mut original, &events[..half], 100);
-    let snap = original.snapshot(7);
-    let (mut restored, cursor) = ShardedEngine::restore(config, &snap).expect("shard restore");
-    assert_eq!(cursor, 7);
-    assert_eq!(restored.snapshot(7), snap, "shard round-trip identity");
-    let a = replay_sharded(&mut original, &events[half..], 100);
-    let b = replay_sharded(&mut restored, &events[half..], 100);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            (x.m, x.refreshed, x.lower.to_bits(), x.upper.to_bits()),
-            (y.m, y.refreshed, y.lower.to_bits(), y.upper.to_bits()),
-            "shard epoch {} diverged after restore",
-            x.epoch
-        );
-    }
-    assert_eq!(original.snapshot(0), restored.snapshot(0));
-    println!(
-        "snapshot-smoke: shard K=3 snapshot {} bytes, {} epochs resumed bit-identically",
-        snap.len(),
-        a.len()
-    );
-
-    // StreamEngine: round-trip identity + equal edge sets and sound
-    // brackets through the rest of the replay.
-    let config = StreamConfig::default();
-    let mut original = StreamEngine::new(config);
-    replay(&mut original, &events[..half], BatchBy::Count(100));
-    let snap = original.snapshot(9);
-    let (mut restored, cursor) = StreamEngine::restore(config, &snap).expect("stream restore");
-    assert_eq!(cursor, 9);
-    assert_eq!(restored.snapshot(9), snap, "stream round-trip identity");
-    let a = replay(&mut original, &events[half..], BatchBy::Count(100));
-    let b = replay(&mut restored, &events[half..], BatchBy::Count(100));
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.m, y.m, "stream epoch {} edge sets diverged", x.epoch);
-        assert!(
-            x.lower <= x.upper * (1.0 + 1e-9) && y.lower <= y.upper * (1.0 + 1e-9),
-            "stream epoch {}: a bracket inverted after restore",
-            x.epoch
-        );
-    }
-    let mut ea: Vec<_> = original.materialize().edges().collect();
-    let mut eb: Vec<_> = restored.materialize().edges().collect();
-    ea.sort_unstable();
-    eb.sort_unstable();
-    assert_eq!(ea, eb, "stream final edge sets must match");
-    println!(
-        "snapshot-smoke: stream snapshot {} bytes, {} epochs resumed with identical edge sets",
-        snap.len(),
-        a.len()
-    );
-    println!("snapshot-smoke: OK");
 }
 
 /// CI obs smoke: a 100k-event follow replay through the real tail loop
@@ -566,15 +486,14 @@ fn cluster_smoke_worker() {
 ///   bytes the workers tailed;
 /// * **bit-identical restore** — the coordinator's final merged state
 ///   equals an uninterrupted in-process twin run byte for byte
-///   ([`ClusterCore::state_digest`] — the drill's whole point), with
+///   ([`dds_cluster::ClusterCore::state_digest`] — the drill's whole point), with
 ///   bracket-contains-exact spot checks along the twin.
 fn smoke_cluster() {
-    use dds_cluster::{
-        run_coordinator, ClusterConfig, ClusterCore, CoordinatorOptions, WorkerConfig, WorkerState,
-    };
+    use dds_bench::experiments::cluster_twin;
+    use dds_cluster::{run_coordinator, ClusterConfig, CoordinatorOptions};
     use dds_core::DcExact;
     use dds_sketch::SketchConfig;
-    use dds_stream::{Batch, DynamicGraph, Event};
+    use dds_stream::{DynamicGraph, Event};
     use std::io::Write as _;
     use std::time::{Duration, Instant};
 
@@ -780,43 +699,16 @@ fn smoke_cluster() {
 
     // Gate 4: the restored run's merged state is bit-identical to an
     // uninterrupted in-process twin, with exact spot checks riding along.
-    let mut core = ClusterCore::new(config);
-    let mut workers: Vec<WorkerState> = (0..SHARDS)
-        .map(|shard| {
-            let mut w = WorkerState::new(WorkerConfig {
-                shard,
-                shards: SHARDS,
-                batch: BATCH,
-                sketch: config.sketch,
-            });
-            w.sync_baseline();
-            w
-        })
-        .collect();
     let mut mirror = DynamicGraph::new();
     let mut twin_epochs = 0u64;
     let mut checks = 0u32;
-    for chunk in events.chunks(BATCH) {
-        let batch = Batch::from_events(chunk.to_vec());
-        for worker in &mut workers {
-            let tallies = worker.apply_batch(&batch);
-            core.offer(worker.digest(tallies, 0, 0, false), 0)
-                .expect("offer digest");
-        }
-        let epoch = core
-            .seal_next(false)
-            .expect("seal")
-            .expect("complete frontier");
+    let core = cluster_twin(config, &events, |epoch, chunk| {
         twin_epochs += 1;
         for ev in chunk {
             match ev.event {
-                Event::Insert(u, v) => {
-                    mirror.insert(u, v);
-                }
-                Event::Delete(u, v) => {
-                    mirror.delete(u, v);
-                }
-            }
+                Event::Insert(u, v) => mirror.insert(u, v),
+                Event::Delete(u, v) => mirror.delete(u, v),
+            };
         }
         if twin_epochs.is_multiple_of(32) {
             let exact = DcExact::new().solve(&mirror.materialize()).solution.density;
@@ -828,7 +720,7 @@ fn smoke_cluster() {
             );
             checks += 1;
         }
-    }
+    });
     assert_eq!(
         report.epochs, twin_epochs,
         "the drill and the twin sealed different epoch counts"

@@ -1,6 +1,6 @@
 //! Shared load generators for the serving experiments.
 //!
-//! For the query-serving tier (E18 and its perf record), client threads
+//! For the query-serving tier (E18), client threads
 //! hammer a `dds-serve` front end with a mixed
 //! `DENSITY`/`MEMBER`/`CORE`/`TOPK` rotation and validate every response
 //! as it streams back — epoch ids must never go backwards on a
@@ -9,7 +9,7 @@
 //! tolerated while the served epoch is still 0 (nothing published yet:
 //! `CORE` legitimately answers "no core maintained" then).
 //!
-//! For the admin plane (E19, its perf record and `admin-smoke`),
+//! For the admin plane (E19 and `admin-smoke`),
 //! [`scrape_admin`] is one checked scrape of `/metrics`, `/status` and
 //! `/readyz`.
 

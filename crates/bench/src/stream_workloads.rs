@@ -1,8 +1,8 @@
 //! Seeded edge-stream workload generators for the `dds-stream` subsystem.
 //!
-//! Three scenarios cover the regimes that matter for incremental DDS
+//! The generators cover the regimes that matter for incremental DDS
 //! maintenance, mirroring how [`crate::workloads`] covers the static
-//! solvers:
+//! solvers. The experiments pick their sizes inline:
 //!
 //! * [`churn`] — a persistent planted dense block (the "fraud ring") under
 //!   heavy background edge churn: the optimum barely moves, so a lazy
@@ -12,7 +12,9 @@
 //!   with no stable optimum;
 //! * [`planted_emerge`] — a dense block materialises edge-by-edge in the
 //!   middle of an otherwise quiet background stream: the optimum shifts
-//!   mid-stream and the engine must chase it.
+//!   mid-stream and the engine must chase it;
+//! * [`arrivals`] and [`recurring_block`] — arrival-only streams whose
+//!   expiry the window-native engine owns.
 //!
 //! All generators take an explicit seed and produce identical streams for
 //! identical arguments, like every other workload in this crate.
@@ -23,14 +25,6 @@ use dds_graph::VertexId;
 use dds_stream::{Event, TimedEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// A named, reproducible event stream.
-pub struct StreamScenario {
-    /// Scenario name, e.g. `churn-2k`.
-    pub name: String,
-    /// The timestamped events, one tick per event.
-    pub events: Vec<TimedEvent>,
-}
 
 /// A pool of currently-present edges supporting O(1) random removal.
 #[derive(Default)]
@@ -376,66 +370,6 @@ pub fn recurring_block(
     out
 }
 
-/// The stream scenarios the harness exercises, sized down in quick mode.
-#[must_use]
-pub fn stream_registry(quick: bool) -> Vec<StreamScenario> {
-    let (n, m, block, events) = if quick {
-        (80, 200, (10, 10), 600)
-    } else {
-        (500, 2_500, (32, 32), 100_000)
-    };
-    vec![
-        StreamScenario {
-            name: format!("churn-{n}"),
-            events: churn(n, m, block, events, 0xDD5),
-        },
-        StreamScenario {
-            name: format!("window-{n}"),
-            events: sliding_window(n, m, events, 0xDD5),
-        },
-        StreamScenario {
-            name: format!("emerge-{n}"),
-            events: planted_emerge(n, m / 2, block, events, 0xDD5),
-        },
-    ]
-}
-
-/// A window scenario: a named arrival stream plus the engine window that
-/// makes it interesting.
-pub struct WindowScenario {
-    /// Scenario name, e.g. `warrivals-500`.
-    pub name: String,
-    /// The timestamped arrivals, one tick per event.
-    pub events: Vec<TimedEvent>,
-    /// Window length (ticks) the harness replays with.
-    pub window: u64,
-}
-
-/// The sliding-window scenarios experiment E14 replays, sized down in
-/// quick mode: a structureless uniform arrival stream (the optimum is
-/// weak and rotates with the window) and a recurring dense block (the
-/// optimum persists through renewals while the background slides).
-#[must_use]
-pub fn window_registry(quick: bool) -> Vec<WindowScenario> {
-    let (n, events, window, block, period) = if quick {
-        (80, 1_500, 400u64, (8, 8), 300)
-    } else {
-        (500, 60_000, 5_000u64, (16, 16), 2_000)
-    };
-    vec![
-        WindowScenario {
-            name: format!("warrivals-{n}"),
-            events: arrivals(n, events, 0xDD5),
-            window,
-        },
-        WindowScenario {
-            name: format!("wrecurring-{n}"),
-            events: recurring_block(n, block, period, events, 0xDD5),
-            window,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,15 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_quick_sizes() {
-        let scenarios = stream_registry(true);
-        assert_eq!(scenarios.len(), 3);
-        for s in &scenarios {
-            assert!(!s.events.is_empty(), "{} empty", s.name);
-        }
-    }
-
-    #[test]
     fn arrivals_are_deterministic_inserts_with_unit_ticks() {
         let a = arrivals(40, 500, 9);
         assert_eq!(a, arrivals(40, 500, 9));
@@ -571,15 +496,5 @@ mod tests {
     #[should_panic(expected = "shorter than the")]
     fn recurring_block_rejects_short_periods() {
         let _ = recurring_block(30, (5, 5), 10, 100, 0);
-    }
-
-    #[test]
-    fn window_registry_quick_sizes() {
-        let scenarios = window_registry(true);
-        assert_eq!(scenarios.len(), 2);
-        for s in &scenarios {
-            assert!(!s.events.is_empty(), "{} empty", s.name);
-            assert!(s.window > 0);
-        }
     }
 }

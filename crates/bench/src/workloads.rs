@@ -111,9 +111,7 @@ pub fn registry(max_scale: Scale, quick: bool) -> Vec<Workload> {
 
 /// The canonical planted-block instance at vertex count `n` (edge budget
 /// `5n`, block side growing with the edge count — the same recipe as the
-/// `PD-*` registry tiers). Shared by experiments E13 and E17 and their
-/// perf records, so the flow-decision counts CI compares are measured on
-/// exactly the experiments' workloads.
+/// `PD-*` registry tiers). Shared by experiments E13 and E17.
 #[must_use]
 pub fn planted_block(n: usize) -> gen::Planted {
     let m = n * 5;

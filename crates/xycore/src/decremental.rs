@@ -308,7 +308,7 @@ impl DecrementalCore {
                         }
                         self.deg_out[u_us] -= 1;
                         self.edges -= 1;
-                        if self.deg_out[u_us] < self.x {
+                        if self.deg_out[u_us] + 1 == self.x {
                             queue.push((u, false));
                         }
                     }
@@ -328,7 +328,7 @@ impl DecrementalCore {
                         }
                         self.deg_in[v_us] -= 1;
                         self.edges -= 1;
-                        if self.deg_in[v_us] < self.y {
+                        if self.deg_in[v_us] + 1 == self.y {
                             queue.push((v, true));
                         }
                     }

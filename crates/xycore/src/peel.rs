@@ -45,6 +45,9 @@ pub fn xy_core_within(g: &DiGraph, base: &StMask, x: u64, y: u64) -> StMask {
     }
 
     // Worklist of violating (vertex, side) entries; side false = S-side.
+    // A vertex-side enters it once: here if it starts below its
+    // threshold, or in the cascade when its degree drops from the
+    // threshold to one below it (`deg + 1 == x` cannot underflow at 0).
     let mut queue: Vec<(VertexId, bool)> = Vec::new();
     for v in 0..n {
         if mask.in_s[v] && deg_out[v] < x {
@@ -66,7 +69,7 @@ pub fn xy_core_within(g: &DiGraph, base: &StMask, x: u64, y: u64) -> StMask {
                 let u_us = u as usize;
                 if mask.in_s[u_us] {
                     deg_out[u_us] -= 1;
-                    if deg_out[u_us] < x {
+                    if deg_out[u_us] + 1 == x {
                         queue.push((u, false));
                     }
                 }
@@ -80,7 +83,7 @@ pub fn xy_core_within(g: &DiGraph, base: &StMask, x: u64, y: u64) -> StMask {
                 let w_us = w as usize;
                 if mask.in_t[w_us] {
                     deg_in[w_us] -= 1;
-                    if deg_in[w_us] < y {
+                    if deg_in[w_us] + 1 == y {
                         queue.push((w, true));
                     }
                 }

@@ -90,7 +90,7 @@ fn identical_follow_replays_trace_byte_identically() {
 }
 
 /// The shard counters a snapshot must carry (the sharded engine is the
-/// bit-identical one by contract — see `dds-bench snapshot-smoke`).
+/// bit-identical one by contract — see experiment E16's kill/restore drill).
 const SHARD_COUNTERS: [&str; 7] = [
     "dds_shard_epochs_total",
     "dds_shard_refreshes_total",
