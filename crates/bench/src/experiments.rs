@@ -1559,7 +1559,6 @@ pub fn e18_serve(quick: bool) -> BenchRecord {
         let stop = Arc::new(AtomicBool::new(false));
         let plan = ClientPlan {
             addr: server.addr(),
-            queries: None,
             stop: Arc::clone(&stop),
             core: Some(CORE),
             top_k: 2,
@@ -1770,7 +1769,7 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
                     t0.elapsed().as_micros() as u64,
                     &format!("epoch={}", r.epoch),
                 );
-                board.seal_epoch(
+                board.record_seal(
                     r.epoch,
                     events_total,
                     events_total,

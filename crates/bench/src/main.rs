@@ -349,7 +349,7 @@ fn smoke_admin() {
                 apply_wall += t0.elapsed();
                 epochs = r.epoch;
                 if let Some(board) = board {
-                    board.seal_epoch(
+                    board.record_seal(
                         r.epoch,
                         events_total,
                         cur,

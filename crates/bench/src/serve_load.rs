@@ -26,9 +26,8 @@ use dds_obs::{http_get, parse_exposition};
 pub struct ClientPlan {
     /// The serve front end to hammer.
     pub addr: SocketAddr,
-    /// Stop after exactly this many queries (`None`: run until [`ClientPlan::stop`]).
-    pub queries: Option<u64>,
-    /// Cooperative stop flag, checked between queries.
+    /// Cooperative stop flag, checked between queries: the client runs
+    /// until it is raised (or the server hangs up).
     pub stop: Arc<AtomicBool>,
     /// The `[x,y]` core the server maintains; enables `CORE` queries.
     pub core: Option<(u64, u64)>,
@@ -68,7 +67,7 @@ impl ClientReport {
     }
 }
 
-/// Runs one client to completion against `plan.addr`.
+/// Runs one client against `plan.addr` until its stop flag is raised.
 ///
 /// # Panics
 /// Panics if the connection cannot be established or a response line is
@@ -83,12 +82,7 @@ pub fn run_client(plan: &ClientPlan) -> ClientReport {
     let mut report = ClientReport::default();
     let mut last_epoch = 0u64;
     let mut i = 0u64;
-    loop {
-        if plan.queries.is_some_and(|q| report.queries >= q)
-            || (plan.queries.is_none() && plan.stop.load(Ordering::Relaxed))
-        {
-            break;
-        }
+    while !plan.stop.load(Ordering::Relaxed) {
         let query = match i % 4 {
             0 => "DENSITY".to_string(),
             1 => format!("MEMBER {}", (i * 7) % 512),
@@ -227,6 +221,7 @@ mod tests {
     #[test]
     fn fixed_count_client_validates_a_live_server() {
         use dds_serve::{EpochSnapshot, ServeMetrics, Server, SnapshotCell};
+        use std::time::Duration;
 
         let cell = Arc::new(SnapshotCell::new());
         let mut snap = EpochSnapshot::empty();
@@ -237,30 +232,33 @@ mod tests {
         snap.lower = 1.0;
         snap.upper = 1.0;
         cell.publish(snap);
-        let server = Server::start(
-            "127.0.0.1:0",
-            Arc::clone(&cell),
-            1,
-            Arc::new(ServeMetrics::new()),
-        )
-        .expect("bind");
+        let metrics = Arc::new(ServeMetrics::new());
+        let server =
+            Server::start("127.0.0.1:0", Arc::clone(&cell), 1, Arc::clone(&metrics)).expect("bind");
         let plan = ClientPlan {
             addr: server.addr(),
-            queries: Some(8),
             stop: Arc::new(AtomicBool::new(false)),
             core: None,
             top_k: 1,
         };
-        let reports = run_clients(2, &plan);
+        let load = {
+            let plan = plan.clone();
+            std::thread::spawn(move || run_clients(2, &plan))
+        };
+        // Raise the stop flag once the server has answered 16 queries.
+        while metrics.queries.get() < 16 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        plan.stop.store(true, Ordering::Relaxed);
         let mut total = ClientReport::default();
-        for r in &reports {
+        for r in &load.join().expect("load clients") {
             total.merge(r);
         }
-        assert_eq!(total.queries, 16);
+        assert!(total.queries >= 16, "{} queries", total.queries);
         assert_eq!(total.errors_after_epoch0, 0);
         assert_eq!(total.stale_violations, 0);
         assert_eq!(total.bracket_violations, 0);
         assert_eq!(total.max_epoch, 3);
-        assert_eq!(total.latencies_us.len(), 16);
+        assert_eq!(total.latencies_us.len() as u64, total.queries);
     }
 }

@@ -1,9 +1,9 @@
 //! Command implementations and argument parsing for the `dds` binary.
 //!
 //! The ingest commands — `dds stream` (replay, `--window`, `--follow`),
-//! `dds shard` and `dds serve` — share one loop, [`ingest`], over the
-//! CLI-private [`Tier`] trait that the stream, window and sharded engines
-//! implement. Replay and follow differ only in their batch [`Source`]:
+//! `dds sketch`, `dds shard` and `dds serve` — share one loop, [`ingest`],
+//! over the CLI-private [`Tier`] trait that the stream, window and sharded
+//! engines implement. Replay and follow differ only in their batch [`Source`]:
 //! the per-epoch rows, checkpoints, metrics, admin plane and closing
 //! summary are the same code in every mode.
 
@@ -18,7 +18,7 @@ use dds_graph::io::{load_edge_list, save_edge_list, ParseOptions};
 use dds_graph::{gen, DiGraph, GraphStats, Pair};
 use dds_obs::{AdminServer, LagGauges, Registry, SlowRing, StatusBoard, TraceProfile, Tracer};
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
-use dds_shard::{Partition, ShardConfig, ShardedEngine};
+use dds_shard::{ShardConfig, ShardedEngine};
 use dds_sketch::{SketchConfig, SketchStats};
 use dds_stream::{
     batch_slices, follow_events, Batch, BatchBy, CertifiedBounds, FollowConfig, SketchTier,
@@ -102,14 +102,16 @@ const USAGE: &str = "usage:
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
               (--window: expire edges W ticks after arrival; --sketch: re-certify via exact-on-sketch past M live edges;
                --follow: tail the growing event file, sealing epochs every N events and checkpointing to FILE
-               (composes with --window, except --checkpoint: the window engine has no snapshot); replay and
-               --follow print the same rows and one closing summary;
+               (composes with --window, except --checkpoint: the window engine has no snapshot), and exit once a
+               read finds nothing new T ms after the last growth was sealed (--idle-ms; time spent sealing is not
+               idle); replay and --follow print the same rows and one closing summary;
                --metrics: keep a Prometheus-style exposition file fresh every E epochs, plus FILE.jsonl at exit;
                --trace: stream deterministic span JSONL — identical replays diff byte-for-byte;
                --admin: live HTTP introspection on ADDR (/metrics /healthz /readyz /status /slow), replay or follow;
                --slow-us: record epoch seals slower than N µs in the slow-op ring, drained at exit and by /slow)
-  dds sketch  <event-file> [--batch N | --time-window T] [--bound B] [--drift F] [--threads N] [--seed S] [--log-every K]
-              (standalone sublinear sketch replay: certified bracket + (1+eps) estimate per epoch)
+  dds sketch  <event-file> [--batch N | --time-window T] [--bound B] [--threads N] [--seed S] [--log-every K]
+              (replay with every re-solve on a sublinear sketch of at most B edges: the rows and summary of
+               dds stream --sketch --sketch-min-m 0 --sketch-bound B)
   dds shard   <event-file> [--shards K] [--batch N] [--bound B] [--seed S] [--drift F] [--log-every K]
               [--follow [--poll-ms P] [--idle-ms T]] [--checkpoint FILE [--checkpoint-every E]] [--resume]
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
@@ -255,9 +257,9 @@ fn write_solution(out: &mut dyn Write, sol: &DdsSolution) -> Result<(), CliError
 }
 
 /// The one formatter for accumulated [`SolveStats`] — every command that
-/// reports exact-solve instrumentation (`dds exact`, the ingest summaries,
-/// `dds sketch`) goes through here, so the counters and their order cannot
-/// drift between commands again.
+/// reports exact-solve instrumentation (`dds exact`, the ingest summaries)
+/// goes through here, so the counters and their order cannot drift
+/// between commands again.
 fn write_solve_totals(out: &mut dyn Write, label: &str, s: &SolveStats) -> Result<(), CliError> {
     writeln!(
         out,
@@ -1328,7 +1330,7 @@ impl AdminRig {
         }
         self.last_seal.set(Some(now));
         self.board
-            .seal_epoch(row.epoch, events, cursor, row.density, row.lower, row.upper);
+            .record_seal(row.epoch, events, cursor, row.density, row.lower, row.upper);
         self.board.set_ready();
         let len = std::fs::metadata(path).map_or(cursor, |m| m.len());
         let behind = len.saturating_sub(cursor);
@@ -1432,8 +1434,8 @@ enum Source {
     Tail { batch: usize, follow: bool },
 }
 
-/// One run of `dds stream`, `dds shard` or `dds serve`, as its flags
-/// asked for it.
+/// One run of `dds stream`, `dds sketch`, `dds shard` or `dds serve`, as
+/// its flags asked for it.
 struct Ingest<'a> {
     path: &'a str,
     /// The role the admin plane reports on `/status`.
@@ -1792,10 +1794,10 @@ impl Tier for ShardedEngine {
     }
 }
 
-/// The one ingest loop behind `dds stream`, `dds shard` and `dds serve`,
-/// in replay and follow alike: open (or resume) the engine, then for each
-/// sealed batch apply → publish (serve only) → admin plane → row →
-/// checkpoint → metrics refresh, and close with one summary.
+/// The one ingest loop behind `dds stream`, `dds sketch`, `dds shard` and
+/// `dds serve`, in replay and follow alike: open (or resume) the engine,
+/// then for each sealed batch apply → publish (serve only) → admin plane →
+/// row → checkpoint → metrics refresh, and close with one summary.
 fn ingest<T: Tier>(
     out: &mut dyn Write,
     run: &Ingest<'_>,
@@ -2391,14 +2393,10 @@ fn cmd_cluster_coordinator<'a>(
     Ok(())
 }
 
-/// `dds sketch`: standalone sublinear-sketch replay. One
-/// [`Partition`] holding the whole stream canonicalises the event file
-/// (the sketch's turnstile contract: only *applied* mutations reach it —
-/// in production that dedup belongs to whatever upstream engine owns the
-/// edge set) and recovers an over-thinned sample from its edge set, the
-/// sketch maintains its sublinear summary, and each batch seals one epoch:
-/// certified bracket, scaled estimate with its `(1+ε)` loss, retained
-/// state, and exact-on-sketch instrumentation.
+/// `dds sketch`: a whole-file replay through the stream engine with every
+/// re-solve on the sketch tier (`min_m` 0) — `dds stream --sketch
+/// --sketch-min-m 0` with the sketch's own flag names, the same rows and
+/// the same summary.
 fn cmd_sketch<'a>(
     it: &mut impl Iterator<Item = &'a str>,
     out: &mut dyn Write,
@@ -2408,7 +2406,7 @@ fn cmd_sketch<'a>(
         .ok_or_else(|| CliError::Usage("missing <event-file> path".into()))?;
     let mut batch_by = BatchBy::Count(25);
     let mut config = SketchConfig::default();
-    let mut log_every = 0usize;
+    let mut log_every = 0u64;
     while let Some(flag) = it.next() {
         match flag {
             "--batch" => batch_by = BatchBy::Count(positive("--batch", it.next())?),
@@ -2416,77 +2414,28 @@ fn cmd_sketch<'a>(
                 batch_by = BatchBy::TimeWindow(positive("--time-window", it.next())?);
             }
             "--bound" => config.state_bound = positive("--bound", it.next())?,
-            "--drift" => config.refresh_drift = positive("--drift", it.next())?,
             "--threads" => config.threads = positive("--threads", it.next())?,
             "--seed" => config.seed = parse_flag_value("--seed", it.next())?,
             "--log-every" => log_every = parse_flag_value("--log-every", it.next())?,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
-
-    let events = dds_stream::load_events(path)?;
-    let mut part = Partition::new(config);
-    let started = std::time::Instant::now();
-    let slices = batch_slices(&events, batch_by);
-    let epochs = slices.len();
-    writeln!(
-        out,
-        "epoch      m  retained  lvl   [lower, upper]      estimate (+/-eps)  mode"
-    )?;
-    for (i, chunk) in slices.iter().enumerate() {
-        part.apply(chunk.iter().map(|ev| &ev.event), |_| {});
-        let r = part.seal_epoch();
-        let logged = r.refreshed
-            || (log_every > 0 && r.epoch.is_multiple_of(log_every as u64))
-            || i + 1 == epochs;
-        if logged {
-            let mode = if r.refreshed {
-                solve_mode_label("REFRESH", r.solve_stats)
-            } else {
-                "incremental".into()
-            };
-            writeln!(
-                out,
-                "{:>5} {:>6} {:>9} {:>4}   [{:>8.4}, {:>8.4}]   {:>8.4} (1+/-{:.3})  {}",
-                r.epoch, r.m, r.retained, r.level, r.lower, r.upper, r.estimate, r.loss, mode,
-            )?;
-        }
-    }
-    let wall = started.elapsed();
-
-    let sketch = part.sketch();
-    let stats = sketch.stats();
-    writeln!(out)?;
-    writeln!(
-        out,
-        "replayed {} events in {epochs} epochs ({wall:.2?}): {} refreshes ({} escalated to exact-on-sketch), {} subsamples",
-        events.len(),
-        stats.refreshes,
-        stats.escalations,
-        stats.subsamples,
-    )?;
-    writeln!(
-        out,
-        "state: {} retained of {} live edges ({:.1}%), peak {}, level {} (rate 1/{}), bound {}",
-        stats.retained,
-        part.m(),
-        100.0 * stats.retained as f64 / part.m().max(1) as f64,
-        stats.peak_retained,
-        stats.level,
-        1u64 << stats.level.min(63),
-        config.state_bound,
-    )?;
-    write_solve_totals(out, "exact-on-sketch totals", &stats.solve)?;
-    if let Some(pair) = sketch.witness_pair() {
-        writeln!(
-            out,
-            "witness |S| = {}, |T| = {} at sketch density {}",
-            pair.s().len(),
-            pair.t().len(),
-            sketch.witness_density(),
-        )?;
-    }
-    Ok(())
+    let run = Ingest {
+        path,
+        role: "sketch",
+        source: Source::Whole(batch_by),
+        log_every,
+        threads: Some((config.threads, "")),
+        serving: ServingFlags::default(),
+        obs: ObsFlags::default(),
+        serve: None,
+    };
+    let stream = StreamConfig {
+        threads: config.threads,
+        sketch: Some(SketchTier { min_m: 0, config }),
+        ..StreamConfig::default()
+    };
+    ingest::<StreamEngine>(out, &run, stream)
 }
 
 #[cfg(test)]
@@ -2909,13 +2858,76 @@ mod tests {
     fn sketch_replays_with_bracket_and_stats() {
         let path = temp_events();
         let out = run_ok(&["sketch", &path, "--batch", "2", "--log-every", "1"]);
-        assert!(out.contains("REFRESH"), "{out}");
-        assert!(out.contains("exact-on-sketch totals:"), "{out}");
-        assert!(out.contains("state:"), "{out}");
+        assert!(out.contains(EpochRow::HEADER), "{out}");
+        assert!(out.contains("SKETCH RESOLVE"), "{out}");
+        assert!(out.contains("re-solve totals:"), "{out}");
+        assert!(
+            out.contains("sketch tier: 1 of 1 re-solves sketched"),
+            "{out}"
+        );
+        assert!(out.contains("threads 1\n"), "{out}");
+        assert!(out.contains("final density"), "{out}");
         assert!(out.contains("witness |S|"), "{out}");
         // A tiny bound forces subsampling even on the toy stream.
         let tiny = run_ok(&["sketch", &path, "--bound", "2", "--batch", "2"]);
-        assert!(tiny.contains("bound 2"), "{tiny}");
+        let tier = line_of(&tiny, "sketch tier:").unwrap_or_default();
+        assert!(tier.contains("(peak 2)"), "{tiny}");
+        assert!(!tier.contains("level 0,"), "{tiny}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The first line of `out` that starts with `prefix`.
+    fn line_of<'a>(out: &'a str, prefix: &str) -> Option<&'a str> {
+        out.lines().find(|l| l.starts_with(prefix))
+    }
+
+    /// `dds sketch` is `dds stream --sketch --sketch-min-m 0` under the
+    /// sketch's flag names: one engine, so one final bracket and witness.
+    #[test]
+    fn sketch_matches_the_stream_sketch_tier() {
+        let path = temp_path("sketch_vs_stream.events");
+        // A 6×6 block among scattered noise, then a third of the noise
+        // leaves; bound 24 subsamples the stream.
+        let noise = |i: u32| (12 + i % 37, 12 + (i * 11 + 5) % 41);
+        let mut text = String::new();
+        let mut t = 0;
+        let mut push = |op: char, (u, v): (u32, u32)| {
+            text.push_str(&format!("{t} {op} {u} {v}\n"));
+            t += 1;
+        };
+        for i in 0..200u32 {
+            push('+', noise(i));
+            if i < 36 {
+                push('+', (i / 6, 6 + i % 6));
+            }
+        }
+        for i in (0..200u32).step_by(3) {
+            push('-', noise(i));
+        }
+        std::fs::write(&path, text).unwrap();
+        let sketch = run_ok(&["sketch", &path, "--batch", "10", "--bound", "24"]);
+        let stream = run_ok(&[
+            "stream",
+            &path,
+            "--batch",
+            "10",
+            "--sketch",
+            "--sketch-min-m",
+            "0",
+            "--sketch-bound",
+            "24",
+            "--threads",
+            "1",
+        ]);
+        for prefix in ["final density", "witness |S|"] {
+            assert!(line_of(&sketch, prefix).is_some(), "{prefix}: {sketch}");
+            assert_eq!(line_of(&sketch, prefix), line_of(&stream, prefix));
+        }
+        let tier = line_of(&sketch, "sketch tier:").unwrap_or_default();
+        assert!(
+            !tier.contains("level 0,"),
+            "bound 24 must subsample: {sketch}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -2925,7 +2937,7 @@ mod tests {
         assert!(matches!(run_err(&["sketch"]), CliError::Usage(_)));
         for bad in [
             ["sketch", &path, "--bound", "0"],
-            ["sketch", &path, "--drift", "0"],
+            ["sketch", &path, "--drift", "0.5"],
             ["sketch", &path, "--threads", "0"],
             ["sketch", &path, "--batch", "0"],
             ["sketch", &path, "--frobnicate", "1"],

@@ -318,7 +318,7 @@ fn publish(
         gauge.set(core.sealed().saturating_sub(folded));
     }
     if let Some(board) = &opts.status {
-        board.seal_epoch(
+        board.record_seal(
             epoch.epoch,
             epoch.events,
             core.max_cursor(),

@@ -125,7 +125,7 @@ impl StatusBoard {
 
     /// Records a sealed epoch: id, cumulative applied events, the byte
     /// cursor into the event file, and the certified bracket.
-    pub fn seal_epoch(
+    pub fn record_seal(
         &self,
         epoch: u64,
         events: u64,
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(body, "not ready\n");
 
         registry.counter("dds_stream_epochs_total").add(3);
-        status.seal_epoch(3, 300, 9000, 2.5, 2.0, 3.0);
+        status.record_seal(3, 300, 9000, 2.5, 2.0, 3.0);
         status.set_ready();
         status.set_ready(); // idempotent: still one flip
         let (code, body) = http_get(addr, "/readyz").unwrap();
@@ -572,7 +572,7 @@ mod tests {
     #[test]
     fn board_tracks_snapshot_age() {
         let b = StatusBoard::new("serve");
-        b.seal_epoch(10, 1_000, 40_000, 1.0, 1.0, 1.0);
+        b.record_seal(10, 1_000, 40_000, 1.0, 1.0, 1.0);
         b.publish_snapshot(8);
         assert_eq!(b.snapshot_age_epochs(), 2);
         b.publish_snapshot(10);

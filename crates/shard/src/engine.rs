@@ -36,8 +36,8 @@ pub struct ShardConfig {
 }
 
 impl Default for ShardConfig {
-    /// 4 shards, the standalone sketch drift (0.25), and the default
-    /// sketch configuration.
+    /// 4 shards, a refresh once a quarter of the pooled sample has
+    /// churned (drift 0.25), and the default sketch configuration.
     fn default() -> Self {
         ShardConfig {
             shards: 4,

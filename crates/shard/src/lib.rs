@@ -44,8 +44,8 @@
 //! the witness pair's exact density on the full graph (maintained per
 //! event, across shards), upper = the structural bound from the summed
 //! counters. Refreshes are drift-triggered
-//! ([`dds_sketch::certify::refresh_due`]), pooling the shards'
-//! retained-set churn exactly like the standalone sketch policy.
+//! ([`dds_sketch::certify::refresh_due`] over the shards' pooled
+//! retained-set churn), the same rule the cluster coordinator runs.
 //!
 //! # Restartability
 //!

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use dds_graph::VertexId;
 use dds_obs::Registry;
-use dds_sketch::{SketchConfig, SketchEngine, SketchReport};
+use dds_sketch::{SketchConfig, SketchEngine};
 use dds_stream::snapshot::SnapshotError;
 use dds_stream::Event;
 
@@ -125,13 +125,6 @@ impl Partition {
             sketch,
             n,
         })
-    }
-
-    /// Closes one reporting epoch of the sketch under its standalone
-    /// refresh policy ([`SketchEngine::seal_epoch`]) — the `dds sketch`
-    /// replay, where one partition holds the whole stream.
-    pub fn seal_epoch(&mut self) -> SketchReport {
-        self.sketch.seal_epoch()
     }
 
     /// Re-homes the sketch's counters in `registry`.

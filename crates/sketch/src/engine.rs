@@ -1,15 +1,13 @@
 //! The sketch engine: sublinear-state ingestion, level-based subsampling,
-//! two-tier refreshes (core-approx-on-sketch, escalated to exact-on-sketch
-//! when the sketch's own core bracket is too loose), and epoch reports.
-
-use std::time::{Duration, Instant};
+//! and two-tier refreshes (core-approx-on-sketch, escalated to
+//! exact-on-sketch when the sketch's own core bracket is too loose).
 
 use dds_core::{core_approx, exact_on_sketch, SolveContext, SolveStats};
 use dds_graph::{DiGraph, GraphBuilder, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{Counter, Gauge, Histogram, Registry};
 
-use crate::certify::{refresh_due, structural_upper, CertifiedBounds, WitnessTracker};
+use crate::certify::{structural_upper, WitnessTracker};
 use crate::maxtrack::MaxTracker;
 use crate::sample::SampleStore;
 
@@ -26,11 +24,6 @@ use crate::sample::SampleStore;
 /// would burn flows for nothing.
 const COLD_START_FRACTION: f64 = 0.1;
 
-/// Confidence parameter `δ` of the estimate's Chernoff loss factor: the
-/// `(1+ε)` bracket of [`SketchEngine::estimate`] holds with probability
-/// `≥ 1 − δ` per query.
-const DELTA: f64 = 0.01;
-
 /// Configuration of a [`SketchEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct SketchConfig {
@@ -38,11 +31,6 @@ pub struct SketchConfig {
     /// this, the subsampling level increments (halving the admission rate)
     /// until the set fits again. Must be positive.
     pub state_bound: usize,
-    /// Fraction of the retained set that must have churned since the last
-    /// exact-on-sketch solve before [`SketchEngine::seal_epoch`] refreshes
-    /// on its own. Must be positive (the embedding engines bypass this and
-    /// call [`SketchEngine::force_refresh`] on their own band policy).
-    pub refresh_drift: f64,
     /// Escalation threshold of the two-tier refresh: a refresh first runs
     /// the `O(√m_H·(n+m_H))` core sweep **on the sketch** (`m_H ≤
     /// state_bound`, so this is the cheap tier the sketch exists for) and
@@ -60,17 +48,15 @@ pub struct SketchConfig {
 }
 
 impl Default for SketchConfig {
-    /// `state_bound = 4096`, `refresh_drift = 0.25`,
-    /// `escalate_factor = 1.5`, serial solves, a fixed seed — sized so
-    /// the sketch stays a few percent of any graph large enough to need
-    /// one, escalating when the sweep's bracket on the sketch leaves more
-    /// than 50% on the table. Raise toward 2 for sweep-first cheapness
-    /// (experiment E15's headline configuration), lower toward 1 for
-    /// near-exact witnesses.
+    /// `state_bound = 4096`, `escalate_factor = 1.5`, serial solves, a
+    /// fixed seed — sized so the sketch stays a few percent of any graph
+    /// large enough to need one, escalating when the sweep's bracket on
+    /// the sketch leaves more than 50% on the table. Raise toward 2 for
+    /// sweep-first cheapness (experiment E15's headline configuration),
+    /// lower toward 1 for near-exact witnesses.
     fn default() -> Self {
         SketchConfig {
             state_bound: 4096,
-            refresh_drift: 0.25,
             escalate_factor: 1.5,
             threads: 1,
             seed: 0x5EED_CA5E,
@@ -79,8 +65,8 @@ impl Default for SketchConfig {
 }
 
 /// Lifetime counters of a [`SketchEngine`] — the sketch-tier analog of
-/// [`SolveStats`], flowing through the same report plumbing (`dds sketch`,
-/// `dds stream` epoch reports, experiment E15).
+/// [`SolveStats`], flowing through the same report plumbing (the stream
+/// and window engines' epoch reports, experiment E15).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SketchStats {
     /// Retained edges right now.
@@ -109,64 +95,15 @@ pub struct SketchStats {
     pub solve: SolveStats,
 }
 
-/// What one [`SketchEngine::seal_epoch`] call observed and certified.
-#[derive(Clone, Debug)]
-pub struct SketchReport {
-    /// 1-based epoch number (one per seal).
-    pub epoch: u64,
-    /// Applied insertions since the previous seal.
-    pub inserts: usize,
-    /// Applied deletions since the previous seal.
-    pub deletes: usize,
-    /// Vertex count (one past the largest id seen).
-    pub n: usize,
-    /// Exact live edge count of the *full* graph (counter, not the sample).
-    pub m: u64,
-    /// Retained edges after the epoch.
-    pub retained: usize,
-    /// Subsampling level after the epoch.
-    pub level: u32,
-    /// Level increments that happened during this epoch.
-    pub subsampled: u32,
-    /// Whether this seal ran a refresh (a core sweep *of the sketch*,
-    /// possibly escalated — see [`SketchReport::solve_stats`]).
-    pub refreshed: bool,
-    /// The witness pair's exact density **on the sketch** — the certified
-    /// lower bound on the true optimum (`H ⊆ G`).
-    pub density: Density,
-    /// `density` as `f64`.
-    pub lower: f64,
-    /// Certified upper bound on the true optimum:
-    /// `min(√m, √(d⁺_max · d⁻_max))` over the exact counters.
-    pub upper: f64,
-    /// The scaled estimate `ρ_H(S,T) · 2^level` of the witness pair's true
-    /// density (and thereby a point estimate of the optimum).
-    pub estimate: f64,
-    /// Chernoff loss `ε` of the estimate: `E_G(S,T)` lies within
-    /// `(1 ± ε) · E_H(S,T) · 2^level` with probability `≥ 1 − δ`. Zero at
-    /// level 0 (no sampling loss).
-    pub loss: f64,
-    /// Proven approximation factor of the certified bracket
-    /// (`upper / lower`; `inf` when edges exist but no witness survives).
-    pub certified_factor: f64,
-    /// Instrumentation of this epoch's exact-on-sketch escalation (`None`
-    /// for unescalated — core-sweep-only — refreshes and quiet epochs).
-    pub solve_stats: Option<SolveStats>,
-    /// Wall-clock time spent sealing (including any refresh).
-    pub elapsed: Duration,
-}
-
 /// Sublinear-state density sketch (see crate docs).
 ///
-/// Two driving modes:
-///
-/// * **standalone** — feed applied mutations, call
-///   [`seal_epoch`](Self::seal_epoch) at report cadence; the engine
-///   refreshes itself when the retained set has churned past
-///   [`SketchConfig::refresh_drift`];
-/// * **embedded** — `dds-stream`'s engines feed mutations and call
-///   [`force_refresh`](Self::force_refresh) whenever *their* certification
-///   band breaks, then adopt the witness pair as a full-graph lower bound.
+/// The sketch never decides when to refresh: its embedding engine feeds
+/// it applied mutations and calls [`force_refresh`](Self::force_refresh)
+/// on its own policy — the certification band of `dds-stream`'s engines,
+/// or the pooled [`refresh_due`](crate::certify::refresh_due) drift rule
+/// of the sharded and cluster tiers over
+/// [`sample_mutations`](Self::sample_mutations) — then adopts the witness
+/// pair as a full-graph lower bound.
 #[derive(Debug)]
 pub struct SketchEngine {
     config: SketchConfig,
@@ -179,20 +116,15 @@ pub struct SketchEngine {
     /// maintained per event.
     witness: WitnessTracker,
     /// Retained-set changes (inserts, deletes, subsample drops) since the
-    /// last refresh — the standalone refresh trigger.
+    /// last refresh — the drift the pooled refresh rule reads.
     mutations: u64,
     /// One-shot escalation armed by the cold-start degradation detector:
     /// the next refresh runs with `escalate_factor` forced to 1.
     escalate_once: bool,
     ctx: SolveContext,
-    epoch: u64,
-    ev_inserts: usize,
-    ev_deletes: usize,
-    epoch_subsamples: u32,
     peak_retained: usize,
     metrics: SketchMetrics,
     solve_totals: SolveStats,
-    last_solve_stats: Option<SolveStats>,
 }
 
 /// Obs-backed lifetime counters of a [`SketchEngine`] (the `dds_sketch_*`
@@ -244,12 +176,11 @@ impl SketchEngine {
     /// A fresh sketch over an empty graph.
     ///
     /// # Panics
-    /// Panics on a zero state bound, non-positive drift, an escalate
-    /// factor below 1, or zero threads.
+    /// Panics on a zero state bound, an escalate factor below 1, or zero
+    /// threads.
     #[must_use]
     pub fn new(config: SketchConfig) -> Self {
         assert!(config.state_bound > 0, "state bound must be positive");
-        assert!(config.refresh_drift > 0.0, "refresh drift must be positive");
         assert!(
             config.escalate_factor >= 1.0,
             "escalate factor must be at least 1"
@@ -266,14 +197,9 @@ impl SketchEngine {
             mutations: 0,
             escalate_once: false,
             ctx: SolveContext::new(),
-            epoch: 0,
-            ev_inserts: 0,
-            ev_deletes: 0,
-            epoch_subsamples: 0,
             peak_retained: 0,
             metrics: SketchMetrics::default(),
             solve_totals: SolveStats::default(),
-            last_solve_stats: None,
         }
     }
 
@@ -366,7 +292,6 @@ impl SketchEngine {
         self.m += 1;
         self.out_deg.incr(u as usize);
         self.in_deg.incr(v as usize);
-        self.ev_inserts += 1;
         if self.sample.try_insert(u, v) {
             self.mutations += 1;
             self.witness.on_insert(u, v);
@@ -388,7 +313,6 @@ impl SketchEngine {
             .expect("delete of an edge the sketch never saw");
         self.out_deg.decr(u as usize);
         self.in_deg.decr(v as usize);
-        self.ev_deletes += 1;
         if self.sample.remove(u, v) {
             self.mutations += 1;
             self.witness.on_delete(u, v);
@@ -400,7 +324,6 @@ impl SketchEngine {
     fn enforce_state_bound(&mut self) {
         while self.sample.len() > self.config.state_bound && self.sample.level() < 63 {
             self.metrics.subsamples.inc();
-            self.epoch_subsamples += 1;
             for (u, v) in self.sample.raise_level() {
                 self.mutations += 1;
                 self.witness.on_delete(u, v);
@@ -418,7 +341,6 @@ impl SketchEngine {
             return;
         }
         self.metrics.subsamples.inc();
-        self.epoch_subsamples += 1;
         for (u, v) in self.sample.raise_to(level) {
             self.mutations += 1;
             self.witness.on_delete(u, v);
@@ -480,20 +402,9 @@ impl SketchEngine {
         }
         self.sample.rebuild_at(level, edges);
         self.peak_retained = self.peak_retained.max(self.sample.len());
-        // Gauges publish at the seal/refresh fold points only: per-shard
-        // engines rebuild from parallel apply workers, and a single
-        // shard's partial view must not overwrite the shared gauges.
+        // Gauges publish at refreshes only: a rebuilding shard sees just
+        // its own partition and must not overwrite the shared gauges.
         self.metrics.rebuilds.inc();
-    }
-
-    /// Whether the standalone refresh policy wants a solve now.
-    fn needs_refresh(&self) -> bool {
-        refresh_due(
-            self.sample.len(),
-            self.witness.is_dead(),
-            self.mutations,
-            self.config.refresh_drift,
-        )
     }
 
     /// Runs a refresh now — the two-tier scheme on the **materialised
@@ -517,7 +428,6 @@ impl SketchEngine {
         self.metrics
             .publish_state(self.sample.len(), self.sample.level());
         self.mutations = 0;
-        self.last_solve_stats = None;
         // The cold-start one-shot: an armed escalation forces this refresh
         // exact, then disarms (the configured factor applies again next
         // time).
@@ -554,63 +464,15 @@ impl SketchEngine {
         let report = exact_on_sketch(&mut self.ctx, &g, self.config.threads);
         let stats = report.stats();
         self.solve_totals.merge(stats);
-        self.last_solve_stats = Some(stats);
         self.metrics.escalations.inc();
         let pair = (!report.solution.pair.is_empty()).then_some(report.solution.pair);
         self.adopt_witness(pair, &g);
         timer.stop();
-        self.last_solve_stats
+        Some(stats)
     }
 
     fn adopt_witness(&mut self, pair: Option<Pair>, h: &DiGraph) {
         self.witness.reset(self.n, pair, h.edges());
-    }
-
-    /// Closes one reporting epoch: runs the standalone refresh policy and
-    /// returns the epoch's report. Event counters reset afterwards.
-    pub fn seal_epoch(&mut self) -> SketchReport {
-        let start = Instant::now();
-        self.epoch += 1;
-        let refreshed = self.needs_refresh();
-        if refreshed {
-            self.force_refresh();
-        }
-        let density = self.witness_density();
-        let lower = density.to_f64();
-        let upper = self.certified_upper();
-        let report = SketchReport {
-            epoch: self.epoch,
-            inserts: self.ev_inserts,
-            deletes: self.ev_deletes,
-            n: self.n,
-            m: self.m,
-            retained: self.sample.len(),
-            level: self.sample.level(),
-            subsampled: self.epoch_subsamples,
-            refreshed,
-            density,
-            lower,
-            upper,
-            estimate: self.estimate(),
-            loss: self.loss_epsilon(),
-            certified_factor: CertifiedBounds {
-                lower: density,
-                upper,
-            }
-            .certified_factor(),
-            solve_stats: if refreshed {
-                self.last_solve_stats
-            } else {
-                None
-            },
-            elapsed: start.elapsed(),
-        };
-        self.ev_inserts = 0;
-        self.ev_deletes = 0;
-        self.epoch_subsamples = 0;
-        self.metrics
-            .publish_state(self.sample.len(), self.sample.level());
-        report
     }
 
     /// Exact density of the maintained witness **on the sketch** — a
@@ -626,28 +488,6 @@ impl SketchEngine {
     #[must_use]
     pub fn certified_upper(&self) -> f64 {
         structural_upper(self.m, self.out_deg.max(), self.in_deg.max())
-    }
-
-    /// The scaled point estimate `ρ_H(witness) · 2^level` of the witness
-    /// pair's true density.
-    #[must_use]
-    pub fn estimate(&self) -> f64 {
-        self.witness_density().to_f64() * (1u64 << self.sample.level().min(63)) as f64
-    }
-
-    /// Chernoff loss `ε` of [`estimate`](Self::estimate) at confidence
-    /// `1 − δ`: 0 at level 0 (the sketch is exact), `inf` when the witness
-    /// holds no retained edges (there is no estimate to bracket).
-    #[must_use]
-    pub fn loss_epsilon(&self) -> f64 {
-        if self.sample.level() == 0 {
-            return 0.0;
-        }
-        let k = self.witness.edges();
-        if k == 0 {
-            return f64::INFINITY;
-        }
-        (3.0 * (2.0 / DELTA).ln() / (k as f64)).sqrt()
     }
 
     /// Freezes the retained subgraph into the CSR form the solvers use
@@ -681,12 +521,6 @@ impl SketchEngine {
             rebuilds: self.metrics.rebuilds.get(),
             solve: self.solve_totals,
         }
-    }
-
-    /// Instrumentation of the most recent exact-on-sketch solve, if any.
-    #[must_use]
-    pub fn last_solve_stats(&self) -> Option<SolveStats> {
-        self.last_solve_stats
     }
 
     /// Retained edges right now.
@@ -724,18 +558,19 @@ impl SketchEngine {
     }
 
     /// Retained-set changes (inserts, deletes, subsample drops) since the
-    /// last refresh — the standalone drift trigger, exposed so embedding
-    /// engines that pool several sketches (`dds-shard`) can run the same
-    /// [`refresh_due`] rule over the summed drift.
+    /// last refresh, exposed so embedding engines that pool several
+    /// sketches (`dds-shard`, `dds-cluster`) can run the
+    /// [`refresh_due`](crate::certify::refresh_due) rule over the summed
+    /// drift.
     #[must_use]
     pub fn sample_mutations(&self) -> u64 {
         self.mutations
     }
 
     /// Overwrites the drift counter: embedding engines zero it after a
-    /// pooled refresh (the analog of what [`SketchEngine::force_refresh`]
-    /// does for the standalone policy), and snapshot restores put the
-    /// saved value back so refresh timing resumes bit-identically.
+    /// pooled refresh (what [`SketchEngine::force_refresh`] does for its
+    /// own sample), and snapshot restores put the saved value back so
+    /// refresh timing resumes bit-identically.
     pub fn set_sample_mutations(&mut self, mutations: u64) {
         self.mutations = mutations;
     }
@@ -768,12 +603,6 @@ impl SketchEngine {
         self.n
     }
 
-    /// Number of seals so far.
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of refreshes so far (core sweeps of the sketch).
     #[must_use]
     pub fn refreshes(&self) -> u64 {
@@ -796,6 +625,7 @@ impl SketchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::{refresh_due, CertifiedBounds};
 
     fn k22() -> [(u32, u32); 4] {
         [(0, 2), (0, 3), (1, 2), (1, 3)]
@@ -807,15 +637,15 @@ mod tests {
         for (u, v) in k22() {
             sk.insert(u, v);
         }
-        let report = sk.seal_epoch();
-        assert!(report.refreshed);
-        assert_eq!(report.level, 0);
-        assert_eq!(report.retained, 4);
-        assert_eq!(report.density, Density::new(4, 2, 2));
-        assert_eq!(report.estimate, 2.0);
-        assert_eq!(report.loss, 0.0);
-        assert!(report.lower <= report.upper);
-        assert!(report.certified_factor <= 1.0 + 1e-6);
+        sk.force_refresh();
+        assert_eq!(sk.refreshes(), 1);
+        assert_eq!((sk.level(), sk.retained()), (0, 4));
+        assert_eq!(sk.witness_density(), Density::new(4, 2, 2));
+        let bounds = CertifiedBounds {
+            lower: sk.witness_density(),
+            upper: sk.certified_upper(),
+        };
+        assert!(bounds.certified_factor() <= 1.0 + 1e-6);
     }
 
     #[test]
@@ -845,14 +675,13 @@ mod tests {
         for (u, v) in k22() {
             sk.insert(u, v);
         }
-        sk.seal_epoch();
+        sk.force_refresh();
         assert_eq!(sk.witness_density(), Density::new(4, 2, 2));
         sk.delete(0, 2);
         assert_eq!(sk.m(), 3);
         assert_eq!(sk.witness_density(), Density::new(3, 2, 2));
         // The decayed witness is still a sound lower bound.
-        let report = sk.seal_epoch();
-        assert!(report.lower <= report.upper);
+        assert!(sk.witness_density().to_f64() <= sk.certified_upper());
     }
 
     #[test]
@@ -864,81 +693,44 @@ mod tests {
     }
 
     #[test]
-    fn standalone_refresh_policy_tracks_drift() {
-        let mut sk = SketchEngine::new(SketchConfig {
-            refresh_drift: 0.5,
-            ..SketchConfig::default()
-        });
-        for (u, v) in k22() {
-            sk.insert(u, v);
-        }
-        assert!(sk.seal_epoch().refreshed, "first seal must solve");
-        // No mutations: the next seal is free.
-        let quiet = sk.seal_epoch();
-        assert!(!quiet.refreshed);
-        assert!(quiet.solve_stats.is_none());
-        // Churn past the drift floor: a refresh fires again.
-        for i in 0..40u32 {
-            sk.insert(100 + i, 200 + i);
-        }
-        let busy = sk.seal_epoch();
-        assert!(busy.refreshed, "drifted sketch must re-solve");
-        assert!(busy.solve_stats.is_some());
-        assert_eq!(sk.refreshes(), 2);
-    }
-
-    #[test]
     fn witness_death_triggers_refresh() {
         let mut sk = SketchEngine::new(SketchConfig::default());
         for (u, v) in k22() {
             sk.insert(u, v);
         }
-        sk.seal_epoch();
+        sk.force_refresh();
         for (u, v) in k22() {
             sk.delete(u, v);
         }
         sk.insert(7, 8); // retained edges exist, witness is gone
-        let report = sk.seal_epoch();
-        assert!(report.refreshed, "dead witness must force a solve");
-        assert!(report.lower > 0.0);
+                         // Five mutations stay under the drift floor: only the dead
+                         // witness makes the shared rule fire.
+        let (retained, drift) = (sk.retained(), sk.sample_mutations());
+        assert!(!refresh_due(retained, false, drift, 0.25));
+        assert!(
+            refresh_due(retained, sk.witness.is_dead(), drift, 0.25),
+            "dead witness must force a solve"
+        );
+        sk.force_refresh();
+        assert!(sk.witness_density().to_f64() > 0.0);
     }
 
     #[test]
     fn empty_graph_reports_zero() {
-        let mut sk = SketchEngine::new(SketchConfig::default());
-        let report = sk.seal_epoch();
-        assert_eq!(report.m, 0);
-        assert!(!report.refreshed);
-        assert_eq!(report.upper, 0.0);
-        assert_eq!(report.certified_factor, 1.0);
-    }
-
-    #[test]
-    fn estimate_scales_by_the_sampling_rate() {
-        let mut sk = SketchEngine::new(SketchConfig {
-            state_bound: 64,
-            ..SketchConfig::default()
-        });
-        // A 24×24 complete block (576 edges) forces subsampling; the
-        // estimate must land near the true ρ = 24 while the certified
-        // bracket stays sound around it.
-        for u in 0..24u32 {
-            for v in 24..48u32 {
-                sk.insert(u, v);
-            }
-        }
-        let report = sk.seal_epoch();
-        assert!(report.level >= 3, "level {}", report.level);
-        assert!(report.lower <= 24.0 + 1e-9, "lower must stay sound");
-        assert!(report.upper >= 24.0, "upper must stay sound");
-        assert!(report.loss > 0.0);
-        assert!(
-            report.estimate > 24.0 * (1.0 - report.loss)
-                && report.estimate < 24.0 * (1.0 + report.loss),
-            "estimate {} drifted past its own loss bracket {}",
-            report.estimate,
-            report.loss
-        );
+        let sk = SketchEngine::new(SketchConfig::default());
+        assert_eq!(sk.m(), 0);
+        assert!(!refresh_due(
+            sk.retained(),
+            sk.witness.is_dead(),
+            sk.sample_mutations(),
+            0.25
+        ));
+        let bounds = CertifiedBounds {
+            lower: sk.witness_density(),
+            upper: sk.certified_upper(),
+        };
+        assert_eq!(bounds.upper, 0.0);
+        assert_eq!(bounds.certified_factor(), 1.0);
     }
 
     #[test]
@@ -970,10 +762,11 @@ mod tests {
         assert_eq!(sk.m(), 3);
         assert!(!sk.is_undersampled());
         assert_eq!(sk.stats().rebuilds, 1);
-        let report = sk.seal_epoch();
-        assert!(report.refreshed, "rebuild clears the witness");
-        assert!(report.lower > 0.0, "the reseeded sketch certifies again");
-        assert!(report.lower <= report.upper);
+        assert!(sk.witness.is_dead(), "rebuild clears the witness");
+        sk.force_refresh();
+        let lower = sk.witness_density().to_f64();
+        assert!(lower > 0.0, "the reseeded sketch certifies again");
+        assert!(lower <= sk.certified_upper());
     }
 
     #[test]
@@ -1085,9 +878,7 @@ mod tests {
         for (u, v) in k22() {
             sk.insert(u, v);
         }
-        let report = sk.seal_epoch();
-        assert!(report.refreshed);
-        assert!(report.solve_stats.is_none(), "factor 2 stays sweep-first");
+        assert!(sk.force_refresh().is_none(), "factor 2 stays sweep-first");
         assert!(!sk.escalation_armed(), "K_{{2,2}} cold start is healthy");
         sk.arm_escalation();
         sk.force_refresh();
@@ -1120,17 +911,15 @@ mod tests {
         for u in 1201..=2400u32 {
             sk.insert(u, 2401);
         }
-        let report = sk.seal_epoch();
-        assert!(report.refreshed);
         assert!(
-            report.solve_stats.is_none(),
+            sk.force_refresh().is_none(),
             "factor 3 must start sweep-first"
         );
         assert!(
             sk.escalation_armed(),
             "lower {} vs upper {}: cold start must arm",
-            report.lower,
-            report.upper
+            sk.witness_density(),
+            sk.certified_upper()
         );
         // The armed refresh goes exact-on-sketch.
         let stats = sk.force_refresh();
@@ -1156,8 +945,7 @@ mod tests {
                 sk.insert(u, v);
             }
         }
-        let report = sk.seal_epoch();
-        assert!(report.refreshed);
+        sk.force_refresh();
         assert!(!sk.escalation_armed(), "dense cold start must stay calm");
         assert_eq!(sk.stats().cold_escalations, 0);
     }
@@ -1177,13 +965,13 @@ mod tests {
                     sk.delete(i % 40, 40 + (i * 7) % 60);
                 }
             }
-            let r = sk.seal_epoch();
+            sk.force_refresh();
             (
-                r.retained,
-                r.level,
-                r.m,
-                r.lower.to_bits(),
-                r.upper.to_bits(),
+                sk.retained(),
+                sk.level(),
+                sk.m(),
+                sk.witness_density(),
+                sk.certified_upper().to_bits(),
             )
         };
         assert_eq!(run(), run());

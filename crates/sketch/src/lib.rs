@@ -34,7 +34,7 @@
 //! factor rule, drift trigger, merged refresh — lives in [`certify`], the
 //! one copy every tier above this crate calls.
 //!
-//! # The certified bracket, and what is only estimated
+//! # The certified bracket
 //!
 //! Let `H ⊆ G` be the retained subgraph. Two bounds hold **always**,
 //! deterministically:
@@ -49,14 +49,18 @@
 //!   `ρ_H(S,T) ≤ ρ_G(S,T) ≤ ρ_opt(G)`.
 //! * **upper** — `min(√m, √(d⁺_max · d⁻_max))` over the *exact* counters.
 //!
-//! Between them sits the **estimate** `ρ̂ = ρ_H(S,T) · 2^ℓ`, which carries
-//! a Chernoff-style loss factor `(1 + ε)` with
-//! `ε = √(3·ln(2/δ) / k)` (`k` = the witness's retained edge count): each
-//! of the pair's `G`-edges was retained independently with probability
-//! `2⁻ℓ`, so the scaled count concentrates within `1 ± ε` of
-//! `E_G(S,T)` with probability `≥ 1 − δ` (`δ = 0.01`, a constant of the
-//! engine). The estimate is what you report on dashboards; the bracket is
-//! what you certify.
+//! The sketch reports this bracket and no estimate. The embedding
+//! engines recount the witness pair on the full graph, so the lower bound
+//! they report is the pair's true density, at least its `H`-density.
+//!
+//! # Who refreshes
+//!
+//! The sketch has no refresh policy of its own. Its embedding engine
+//! calls [`SketchEngine::force_refresh`] when *its* rule fires: the
+//! certification band of `dds-stream`'s engines (the `SketchTier` knob,
+//! which `dds stream --sketch` and `dds sketch` drive), or the pooled
+//! [`certify::refresh_due`] drift rule of `dds-shard` and `dds-cluster`
+//! over the summed [`SketchEngine::sample_mutations`].
 //!
 //! # Ingestion contract
 //!
@@ -64,13 +68,12 @@
 //! mutations (strict turnstile): no duplicate insert of a live edge, no
 //! delete of an absent one. A sublinear sketch cannot dedupe — edge
 //! identity is the upstream engine's job (`dds-stream`'s `DynamicGraph`
-//! forwards exactly the applied mutations; the `dds sketch` CLI mirrors
-//! the stream for the same reason). Violations that drive a counter below
-//! zero panic in the degree trackers; others (a duplicate insert, a
-//! delete of the wrong live edge) skew the exact counters — and thereby
-//! the certified upper bound — undetectably, which is why the contract is
-//! on the caller and not on runtime checks a sublinear sketch cannot
-//! afford.
+//! and `dds-shard`'s `Partition` forward exactly the applied mutations).
+//! Violations that drive a counter below zero panic in the degree
+//! trackers; others (a duplicate insert, a delete of the wrong live edge)
+//! skew the exact counters — and thereby the certified upper bound —
+//! undetectably, which is why the contract is on the caller and not on
+//! runtime checks a sublinear sketch cannot afford.
 //!
 //! # Example
 //!
@@ -81,13 +84,12 @@
 //! for (u, v) in [(0, 2), (0, 3), (1, 2), (1, 3)] {
 //!     sketch.insert(u, v);
 //! }
-//! let report = sketch.seal_epoch();
+//! sketch.force_refresh();
 //! // Nothing has been subsampled yet, so the sketch is exact: the
 //! // certified bracket collapses onto K_{2,2}'s optimum ρ = 2.
-//! assert_eq!(report.level, 0);
-//! assert_eq!(report.lower, 2.0);
-//! assert!(report.upper >= 2.0);
-//! assert_eq!(report.estimate, 2.0);
+//! assert_eq!(sketch.level(), 0);
+//! assert_eq!(sketch.witness_density().to_f64(), 2.0);
+//! assert!(sketch.certified_upper() >= 2.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -97,5 +99,5 @@ mod engine;
 mod maxtrack;
 mod sample;
 
-pub use engine::{SketchConfig, SketchEngine, SketchReport, SketchStats};
+pub use engine::{SketchConfig, SketchEngine, SketchStats};
 pub use maxtrack::MaxTracker;

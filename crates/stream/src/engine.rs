@@ -632,8 +632,8 @@ pub enum BatchBy {
 }
 
 /// Slices `events` into the batches `batch_by` describes (shared by
-/// [`replay`], [`crate::replay_window`], and any external replay loop —
-/// the `dds sketch` command drives a [`dds_sketch::SketchEngine`] with it).
+/// [`replay`], [`crate::replay_window`], and the CLI's whole-file replays
+/// of `dds stream` and `dds sketch`).
 ///
 /// # Panics
 /// Panics if the batch size or window is zero.

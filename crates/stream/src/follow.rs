@@ -15,6 +15,7 @@
 //! no event replayed twice and none skipped, because batches are always
 //! cut at event boundaries and events at line boundaries.
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::ops::ControlFlow;
@@ -30,7 +31,9 @@ pub struct FollowConfig {
     pub batch: usize,
     /// How long to sleep between polls of the file size.
     pub poll: Duration,
-    /// Stop after the file has not grown for this long; a final short
+    /// Stop once a read finds nothing new this long after the file last
+    /// grew — measured from when that growth's batches were sealed, so
+    /// time spent in the callback never counts as silence; a final short
     /// batch flushes whatever is pending first. `None` follows forever
     /// (stop from the callback with [`ControlFlow::Break`]).
     pub idle_exit: Option<Duration>,
@@ -99,7 +102,7 @@ where
     let mut line_start = config.cursor;
     let mut carry: Vec<u8> = Vec::new();
     let mut lineno = 0usize; // counts from the cursor (see the Errors doc)
-    let mut pending: Vec<(TimedEvent, u64)> = Vec::new();
+    let mut pending: VecDeque<(TimedEvent, u64)> = VecDeque::new();
     let mut outcome = FollowOutcome {
         cursor: config.cursor,
         events: 0,
@@ -131,28 +134,23 @@ where
                 let parsed = parse_event_line(&line, lineno)
                     .map_err(|e| tail_error(e, begins_at, outcome.events + pending.len() as u64))?;
                 if let Some(ev) = parsed {
-                    pending.push((ev, end));
+                    pending.push_back((ev, end));
                 }
             }
             carry.extend_from_slice(slice);
         }
-        if grew {
-            last_growth = Instant::now();
-        }
 
         // Seal full batches.
         while pending.len() >= config.batch {
-            let rest = pending.split_off(config.batch);
-            let sealed = std::mem::replace(&mut pending, rest);
-            let cursor = sealed.last().expect("non-empty batch").1;
-            let events: Vec<TimedEvent> = sealed.into_iter().map(|(ev, _)| ev).collect();
-            outcome.events += events.len() as u64;
-            outcome.epochs += 1;
-            outcome.cursor = cursor;
-            if on_batch(Batch::from_events(events), cursor).is_break() {
-                outcome.stopped_by_callback = true;
+            if seal(&mut pending, config.batch, &mut outcome, &mut on_batch) {
                 return Ok(outcome);
             }
+        }
+        if grew {
+            // The silence starts after the callbacks, and only a read
+            // that finds nothing new may end the loop: read again now.
+            last_growth = Instant::now();
+            continue;
         }
 
         if let Some(idle) = config.idle_exit {
@@ -170,25 +168,41 @@ where
                         tail_error(e, line_start, outcome.events + pending.len() as u64)
                     })?;
                     if let Some(ev) = parsed {
-                        pending.push((ev, end));
+                        pending.push_back((ev, end));
                     }
                 }
                 // Flush the short tail, if any, then stop.
-                if !pending.is_empty() {
-                    let cursor = pending.last().expect("non-empty tail").1;
-                    let events: Vec<TimedEvent> = pending.drain(..).map(|(ev, _)| ev).collect();
-                    outcome.events += events.len() as u64;
-                    outcome.epochs += 1;
-                    outcome.cursor = cursor;
-                    if on_batch(Batch::from_events(events), cursor).is_break() {
-                        outcome.stopped_by_callback = true;
-                    }
+                let k = pending.len();
+                if k > 0 {
+                    seal(&mut pending, k, &mut outcome, &mut on_batch);
                 }
                 return Ok(outcome);
             }
         }
         std::thread::sleep(config.poll);
     }
+}
+
+/// Hands the first `k` pending events to `on_batch` as one batch, with the
+/// cursor just past the last of them, and returns whether the callback
+/// broke. Draining from the front of the deque costs `O(k)`, whatever
+/// backlog stays pending behind the batch.
+fn seal<F>(
+    pending: &mut VecDeque<(TimedEvent, u64)>,
+    k: usize,
+    outcome: &mut FollowOutcome,
+    on_batch: &mut F,
+) -> bool
+where
+    F: FnMut(Batch, u64) -> ControlFlow<()>,
+{
+    let cursor = pending[k - 1].1;
+    let events: Vec<TimedEvent> = pending.drain(..k).map(|(ev, _)| ev).collect();
+    outcome.events += k as u64;
+    outcome.epochs += 1;
+    outcome.cursor = cursor;
+    outcome.stopped_by_callback = on_batch(Batch::from_events(events), cursor).is_break();
+    outcome.stopped_by_callback
 }
 
 /// Upgrades a [`StreamError::Parse`] from the line parser to the richer
@@ -333,6 +347,41 @@ mod tests {
                 Event::Delete(1, 2)
             ]
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Time spent in the callback is not silence: an event the producer
+    /// appends while a batch is being handled — for longer than
+    /// `idle_exit` — is read before the loop idles out.
+    #[test]
+    fn appends_during_a_slow_callback_are_read_before_idling_out() {
+        let path = temp_path("slow_callback");
+        std::fs::write(&path, "0 + 1 2\n1 + 3 4\n").unwrap();
+        let config = quick(1, 0);
+        let idle = config.idle_exit.expect("quick configs idle out");
+        let mut seen = Vec::new();
+        let outcome = follow_events(&path, config, |batch, _| {
+            if seen.is_empty() {
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                writeln!(f, "2 + 5 6").unwrap();
+                std::thread::sleep(2 * idle);
+            }
+            seen.extend(batch.events.iter().map(|ev| ev.event));
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(
+            seen,
+            vec![
+                Event::Insert(1, 2),
+                Event::Insert(3, 4),
+                Event::Insert(5, 6)
+            ]
+        );
+        assert_eq!(outcome.events, 3);
         std::fs::remove_file(&path).ok();
     }
 

@@ -89,7 +89,7 @@ fn concurrent_scrapes_parse_and_reconcile_with_ingest() {
             events_total += batch.events.len() as u64;
             let r = engine.apply(&batch);
             epochs = r.epoch;
-            board.seal_epoch(
+            board.record_seal(
                 r.epoch,
                 events_total,
                 cur,

@@ -1,8 +1,8 @@
-//! The differential oracle harness for the sketch tier (the ISSUE-4
-//! headline test): replay random insert/delete streams on small graphs —
-//! canonicalised through a full [`DynamicGraph`] mirror, exactly how the
-//! engines feed their embedded sketches — and check at **every** epoch
-//! that
+//! The differential oracle harness for the sketch tier: replay random
+//! insert/delete streams on small graphs — canonicalised through a full
+//! [`DynamicGraph`] mirror, exactly how the engines feed their embedded
+//! sketches, and refreshed under the shared [`refresh_due`] drift rule the
+//! pooled tiers run — and check at **every** epoch that
 //!
 //! * the sketch's certified bracket contains a fresh [`DcExact`] solve of
 //!   the full graph: `lower ≤ ρ_opt ≤ upper`;
@@ -17,6 +17,7 @@
 //! witness decay, and refunds, not just the trivial level-0 regime.
 
 use dds_core::DcExact;
+use dds_sketch::certify::refresh_due;
 use dds_sketch::{SketchConfig, SketchEngine};
 use dds_stream::{DynamicGraph, Event, TimedEvent};
 use proptest::prelude::*;
@@ -40,14 +41,21 @@ fn events(max_n: u32, len: usize) -> impl Strategy<Value = Vec<TimedEvent>> {
     })
 }
 
+/// The refresh drift of the subsampled case (the pooled tiers' default).
+const DRIFT: f64 = 0.25;
+/// The roomy case refreshes after 5% of its sample churns.
+const ROOMY_DRIFT: f64 = 0.05;
+
 fn check_epochs(
     stream: &[TimedEvent],
     batch_size: usize,
     config: SketchConfig,
+    drift: f64,
 ) -> Result<(), TestCaseError> {
     let mut mirror = DynamicGraph::new();
     let mut sketch = SketchEngine::new(config);
-    for chunk in stream.chunks(batch_size) {
+    for (i, chunk) in stream.chunks(batch_size).enumerate() {
+        let epoch = i + 1;
         for ev in chunk {
             match ev.event {
                 Event::Insert(u, v) => {
@@ -62,28 +70,41 @@ fn check_epochs(
                 }
             }
         }
-        let report = sketch.seal_epoch();
+        let refreshed = refresh_due(
+            sketch.retained(),
+            sketch.witness_density().is_zero(),
+            sketch.sample_mutations(),
+            drift,
+        );
+        let solve_stats = if refreshed {
+            sketch.force_refresh()
+        } else {
+            None
+        };
+        let (retained, level) = (sketch.retained(), sketch.level());
+        let density = sketch.witness_density();
+        let (lower, upper) = (density.to_f64(), sketch.certified_upper());
 
         // 1. State bound compliance, every epoch.
         prop_assert!(
-            report.retained <= config.state_bound,
+            retained <= config.state_bound,
             "epoch {}: retained {} > bound {}",
-            report.epoch,
-            report.retained,
+            epoch,
+            retained,
             config.state_bound
         );
 
         // 2. Counters agree with the mirror; the retained subgraph is a
         //    genuine subgraph.
         let full = mirror.materialize();
-        prop_assert_eq!(report.m as usize, mirror.m(), "m counter drifted");
+        prop_assert_eq!(sketch.m() as usize, mirror.m(), "m counter drifted");
         let h = sketch.materialize();
-        prop_assert_eq!(h.m(), report.retained);
+        prop_assert_eq!(h.m(), retained);
         for (u, v) in h.edges() {
             prop_assert!(
                 full.has_edge(u, v),
                 "epoch {}: retained edge {} -> {} not in the graph",
-                report.epoch,
+                epoch,
                 u,
                 v
             );
@@ -92,43 +113,41 @@ fn check_epochs(
         // 3. The certified bracket contains the true optimum.
         let exact = DcExact::new().solve(&full).solution.density;
         prop_assert!(
-            report.density <= exact,
+            density <= exact,
             "epoch {}: lower {} exceeds exact {}",
-            report.epoch,
-            report.density,
+            epoch,
+            density,
             exact
         );
         prop_assert!(
-            exact.to_f64() <= report.upper * (1.0 + 1e-9),
+            exact.to_f64() <= upper * (1.0 + 1e-9),
             "epoch {}: upper {} below exact {}",
-            report.epoch,
-            report.upper,
+            epoch,
+            upper,
             exact
         );
 
         // 4. An unsampled sketch whose refresh escalated to exact-on-sketch
         //    must land exactly on the optimum (H = G at level 0). A
         //    core-sweep-only refresh only owes its ½-guarantee.
-        if report.refreshed && report.level == 0 {
-            prop_assert_eq!(report.loss, 0.0);
+        if refreshed && level == 0 {
             prop_assert!(
-                2.0 * report.lower * (1.0 + 1e-9) >= exact.to_f64(),
+                2.0 * lower * (1.0 + 1e-9) >= exact.to_f64(),
                 "epoch {}: level-0 refresh broke the sweep guarantee",
-                report.epoch
+                epoch
             );
-            if report.solve_stats.is_some() {
+            if solve_stats.is_some() {
                 prop_assert_eq!(
-                    report.density,
+                    density,
                     exact,
                     "epoch {}: escalated level-0 refresh missed the optimum",
-                    report.epoch
+                    epoch
                 );
             }
         }
 
-        // 5. Internal consistency of the report.
-        prop_assert!(report.lower <= report.upper * (1.0 + 1e-9));
-        prop_assert!(report.estimate >= report.lower - 1e-12);
+        // 5. The bracket is internally consistent.
+        prop_assert!(lower <= upper * (1.0 + 1e-9));
     }
     Ok(())
 }
@@ -149,7 +168,7 @@ proptest! {
             state_bound: bound,
             seed,
             ..SketchConfig::default()
-        })?;
+        }, DRIFT)?;
     }
 
     /// Roomy bounds: the sketch should stay at level 0 and behave as an
@@ -161,9 +180,8 @@ proptest! {
     ) {
         check_epochs(&stream, batch_size, SketchConfig {
             state_bound: 10_000,
-            refresh_drift: 0.05,
             ..SketchConfig::default()
-        })?;
+        }, ROOMY_DRIFT)?;
     }
 
     /// The embedded form: a `StreamEngine` whose every re-solve goes
