@@ -458,7 +458,7 @@ fn cluster_smoke_worker() {
         poll: Duration::from_millis(5),
         idle_exit: Some(Duration::from_millis(1_500)),
         checkpoint: Some(env("DDS_CLUSTER_SMOKE_CHECKPOINT").into()),
-        compact_every: 8,
+        checkpoint_every: 8,
         resume: std::env::var("DDS_CLUSTER_SMOKE_RESUME").is_ok(),
     };
     let summary =
@@ -466,13 +466,15 @@ fn cluster_smoke_worker() {
     println!("cluster-smoke worker: {summary}");
 }
 
-/// CI cluster smoke — the kill/restore failure drill the ISSUE specifies.
+/// CI cluster smoke — the kill/restore failure drill.
 /// A churn stream is fed *incrementally* into a real event file while
 /// K = 4 worker **processes** (re-exec'd copies of this binary) tail it
 /// and ship digests to a TCP coordinator running with a straggler
-/// timeout. Mid-replay one worker is SIGKILLed; after more than one
-/// straggler window it restarts with `--resume` semantics from its DDSD
-/// delta-checkpoint chain and re-admits through the digest-cursor
+/// timeout. Each worker rewrites one full `DDSS` checkpoint every 8
+/// epochs. Mid-replay one worker is SIGKILLed; after more than one
+/// straggler window it restarts with `--resume` semantics from that
+/// checkpoint (up to 7 epochs old), replays the epochs the coordinator
+/// already folded silently, and re-admits through the digest-cursor
 /// handshake. Gates:
 ///
 /// * **zero uncertified epochs** — every sealed epoch (degraded ones
@@ -506,7 +508,7 @@ fn smoke_cluster() {
     const SEED: u64 = 0xDD5;
     const EVENTS: usize = 100_000;
     const STRAGGLER: Duration = Duration::from_millis(400);
-    /// Process spawn + chain restore + silent replay headroom on top of
+    /// Process spawn + checkpoint restore + silent replay headroom on top of
     /// the straggler window for the re-admission gate (~0.3 s measured
     /// on a loaded release runner; 2 s keeps CI honest without flakes).
     const READMIT_ALLOWANCE: Duration = Duration::from_millis(2_000);
@@ -597,12 +599,12 @@ fn smoke_cluster() {
 
     // Kill shard 1 once it has digested and checkpointed real state.
     const VICTIM: usize = 1;
-    let victim_base = dir.join(format!("shard{VICTIM}.snap"));
+    let victim_checkpoint = dir.join(format!("shard{VICTIM}.snap"));
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !victim_base.exists() {
+    while !victim_checkpoint.exists() {
         assert!(
             Instant::now() < deadline,
-            "the victim never wrote its checkpoint base"
+            "the victim never wrote its checkpoint"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -638,7 +640,7 @@ fn smoke_cluster() {
     let t_restart = Instant::now();
     children[VICTIM] = spawn_worker(VICTIM, true);
     println!(
-        "cluster-smoke: degradation engaged, restoring shard {VICTIM} from its delta chain at {:?}",
+        "cluster-smoke: degradation engaged, restoring shard {VICTIM} from its checkpoint at {:?}",
         t0.elapsed()
     );
 

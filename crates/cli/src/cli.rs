@@ -126,10 +126,10 @@ const USAGE: &str = "usage:
                block on ingestion; --shards K ingests through the sharded engine, --core/--topk enable
                the derived query types; --listen 127.0.0.1:0 picks a free port and prints it)
   dds cluster-shard <event-file> --connect ADDR --shard-id I/K [--batch N] [--bound B] [--seed S]
-              [--poll-ms P] [--idle-ms T] [--checkpoint FILE [--compact-every E]] [--resume]
+              [--poll-ms P] [--idle-ms T] [--checkpoint FILE [--checkpoint-every E]] [--resume]
               (one cluster worker process: ingest the I-th edge partition of the shared event file and ship
-               per-epoch digests to the coordinator at ADDR; --checkpoint maintains an incremental DDSD delta
-               chain and --resume restores from it, re-admitting through the digest-cursor handshake)
+               per-epoch digests to the coordinator at ADDR; --checkpoint rewrites FILE every E epochs (default
+               50) and at exit, and --resume restores from it, re-admitting through the digest-cursor handshake)
   dds cluster-coordinator --listen ADDR --shards K [--batch N] [--bound B] [--seed S] [--drift F]
               [--straggler-ms T] [--log-every K] [--serve ADDR [--readers R]]
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
@@ -1077,9 +1077,12 @@ fn cmd_serve<'a>(
     ingest::<StreamEngine>(out, &run, config)
 }
 
-/// The tail-loop and checkpoint flags shared by `dds stream`, `dds shard`
-/// and `dds serve`: poll/idle cadence of the tail loop plus
-/// checkpoint/resume plumbing.
+/// Epochs between checkpoints when `--checkpoint-every` is not given.
+const DEFAULT_CHECKPOINT_EVERY: u64 = 50;
+
+/// The tail-loop and checkpoint flags shared by `dds stream`, `dds shard`,
+/// `dds serve` and `dds cluster-shard`: poll/idle cadence of the tail
+/// loop plus checkpoint/resume plumbing.
 #[derive(Debug, Default)]
 struct ServingFlags {
     poll_ms: Option<u64>,
@@ -1923,7 +1926,11 @@ fn ingest<T: Tier>(
             unlogged = Some(row);
         }
         if let Some(ck) = &run.serving.checkpoint {
-            if epoch.is_multiple_of(run.serving.checkpoint_every.unwrap_or(50)) {
+            if epoch.is_multiple_of(
+                run.serving
+                    .checkpoint_every
+                    .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+            ) {
                 engine.save_snapshot(ck, cur)?;
                 checkpoints += 1;
                 // Without a query tier, the checkpoint is the durable
@@ -2105,9 +2112,11 @@ impl ServeRig {
 /// `dds cluster-shard`: one worker process of the cross-process sharded
 /// tier. Ingests its routed partition of the shared event file, ships
 /// per-epoch digests to the coordinator over the DDSC wire protocol,
-/// and (with `--checkpoint`) maintains an incremental DDSD delta chain
-/// it can `--resume` from after a crash — re-admission goes through the
-/// digest-cursor handshake, so nothing is double-counted.
+/// and (with `--checkpoint`) rewrites one full `DDSS` checkpoint every
+/// `--checkpoint-every` epochs and at exit, as `dds stream`/`shard`/
+/// `serve` do. It can `--resume` from that file after a crash —
+/// re-admission goes through the digest-cursor handshake, so nothing is
+/// double-counted.
 fn cmd_cluster_shard<'a>(
     it: &mut impl Iterator<Item = &'a str>,
     out: &mut dyn Write,
@@ -2120,12 +2129,11 @@ fn cmd_cluster_shard<'a>(
     let mut batch = 100usize;
     let mut bound = SketchConfig::default().state_bound;
     let mut seed = SketchConfig::default().seed;
-    let mut poll_ms = 20u64;
-    let mut idle_ms = 2000u64;
-    let mut checkpoint: Option<String> = None;
-    let mut compact_every = 8u32;
-    let mut resume = false;
+    let mut serving = ServingFlags::default();
     while let Some(flag) = it.next() {
+        if serving.parse(flag, it)? {
+            continue;
+        }
         match flag {
             "--connect" => connect = Some(parse_flag_value("--connect", it.next())?),
             "--shard-id" => {
@@ -2149,11 +2157,6 @@ fn cmd_cluster_shard<'a>(
             "--batch" => batch = positive("--batch", it.next())?,
             "--bound" => bound = positive("--bound", it.next())?,
             "--seed" => seed = parse_flag_value("--seed", it.next())?,
-            "--poll-ms" => poll_ms = positive("--poll-ms", it.next())?,
-            "--idle-ms" => idle_ms = positive("--idle-ms", it.next())?,
-            "--checkpoint" => checkpoint = Some(parse_flag_value("--checkpoint", it.next())?),
-            "--compact-every" => compact_every = parse_flag_value("--compact-every", it.next())?,
-            "--resume" => resume = true,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -2161,9 +2164,7 @@ fn cmd_cluster_shard<'a>(
         .ok_or_else(|| CliError::Usage("dds cluster-shard requires --connect ADDR".into()))?;
     let (shard, shards) = shard_id
         .ok_or_else(|| CliError::Usage("dds cluster-shard requires --shard-id I/K".into()))?;
-    if checkpoint.is_none() && resume {
-        return Err(CliError::Usage("--resume requires --checkpoint".into()));
-    }
+    serving.validate(true)?;
     let config = dds_cluster::WorkerConfig {
         shard,
         shards,
@@ -2175,11 +2176,13 @@ fn cmd_cluster_shard<'a>(
         },
     };
     let opts = dds_cluster::WorkerOptions {
-        poll: std::time::Duration::from_millis(poll_ms),
-        idle_exit: Some(std::time::Duration::from_millis(idle_ms)),
-        checkpoint: checkpoint.map(std::path::PathBuf::from),
-        compact_every,
-        resume,
+        poll: std::time::Duration::from_millis(serving.poll_ms.unwrap_or(20)),
+        idle_exit: Some(std::time::Duration::from_millis(
+            serving.idle_ms.unwrap_or(2000),
+        )),
+        checkpoint: serving.checkpoint.map(std::path::PathBuf::from),
+        checkpoint_every: serving.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+        resume: serving.resume,
     };
     writeln!(
         out,
@@ -3235,6 +3238,28 @@ mod tests {
                 "--shard-id",
                 "0/2",
                 "--resume",
+            ],
+            vec![
+                "cluster-shard",
+                &path,
+                "--connect",
+                "x:1",
+                "--shard-id",
+                "0/2",
+                "--checkpoint",
+                "ck.snap",
+                "--checkpoint-every",
+                "0",
+            ],
+            vec![
+                "cluster-shard",
+                &path,
+                "--connect",
+                "x:1",
+                "--shard-id",
+                "0/2",
+                "--checkpoint-every",
+                "4",
             ],
             vec![
                 "cluster-shard",

@@ -26,7 +26,7 @@
 //! * [`worker`] — [`WorkerState`] (one partition's edge set + sketch,
 //!   mirroring the in-process shard semantics exactly) and
 //!   [`run_worker`] (tail the event file, ship digests, checkpoint
-//!   through a `DDSD` delta chain).
+//!   the partition as one full `DDSS` snapshot).
 //! * [`coord`] — [`ClusterCore`], the deterministic merge: fold
 //!   digests, seal epochs (fresh or straggler-degraded with sound
 //!   inflated bounds), run merged refreshes over the replicas.
@@ -35,12 +35,15 @@
 //!
 //! # Failure model
 //!
-//! Workers checkpoint through incremental `DDSD` snapshot chains
-//! ([`dds_stream::delta`]) and re-admit through a digest-cursor
-//! handshake: `Hello` carries the checkpoint epoch, the ack carries the
-//! epoch the coordinator holds digests through, and the worker either
-//! replays silently up to it or ships one **rebase** digest replacing
-//! its replica wholesale. Epochs sealed during the outage carry a
+//! Workers checkpoint the way `dds stream`, `dds shard` and `dds serve`
+//! do: one full `DDSS` snapshot ([`WorkerState::snapshot`]) rewritten
+//! atomically every `checkpoint_every` epochs and when the tail loop
+//! ends. A worker's edge partition and a few counters determine its
+//! retained sample, so that file is all a restart needs. Workers
+//! re-admit through a digest-cursor handshake: `Hello` carries the
+//! checkpoint epoch, the ack carries the epoch the coordinator holds
+//! digests through, and the worker either replays silently up to it or
+//! ships one **rebase** digest replacing its replica wholesale. Epochs sealed during the outage carry a
 //! certified-but-wider bracket with the stale shard named; the
 //! kill/restore drill (`dds-bench cluster-smoke`, experiment E20)
 //! asserts every epoch stays certified and the restored run's merged
@@ -54,9 +57,7 @@ pub mod wire;
 pub mod worker;
 
 pub use coord::{ClusterConfig, ClusterCore, ClusterEpoch, SlotStatus};
-pub use net::{
-    run_coordinator, serve_coordinator, ClusterMetrics, CoordinatorOptions, CoordinatorReport,
-};
+pub use net::{run_coordinator, ClusterMetrics, CoordinatorOptions, CoordinatorReport};
 pub use wire::{Frame, Hello, ShardDigest, WireError, WIRE_MAGIC, WIRE_VERSION};
 pub use worker::{
     run_worker, SliceTallies, WorkerConfig, WorkerOptions, WorkerState, WorkerSummary,

@@ -18,7 +18,7 @@
 //! frontier until the shard returns (the kill/restore drill runs with
 //! a straggler window for exactly this reason).
 
-use std::io::{self, BufReader, BufWriter};
+use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
@@ -332,31 +332,15 @@ fn publish(
     on_seal(epoch);
 }
 
-/// Binds `addr` and [`run_coordinator`]s on it — the CLI entry point.
-///
-/// # Errors
-/// Propagates bind failures and merge protocol violations.
-pub fn serve_coordinator(
-    config: ClusterConfig,
-    addr: &str,
-    opts: &CoordinatorOptions,
-    on_seal: impl FnMut(&ClusterEpoch),
-) -> Result<CoordinatorReport, WireError> {
-    let listener = TcpListener::bind(addr).map_err(|e| {
-        WireError::Io(io::Error::new(
-            e.kind(),
-            format!("binding coordinator listener on {addr}: {e}"),
-        ))
-    })?;
-    run_coordinator(config, listener, opts, on_seal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{run_worker, WorkerConfig, WorkerOptions};
+    use crate::worker::{run_worker, WorkerConfig, WorkerOptions, WorkerState, WorkerSummary};
     use dds_sketch::SketchConfig;
-    use dds_stream::{save_events, Event, TimedEvent};
+    use dds_stream::snapshot::{read_snapshot_file, write_snapshot_file};
+    use dds_stream::{save_events, write_events, Batch, Event, TimedEvent};
+    use std::path::Path;
+    use std::sync::Mutex;
 
     fn events(n: u32) -> Vec<TimedEvent> {
         (0..n)
@@ -508,6 +492,223 @@ mod tests {
         assert!(wrong.join().unwrap().is_err(), "mismatch must surface");
         right.join().unwrap().expect("matching worker runs");
         assert_eq!(report.epochs, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn resume_cluster() -> ClusterConfig {
+        ClusterConfig {
+            shards: 2,
+            batch: 100,
+            refresh_drift: 0.25,
+            sketch: SketchConfig {
+                state_bound: 256,
+                ..SketchConfig::default()
+            },
+        }
+    }
+
+    fn worker_config(config: ClusterConfig, shard: usize) -> WorkerConfig {
+        WorkerConfig {
+            shard,
+            shards: config.shards,
+            batch: config.batch,
+            sketch: config.sketch,
+        }
+    }
+
+    fn quick() -> WorkerOptions {
+        WorkerOptions {
+            poll: Duration::from_millis(5),
+            idle_exit: Some(Duration::from_millis(300)),
+            ..WorkerOptions::default()
+        }
+    }
+
+    fn spawn_worker(
+        config: ClusterConfig,
+        shard: usize,
+        path: &Path,
+        addr: &str,
+        opts: WorkerOptions,
+    ) -> thread::JoinHandle<Result<WorkerSummary, WireError>> {
+        let (path, addr) = (path.to_path_buf(), addr.to_string());
+        thread::spawn(move || run_worker(worker_config(config, shard), &path, &addr, &opts))
+    }
+
+    /// Every sealed epoch's `(epoch, lower, upper)`, in seal order.
+    type SealLog = Arc<Mutex<Vec<(u64, f64, f64)>>>;
+
+    /// A strict coordinator on a free port, logging each seal as it
+    /// lands.
+    fn start_coordinator(
+        config: ClusterConfig,
+    ) -> (String, SealLog, thread::JoinHandle<CoordinatorReport>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let sealed = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&sealed);
+        let handle = thread::spawn(move || {
+            run_coordinator(config, listener, &CoordinatorOptions::default(), |e| {
+                log.lock().unwrap().push((e.epoch, e.lower, e.upper));
+            })
+            .expect("coordinator")
+        });
+        (addr, sealed, handle)
+    }
+
+    /// Shard `shard`'s checkpoint after the first `epochs` batches, with
+    /// the event-file cursor just past them.
+    fn checkpoint_at(
+        config: ClusterConfig,
+        shard: usize,
+        evs: &[TimedEvent],
+        epochs: usize,
+    ) -> Vec<u8> {
+        let head = &evs[..epochs * config.batch];
+        let mut state = WorkerState::new(worker_config(config, shard));
+        for chunk in head.chunks(config.batch) {
+            state.apply_batch(&Batch::from_events(chunk.to_vec()));
+        }
+        let mut bytes = Vec::new();
+        write_events(head, &mut bytes).unwrap();
+        state.snapshot(bytes.len() as u64)
+    }
+
+    /// The merged state an uninterrupted in-process run ends in.
+    fn twin_state_digest(config: ClusterConfig, evs: &[TimedEvent]) -> Vec<u8> {
+        let mut core = ClusterCore::new(config);
+        let mut workers: Vec<WorkerState> = (0..config.shards)
+            .map(|shard| {
+                let mut w = WorkerState::new(worker_config(config, shard));
+                w.sync_baseline();
+                w
+            })
+            .collect();
+        for chunk in evs.chunks(config.batch) {
+            let batch = Batch::from_events(chunk.to_vec());
+            for w in &mut workers {
+                let tallies = w.apply_batch(&batch);
+                core.offer(w.digest(tallies, 0, 0, false), 0).unwrap();
+            }
+            core.seal_next(false)
+                .unwrap()
+                .expect("a full frontier seals");
+        }
+        core.state_digest()
+    }
+
+    fn assert_certified(sealed: &[(u64, f64, f64)]) {
+        for &(epoch, lower, upper) in sealed {
+            assert!(
+                upper.is_finite() && lower <= upper * (1.0 + 1e-9),
+                "epoch {epoch}: uncertified bracket [{lower}, {upper}]"
+            );
+        }
+    }
+
+    /// A worker whose checkpoint (epoch 4) is older than the epochs the
+    /// coordinator already folded for its slot (10) replays 5..=10
+    /// silently, then ships 11..=20; the checkpoint it leaves is one full
+    /// snapshot of its last epoch.
+    #[test]
+    fn worker_resumed_behind_the_coordinator_replays_silently_then_ships() {
+        let dir = std::env::temp_dir().join(format!("dds-cluster-behind-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, head, ck) = (
+            dir.join("events.log"),
+            dir.join("head.log"),
+            dir.join("shard1.snap"),
+        );
+        let evs = events(2_000);
+        save_events(&evs, &path).unwrap();
+        save_events(&evs[..1_000], &head).unwrap();
+        let config = resume_cluster();
+        let (addr, sealed, coordinator) = start_coordinator(config);
+
+        let steady = spawn_worker(config, 0, &path, &addr, quick());
+        // Shard 1's first life sees only the first ten epochs.
+        let first = spawn_worker(config, 1, &head, &addr, quick())
+            .join()
+            .unwrap()
+            .expect("first life");
+        assert_eq!((first.epoch, first.digests), (10, 10));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while sealed.lock().unwrap().len() < 10 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "epochs 1..=10 never sealed"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+
+        write_snapshot_file(&checkpoint_at(config, 1, &evs, 4), &ck).unwrap();
+        let resumed = WorkerOptions {
+            checkpoint: Some(ck.clone()),
+            checkpoint_every: 4,
+            resume: true,
+            ..quick()
+        };
+        let resumed = spawn_worker(config, 1, &path, &addr, resumed)
+            .join()
+            .unwrap()
+            .expect("resumed worker");
+        assert!(!resumed.rebased);
+        assert_eq!(
+            (resumed.epoch, resumed.digests),
+            (20, 10),
+            "epochs 5..=10 replay without a digest"
+        );
+        assert_eq!(steady.join().unwrap().expect("steady worker").digests, 20);
+
+        let report = coordinator.join().unwrap();
+        assert_eq!((report.epochs, report.degraded), (20, 0));
+        assert_certified(&sealed.lock().unwrap());
+        assert_eq!(report.state_digest, twin_state_digest(config, &evs));
+        let (last, cursor) =
+            WorkerState::restore(worker_config(config, 1), &read_snapshot_file(&ck).unwrap())
+                .unwrap();
+        assert_eq!((last.epoch(), cursor), (20, resumed.cursor));
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["events.log", "head.log", "shard1.snap"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker whose checkpoint (epoch 8) is ahead of a fresh
+    /// coordinator ships one rebase digest, then 9..=20; seals 1..=7
+    /// read its slot as stale-ahead and degrade soundly.
+    #[test]
+    fn worker_resumed_ahead_of_a_fresh_coordinator_rebases_once() {
+        let dir = std::env::temp_dir().join(format!("dds-cluster-ahead-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (path, ck) = (dir.join("events.log"), dir.join("shard1.snap"));
+        let evs = events(2_000);
+        save_events(&evs, &path).unwrap();
+        let config = resume_cluster();
+        write_snapshot_file(&checkpoint_at(config, 1, &evs, 8), &ck).unwrap();
+        let (addr, sealed, coordinator) = start_coordinator(config);
+
+        let fresh = spawn_worker(config, 0, &path, &addr, quick());
+        let resumed = WorkerOptions {
+            checkpoint: Some(ck),
+            resume: true,
+            ..quick()
+        };
+        let resumed = spawn_worker(config, 1, &path, &addr, resumed)
+            .join()
+            .unwrap()
+            .expect("resumed worker");
+        assert!(resumed.rebased);
+        assert_eq!((resumed.epoch, resumed.digests), (20, 1 + 12));
+        assert_eq!(fresh.join().unwrap().expect("fresh worker").digests, 20);
+
+        let report = coordinator.join().unwrap();
+        assert_eq!((report.epochs, report.degraded), (20, 7));
+        assert_certified(&sealed.lock().unwrap());
+        assert_eq!(report.state_digest, twin_state_digest(config, &evs));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

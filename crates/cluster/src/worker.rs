@@ -8,12 +8,14 @@
 //! [`dds_shard::ShardedEngine`] would own, applied by the same
 //! [`dds_shard::Partition`]. Per epoch it ships a [`ShardDigest`]
 //! to the coordinator — absolute counters plus the retained-set *delta*
-//! since the last shipped epoch — and checkpoints itself through a
-//! [`DeltaTracker`] (`DDSD` base + delta frames).
+//! since the last shipped epoch — and every `checkpoint_every` epochs
+//! (and once more when the tail loop ends) it rewrites one full `DDSS`
+//! checkpoint ([`WorkerState::snapshot`]), the format `dds stream`,
+//! `dds shard` and `dds serve` checkpoint in.
 //!
 //! # Restart and re-admission
 //!
-//! On `--resume` the worker restores from its delta chain (rejecting
+//! On `--resume` the worker restores that checkpoint (rejecting
 //! identity mismatches the same way `dds shard --resume` does), then
 //! handshakes: its `Hello` carries the checkpoint's epoch `C`, the
 //! coordinator answers with the epoch `Y` it holds digests through for
@@ -30,7 +32,8 @@
 //!
 //! Either way the worker never re-sends an epoch the coordinator
 //! already folded, and the coordinator never sees a delta whose
-//! baseline it does not hold.
+//! baseline it does not hold — so a checkpoint may lag the worker by up
+//! to `checkpoint_every - 1` epochs at no cost but a short silent replay.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -45,8 +48,10 @@ use dds_graph::VertexId;
 pub use dds_shard::SliceTallies;
 use dds_shard::{route_edge, Partition};
 use dds_sketch::SketchConfig;
-use dds_stream::delta::{replay_chain_edges, DeltaChain, DeltaFrame, DeltaTracker};
-use dds_stream::snapshot::{SnapshotError, SnapshotKind, SnapshotReader, SnapshotWriter};
+use dds_stream::snapshot::{
+    read_snapshot_file, write_snapshot_file, SnapshotError, SnapshotKind, SnapshotReader,
+    SnapshotWriter,
+};
 use dds_stream::{follow_events, Batch, Event, FollowConfig, StreamError};
 
 use crate::wire::{read_frame, write_frame, write_preamble, Frame, Hello, ShardDigest, WireError};
@@ -88,11 +93,11 @@ pub struct WorkerOptions {
     pub poll: Duration,
     /// Exit after this long with no new events (`None` tails forever).
     pub idle_exit: Option<Duration>,
-    /// Delta-checkpoint chain base path (`None` disables checkpoints).
+    /// Checkpoint file (`None` disables checkpoints).
     pub checkpoint: Option<PathBuf>,
-    /// Delta frames between base compactions (0 = always full).
-    pub compact_every: u32,
-    /// Restore from the checkpoint chain before connecting.
+    /// Epochs between checkpoints; the tail loop's end writes one more.
+    pub checkpoint_every: u64,
+    /// Restore from the checkpoint, when it exists, before connecting.
     pub resume: bool,
 }
 
@@ -102,7 +107,7 @@ impl Default for WorkerOptions {
             poll: Duration::from_millis(20),
             idle_exit: Some(Duration::from_secs(2)),
             checkpoint: None,
-            compact_every: 8,
+            checkpoint_every: 50,
             resume: false,
         }
     }
@@ -303,11 +308,6 @@ impl WorkerState {
         self.part.m()
     }
 
-    /// Iterates the authoritative partition edge set (arbitrary order).
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.part.edges()
-    }
-
     /// Serializes the worker to a full checkpoint (kind
     /// [`SnapshotKind::ClusterWorker`]): identity, epoch, the partition
     /// edge set in canonical order, and the sketch's level and drift
@@ -316,17 +316,6 @@ impl WorkerState {
     /// the handshake reconstructs it (silent replay or rebase).
     #[must_use]
     pub fn snapshot(&self, cursor: u64) -> Vec<u8> {
-        self.encode_snapshot(cursor, true)
-    }
-
-    /// The checkpoint **meta** payload: [`WorkerState::snapshot`] with
-    /// an empty edge list, for `DDSD` delta frames.
-    #[must_use]
-    pub fn snapshot_meta(&self, cursor: u64) -> Vec<u8> {
-        self.encode_snapshot(cursor, false)
-    }
-
-    fn encode_snapshot(&self, cursor: u64, with_edges: bool) -> Vec<u8> {
         let mut w = SnapshotWriter::new(SnapshotKind::ClusterWorker, cursor);
         w.put_u32(self.config.shard as u32);
         w.put_u32(self.config.shards as u32);
@@ -337,16 +326,18 @@ impl WorkerState {
         w.put_u64(self.epoch);
         w.put_u32(self.part.sketch().level());
         w.put_u64(self.part.sketch().sample_mutations());
-        let mut edges: Vec<(VertexId, VertexId)> = if with_edges {
-            self.part.edges().collect()
-        } else {
-            Vec::new()
-        };
+        let mut edges: Vec<(VertexId, VertexId)> = self.part.edges().collect();
         w.put_edges(&mut edges);
         w.finish()
     }
 
-    fn decode_parts(bytes: &[u8]) -> Result<(WorkerSnapshotParts, u64), SnapshotError> {
+    /// Reconstructs a worker from checkpoint bytes under `config`
+    /// (identity checked). Returns the worker and the stored cursor.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError::Format`] on malformed bytes or an
+    /// identity mismatch.
+    pub fn restore(config: WorkerConfig, bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
         let (mut r, cursor) = SnapshotReader::open(bytes, SnapshotKind::ClusterWorker)?;
         let parts = WorkerSnapshotParts {
             shard: r.take_u32()? as usize,
@@ -361,10 +352,7 @@ impl WorkerState {
             edges: r.take_edges()?,
         };
         r.finish()?;
-        Ok((parts, cursor))
-    }
-
-    fn from_parts(config: WorkerConfig, parts: WorkerSnapshotParts) -> Result<Self, SnapshotError> {
+        parts.check_identity(&config)?;
         let routed_away = |&&(u, v): &&(VertexId, VertexId)| {
             route_edge(config.sketch.seed, u, v, config.shards) != config.shard
         };
@@ -381,71 +369,13 @@ impl WorkerState {
             parts.mutations,
             parts.edges,
         )?;
-        Ok(WorkerState {
+        let state = WorkerState {
             config,
             part,
             epoch: parts.epoch,
             last_sent: None,
-        })
-    }
-
-    /// Reconstructs a worker from full checkpoint bytes under `config`
-    /// (identity checked). Returns the worker and the stored cursor.
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Format`] on malformed bytes or an
-    /// identity mismatch.
-    pub fn restore(config: WorkerConfig, bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
-        let (parts, cursor) = Self::decode_parts(bytes)?;
-        parts.check_identity(&config)?;
-        Ok((Self::from_parts(config, parts)?, cursor))
-    }
-
-    /// Reconstructs a worker from a delta checkpoint chain — base plus
-    /// consecutive `DDSD` frames — bit-identical to restoring a full
-    /// checkpoint taken at the last frame's epoch.
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Format`] on malformed bytes, identity
-    /// mismatch, or broken chain linkage.
-    pub fn restore_chain(
-        config: WorkerConfig,
-        base: &[u8],
-        frames: &[DeltaFrame],
-    ) -> Result<(Self, u64), SnapshotError> {
-        let (base_parts, base_cursor) = Self::decode_parts(base)?;
-        base_parts.check_identity(&config)?;
-        let (edges, adopted, _) = replay_chain_edges(
-            base_parts.epoch,
-            base_cursor,
-            base_parts.edges.clone(),
-            frames,
-        )?;
-        if adopted == 0 {
-            return Ok((Self::from_parts(config, base_parts)?, base_cursor));
-        }
-        let (mut parts, cursor) = Self::decode_parts(&frames[adopted - 1].meta)?;
-        parts.check_identity(&config)?;
-        if !parts.edges.is_empty() {
-            return Err(SnapshotError::Format(
-                "delta frame meta must carry an empty edge list".to_string(),
-            ));
-        }
-        parts.edges = edges;
-        Ok((Self::from_parts(config, parts)?, cursor))
-    }
-
-    /// Loads a delta chain from disk and
-    /// [`WorkerState::restore_chain`]s from it.
-    ///
-    /// # Errors
-    /// Propagates read and format errors.
-    pub fn restore_chain_from(
-        config: WorkerConfig,
-        chain: &DeltaChain,
-    ) -> Result<(Self, u64), SnapshotError> {
-        let (base, frames) = chain.load(SnapshotKind::ClusterWorker)?;
-        WorkerState::restore_chain(config, &base, &frames)
+        };
+        Ok((state, cursor))
     }
 }
 
@@ -470,9 +400,10 @@ fn tail_bytes(path: &Path, cursor: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs one worker to completion: optional chain restore, handshake,
-/// follow-and-ship loop, `Bye`. Returns when the event stream goes idle
-/// past `opts.idle_exit`.
+/// Runs one worker to completion: optional checkpoint restore,
+/// handshake, follow-and-ship loop with periodic checkpoints, a closing
+/// checkpoint, `Bye`. Returns when the event stream goes idle past
+/// `opts.idle_exit`.
 ///
 /// # Errors
 /// Returns [`WireError`] on connection loss, a handshake rejection
@@ -483,24 +414,13 @@ pub fn run_worker(
     connect: &str,
     opts: &WorkerOptions,
 ) -> Result<WorkerSummary, WireError> {
-    let chain = opts.checkpoint.as_ref().map(DeltaChain::new);
-    let resuming = opts.resume && chain.as_ref().is_some_and(DeltaChain::base_exists);
-    let (mut state, start_cursor) = if resuming {
-        WorkerState::restore_chain_from(config, chain.as_ref().expect("resuming implies a chain"))?
-    } else {
-        (WorkerState::new(config), 0)
-    };
-    let mut tracker = opts
-        .checkpoint
-        .as_ref()
-        .map(|p| DeltaTracker::new(p, SnapshotKind::ClusterWorker, opts.compact_every));
-    if resuming {
-        if let Some(tracker) = tracker.as_mut() {
-            let chain = chain.as_ref().expect("resuming implies a chain");
-            let edges: Vec<_> = state.edges().collect();
-            tracker.prime(state.epoch(), edges, chain.delta_count());
+    let checkpoint = opts.checkpoint.as_deref();
+    let (mut state, start_cursor) = match checkpoint {
+        Some(ck) if opts.resume && ck.exists() => {
+            WorkerState::restore(config, &read_snapshot_file(ck)?)?
         }
-    }
+        _ => (WorkerState::new(config), 0),
+    };
 
     let mut stream = TcpStream::connect(connect)?;
     stream.set_nodelay(true).ok();
@@ -576,15 +496,10 @@ pub fn run_worker(
                     summary.digest_bytes += write_frame(&mut stream, Frame::Digest(digest))?;
                     summary.digests += 1;
                 }
-                if let Some(tracker) = tracker.as_mut() {
-                    let edges: Vec<_> = state.edges().collect();
-                    tracker.save(
-                        state.epoch(),
-                        cursor,
-                        edges,
-                        || state.snapshot(cursor),
-                        || state.snapshot_meta(cursor),
-                    )?;
+                if let Some(ck) = checkpoint {
+                    if state.epoch().is_multiple_of(opts.checkpoint_every) {
+                        write_snapshot_file(&state.snapshot(cursor), ck)?;
+                    }
                 }
                 Ok(())
             })();
@@ -600,6 +515,9 @@ pub fn run_worker(
     .map_err(stream_err)?;
     if let Some(e) = failure {
         return Err(e);
+    }
+    if let Some(ck) = checkpoint {
+        write_snapshot_file(&state.snapshot(outcome.cursor), ck)?;
     }
     summary.epoch = state.epoch();
     summary.cursor = outcome.cursor;
@@ -666,7 +584,7 @@ mod tests {
         assert_eq!(t.events, expect);
         assert_eq!(t.inserts + t.ignored, t.events);
         assert_eq!(w.epoch(), 1);
-        assert!(w.edges().all(|(u, v)| {
+        assert!(w.part.edges().all(|(u, v)| {
             route_edge(cfg.sketch.seed, u, v, cfg.shards) == cfg.shard && u != v
         }));
     }
@@ -712,34 +630,5 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("re-hash"), "{msg}");
-    }
-
-    #[test]
-    fn chain_restore_matches_full_restore() {
-        let dir = std::env::temp_dir().join(format!("dds-cluster-worker-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("worker.ckpt");
-        let cfg = config();
-        let mut w = WorkerState::new(cfg);
-        let mut tracker = DeltaTracker::new(&base, SnapshotKind::ClusterWorker, 3);
-        for step in 0..5u32 {
-            w.apply_batch(&batch_of(step * 60..(step + 1) * 60));
-            let cursor = u64::from(step) * 100;
-            let edges: Vec<_> = w.edges().collect();
-            tracker
-                .save(
-                    w.epoch(),
-                    cursor,
-                    edges,
-                    || w.snapshot(cursor),
-                    || w.snapshot_meta(cursor),
-                )
-                .unwrap();
-        }
-        let chain = DeltaChain::new(&base);
-        let (from_chain, cursor) = WorkerState::restore_chain_from(cfg, &chain).expect("chain");
-        assert_eq!(cursor, 400);
-        assert_eq!(from_chain.snapshot(400), w.snapshot(400));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

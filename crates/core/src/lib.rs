@@ -91,7 +91,6 @@ pub mod validate;
 
 pub use approx::{core_approx, CoreApproxResult, ExhaustivePeel, GridPeel, PeelResult};
 pub use exact::{DcExact, ExactOptions, ExactReport, FlowExact, SolveContext};
-pub use parallel::exact_on_sketch;
 pub use peel::{peel_at_f64_ratio, peel_at_rational_ratio};
 pub use pool::{auto_threads, PoolScope, PoolStats, WorkerPool};
 pub use refine::refine_to_component;

@@ -115,24 +115,6 @@ pub fn dc_exact_parallel_with(
     run_with_context(g, options, ctx, threads)
 }
 
-/// The sketch tier's escalation entry point: an exact solve of a retained
-/// subgraph `H ⊆ G` on a warm context.
-///
-/// The result is the exact optimum **of the sketch**. Because every edge
-/// of `H` is an edge of `G`, the winning pair's `H`-density is a certified
-/// lower bound on `ρ_opt(G)` for any supergraph `G` — which is the whole
-/// contract of exact-on-sketch escalation: `H` is small by construction
-/// (the sketch's state bound), so paying the full exact machinery here is
-/// cheap, and the warm context amortises arenas and the core memo across
-/// consecutive refreshes of a slowly-drifting sketch.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-#[must_use]
-pub fn exact_on_sketch(ctx: &mut SolveContext, g: &DiGraph, threads: usize) -> ExactReport {
-    dc_exact_parallel_with(ctx, g, ExactOptions::default(), threads)
-}
-
 /// Parallel [`GridPeel`]: identical output, grid points spread over
 /// `threads` workers.
 ///

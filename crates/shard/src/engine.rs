@@ -516,12 +516,6 @@ impl ShardedEngine {
         self.metrics.refreshes.get()
     }
 
-    /// Number of shards `K`.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.config.shards
-    }
-
     /// Iterates the full live edge set (arbitrary order, shard by shard).
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.parts.iter().flat_map(Partition::edges)

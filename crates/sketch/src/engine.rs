@@ -2,7 +2,8 @@
 //! and two-tier refreshes (core-approx-on-sketch, escalated to
 //! exact-on-sketch when the sketch's own core bracket is too loose).
 
-use dds_core::{core_approx, exact_on_sketch, SolveContext, SolveStats};
+use dds_core::parallel::dc_exact_parallel_with;
+use dds_core::{core_approx, ExactOptions, SolveContext, SolveStats};
 use dds_graph::{DiGraph, GraphBuilder, Pair, VertexId};
 use dds_num::Density;
 use dds_obs::{Counter, Gauge, Histogram, Registry};
@@ -461,7 +462,17 @@ impl SketchEngine {
             timer.stop();
             return None;
         }
-        let report = exact_on_sketch(&mut self.ctx, &g, self.config.threads);
+        // Exact-on-sketch: every edge of `H` is an edge of `G`, so the
+        // exact optimum of `H` is a certified lower bound on `ρ_opt(G)`.
+        // `H` is bounded by the state bound, which keeps this solve cheap,
+        // and the warm context amortises arenas and the core memo across
+        // refreshes of a slowly drifting sketch.
+        let report = dc_exact_parallel_with(
+            &mut self.ctx,
+            &g,
+            ExactOptions::default(),
+            self.config.threads,
+        );
         let stats = report.stats();
         self.solve_totals.merge(stats);
         self.metrics.escalations.inc();
@@ -607,18 +618,6 @@ impl SketchEngine {
     #[must_use]
     pub fn refreshes(&self) -> u64 {
         self.metrics.refreshes.get()
-    }
-
-    /// Number of refreshes that escalated to an exact-on-sketch solve.
-    #[must_use]
-    pub fn escalations(&self) -> u64 {
-        self.metrics.escalations.get()
-    }
-
-    /// The engine's long-lived solver context.
-    #[must_use]
-    pub fn context(&self) -> &SolveContext {
-        &self.ctx
     }
 }
 

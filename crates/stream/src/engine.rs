@@ -51,18 +51,6 @@ pub struct SketchTier {
     pub config: SketchConfig,
 }
 
-impl SketchTier {
-    /// A tier that engages at `min_m` with the default sketch
-    /// configuration.
-    #[must_use]
-    pub fn at(min_m: usize) -> Self {
-        SketchTier {
-            min_m,
-            config: SketchConfig::default(),
-        }
-    }
-}
-
 /// Engine configuration.
 ///
 /// The certificate band is relative *and* absolute: a re-solve fires when
@@ -433,12 +421,6 @@ impl StreamEngine {
     #[must_use]
     pub fn sketch_stats(&self) -> Option<SketchStats> {
         self.sketch.as_ref().map(SketchEngine::stats)
-    }
-
-    /// Instrumentation of the most recent exact re-solve, if any.
-    #[must_use]
-    pub fn last_solve_stats(&self) -> Option<SolveStats> {
-        self.last_solve_stats
     }
 
     /// The engine's long-lived solver context (inspection: solve count,
@@ -841,7 +823,6 @@ mod tests {
             stats.push(s);
         }
         assert_eq!(engine.context().solves() as u64, engine.resolves());
-        assert_eq!(engine.last_solve_stats(), stats.last().copied());
         // Warm-started re-solves recycle arenas across epochs: the second
         // solve onwards starts with already-allocated buffers.
         assert!(
@@ -917,7 +898,10 @@ mod tests {
     #[test]
     fn sketch_tier_below_threshold_uses_the_full_solver() {
         let mut engine = StreamEngine::new(StreamConfig {
-            sketch: Some(SketchTier::at(1_000_000)),
+            sketch: Some(SketchTier {
+                min_m: 1_000_000,
+                config: SketchConfig::default(),
+            }),
             ..Default::default()
         });
         let report = insert_all(&mut engine, &[(0, 2), (0, 3), (1, 2), (1, 3)]);

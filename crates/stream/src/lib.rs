@@ -113,12 +113,14 @@
 //! [`follow_events`] tails a growing event file with checkpoint-friendly
 //! byte cursors, turning a replay into a restartable serving loop (`dds
 //! stream --follow`). The `dds-shard` crate builds its edge-partitioned
-//! parallel engine on the same primitives.
+//! parallel engine on the same primitives, and `dds-cluster` workers
+//! checkpoint their partitions as the same full `DDSS` snapshots, written
+//! atomically by [`snapshot::write_snapshot_file`] — it is the one
+//! checkpoint format.
 
 #![warn(missing_docs)]
 
 mod bounds;
-pub mod delta;
 mod engine;
 mod events;
 mod follow;

@@ -22,7 +22,7 @@
 //! ```text
 //! magic   4 bytes  "DDSS"
 //! version u32      2
-//! kind    u8       0 = StreamEngine, 1 = ShardedEngine
+//! kind    u8       0 = StreamEngine, 1 = ShardedEngine, 2 = cluster worker
 //! cursor  u64      byte offset into the source event file (0 if unused);
 //!                  follow-mode checkpoints resume tailing from here
 //! payload          kind-specific (see the engine's snapshot method)
@@ -35,7 +35,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 use dds_graph::{Pair, VertexId};
@@ -58,7 +58,7 @@ pub enum SnapshotKind {
 }
 
 impl SnapshotKind {
-    pub(crate) fn from_u8(v: u8) -> Option<Self> {
+    fn from_u8(v: u8) -> Option<Self> {
         match v {
             0 => Some(SnapshotKind::Stream),
             1 => Some(SnapshotKind::Shard),
@@ -111,13 +111,6 @@ impl SnapshotWriter {
         w.put_u8(kind as u8);
         w.put_u64(cursor);
         w
-    }
-
-    /// A headerless writer — the shared primitive encoders without the
-    /// `DDSS` header, for sibling formats (the `DDSD` delta frames) that
-    /// open with their own magic.
-    pub(crate) fn raw() -> Self {
-        SnapshotWriter { bytes: Vec::new() }
     }
 
     /// Appends one byte.
@@ -176,29 +169,18 @@ impl SnapshotWriter {
     pub fn finish(self) -> Vec<u8> {
         self.bytes
     }
-
-    /// Writes the finished snapshot to `path` atomically
-    /// ([`write_snapshot_file`]).
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Io`] on write/rename failure.
-    pub fn write_to(self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        write_snapshot_file(&self.bytes, path)
-    }
 }
 
-/// Writes snapshot bytes to `path` atomically: a temp file in the same
-/// directory, then a rename — a crashed checkpoint never leaves a
-/// half-written snapshot where a restore would find it.
+/// Writes snapshot bytes to `path` atomically ([`dds_obs::write_atomic`]:
+/// a `<path>.tmp` sibling, then a rename) — a crashed checkpoint never
+/// leaves a half-written snapshot where a restore would find it, and
+/// checkpoints that differ only in extension (`shard.0`, `shard.1`) never
+/// share a staging file.
 ///
 /// # Errors
 /// Returns [`SnapshotError::Io`] on write/rename failure.
 pub fn write_snapshot_file(bytes: &[u8], path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    File::create(&tmp)?.write_all(bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    Ok(dds_obs::write_atomic(path.as_ref(), bytes)?)
 }
 
 /// Parses a snapshot byte stream (header validated on open).
@@ -240,13 +222,6 @@ impl<'a> SnapshotReader<'a> {
         }
         let cursor = r.take_u64()?;
         Ok((r, cursor))
-    }
-
-    /// A headerless reader over `bytes` — the shared primitive decoders
-    /// without the `DDSS` header check, for sibling formats (the `DDSD`
-    /// delta frames) that validate their own magic.
-    pub(crate) fn raw(bytes: &'a [u8]) -> Self {
-        SnapshotReader { bytes, pos: 0 }
     }
 
     fn need(&self, len: usize) -> Result<(), SnapshotError> {
@@ -306,18 +281,6 @@ impl<'a> SnapshotReader<'a> {
     /// Returns [`SnapshotError::Format`] past end of input.
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads `len` raw bytes (an embedded blob whose length prefix the
-    /// caller already consumed).
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Format`] past end of input.
-    pub fn take_bytes(&mut self, len: usize) -> Result<Vec<u8>, SnapshotError> {
-        self.need(len)?;
-        let v = self.bytes[self.pos..self.pos + len].to_vec();
-        self.pos += len;
-        Ok(v)
     }
 
     /// Reads an edge list.
@@ -477,20 +440,85 @@ mod tests {
         assert!(matches!(r.finish(), Err(SnapshotError::Format(_))));
     }
 
-    #[test]
-    fn write_to_is_atomic_and_readable() {
-        let path = std::env::temp_dir().join(format!(
-            "dds_snapshot_test_{}_{:?}.snap",
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "dds_snapshot_{tag}_{}_{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn write_to_is_atomic_and_readable() {
+        let dir = temp_dir("atomic");
+        let path = dir.join("engine.snap");
         let mut w = SnapshotWriter::new(SnapshotKind::Stream, 9);
         w.put_u32(77);
-        w.write_to(&path).unwrap();
+        write_snapshot_file(&w.finish(), &path).unwrap();
         let bytes = read_snapshot_file(&path).unwrap();
         let (mut r, cursor) = SnapshotReader::open(&bytes, SnapshotKind::Stream).unwrap();
         assert_eq!((cursor, r.take_u32().unwrap()), (9, 77));
-        assert!(!path.with_extension("tmp").exists(), "temp must be renamed");
-        std::fs::remove_file(&path).ok();
+        assert!(
+            !dir.join("engine.snap.tmp").exists(),
+            "temp must be renamed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Checkpoints that differ only in extension (`ck.0`, `ck.1`, one per
+    /// cluster worker) are written concurrently; each writer must read
+    /// back exactly its own bytes, never a failed rename or the other
+    /// writer's snapshot. A barrier starts every pair of writes together,
+    /// and each writer finishes its loop before failing, so neither is
+    /// left waiting on the barrier.
+    #[test]
+    fn concurrent_writers_to_sibling_paths_read_back_their_own_bytes() {
+        const WRITES: u64 = 500;
+        let dir = temp_dir("siblings");
+        let together = std::sync::Barrier::new(2);
+        let faults: Vec<String> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2u32)
+                .map(|slot| {
+                    let (path, together) = (dir.join(format!("ck.{slot}")), &together);
+                    scope.spawn(move || {
+                        let mut faults = Vec::new();
+                        for i in 0..WRITES {
+                            let mut w = SnapshotWriter::new(SnapshotKind::ClusterWorker, i);
+                            w.put_u32(slot);
+                            let mut edges: Vec<(VertexId, VertexId)> =
+                                (0..1_024).map(|e| (slot, e)).collect();
+                            w.put_edges(&mut edges);
+                            let bytes = w.finish();
+                            together.wait();
+                            let fault = match write_snapshot_file(&bytes, &path) {
+                                Err(e) => Some(format!("write failed: {e}")),
+                                Ok(()) => match read_snapshot_file(&path) {
+                                    Err(e) => Some(format!("read failed: {e}")),
+                                    Ok(back) if back != bytes => Some("foreign bytes".into()),
+                                    Ok(_) => None,
+                                },
+                            };
+                            if let Some(fault) = fault {
+                                faults.push(format!("ck.{slot} write {i}: {fault}"));
+                            }
+                        }
+                        faults
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().expect("writer thread"))
+                .collect()
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            faults.is_empty(),
+            "{} faults, first: {:?}",
+            faults.len(),
+            &faults[..faults.len().min(3)]
+        );
     }
 }

@@ -609,20 +609,6 @@ impl WindowEngine {
         self.metrics.repairs.get()
     }
 
-    /// Instrumentation of the most recent exact escalation, if any since
-    /// the last refresh.
-    #[must_use]
-    pub fn last_solve_stats(&self) -> Option<SolveStats> {
-        self.last_solve_stats
-    }
-
-    /// The engine's long-lived solver context (escalations warm-start from
-    /// it).
-    #[must_use]
-    pub fn context(&self) -> &SolveContext {
-        &self.ctx
-    }
-
     /// Current stream time (largest timestamp seen).
     #[must_use]
     pub fn now(&self) -> u64 {

@@ -1,10 +1,10 @@
-//! The differential oracle for the cross-process cluster tier (ISSUE-10).
+//! The differential oracle for the cross-process cluster tier.
 //! Runs without the libtest harness (`harness = false`) because the test
 //! binary doubles as its own worker fleet: re-invoked with
 //! `DDS_CLUSTER_ORACLE_ROLE=k/K` it becomes one real worker *process*
 //! that dials the coordinator over TCP, exactly like `dds cluster-shard`.
 //!
-//! Three claims are checked:
+//! Two claims are checked:
 //!
 //! * **wire transparency** — a TCP coordinator fed by `K` real worker
 //!   processes seals epochs **byte-identical**
@@ -15,12 +15,7 @@
 //! * **bracket validity and reconciliation** — every sealed epoch's
 //!   certified bracket contains a fresh [`DcExact`] solve of the full
 //!   graph, and the merged counters (`m`, `n`) agree with a
-//!   single-process [`ShardedEngine`] fed the same batches;
-//! * **delta-chain equivalence** — restoring a worker from its DDSD
-//!   base + delta chain is bit-identical to restoring from a full
-//!   snapshot, across random dirty streams, batch sizes, tight bounds,
-//!   and compaction cadences (proptest, driven manually since there is
-//!   no harness).
+//!   single-process [`ShardedEngine`] fed the same batches.
 
 use std::net::TcpListener;
 use std::path::Path;
@@ -34,11 +29,7 @@ use dds_cluster::{
 use dds_core::DcExact;
 use dds_shard::{ShardConfig, ShardedEngine};
 use dds_sketch::SketchConfig;
-use dds_stream::delta::{DeltaChain, DeltaTracker};
-use dds_stream::snapshot::SnapshotKind;
-use dds_stream::{save_events, Batch, DynamicGraph, Event, TimedEvent};
-use proptest::prelude::*;
-use proptest::run_proptest;
+use dds_stream::{save_events, Batch, DynamicGraph, Event};
 
 const ROLE: &str = "DDS_CLUSTER_ORACLE_ROLE";
 
@@ -49,8 +40,6 @@ fn main() {
     }
     tcp_coordinator_matches_the_in_process_core();
     println!("cluster_oracle: tcp_coordinator_matches_the_in_process_core ... ok");
-    delta_chain_restore_equals_full_restore();
-    println!("cluster_oracle: delta_chain_restore_equals_full_restore ... ok");
 }
 
 fn env(name: &str) -> String {
@@ -245,91 +234,4 @@ fn tcp_coordinator_matches_the_in_process_core() {
         "final merged state must be byte-identical"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Random dirty event streams (dups, self-loops, absent deletes — the
-/// same contract the shard oracle exercises).
-fn dirty_events(max_n: u32, len: usize) -> impl Strategy<Value = Vec<TimedEvent>> {
-    prop::collection::vec((0u32..4, 0u32..max_n, 0u32..max_n), 1..len).prop_map(|raw| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, (op, u, v))| TimedEvent {
-                time: i as u64,
-                event: if op < 3 {
-                    Event::Insert(u, v)
-                } else {
-                    Event::Delete(u, v)
-                },
-            })
-            .collect()
-    })
-}
-
-/// Delta-chain equivalence: `restore(base + deltas) == restore(full)`,
-/// bit-for-bit on the snapshot encoding, at every compaction cadence.
-fn delta_chain_restore_equals_full_restore() {
-    run_proptest(
-        ProptestConfig::with_cases(16),
-        "delta_chain_restore_equals_full_restore",
-        (
-            dirty_events(8, 60),
-            1usize..6,
-            4usize..24,
-            0u64..64,
-            0u32..4,
-        ),
-        |(stream, batch, bound, seed, compact_every)| {
-            let dir = unique_dir("chain");
-            let base = dir.join("worker.snap");
-            let config = WorkerConfig {
-                shard: 0,
-                shards: 1,
-                batch,
-                sketch: SketchConfig {
-                    state_bound: bound,
-                    seed,
-                    ..SketchConfig::default()
-                },
-            };
-            let mut state = WorkerState::new(config);
-            let mut tracker = DeltaTracker::new(&base, SnapshotKind::ClusterWorker, compact_every);
-            let mut cursor = 0u64;
-            for chunk in stream.chunks(batch) {
-                state.apply_batch(&Batch::from_events(chunk.to_vec()));
-                cursor += chunk.len() as u64;
-                let edges: Vec<_> = state.edges().collect();
-                tracker
-                    .save(
-                        state.epoch(),
-                        cursor,
-                        edges,
-                        || state.snapshot(cursor),
-                        || state.snapshot_meta(cursor),
-                    )
-                    .expect("chain save");
-            }
-
-            let chain = DeltaChain::new(&base);
-            let (chained, chain_cursor) =
-                WorkerState::restore_chain_from(config, &chain).expect("chain restore");
-            prop_assert_eq!(chain_cursor, cursor, "chain cursor");
-            let (full, full_cursor) =
-                WorkerState::restore(config, &state.snapshot(cursor)).expect("full restore");
-            prop_assert_eq!(full_cursor, cursor, "full cursor");
-            // One canonical encoding to compare all three through.
-            let want = state.snapshot(cursor);
-            prop_assert_eq!(
-                &chained.snapshot(cursor),
-                &want,
-                "base+deltas diverged from the live state"
-            );
-            prop_assert_eq!(
-                &full.snapshot(cursor),
-                &want,
-                "full-snapshot restore diverged from the live state"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-            Ok(())
-        },
-    );
 }
