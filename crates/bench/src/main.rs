@@ -551,7 +551,7 @@ fn smoke_cluster() {
                 straggler: Some(STRAGGLER),
                 ..CoordinatorOptions::default()
             };
-            run_coordinator(config, listener, &opts, |epoch| {
+            run_coordinator(config, listener, &opts, |epoch, _, _| {
                 sealed
                     .lock()
                     .expect("seal log")

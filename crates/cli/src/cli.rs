@@ -5,7 +5,13 @@
 //! over the CLI-private [`Tier`] trait that the stream, window and sharded
 //! engines implement. Replay and follow differ only in their batch [`Source`]:
 //! the per-epoch rows, checkpoints, metrics, admin plane and closing
-//! summary are the same code in every mode.
+//! summary are the same code in every mode. `ingest` owns the checkpoint
+//! files; the engines only encode and decode the bytes.
+//!
+//! Every long-running command, `dds cluster-coordinator` included, seals
+//! its certified epochs through one [`Sealer`]: the query-tier publish,
+//! the admin plane, the `--log-every` rows, the metrics exposition, and
+//! the closing finishers.
 
 use std::fmt;
 use std::io::Write;
@@ -20,6 +26,7 @@ use dds_obs::{AdminServer, LagGauges, Registry, SlowRing, StatusBoard, TraceProf
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
 use dds_shard::{ShardConfig, ShardedEngine};
 use dds_sketch::{SketchConfig, SketchStats};
+use dds_stream::snapshot::{read_snapshot_file, write_snapshot_file};
 use dds_stream::{
     batch_slices, follow_events, Batch, BatchBy, CertifiedBounds, FollowConfig, SketchTier,
     SnapshotError, SolverKind, StreamConfig, StreamEngine, WindowConfig, WindowEngine, WindowMode,
@@ -135,8 +142,9 @@ const USAGE: &str = "usage:
               [--metrics FILE [--metrics-every E]] [--trace FILE] [--admin ADDR] [--slow-us N]
               (merge K workers' digests into globally certified epochs; --straggler-ms forces sound but wider
                degraded seals when a shard lags past T ms; --serve publishes each sealed epoch to the query
-               tier (DENSITY/MEMBER/STATS); --admin adds a per-shard shards[] array to /status;
-               --listen 127.0.0.1:0 picks a free port and prints it)
+               tier (DENSITY/MEMBER/STATS); --log-every and the observability flags mean what they mean on
+               dds stream, --trace adding one cluster.merge span per merged refresh and --admin a per-shard
+               shards[] array to /status; --listen 127.0.0.1:0 picks a free port and prints it)
   dds trace-report <trace-jsonl> [--folded FILE]
               (aggregate a --trace file into a per-span count/total/self-time table; --folded also writes
                flamegraph-ready folded stacks — weights are self-µs for timed traces, span counts otherwise)
@@ -1192,12 +1200,6 @@ impl ObsFlags {
         Ok(())
     }
 
-    /// A fresh registry when `--metrics` or `--admin` asked for one (the
-    /// admin plane scrapes it live over `/metrics`, no file needed).
-    fn registry(&self) -> Option<Registry> {
-        (self.metrics.is_some() || self.admin.is_some()).then(Registry::new)
-    }
-
     /// The live introspection plane, when `--admin`/`--slow-us` asked for
     /// one. Everything clock-shaped in the ingest loop is gated on this
     /// returning `Some` — without it a replay never reads the wall clock,
@@ -1242,56 +1244,8 @@ impl ObsFlags {
             ring,
             lag,
             _server: server,
-            last_seal: std::cell::Cell::new(None),
+            last_seal: None,
         }))
-    }
-
-    /// A live tracer when `--trace` asked for one, detached otherwise.
-    fn tracer(&self) -> Result<Tracer, CliError> {
-        match &self.trace {
-            Some(path) => Ok(Tracer::to_file(path, false)?),
-            None => Ok(Tracer::detached()),
-        }
-    }
-
-    /// Where the ingest loop flushes the exposition, if anywhere.
-    fn sink<'a>(&'a self, registry: Option<&'a Registry>) -> Option<MetricsSink<'a>> {
-        match (registry, &self.metrics) {
-            (Some(registry), Some(path)) => Some(MetricsSink {
-                registry,
-                path,
-                every: self.metrics_every.unwrap_or(50),
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// A metrics exposition file kept fresh epoch by epoch.
-struct MetricsSink<'a> {
-    registry: &'a Registry,
-    path: &'a str,
-    every: u64,
-}
-
-impl MetricsSink<'_> {
-    /// Rewrites the exposition file (atomically: tmp sibling + rename, so
-    /// a concurrent scraper never sees a torn file).
-    fn refresh(&self) -> std::io::Result<()> {
-        self.registry.write_exposition_file(self.path)
-    }
-
-    /// Final flush: fresh exposition plus the JSONL snapshot next to it.
-    fn finish(&self, out: &mut dyn Write) -> Result<(), CliError> {
-        self.refresh()?;
-        self.registry
-            .write_jsonl_file(format!("{}.jsonl", self.path))?;
-        writeln!(
-            out,
-            "metrics exposition at {} (snapshot {}.jsonl)",
-            self.path, self.path
-        )?;
-        Ok(())
     }
 }
 
@@ -1306,37 +1260,36 @@ struct AdminRig {
     /// Held for its lifetime — dropping it shuts the listener down.
     _server: Option<AdminServer>,
     /// When the previous epoch sealed, for the follow-idle gauge.
-    last_seal: std::cell::Cell<Option<std::time::Instant>>,
+    last_seal: Option<std::time::Instant>,
 }
 
 impl AdminRig {
     /// Folds one sealed epoch into the board and staleness gauges, and
     /// records the seal in the slow-op ring if it was over threshold.
-    /// `events` is cumulative; `sealed_at` is when `apply` started.
+    /// `events` is cumulative, `behind` counts the input bytes past
+    /// `cursor`, and `sealed_at` is when sealing began.
     fn on_seal(
-        &self,
-        path: &str,
+        &mut self,
         row: &EpochRow,
         events: u64,
         cursor: u64,
+        behind: u64,
         sealed_at: std::time::Instant,
     ) {
         let now = std::time::Instant::now();
         let us = u64::try_from(now.duration_since(sealed_at).as_micros()).unwrap_or(u64::MAX);
         self.ring
             .record("epoch.seal", us, &format!("epoch={}", row.epoch));
-        if let Some(prev) = self.last_seal.get() {
+        if let Some(prev) = self.last_seal {
             let idle = sealed_at.saturating_duration_since(prev);
             self.lag
                 .follow_idle_ms
                 .set(u64::try_from(idle.as_millis()).unwrap_or(u64::MAX));
         }
-        self.last_seal.set(Some(now));
+        self.last_seal = Some(now);
         self.board
             .record_seal(row.epoch, events, cursor, row.density, row.lower, row.upper);
         self.board.set_ready();
-        let len = std::fs::metadata(path).map_or(cursor, |m| m.len());
-        let behind = len.saturating_sub(cursor);
         self.board.set_tail_bytes(behind);
         self.lag.tail_bytes.set(behind);
         self.lag
@@ -1351,15 +1304,6 @@ impl AdminRig {
         self.lag
             .snapshot_age_epochs
             .set(self.board.snapshot_age_epochs());
-    }
-
-    /// Exit drain: the slowest recorded operations, if any.
-    fn finish(&self, out: &mut dyn Write) -> Result<(), CliError> {
-        let table = self.ring.render_table();
-        if !table.is_empty() {
-            write!(out, "{table}")?;
-        }
-        Ok(())
     }
 }
 
@@ -1400,7 +1344,7 @@ impl EpochRow {
     }
 }
 
-/// What the ingest loop tallies over a run's epochs for the summary.
+/// What the shared seal path tallies over a run's epochs for the summary.
 #[derive(Default)]
 struct Totals {
     events: u64,
@@ -1415,8 +1359,8 @@ struct Totals {
 }
 
 impl Totals {
-    fn add(&mut self, row: &EpochRow, events: usize) {
-        self.events += events as u64;
+    fn add(&mut self, row: &EpochRow, events: u64) {
+        self.events += events;
         self.epochs += 1;
         self.recertified += u64::from(row.mode.is_some());
         self.in_band += u64::from(row.within_band);
@@ -1460,10 +1404,11 @@ struct Ingest<'a> {
 trait Tier: Sized {
     type Config;
     fn new(config: Self::Config) -> Self;
-    /// Restores a checkpoint: the engine and the byte cursor to resume
-    /// tailing from.
-    fn restore_from(config: Self::Config, path: &str) -> Result<(Self, u64), SnapshotError>;
-    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError>;
+    /// Restores a checkpoint's bytes: the engine and the byte cursor to
+    /// resume tailing from.
+    fn restore(config: Self::Config, bytes: &[u8]) -> Result<(Self, u64), SnapshotError>;
+    /// The checkpoint bytes of this engine at input byte `cursor`.
+    fn snapshot(&self, cursor: u64) -> Vec<u8>;
     /// The certification knobs the opening line reports.
     fn describe(config: &Self::Config) -> String;
     fn attach(&mut self, registry: Option<&Registry>, tracer: Tracer);
@@ -1488,12 +1433,12 @@ impl Tier for StreamEngine {
         StreamEngine::new(config)
     }
 
-    fn restore_from(config: StreamConfig, path: &str) -> Result<(Self, u64), SnapshotError> {
-        StreamEngine::restore_from(config, path)
+    fn restore(config: StreamConfig, bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
+        StreamEngine::restore(config, bytes)
     }
 
-    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError> {
-        StreamEngine::save_snapshot(self, path, cursor)
+    fn snapshot(&self, cursor: u64) -> Vec<u8> {
+        StreamEngine::snapshot(self, cursor)
     }
 
     fn describe(config: &StreamConfig) -> String {
@@ -1582,11 +1527,11 @@ impl Tier for WindowEngine {
         WindowEngine::new(config)
     }
 
-    fn restore_from(_: WindowConfig, _: &str) -> Result<(Self, u64), SnapshotError> {
+    fn restore(_: WindowConfig, _: &[u8]) -> Result<(Self, u64), SnapshotError> {
         unreachable!("--checkpoint is rejected with --window before ingest starts")
     }
 
-    fn save_snapshot(&self, _: &str, _: u64) -> Result<(), SnapshotError> {
+    fn snapshot(&self, _: u64) -> Vec<u8> {
         unreachable!("--checkpoint is rejected with --window before ingest starts")
     }
 
@@ -1703,12 +1648,12 @@ impl Tier for ShardedEngine {
         ShardedEngine::new(config)
     }
 
-    fn restore_from(config: ShardConfig, path: &str) -> Result<(Self, u64), SnapshotError> {
-        ShardedEngine::restore_from(config, path)
+    fn restore(config: ShardConfig, bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
+        ShardedEngine::restore(config, bytes)
     }
 
-    fn save_snapshot(&self, path: &str, cursor: u64) -> Result<(), SnapshotError> {
-        ShardedEngine::save_snapshot(self, path, cursor)
+    fn snapshot(&self, cursor: u64) -> Vec<u8> {
+        ShardedEngine::snapshot(self, cursor)
     }
 
     fn describe(config: &ShardConfig) -> String {
@@ -1797,10 +1742,177 @@ impl Tier for ShardedEngine {
     }
 }
 
+/// One certified epoch as the shared seal path takes it: the row, plus
+/// what the query tier and the admin plane need beside it.
+struct Sealed<'a> {
+    row: EpochRow,
+    /// Events the epoch folded.
+    events: u64,
+    n: usize,
+    witness: Option<&'a Pair>,
+    /// The input byte cursor, and how many input bytes run ahead of it.
+    cursor: u64,
+    behind: u64,
+    /// When sealing began (`None` when no admin plane reads the clock).
+    began: Option<std::time::Instant>,
+}
+
+/// What every long-running command does with a certified epoch, and how
+/// it closes: the query-tier publish, the admin plane, the run's
+/// [`Totals`], the `--log-every` row cadence, and the metrics exposition,
+/// then the closing finishers. [`ingest`] and `dds cluster-coordinator`
+/// both seal through it.
+struct Sealer {
+    log_every: u64,
+    registry: Option<Registry>,
+    /// The `--metrics` file and its `--metrics-every` cadence.
+    metrics: Option<(String, u64)>,
+    tracer: Tracer,
+    admin: Option<AdminRig>,
+    query: Option<ServeRig>,
+    totals: Totals,
+    /// The latest row when it went unlogged: [`Sealer::end_table`]
+    /// prints it, so every run ends its table on the final epoch.
+    unlogged: Option<EpochRow>,
+}
+
+impl Sealer {
+    /// Opens the planes `obs` and `serve` ask for: a registry for
+    /// `--metrics` or `--admin` (whose `/metrics` scrapes it live), with
+    /// the worker pool's series; the tracer; the admin rig; the query tier.
+    fn open(
+        out: &mut dyn Write,
+        role: &'static str,
+        obs: &ObsFlags,
+        serve: Option<&ServeOpts>,
+        log_every: u64,
+    ) -> Result<Sealer, CliError> {
+        let registry = (obs.metrics.is_some() || obs.admin.is_some()).then(Registry::new);
+        if let Some(reg) = &registry {
+            dds_core::WorkerPool::global().attach_obs(reg);
+        }
+        let tracer = match &obs.trace {
+            Some(path) => Tracer::to_file(path, false)?,
+            None => Tracer::detached(),
+        };
+        let admin = obs.admin_rig(out, role, registry.as_ref(), &tracer)?;
+        let query = match serve {
+            Some(opts) => Some(ServeRig::start(
+                out,
+                opts,
+                registry.as_ref(),
+                admin.as_ref(),
+            )?),
+            None => None,
+        };
+        Ok(Sealer {
+            log_every,
+            registry,
+            metrics: obs
+                .metrics
+                .clone()
+                .map(|path| (path, obs.metrics_every.unwrap_or(50))),
+            tracer,
+            admin,
+            query,
+            totals: Totals {
+                max_factor: 1.0,
+                ..Totals::default()
+            },
+            unlogged: None,
+        })
+    }
+
+    /// Publishes `facts` to the query tier, if there is one.
+    fn publish(&mut self, facts: EpochFacts<'_>, materialize: impl FnOnce() -> DiGraph) {
+        let Some(rig) = self.query.as_mut() else {
+            return;
+        };
+        let epoch = facts.epoch;
+        let published_at = self.admin.as_ref().map(|_| std::time::Instant::now());
+        rig.publisher.publish(facts, materialize);
+        if let (Some(admin), Some(t0)) = (&self.admin, published_at) {
+            let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+            admin.lag.seal_publish_us.set(us);
+            admin.on_snapshot(epoch);
+            admin.board.set_ready();
+        }
+    }
+
+    /// Seals one epoch: the publish, the totals, the admin plane, the row
+    /// (printed now or held for [`Sealer::end_table`]), and the
+    /// exposition on its `--metrics-every` cadence.
+    fn seal(
+        &mut self,
+        out: &mut dyn Write,
+        sealed: Sealed<'_>,
+        materialize: impl FnOnce() -> DiGraph,
+    ) -> Result<(), CliError> {
+        let row = &sealed.row;
+        let epoch = row.epoch;
+        self.publish(
+            EpochFacts {
+                epoch,
+                n: sealed.n,
+                m: row.m,
+                density: row.density,
+                lower: row.lower,
+                upper: row.upper,
+                witness: sealed.witness,
+                resolved: row.mode.is_some(),
+            },
+            materialize,
+        );
+        self.totals.add(row, sealed.events);
+        if let (Some(admin), Some(t0)) = (&mut self.admin, sealed.began) {
+            admin.on_seal(row, self.totals.events, sealed.cursor, sealed.behind, t0);
+        }
+        if row.mode.is_some() || (self.log_every > 0 && epoch.is_multiple_of(self.log_every)) {
+            row.write(out)?;
+            self.unlogged = None;
+        } else {
+            self.unlogged = Some(sealed.row);
+        }
+        if let (Some(registry), Some((path, every))) = (&self.registry, &self.metrics) {
+            if epoch.is_multiple_of(*every) {
+                registry.write_exposition_file(path)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the row table on the final epoch.
+    fn end_table(&mut self, out: &mut dyn Write) -> Result<(), CliError> {
+        if let Some(row) = self.unlogged.take() {
+            row.write(out)?;
+        }
+        Ok(())
+    }
+
+    /// The closing finishers, after the summary: the exposition and its
+    /// JSONL snapshot, the query tier's shutdown, the slow-op table, and
+    /// the trace flush.
+    fn finish(self, out: &mut dyn Write) -> Result<(), CliError> {
+        if let (Some(registry), Some((path, _))) = (&self.registry, &self.metrics) {
+            registry.write_exposition_file(path)?;
+            registry.write_jsonl_file(format!("{path}.jsonl"))?;
+            writeln!(out, "metrics exposition at {path} (snapshot {path}.jsonl)")?;
+        }
+        if let Some(rig) = self.query {
+            rig.finish(out)?;
+        }
+        if let Some(admin) = &self.admin {
+            write!(out, "{}", admin.ring.render_table())?;
+        }
+        self.tracer.flush()?;
+        Ok(())
+    }
+}
+
 /// The one ingest loop behind `dds stream`, `dds sketch`, `dds shard` and
 /// `dds serve`, in replay and follow alike: open (or resume) the engine,
-/// then for each sealed batch apply → publish (serve only) → admin plane →
-/// row → checkpoint → metrics refresh, and close with one summary.
+/// then for each sealed batch apply → checkpoint → [`Sealer::seal`], and
+/// close with one summary.
 fn ingest<T: Tier>(
     out: &mut dyn Write,
     run: &Ingest<'_>,
@@ -1815,7 +1927,7 @@ fn ingest<T: Tier>(
     let about = T::describe(&config);
     let (mut engine, cursor) = match &run.serving.checkpoint {
         Some(ck) if run.serving.resume && std::path::Path::new(ck).exists() => {
-            let (engine, cursor) = T::restore_from(config, ck)?;
+            let (engine, cursor) = T::restore(config, &read_snapshot_file(ck)?)?;
             writeln!(
                 out,
                 "resumed from {ck}: epoch {}, m = {}, byte offset {cursor}",
@@ -1826,29 +1938,13 @@ fn ingest<T: Tier>(
         }
         _ => (T::new(config), 0),
     };
-    let registry = run.obs.registry();
-    if let Some(reg) = &registry {
-        dds_core::WorkerPool::global().attach_obs(reg);
-    }
-    let tracer = run.obs.tracer()?;
-    engine.attach(registry.as_ref(), tracer.clone());
-    let admin = run
-        .obs
-        .admin_rig(out, run.role, registry.as_ref(), &tracer)?;
-    let mut query = match &run.serve {
-        Some(opts) => Some(ServeRig::start(
-            out,
-            opts,
-            registry.as_ref(),
-            admin.as_ref(),
-        )?),
-        None => None,
-    };
+    let mut sealer = Sealer::open(out, run.role, &run.obs, run.serve.as_ref(), run.log_every)?;
+    engine.attach(sealer.registry.as_ref(), sealer.tracer.clone());
     // A resumed engine has answers before the first new batch arrives:
     // publish them immediately rather than serving the empty epoch 0.
-    if let Some(rig) = query.as_mut().filter(|_| engine.epoch() > 0) {
+    if engine.epoch() > 0 {
         let bounds = engine.bounds();
-        rig.publisher.publish(
+        sealer.publish(
             EpochFacts {
                 epoch: engine.epoch(),
                 n: engine.n(),
@@ -1861,10 +1957,6 @@ fn ingest<T: Tier>(
             },
             || engine.materialize(),
         );
-        if let Some(admin) = &admin {
-            admin.on_snapshot(engine.epoch());
-            admin.board.set_ready();
-        }
     }
     let follow = matches!(run.source, Source::Tail { follow: true, .. });
     let cut = match run.source {
@@ -1879,75 +1971,43 @@ fn ingest<T: Tier>(
     )?;
     writeln!(out, "{}", EpochRow::HEADER)?;
 
-    let sink = run.obs.sink(registry.as_ref());
-    let mut totals = Totals {
-        max_factor: 1.0,
-        ..Totals::default()
-    };
     let mut checkpoints = 0u64;
-    // The latest row when it went unlogged: printed after the loop, so
-    // every run ends its table on the final epoch.
-    let mut unlogged: Option<EpochRow> = None;
     let started = std::time::Instant::now();
     let mut seal = |batch: Batch, cur: u64| -> Result<(), CliError> {
-        let sealed_at = admin.as_ref().map(|_| std::time::Instant::now());
+        let began = sealer.admin.as_ref().map(|_| std::time::Instant::now());
         let row = engine.apply_row(&batch);
-        if let Some(rig) = query.as_mut() {
-            let published_at = admin.as_ref().map(|_| std::time::Instant::now());
-            rig.publisher.publish(
-                EpochFacts {
-                    epoch: row.epoch,
-                    n: engine.n(),
-                    m: row.m,
-                    density: row.density,
-                    lower: row.lower,
-                    upper: row.upper,
-                    witness: engine.witness(),
-                    resolved: row.mode.is_some(),
-                },
-                || engine.materialize(),
-            );
-            if let (Some(admin), Some(t0)) = (&admin, published_at) {
-                let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-                admin.lag.seal_publish_us.set(us);
-                admin.on_snapshot(row.epoch);
-                admin.board.set_ready();
-            }
-        }
-        totals.add(&row, batch.events.len());
-        if let (Some(admin), Some(t0)) = (&admin, sealed_at) {
-            admin.on_seal(run.path, &row, totals.events, cur, t0);
-        }
         let epoch = row.epoch;
-        if row.mode.is_some() || (run.log_every > 0 && epoch.is_multiple_of(run.log_every)) {
-            row.write(out)?;
-            unlogged = None;
-        } else {
-            unlogged = Some(row);
-        }
         if let Some(ck) = &run.serving.checkpoint {
             if epoch.is_multiple_of(
                 run.serving
                     .checkpoint_every
                     .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             ) {
-                engine.save_snapshot(ck, cur)?;
+                write_snapshot_file(&engine.snapshot(cur), ck)?;
                 checkpoints += 1;
                 // Without a query tier, the checkpoint is the durable
                 // snapshot staleness is measured from.
-                if let Some(admin) = &admin {
+                if let Some(admin) = &sealer.admin {
                     if admin.board.snapshot_epoch() < epoch {
                         admin.on_snapshot(epoch);
                     }
                 }
             }
         }
-        if let Some(sink) = &sink {
-            if epoch.is_multiple_of(sink.every) {
-                sink.refresh()?;
-            }
-        }
-        Ok(())
+        let behind = match began {
+            Some(_) => std::fs::metadata(run.path).map_or(0, |m| m.len().saturating_sub(cur)),
+            None => 0,
+        };
+        let sealed = Sealed {
+            row,
+            events: batch.events.len() as u64,
+            n: engine.n(),
+            witness: engine.witness(),
+            cursor: cur,
+            behind,
+            began,
+        };
+        sealer.seal(out, sealed, || engine.materialize())
     };
     let mut deferred: Option<CliError> = None;
     let mut on_batch = |batch: Batch, cur: u64| match seal(batch, cur) {
@@ -1977,15 +2037,14 @@ fn ingest<T: Tier>(
     if let Some(e) = deferred {
         return Err(e);
     }
-    if let Some(row) = &unlogged {
-        row.write(out)?;
-    }
+    sealer.end_table(out)?;
     if let Some(ck) = &run.serving.checkpoint {
-        engine.save_snapshot(ck, cursor)?;
+        write_snapshot_file(&engine.snapshot(cursor), ck)?;
         checkpoints += 1;
     }
     let wall = started.elapsed();
 
+    let totals = &sealer.totals;
     writeln!(out)?;
     writeln!(
         out,
@@ -2000,7 +2059,7 @@ fn ingest<T: Tier>(
         writeln!(out, "threads {threads}{auto}")?;
     }
     writeln!(out, "max certified factor {:.4}", totals.max_factor)?;
-    engine.summary(out, &totals)?;
+    engine.summary(out, totals)?;
     let bounds = engine.bounds();
     writeln!(
         out,
@@ -2015,17 +2074,7 @@ fn ingest<T: Tier>(
     if let Some(ck) = &run.serving.checkpoint {
         writeln!(out, "checkpointed {checkpoints} times to {ck}")?;
     }
-    if let Some(sink) = &sink {
-        sink.finish(out)?;
-    }
-    if let Some(rig) = query {
-        rig.finish(out)?;
-    }
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
+    sealer.finish(out)
 }
 
 /// The query tier `dds serve` and `dds cluster-coordinator --serve` set
@@ -2197,9 +2246,11 @@ fn cmd_cluster_shard<'a>(
 /// Accepts K worker connections, folds their digests into per-slot
 /// replicas, and seals one certified epoch per global batch — degrading
 /// soundly (wider bracket, stale shard named) when `--straggler-ms`
-/// expires on a laggard. `--serve` republishes every sealed epoch to
-/// the `dds serve` query tier; `--admin` exposes the per-shard lag on
-/// `/status` and `dds_cluster_shard_lag_epochs` gauges.
+/// expires on a laggard. Each seal goes through the [`Sealer`] the
+/// ingest commands use, so `--serve`, `--admin`, `--log-every`,
+/// `--metrics`, `--trace` and `--slow-us` behave as on `dds stream`;
+/// `--admin` adds the per-shard lag on `/status` and the
+/// `dds_cluster_shard_lag_epochs` gauges.
 fn cmd_cluster_coordinator<'a>(
     it: &mut impl Iterator<Item = &'a str>,
     out: &mut dyn Write,
@@ -2244,9 +2295,6 @@ fn cmd_cluster_coordinator<'a>(
         return Err(CliError::Usage("--readers requires --serve".into()));
     }
     obs.validate()?;
-    let registry = obs.registry();
-    let tracer = obs.tracer()?;
-    let admin = obs.admin_rig(out, "cluster", registry.as_ref(), &tracer)?;
     let config = dds_cluster::ClusterConfig {
         shards,
         batch,
@@ -2261,20 +2309,13 @@ fn cmd_cluster_coordinator<'a>(
     // query tier serves the snapshot-backed types only (DENSITY / MEMBER
     // / STATS) — no --core/--topk, and the publisher therefore never
     // asks us to materialize.
-    let mut serve_rig = match &serve_addr {
-        Some(addr) => Some(ServeRig::start(
-            out,
-            &ServeOpts {
-                listen: addr.clone(),
-                readers: readers.unwrap_or(4),
-                core: None,
-                top_k: 0,
-            },
-            registry.as_ref(),
-            admin.as_ref(),
-        )?),
-        None => None,
-    };
+    let serve = serve_addr.map(|listen| ServeOpts {
+        listen,
+        readers: readers.unwrap_or(4),
+        core: None,
+        top_k: 0,
+    });
+    let mut sealer = Sealer::open(out, "cluster", &obs, serve.as_ref(), log_every)?;
     let listener = std::net::TcpListener::bind(&listen).map_err(|e| {
         CliError::Io(std::io::Error::new(
             e.kind(),
@@ -2293,13 +2334,16 @@ fn cmd_cluster_coordinator<'a>(
     writeln!(out, "{}", EpochRow::HEADER)?;
     let opts = dds_cluster::CoordinatorOptions {
         straggler: straggler_ms.map(std::time::Duration::from_millis),
-        registry: registry.clone(),
-        status: admin.as_ref().map(|rig| std::sync::Arc::clone(&rig.board)),
+        registry: sealer.registry.clone(),
+        tracer: sealer.tracer.clone(),
+        status: sealer
+            .admin
+            .as_ref()
+            .map(|rig| std::sync::Arc::clone(&rig.board)),
     };
-    let sink = obs.sink(registry.as_ref());
     let mut deferred: Option<CliError> = None;
     let started = std::time::Instant::now();
-    let report = dds_cluster::run_coordinator(config, listener, &opts, |epoch| {
+    let report = dds_cluster::run_coordinator(config, listener, &opts, |epoch, core, began| {
         if deferred.is_some() {
             return;
         }
@@ -2316,48 +2360,37 @@ fn cmd_cluster_coordinator<'a>(
         } else {
             None
         };
-        if mode.is_some() || (log_every > 0 && epoch.epoch.is_multiple_of(log_every)) {
-            let row = EpochRow {
-                epoch: epoch.epoch,
-                m: epoch.m,
-                density: epoch.lower,
-                lower: epoch.lower,
-                upper: epoch.upper,
-                factor: epoch.certified_factor(),
-                mode,
-                within_band: true,
-                solve: None,
-            };
-            if let Err(e) = row.write(out) {
-                deferred = Some(e.into());
-            }
-        }
-        if let Some(rig) = serve_rig.as_mut() {
-            rig.publisher.publish(
-                EpochFacts {
-                    epoch: epoch.epoch,
-                    n: epoch.n as usize,
-                    m: epoch.m,
-                    density: epoch.lower,
-                    lower: epoch.lower,
-                    upper: epoch.upper,
-                    witness: epoch.witness.as_ref(),
-                    resolved: epoch.refreshed,
-                },
-                || unreachable!("no derived query types are configured"),
-            );
-        }
-        if let Some(sink) = &sink {
-            if epoch.epoch.is_multiple_of(sink.every) {
-                if let Err(e) = sink.refresh() {
-                    deferred = Some(e.into());
-                }
-            }
+        let row = EpochRow {
+            epoch: epoch.epoch,
+            m: epoch.m,
+            density: epoch.lower,
+            lower: epoch.lower,
+            upper: epoch.upper,
+            factor: epoch.certified_factor(),
+            mode,
+            within_band: true,
+            solve: None,
+        };
+        let behind = core.slot_status().iter().map(|s| s.tail_bytes).max();
+        let sealed = Sealed {
+            row,
+            events: epoch.events,
+            n: epoch.n as usize,
+            witness: epoch.witness.as_ref(),
+            cursor: core.max_cursor(),
+            behind: behind.unwrap_or(0),
+            began: Some(began),
+        };
+        if let Err(e) = sealer.seal(out, sealed, || {
+            unreachable!("no derived query types are configured")
+        }) {
+            deferred = Some(e);
         }
     })?;
     if let Some(e) = deferred {
         return Err(e);
     }
+    sealer.end_table(out)?;
     let elapsed = started.elapsed();
     writeln!(out)?;
     writeln!(
@@ -2365,6 +2398,7 @@ fn cmd_cluster_coordinator<'a>(
         "sealed {} epochs ({elapsed:.2?}): {} degraded, {} merged refreshes ({} escalated)",
         report.epochs, report.degraded, report.refreshes, report.escalations,
     )?;
+    writeln!(out, "max certified factor {:.4}", sealer.totals.max_factor)?;
     let pct = if report.raw_bytes > 0 {
         100.0 * report.digest_bytes as f64 / report.raw_bytes as f64
     } else {
@@ -2383,17 +2417,7 @@ fn cmd_cluster_coordinator<'a>(
         )?;
         write_witness(out, last.witness.as_ref())?;
     }
-    if let Some(sink) = &sink {
-        sink.finish(out)?;
-    }
-    if let Some(rig) = serve_rig {
-        rig.finish(out)?;
-    }
-    if let Some(rig) = &admin {
-        rig.finish(out)?;
-    }
-    tracer.flush()?;
-    Ok(())
+    sealer.finish(out)
 }
 
 /// `dds sketch`: a whole-file replay through the stream engine with every
@@ -4113,5 +4137,188 @@ mod tests {
             assert!(out.contains("admin endpoint on"), "{out}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The shared seal path keeps the admin plane whole for every command
+    /// that seals through it: `events` cumulative, `snapshot_epoch` at the
+    /// sealed epoch once the query tier published it, and the
+    /// `dds_lag_tail_bytes` gauge equal to the board's `tail_bytes`.
+    #[test]
+    fn sealer_keeps_the_admin_plane_current() {
+        let obs = ObsFlags {
+            admin: Some("127.0.0.1:0".into()),
+            slow_us: Some(0),
+            ..ObsFlags::default()
+        };
+        let serve = ServeOpts {
+            listen: "127.0.0.1:0".into(),
+            readers: 1,
+            core: None,
+            top_k: 0,
+        };
+        let mut out = Vec::new();
+        let mut sealer = Sealer::open(&mut out, "cluster", &obs, Some(&serve), 0).unwrap();
+        for epoch in 1..=3 {
+            let row = EpochRow {
+                epoch,
+                m: 10,
+                density: 1.0,
+                lower: 1.0,
+                upper: 2.0,
+                factor: 2.0,
+                mode: None,
+                within_band: true,
+                solve: None,
+            };
+            let sealed = Sealed {
+                row,
+                events: 100,
+                n: 8,
+                witness: None,
+                cursor: epoch * 1_000,
+                behind: 994,
+                began: Some(std::time::Instant::now()),
+            };
+            sealer
+                .seal(&mut out, sealed, || unreachable!("no derived query types"))
+                .unwrap();
+        }
+        let registry = sealer.registry.clone().unwrap();
+        let status = sealer.admin.as_ref().unwrap().board.status_json(&registry);
+        for field in [
+            "\"ready\":true",
+            "\"epoch\":3",
+            "\"events\":300",
+            "\"cursor\":3000",
+            "\"tail_bytes\":994",
+            "\"snapshot_epoch\":3",
+            "\"snapshot_age_epochs\":0",
+        ] {
+            assert!(status.contains(field), "{field} missing: {status}");
+        }
+        assert_eq!(registry.gauge_value("dds_lag_tail_bytes"), Some(994));
+        sealer.end_table(&mut out).unwrap();
+        sealer.finish(&mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("    3     10"),
+            "the table ends on epoch 3: {text}"
+        );
+        assert!(text.contains("3 snapshots published"), "{text}");
+        assert!(
+            text.contains("epoch.seal"),
+            "every seal reaches the ring: {text}"
+        );
+    }
+
+    /// `dds cluster-coordinator` seals through the shared path: its table
+    /// ends on the final epoch although `--log-every` never fires, the
+    /// summary reports the max certified factor, `--slow-us 0` drains
+    /// `epoch.seal` records, and `--trace`/`--metrics` see every merged
+    /// refresh.
+    #[test]
+    fn cluster_coordinator_seals_through_the_shared_path() {
+        let path = temp_path("cluster_seal.events");
+        let trace = temp_path("cluster_seal.trace");
+        let metrics = temp_path("cluster_seal.prom");
+        // A 3x3 block, then 21 distinct noise edges: 15 epochs of 2.
+        let events: String = (0..30u32)
+            .map(|i| {
+                let (u, v) = if i < 9 {
+                    (i / 3, 3 + i % 3)
+                } else {
+                    (6 + i % 7, 13 + i % 4)
+                };
+                format!("{i} + {u} {v}\n")
+            })
+            .collect();
+        std::fs::write(&path, events).unwrap();
+        let buf = SharedOut::default();
+        let coordinator = {
+            let args: Vec<String> = [
+                "cluster-coordinator",
+                "--listen",
+                "127.0.0.1:0",
+                "--shards",
+                "2",
+                "--batch",
+                "2",
+                "--log-every",
+                "1000",
+                "--slow-us",
+                "0",
+                "--trace",
+                &trace,
+                "--metrics",
+                &metrics,
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+            let mut out = buf.clone();
+            std::thread::spawn(move || run(&args, &mut out))
+        };
+        let banner = wait_for_line(&buf, "coordinating 2 shards on ");
+        let addr = banner.split(' ').next().unwrap().to_string();
+        let workers: Vec<_> = (0..2)
+            .map(|k| {
+                let args: Vec<String> = [
+                    "cluster-shard",
+                    &path,
+                    "--connect",
+                    &addr,
+                    "--shard-id",
+                    &format!("{k}/2"),
+                    "--batch",
+                    "2",
+                    "--idle-ms",
+                    "300",
+                ]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+                std::thread::spawn(move || run(&args, &mut Vec::new()))
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap().expect("worker should succeed");
+        }
+        coordinator
+            .join()
+            .unwrap()
+            .expect("coordinator should succeed");
+        let out = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+
+        let (table, summary) = out.split_once("\n\n").expect("a summary follows the table");
+        let sealed = line_of(summary, "sealed ").expect("sealed line");
+        assert!(sealed.starts_with("sealed 15 epochs"), "{out}");
+        let last = table.lines().last().unwrap();
+        assert!(
+            last.starts_with("   15 "),
+            "the table ends on epoch 15: {out}"
+        );
+        assert!(summary.contains("max certified factor"), "{out}");
+        assert!(summary.contains("epoch.seal  epoch="), "{out}");
+        let refreshes: usize = sealed
+            .split(" merged refreshes")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .expect("refresh count");
+        assert!(refreshes > 0, "{out}");
+        let spans = std::fs::read_to_string(&trace).unwrap();
+        let merges = spans.matches("\"span\":\"cluster.merge\"").count();
+        assert_eq!(merges, refreshes, "one span per merged refresh: {spans}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let parsed = dds_obs::parse_exposition(&text).unwrap();
+        assert!(
+            parsed
+                .get("dds_sketch_refreshes_total")
+                .is_some_and(|v| v.as_u64() == Some(refreshes as u64)),
+            "{text}"
+        );
+        for file in [&path, &trace, &metrics, &format!("{metrics}.jsonl")] {
+            std::fs::remove_file(file).ok();
+        }
     }
 }

@@ -57,6 +57,7 @@ use std::mem;
 
 use dds_graph::{Pair, VertexId};
 use dds_num::Density;
+use dds_obs::{span, Registry, Tracer};
 use dds_sketch::certify::{
     refresh_due, structural_upper, CertifiedBounds, MergedCertifier, WitnessTracker,
 };
@@ -277,6 +278,10 @@ pub struct ClusterCore {
     escalations: u64,
     digest_bytes: u64,
     degraded_seals: u64,
+    tracer: Tracer,
+    /// Registry each merged refresh's short-lived [`SketchEngine`] sums
+    /// its `dds_sketch_*`/`dds_exact_*` series into.
+    obs: Option<Registry>,
 }
 
 impl ClusterCore {
@@ -298,7 +303,23 @@ impl ClusterCore {
             escalations: 0,
             digest_bytes: 0,
             degraded_seals: 0,
+            tracer: Tracer::detached(),
+            obs: None,
         }
+    }
+
+    /// Sums every future merged refresh's `dds_sketch_*`/`dds_exact_*`
+    /// series into `registry`, as [`dds_shard::ShardedEngine::attach_obs`]
+    /// does for its partitions.
+    pub fn attach_obs(&mut self, registry: &Registry) {
+        self.obs = Some(registry.clone());
+    }
+
+    /// Routes one `cluster.merge` span per merged refresh (epoch, level,
+    /// escalated) to `tracer`. The default is the detached tracer: spans
+    /// are inert and never read the clock.
+    pub fn attach_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// Admits (or re-admits) a worker: every identity field must match
@@ -553,11 +574,12 @@ impl ClusterCore {
         if engines.is_empty() {
             return false;
         }
+        let mut span = span!(self.tracer, "cluster.merge", epoch = e);
         self.refreshes += 1;
         let refs: Vec<&SketchEngine> = engines.iter().collect();
         let refresh = self
             .certifier
-            .refresh(self.config.sketch, &refs, dead, None);
+            .refresh(self.config.sketch, &refs, dead, self.obs.as_ref());
         if refresh.stats.is_some() {
             self.escalations += 1;
         }
@@ -567,6 +589,8 @@ impl ClusterCore {
         for slot in &mut self.slots {
             slot.baseline = slot.mutations;
         }
+        span.record("level", u64::from(self.certifier.level()));
+        span.record_flag("escalated", refresh.stats.is_some());
         true
     }
 
@@ -900,6 +924,62 @@ mod tests {
             core.offer(d, bytes).unwrap();
         }
         assert_eq!(core.hello(&good).unwrap(), 2, "folded + queued digests");
+    }
+
+    /// A `Write` sink the test reads back while the tracer holds it.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A 20-epoch in-process replay with a deterministic tracer and a
+    /// registry attached: its trace, refresh count and registry.
+    fn traced_replay() -> (String, u64, Registry) {
+        let cfg = cluster_config(3, 32);
+        let (buf, registry) = (SharedBuf::default(), Registry::new());
+        let mut core = ClusterCore::new(cfg);
+        core.attach_tracer(Tracer::to_writer(Box::new(buf.clone()), false));
+        core.attach_obs(&registry);
+        let mut ws = workers(cfg);
+        for step in 0..20 {
+            let batch = batch_at(step, cfg.batch);
+            for w in ws.iter_mut() {
+                let (d, bytes) = digest_of(w, &batch);
+                core.offer(d, bytes).unwrap();
+            }
+            core.seal_next(false).unwrap().expect("all slots fresh");
+        }
+        let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        (trace, core.refreshes(), registry)
+    }
+
+    #[test]
+    fn merged_refreshes_trace_byte_identically_and_reach_the_registry() {
+        let (first, refreshes, registry) = traced_replay();
+        let (second, ..) = traced_replay();
+        assert!(refreshes > 0, "drift policy fired at least once");
+        let merges = first
+            .lines()
+            .filter(|l| l.contains("\"span\":\"cluster.merge\""))
+            .count();
+        assert_eq!(merges as u64, refreshes, "one span per refresh: {first}");
+        assert!(first.contains("\"epoch\":") && first.contains("\"escalated\":"));
+        assert!(!first.contains("dur_us"), "deterministic mode: {first}");
+        assert_eq!(first, second, "identical replays must diff clean");
+        assert_eq!(
+            registry.counter_value("dds_sketch_refreshes_total"),
+            Some(refreshes),
+            "every merged sketch sums into the attached registry"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dds_obs::{Counter, Gauge, Registry, StatusBoard};
+use dds_obs::{Counter, Gauge, Registry, StatusBoard, Tracer};
 
 use crate::coord::{ClusterConfig, ClusterCore, ClusterEpoch};
 use crate::wire::{read_frame, read_preamble, write_frame, Frame, ShardDigest, WireError};
@@ -90,9 +90,14 @@ pub struct CoordinatorOptions {
     /// Force degraded seals after a laggard holds the frontier this
     /// long (`None` = strict, wait forever).
     pub straggler: Option<Duration>,
-    /// Register `dds_cluster_*` metrics here.
+    /// Register `dds_cluster_*` metrics here, and sum every merged
+    /// refresh's `dds_sketch_*`/`dds_exact_*` series into it.
     pub registry: Option<Registry>,
-    /// Admin-plane status board to keep current (`shards[]`, seals).
+    /// Where the merge's `cluster.merge` spans go (detached by default).
+    pub tracer: Tracer,
+    /// Admin-plane status board whose `shards[]` array the runtime keeps
+    /// current. Sealed epochs reach the board through the caller's
+    /// `on_seal`, not from here.
     pub status: Option<Arc<StatusBoard>>,
 }
 
@@ -191,8 +196,11 @@ fn serve_connection(stream: TcpStream, tx: &Sender<Ctrl>) {
 
 /// Runs the coordinator over an already-bound listener until every
 /// slot has signed off and every shipped epoch is sealed. `on_seal`
-/// fires once per sealed epoch, in order — the serving loop's
-/// publish/print hook.
+/// fires once per sealed epoch, in order, with the core that sealed it
+/// (for [`ClusterCore::max_cursor`] and the per-slot
+/// [`ClusterCore::slot_status`]) and the moment that seal began, so the
+/// caller can time the seal itself — merged refresh included — apart
+/// from its own publish and print work.
 ///
 /// # Errors
 /// Returns [`WireError`] on listener failure or a digest that desyncs
@@ -201,7 +209,7 @@ pub fn run_coordinator(
     config: ClusterConfig,
     listener: TcpListener,
     opts: &CoordinatorOptions,
-    mut on_seal: impl FnMut(&ClusterEpoch),
+    mut on_seal: impl FnMut(&ClusterEpoch, &ClusterCore, Instant),
 ) -> Result<CoordinatorReport, WireError> {
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -234,6 +242,10 @@ pub fn run_coordinator(
         status.init_shards(config.shards);
     }
     let mut core = ClusterCore::new(config);
+    if let Some(registry) = &opts.registry {
+        core.attach_obs(registry);
+    }
+    core.attach_tracer(opts.tracer.clone());
     let mut pending_since: Option<Instant> = None;
     let mut last: Option<ClusterEpoch> = None;
 
@@ -257,18 +269,13 @@ pub fn run_coordinator(
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return Ok(()),
             }
-            while let Some(epoch) = core.seal_next(false)? {
-                publish(&core, &epoch, &metrics, opts, &mut on_seal);
-                last = Some(epoch);
+            if seal_all(&mut core, false, &metrics, &mut on_seal, &mut last)? {
                 pending_since = None;
             }
             if core.head_epoch() > core.sealed() {
                 match (opts.straggler, pending_since) {
                     (Some(limit), Some(since)) if since.elapsed() >= limit => {
-                        while let Some(epoch) = core.seal_next(true)? {
-                            publish(&core, &epoch, &metrics, opts, &mut on_seal);
-                            last = Some(epoch);
-                        }
+                        seal_all(&mut core, true, &metrics, &mut on_seal, &mut last)?;
                         pending_since = None;
                     }
                     (Some(_), None) => pending_since = Some(Instant::now()),
@@ -299,37 +306,37 @@ pub fn run_coordinator(
     })
 }
 
-fn publish(
-    core: &ClusterCore,
-    epoch: &ClusterEpoch,
+/// Seals every epoch [`ClusterCore::seal_next`]`(force)` will, updating
+/// the cluster metrics and calling `on_seal` for each. Returns whether
+/// anything sealed.
+fn seal_all(
+    core: &mut ClusterCore,
+    force: bool,
     metrics: &ClusterMetrics,
-    opts: &CoordinatorOptions,
-    on_seal: &mut impl FnMut(&ClusterEpoch),
-) {
-    metrics.epochs.inc();
-    if epoch.degraded {
-        metrics.degraded.inc();
+    on_seal: &mut impl FnMut(&ClusterEpoch, &ClusterCore, Instant),
+    last: &mut Option<ClusterEpoch>,
+) -> Result<bool, WireError> {
+    let mut sealed = false;
+    loop {
+        let began = Instant::now();
+        let Some(epoch) = core.seal_next(force)? else {
+            return Ok(sealed);
+        };
+        metrics.epochs.inc();
+        if epoch.degraded {
+            metrics.degraded.inc();
+        }
+        metrics.refreshes.store(core.refreshes());
+        metrics.escalations.store(core.escalations());
+        let status = core.slot_status();
+        for (k, gauge) in metrics.shard_lag.iter().enumerate() {
+            let folded = status.get(k).map_or(0, |s| s.folded);
+            gauge.set(core.sealed().saturating_sub(folded));
+        }
+        on_seal(&epoch, core, began);
+        *last = Some(epoch);
+        sealed = true;
     }
-    metrics.refreshes.store(core.refreshes());
-    metrics.escalations.store(core.escalations());
-    let status = core.slot_status();
-    for (k, gauge) in metrics.shard_lag.iter().enumerate() {
-        let folded = status.get(k).map_or(0, |s| s.folded);
-        gauge.set(core.sealed().saturating_sub(folded));
-    }
-    if let Some(board) = &opts.status {
-        board.record_seal(
-            epoch.epoch,
-            epoch.events,
-            core.max_cursor(),
-            epoch.lower,
-            epoch.lower,
-            epoch.upper,
-        );
-        board.set_tail_bytes(status.iter().map(|s| s.tail_bytes).max().unwrap_or(0));
-        board.set_ready();
-    }
-    on_seal(epoch);
 }
 
 #[cfg(test)]
@@ -408,7 +415,7 @@ mod tests {
                 straggler: Some(Duration::from_secs(5)),
                 ..CoordinatorOptions::default()
             },
-            |e| sealed.push((e.epoch, e.degraded, e.lower, e.upper)),
+            |e, _, _| sealed.push((e.epoch, e.degraded, e.lower, e.upper)),
         )
         .expect("coordinator");
         for handle in handles {
@@ -487,8 +494,13 @@ mod tests {
                 )
             }
         });
-        let report = run_coordinator(config, listener, &CoordinatorOptions::default(), |_| {})
-            .expect("coordinator survives the refusal");
+        let report = run_coordinator(
+            config,
+            listener,
+            &CoordinatorOptions::default(),
+            |_, _, _| {},
+        )
+        .expect("coordinator survives the refusal");
         assert!(wrong.join().unwrap().is_err(), "mismatch must surface");
         right.join().unwrap().expect("matching worker runs");
         assert_eq!(report.epochs, 2);
@@ -548,9 +560,14 @@ mod tests {
         let sealed = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&sealed);
         let handle = thread::spawn(move || {
-            run_coordinator(config, listener, &CoordinatorOptions::default(), |e| {
-                log.lock().unwrap().push((e.epoch, e.lower, e.upper));
-            })
+            run_coordinator(
+                config,
+                listener,
+                &CoordinatorOptions::default(),
+                |e, _, _| {
+                    log.lock().unwrap().push((e.epoch, e.lower, e.upper));
+                },
+            )
             .expect("coordinator")
         });
         (addr, sealed, handle)

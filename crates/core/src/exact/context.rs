@@ -147,12 +147,6 @@ impl SolveContext {
         self.cores.hits()
     }
 
-    /// Drops the memoised cores (callers normally never need this — the
-    /// per-solve graph-identity check does it when the graph changed).
-    pub fn invalidate_cores(&mut self) {
-        self.cores.clear();
-    }
-
     /// Pre-solve bookkeeping: size the arena pool for `threads` workers and
     /// clear the core memo if `g` is not the graph of the previous solve
     /// (exact CSR comparison — a stale core mask would be

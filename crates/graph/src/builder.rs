@@ -78,12 +78,6 @@ impl GraphBuilder {
         self.dropped_parallel
     }
 
-    /// Number of edges currently buffered (before deduplication).
-    #[must_use]
-    pub fn pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalises the CSR structure. Consumes nothing: the builder can keep
     /// accepting edges and build again, which the generators use to emit
     /// growing graph prefixes.

@@ -11,10 +11,7 @@ use dds_sketch::certify::{
     refresh_due, structural_upper, CertifiedBounds, MergedCertifier, WitnessTracker,
 };
 use dds_sketch::{MaxTracker, SketchConfig, SketchEngine};
-use dds_stream::snapshot::{
-    read_snapshot_file, write_snapshot_file, SnapshotError, SnapshotKind, SnapshotReader,
-    SnapshotWriter,
-};
+use dds_stream::snapshot::{SnapshotError, SnapshotKind, SnapshotReader, SnapshotWriter};
 use dds_stream::{denser_pair, Batch, Event, TimedEvent};
 
 use crate::partition::Partition;
@@ -722,30 +719,6 @@ impl ShardedEngine {
         engine.certifier = MergedCertifier::restore(escalate_next, merged_level);
         engine.adopt_witness(witness);
         Ok(engine)
-    }
-
-    /// Writes [`ShardedEngine::snapshot`] to `path` atomically.
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Io`] on write failure.
-    pub fn save_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        cursor: u64,
-    ) -> Result<(), SnapshotError> {
-        write_snapshot_file(&self.snapshot(cursor), path)
-    }
-
-    /// Reads a snapshot file and [`ShardedEngine::restore`]s from it.
-    ///
-    /// # Errors
-    /// Propagates read and format errors.
-    pub fn restore_from(
-        config: ShardConfig,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(Self, u64), SnapshotError> {
-        let bytes = read_snapshot_file(path)?;
-        ShardedEngine::restore(config, &bytes)
     }
 }
 

@@ -577,30 +577,6 @@ impl StreamEngine {
         engine.metrics.resolve_band.store(resolve_band);
         Ok((engine, cursor))
     }
-
-    /// Writes [`StreamEngine::snapshot`] to `path` atomically.
-    ///
-    /// # Errors
-    /// Returns [`SnapshotError::Io`] on write failure.
-    pub fn save_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-        cursor: u64,
-    ) -> Result<(), SnapshotError> {
-        crate::snapshot::write_snapshot_file(&self.snapshot(cursor), path)
-    }
-
-    /// Reads a snapshot file and [`StreamEngine::restore`]s from it.
-    ///
-    /// # Errors
-    /// Propagates read and format errors.
-    pub fn restore_from(
-        config: StreamConfig,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(Self, u64), SnapshotError> {
-        let bytes = crate::snapshot::read_snapshot_file(path)?;
-        StreamEngine::restore(config, &bytes)
-    }
 }
 
 /// How [`replay`] groups a timestamped event stream into batches.

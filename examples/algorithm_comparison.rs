@@ -5,7 +5,7 @@
 //! miniature of the paper's evaluation (experiments E2/E5/E6).
 //!
 //! ```sh
-//! cargo run --release -p dds-examples --bin algorithm_comparison
+//! cargo run --release -p dds-tests --example algorithm_comparison
 //! ```
 
 use std::time::Instant;

@@ -8,7 +8,7 @@
 //! much of the graph the core-based pruning never touches.
 //!
 //! ```sh
-//! cargo run --release -p dds-examples --bin fraud_detection
+//! cargo run --release -p dds-tests --example fraud_detection
 //! ```
 
 use std::time::Instant;

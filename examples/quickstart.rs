@@ -1,7 +1,7 @@
 //! Quickstart: build a directed graph, find its densest subgraph pair.
 //!
 //! ```sh
-//! cargo run --release -p dds-examples --bin quickstart
+//! cargo run --release -p dds-tests --example quickstart
 //! ```
 
 use dds_core::{core_approx, DcExact};

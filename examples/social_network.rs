@@ -8,7 +8,7 @@
 //! approximations, and inspects the role split.
 //!
 //! ```sh
-//! cargo run --release -p dds-examples --bin social_network
+//! cargo run --release -p dds-tests --example social_network
 //! ```
 
 use std::time::Instant;

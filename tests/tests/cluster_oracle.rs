@@ -108,9 +108,12 @@ fn tcp_coordinator_matches_the_in_process_core() {
     let addr = listener.local_addr().expect("local addr");
     let coordinator = std::thread::spawn(move || {
         let mut sealed = Vec::new();
-        let report = run_coordinator(config, listener, &CoordinatorOptions::default(), |epoch| {
-            sealed.push(epoch.clone())
-        })
+        let report = run_coordinator(
+            config,
+            listener,
+            &CoordinatorOptions::default(),
+            |epoch, _, _| sealed.push(epoch.clone()),
+        )
         .expect("coordinator run");
         (report, sealed)
     });
