@@ -1689,31 +1689,202 @@ pub fn e18_serve(quick: bool) -> BenchRecord {
     record.expect("the headline operating point ran")
 }
 
-/// E19 — the live introspection plane under churn: scraper threads
-/// hammer the admin endpoint (`/metrics`, `/status`, `/readyz`) while a
-/// seeded replay ingests, seals the status board per epoch, and feeds the
-/// slow-op ring one seal per epoch. The table reports ingest wall against
-/// scraper pressure plus scrape latency percentiles; the record is the
-/// 1-scraper row. Hard gates: every scrape succeeds and parses, readiness
-/// flips exactly once per run, and the final scrape reconciles with the
-/// driver's epoch count — scrapes must observe ingest, never steer it.
-/// Scrape counts and ring contents depend on scheduling, so they stay out
-/// of the record.
-pub fn e19_admin(quick: bool) -> BenchRecord {
-    use crate::serve_load::{percentile, scrape_admin};
-    use dds_obs::{http_get, parse_exposition, AdminServer, Registry, SlowRing, StatusBoard};
+/// E19's batch size.
+const E19_BATCH: usize = 100;
+
+/// What one E19 replay sealed.
+struct AdminReplay {
+    epochs: u64,
+    resolves: u64,
+    /// The rig's readiness flips (0 without a rig).
+    ready_flips: u64,
+    max_factor: f64,
+    /// Time spent sealing: `engine.apply`, plus the rig's `on_seal` when
+    /// one is given — batch assembly and the loop stay out of it.
+    seal_wall: Duration,
+    /// The whole replay loop.
+    wall: Duration,
+}
+
+/// Replays `stream` in [`E19_BATCH`]-event epochs on a fresh stream
+/// engine, attached to `registry` when given, sealing every epoch into
+/// `rig` when given as `dds stream --admin` does.
+fn admin_replay(
+    stream: &[TimedEvent],
+    registry: Option<&dds_obs::Registry>,
+    mut rig: Option<&mut dds_obs::AdminRig>,
+) -> AdminReplay {
+    let mut engine = StreamEngine::new(StreamConfig::default());
+    if let Some(reg) = registry {
+        engine.attach_obs(reg);
+    }
+    let (mut epochs, mut events, mut max_factor) = (0u64, 0u64, 1.0f64);
+    let mut seal_wall = Duration::ZERO;
+    let ((), wall) = time(|| {
+        for chunk in stream.chunks(E19_BATCH) {
+            let batch = Batch::from_events(chunk.to_vec());
+            events += chunk.len() as u64;
+            let t0 = std::time::Instant::now();
+            let r = engine.apply(&batch);
+            if let Some(rig) = rig.as_deref_mut() {
+                let bracket = (r.density.to_f64(), r.lower, r.upper);
+                rig.on_seal(r.epoch, events, events, 0, bracket, t0);
+            }
+            seal_wall += t0.elapsed();
+            epochs = r.epoch;
+            max_factor = max_factor.max(r.certified_factor);
+        }
+    });
+    AdminReplay {
+        epochs,
+        resolves: engine.resolves(),
+        ready_flips: rig.map_or(0, |rig| rig.board.ready_flips()),
+        max_factor,
+        seal_wall,
+        wall,
+    }
+}
+
+/// One E19 replay with the admin plane live: a registry, an
+/// [`dds_obs::AdminRig`] serving it on an ephemeral port, and `scrapers`
+/// threads, each scraping at least once and pausing `pause` between
+/// scrapes, every scrape checked by [`crate::serve_load::scrape_admin`].
+/// Asserts that readiness flipped exactly once, that the board carries
+/// the sealed epoch, and that a final scrape parses and reconciles with
+/// it. Returns the replay and the scrapers' `/metrics` latencies.
+fn admin_run(stream: &[TimedEvent], scrapers: usize, pause: Duration) -> (AdminReplay, Vec<u64>) {
+    use crate::serve_load::scrape_admin;
+    use dds_obs::{http_get, parse_exposition, AdminRig, Registry};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    const BATCH: usize = 100;
+    let registry = Registry::new();
+    let mut rig = AdminRig::start("stream", 0, Some(&registry), Some("127.0.0.1:0"))
+        .expect("bind ephemeral admin port");
+    let addr = rig.addr().expect("the rig serves");
+    let stop = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..scrapers)
+        .map(|_| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut ready_seen = false;
+                let mut latencies_us = Vec::new();
+                loop {
+                    latencies_us.push(scrape_admin(addr, &mut ready_seen));
+                    if stop.load(Ordering::Relaxed) {
+                        return latencies_us;
+                    }
+                    std::thread::sleep(pause);
+                }
+            })
+        })
+        .collect();
+    let run = admin_replay(stream, Some(&registry), Some(&mut rig));
+    stop.store(true, Ordering::Relaxed);
+    let mut latencies_us = Vec::new();
+    for h in handles {
+        latencies_us.append(&mut h.join().expect("scraper thread"));
+    }
+    assert_eq!(run.ready_flips, 1, "readiness flips exactly once");
+    assert_eq!(
+        rig.board.epoch(),
+        run.epochs,
+        "board must carry the sealed epoch"
+    );
+    let (code, body) = http_get(addr, "/metrics").expect("final scrape");
+    assert_eq!(code, 200, "final scrape failed");
+    let parsed = parse_exposition(&body).expect("final exposition parses");
+    assert!(
+        parsed
+            .get("dds_stream_epochs_total")
+            .is_some_and(|v| v.as_u64() == Some(run.epochs)),
+        "final scrape must reconcile with {} sealed epochs",
+        run.epochs
+    );
+    (run, latencies_us)
+}
+
+/// Checks a replay's registry against the replay of `events` events:
+/// the exposition parses, and survives the atomic file writer; the epoch
+/// counter equals the sealed epochs; inserts, deletes and ignored events
+/// cover every event; and the replay re-solved at least once.
+fn reconcile_registry(registry: &dds_obs::Registry, run: &AdminReplay, events: u64) {
+    use dds_obs::parse_exposition;
+
+    let parsed = parse_exposition(&registry.exposition()).expect("exposition must parse");
+    assert!(
+        parsed
+            .get("dds_stream_epochs_total")
+            .is_some_and(|v| *v == run.epochs),
+        "epoch counter must match the {} sealed epochs",
+        run.epochs
+    );
+    let applied: u64 = ["inserts", "deletes", "ignored"]
+        .iter()
+        .map(|k| {
+            registry
+                .counter_value(&format!("dds_stream_{k}_total"))
+                .unwrap_or(0)
+        })
+        .sum();
+    assert_eq!(
+        applied, events,
+        "inserts + deletes + ignored must cover every event"
+    );
+    assert_eq!(
+        registry.counter_value("dds_stream_resolves_total"),
+        Some(run.resolves),
+        "the re-solve counter must match the replay"
+    );
+    assert!(
+        run.resolves >= 1,
+        "a churn replay must re-solve at least once"
+    );
+    let prom = std::env::temp_dir().join(format!("dds_e19_{}.prom", std::process::id()));
+    registry
+        .write_exposition_file(&prom)
+        .expect("atomic exposition write");
+    let reread = parse_exposition(&std::fs::read_to_string(&prom).expect("read exposition"))
+        .expect("written exposition must parse");
+    std::fs::remove_file(&prom).ok();
+    assert_eq!(reread, parsed, "file round-trip must preserve every series");
+}
+
+/// E19 — the live introspection plane under churn, sealed through the
+/// [`dds_obs::AdminRig`] `dds stream --admin` ships. Scraper threads
+/// hammer the admin endpoint (`/metrics`, `/status`, `/readyz`) while a
+/// seeded replay ingests and seals each epoch into the rig's status board,
+/// lag gauges and slow-op ring. The first table reports ingest wall
+/// against scraper pressure plus scrape latency percentiles; the record
+/// is its 1-scraper row. Hard gates: every scrape succeeds and parses,
+/// readiness flips exactly once per run, the board carries the sealed
+/// epoch, and the final scrape reconciles with it — scrapes must observe
+/// ingest, never steer it.
+///
+/// The second table holds the planes to their cost: each of 5 rounds
+/// runs three adjacent replays — detached, with a metrics registry
+/// attached, and with the registry plus the admin rig and one scraper
+/// every 50 ms — and times their seals. In full mode the smallest
+/// attached/detached and the smallest admin/attached ratio must each be
+/// at most 1.02: pairing cancels drift between rounds, and a real
+/// overhead lifts every round while noise rarely lifts all five. Every attached registry must reconcile with its replay: the
+/// exposition parses and survives the atomic file writer, and its
+/// counters cover every epoch and event and at least one re-solve.
+/// Scrape counts, ring contents and the ratios depend on scheduling, so
+/// they stay out of the record.
+pub fn e19_admin(quick: bool) -> BenchRecord {
+    use crate::serve_load::percentile;
+    use dds_obs::Registry;
+
+    const ROUNDS: usize = 5;
+    const OVERHEAD_BUDGET: f64 = 1.02;
+    const SCRAPE_EVERY: Duration = Duration::from_millis(50);
     println!(
-        "\n=== E19: admin introspection plane under churn (expected: zero failed scrapes, one readiness flip, ingest wall flat under scraper pressure)"
+        "\n=== E19: admin introspection plane under churn (expected: zero failed scrapes, one readiness flip, ingest wall flat under scraper pressure, metrics and admin plane each within {OVERHEAD_BUDGET}x of the seal time without them)"
     );
     let stream = churn_stream(4_000, quick);
-    println!(
-        "{} events, n = 400, background m = 4000, block 32x32, batch = {BATCH}",
-        stream.len(),
-    );
+    let events = stream.len() as u64;
+    println!("{events} events, n = 400, background m = 4000, block 32x32, batch = {E19_BATCH}");
 
     let mut t = Table::new(
         "scraper pressure vs churn ingestion",
@@ -1725,112 +1896,97 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
     let mut bare_wall = None;
     let mut record = None;
     for scrapers in [0usize, 1, 4] {
-        let registry = Registry::new();
-        let board = Arc::new(StatusBoard::new("stream"));
-        let ring = Arc::new(SlowRing::new(16, 0));
-        let admin = AdminServer::start(
-            "127.0.0.1:0",
-            registry.clone(),
-            Arc::clone(&board),
-            Arc::clone(&ring),
-        )
-        .expect("bind ephemeral admin port");
-        let addr = admin.addr();
-        let mut engine = StreamEngine::new(StreamConfig::default());
-        engine.attach_obs(&registry);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles: Vec<_> = (0..scrapers)
-            .map(|_| {
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut ready_seen = false;
-                    let mut latencies_us = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        latencies_us.push(scrape_admin(addr, &mut ready_seen));
-                    }
-                    latencies_us
-                })
-            })
-            .collect();
-
-        let mut epochs = 0u64;
-        let mut events_total = 0u64;
-        let mut max_f = 1.0f64;
-        let ((), wall) = time(|| {
-            for chunk in stream.chunks(BATCH) {
-                events_total += chunk.len() as u64;
-                let t0 = std::time::Instant::now();
-                let r = engine.apply(&Batch::from_events(chunk.to_vec()));
-                epochs = r.epoch;
-                max_f = max_f.max(r.certified_factor);
-                ring.record(
-                    "epoch.seal",
-                    t0.elapsed().as_micros() as u64,
-                    &format!("epoch={}", r.epoch),
-                );
-                board.record_seal(
-                    r.epoch,
-                    events_total,
-                    events_total,
-                    r.density.to_f64(),
-                    r.lower,
-                    r.upper,
-                );
-                board.set_ready();
-            }
-        });
-        stop.store(true, Ordering::Relaxed);
-        let mut latencies_us = Vec::new();
-        for h in handles {
-            latencies_us.append(&mut h.join().expect("scraper thread"));
-        }
-        let scrapes = latencies_us.len();
-        assert_eq!(board.ready_flips(), 1, "readiness flips exactly once");
-        if scrapers > 0 {
-            assert!(scrapes > 0, "the scrapers must have gotten through");
-        }
-        let (code, body) = http_get(addr, "/metrics").expect("final scrape");
-        assert_eq!(code, 200, "final scrape failed");
-        let parsed = parse_exposition(&body).expect("final exposition parses");
-        assert!(
-            parsed
-                .get("dds_stream_epochs_total")
-                .is_some_and(|v| v.as_u64() == Some(epochs)),
-            "final scrape must reconcile with {epochs} sealed epochs"
-        );
-        drop(admin);
-
-        let bare = *bare_wall.get_or_insert(wall);
+        let (run, latencies_us) = admin_run(&stream, scrapers, Duration::ZERO);
+        let bare = *bare_wall.get_or_insert(run.wall);
         t.row(vec![
             scrapers.to_string(),
-            epochs.to_string(),
-            scrapes.to_string(),
+            run.epochs.to_string(),
+            latencies_us.len().to_string(),
             "0".to_string(),
-            board.ready_flips().to_string(),
-            engine.resolves().to_string(),
+            run.ready_flips.to_string(),
+            run.resolves.to_string(),
             percentile(&latencies_us, 50.0).to_string(),
             percentile(&latencies_us, 99.0).to_string(),
-            format!("{max_f:.3}"),
-            fmt_duration(wall),
-            format!("{:.2}x", wall.as_secs_f64() / bare.as_secs_f64().max(1e-9)),
+            format!("{:.3}", run.max_factor),
+            fmt_duration(run.wall),
+            format!(
+                "{:.2}x",
+                run.wall.as_secs_f64() / bare.as_secs_f64().max(1e-9)
+            ),
         ]);
         if scrapers == 1 {
             record = Some(BenchRecord::new(
                 "e19",
                 quick,
-                wall,
+                run.wall,
                 [
-                    ("epochs", epochs),
-                    ("ready_flips", board.ready_flips()),
-                    ("resolves", engine.resolves()),
+                    ("epochs", run.epochs),
+                    ("ready_flips", run.ready_flips),
+                    ("resolves", run.resolves),
                 ],
-                [("max_certified", max_f)],
+                [("max_certified", run.max_factor)],
             ));
         }
     }
     println!("{}", t.render());
     t.write_csv("e19_admin");
+
+    let mut t = Table::new(
+        "paired overhead rounds (seal time)",
+        &[
+            "round",
+            "detached",
+            "attached",
+            "admin",
+            "scrapes",
+            "attached/detached",
+            "admin/attached",
+        ],
+    );
+    let (mut best_attached, mut best_admin) = (f64::INFINITY, f64::INFINITY);
+    for round in 1..=ROUNDS {
+        let detached = admin_replay(&stream, None, None);
+        let registry = Registry::new();
+        let attached = admin_replay(&stream, Some(&registry), None);
+        reconcile_registry(&registry, &attached, events);
+        let (admin, latencies_us) = admin_run(&stream, 1, SCRAPE_EVERY);
+        let secs = |run: &AdminReplay| run.seal_wall.as_secs_f64();
+        let attached_ratio = secs(&attached) / secs(&detached);
+        let admin_ratio = secs(&admin) / secs(&attached);
+        best_attached = best_attached.min(attached_ratio);
+        best_admin = best_admin.min(admin_ratio);
+        t.row(vec![
+            round.to_string(),
+            fmt_duration(detached.seal_wall),
+            fmt_duration(attached.seal_wall),
+            fmt_duration(admin.seal_wall),
+            latencies_us.len().to_string(),
+            format!("{attached_ratio:.3}"),
+            format!("{admin_ratio:.3}"),
+        ]);
+    }
+    println!("{}", t.render());
+    t.write_csv("e19_overhead");
+    println!(
+        "best paired ratios over {ROUNDS} rounds: attached/detached {best_attached:.3}, \
+         admin/attached {best_admin:.3} (budget {OVERHEAD_BUDGET}x)"
+    );
+    if quick {
+        println!("overhead assertions skipped (quick mode)");
+    } else {
+        assert!(
+            best_attached <= OVERHEAD_BUDGET,
+            "metrics overhead budget exceeded: every one of {ROUNDS} paired rounds sealed \
+             more than {OVERHEAD_BUDGET}x slower attached than detached \
+             (best ratio {best_attached:.3})"
+        );
+        assert!(
+            best_admin <= OVERHEAD_BUDGET,
+            "admin-plane overhead budget exceeded: every one of {ROUNDS} paired rounds \
+             sealed more than {OVERHEAD_BUDGET}x slower with the admin rig and a scraper \
+             than with bare metrics (best ratio {best_admin:.3})"
+        );
+    }
     record.expect("the 1-scraper row ran")
 }
 

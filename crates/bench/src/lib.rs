@@ -11,10 +11,10 @@
 //! CI gates the streaming tiers through [`perf`]: `full` writes the
 //! committed `BENCH_E12..E20.json` records and `compare` re-measures
 //! them, each by running the experiment function that prints the
-//! experiment's table and asserts its contracts. Three `*-smoke`
-//! subcommands gate what no record can: `obs-smoke` and `admin-smoke`
-//! (paired overhead budgets), and `cluster-smoke` (real worker
-//! processes).
+//! experiment's table and asserts its contracts; E19 also holds the
+//! metrics and admin planes to their paired overhead budgets. The
+//! `cluster-smoke` subcommand gates what no record can: real worker
+//! processes.
 
 #![warn(missing_docs)]
 

@@ -22,8 +22,6 @@ const USAGE: &str = "usage:
   dds-bench (all | e1..e20)... [--quick]
   dds-bench full [--quick] [--dir D]     write BENCH_E12..E20.json perf records
   dds-bench compare [--dir D]            diff a fresh run against the committed records
-  dds-bench obs-smoke
-  dds-bench admin-smoke
   dds-bench cluster-smoke
   dds-bench stream-gen (churn|window|emerge|arrivals|recurring) --out <file>
             [--events N] [--n N] [--m M] [--block S,T] [--period P] [--seed S]";
@@ -47,8 +45,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-        Some("obs-smoke") => smoke_obs(),
-        Some("admin-smoke") => smoke_admin(),
         Some("cluster-smoke") => smoke_cluster(),
         Some("full") => {
             let quick = args.iter().any(|a| a == "--quick");
@@ -168,265 +164,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// CI obs smoke: a 100k-event follow replay through the real tail loop
-/// with a metrics registry attached, asserting (1) the exposition text
-/// parses and its counters reconcile exactly with the driver's own epoch
-/// and event counts, and (2) attaching metrics costs at most 2% of the
-/// apply time over the detached default. The timing gate is the minimum
-/// over 5 adjacent disabled/enabled pairs of the pairwise ratio: pairing
-/// cancels slow-machine drift between rounds, and a real overhead
-/// regression lifts every round's ratio while scheduler noise cannot
-/// push all five above the budget. Only the `engine.apply` calls are
-/// timed — that is the instrumented path; the tail loop's polling and
-/// file IO would just add variance.
-/// Counters are always-live cells behind the engine's stats accessors,
-/// histograms and gauges only activate on attach — this is the check
-/// that the fast path stays fast.
-fn smoke_obs() {
-    use dds_obs::{parse_exposition, Registry};
-    use dds_stream::{follow_events, FollowConfig, StreamConfig, StreamEngine};
-    use std::time::Duration;
-
-    const EVENTS: usize = 100_000;
-    const ROUNDS: usize = 5;
-    const OVERHEAD_FACTOR: f64 = 1.02;
-    let events = dds_bench::stream_workloads::churn(400, 4_000, (32, 32), EVENTS, 0xDD5);
-    let path = std::env::temp_dir().join(format!("dds_obs_smoke_{}.events", std::process::id()));
-    dds_stream::save_events(&events, &path).expect("write event file");
-
-    let run = |registry: Option<&Registry>| {
-        let mut engine = StreamEngine::new(StreamConfig::default());
-        if let Some(reg) = registry {
-            engine.attach_obs(reg);
-        }
-        let mut epochs = 0u64;
-        let mut apply_wall = Duration::ZERO;
-        let outcome = follow_events(
-            &path,
-            FollowConfig {
-                batch: 100,
-                poll: Duration::from_millis(1),
-                idle_exit: Some(Duration::ZERO),
-                cursor: 0,
-            },
-            |batch, _| {
-                let t0 = std::time::Instant::now();
-                engine.apply(&batch);
-                apply_wall += t0.elapsed();
-                epochs += 1;
-                std::ops::ControlFlow::Continue(())
-            },
-        )
-        .expect("follow");
-        (outcome, epochs, apply_wall)
-    };
-
-    let mut disabled_wall = f64::INFINITY;
-    let mut enabled_wall = f64::INFINITY;
-    let mut best_ratio = f64::INFINITY;
-    let mut reconciled = None;
-    for round in 0..ROUNDS {
-        let (_, _, wall) = run(None);
-        let disabled = wall.as_secs_f64();
-        disabled_wall = disabled_wall.min(disabled);
-        let registry = Registry::new();
-        let (outcome, epochs, wall) = run(Some(&registry));
-        let enabled = wall.as_secs_f64();
-        enabled_wall = enabled_wall.min(enabled);
-        best_ratio = best_ratio.min(enabled / disabled);
-        if round == ROUNDS - 1 {
-            reconciled = Some((registry, outcome, epochs));
-        }
-    }
-    let (registry, outcome, epochs) = reconciled.expect("the rounds ran");
-
-    // Exposition parses, and its counters reconcile with the driver.
-    let parsed = parse_exposition(&registry.exposition()).expect("exposition must parse");
-    assert!(
-        parsed
-            .get("dds_stream_epochs_total")
-            .is_some_and(|v| *v == epochs),
-        "epoch counter must match the driver's count"
-    );
-    assert_eq!(outcome.epochs, epochs, "tail outcome disagrees with driver");
-    // The workload is EVENTS churn events plus the generator's warm-up
-    // prefix — reconcile against what was actually written.
-    let total = events.len() as u64;
-    assert_eq!(outcome.events, total, "the tail must replay every event");
-    let applied = ["inserts", "deletes", "ignored"]
-        .iter()
-        .map(|k| {
-            registry
-                .counter_value(&format!("dds_stream_{k}_total"))
-                .unwrap_or(0)
-        })
-        .sum::<u64>();
-    assert_eq!(
-        applied, total,
-        "inserts + deletes + ignored must cover every event"
-    );
-    let resolves = registry
-        .counter_value("dds_stream_resolves_total")
-        .unwrap_or(0);
-    assert!(
-        resolves >= 1,
-        "a 100k churn replay must re-solve at least once"
-    );
-    println!(
-        "obs-smoke: {total} events, {epochs} epochs, {resolves} re-solves; \
-         exposition {} series, wall enabled {enabled_wall:.3}s vs disabled {disabled_wall:.3}s",
-        parsed.len(),
-    );
-
-    // The atomic exposition writer round-trips through a file too.
-    let prom = std::env::temp_dir().join(format!("dds_obs_smoke_{}.prom", std::process::id()));
-    registry
-        .write_exposition_file(&prom)
-        .expect("atomic exposition write");
-    let reread = parse_exposition(&std::fs::read_to_string(&prom).expect("read exposition"))
-        .expect("written exposition must parse");
-    assert_eq!(reread, parsed, "file round-trip must preserve every series");
-
-    assert!(
-        best_ratio <= OVERHEAD_FACTOR,
-        "metrics overhead budget exceeded: every one of {ROUNDS} paired rounds ran the \
-         attached replay more than {OVERHEAD_FACTOR}x its adjacent detached replay \
-         (best ratio {best_ratio:.3})"
-    );
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&prom).ok();
-    println!(
-        "obs-smoke: OK (best paired overhead ratio {best_ratio:.3}, budget {OVERHEAD_FACTOR}x)"
-    );
-}
-
-/// CI admin smoke: the live introspection plane must be free under load.
-/// A follow replay runs with the admin endpoint attached while a scraper
-/// hits `/metrics`, `/status`, and `/readyz` every 50 ms. Gates:
-/// zero failed scrapes (every response 200/503-with-body and parseable),
-/// `/readyz` flips to ready exactly once and never flips back, and the
-/// same paired 2% overhead budget as obs-smoke — minimum over rounds of
-/// (replay with admin plane + scraper) / (replay with bare metrics).
-fn smoke_admin() {
-    use dds_bench::serve_load::scrape_admin;
-    use dds_obs::{AdminServer, Registry, SlowRing, StatusBoard};
-    use dds_stream::{follow_events, FollowConfig, StreamConfig, StreamEngine};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    const EVENTS: usize = 100_000;
-    const ROUNDS: usize = 5;
-    const OVERHEAD_FACTOR: f64 = 1.02;
-    const SCRAPE_EVERY: Duration = Duration::from_millis(50);
-    let events = dds_bench::stream_workloads::churn(400, 4_000, (32, 32), EVENTS, 0xDD5);
-    let path = std::env::temp_dir().join(format!("dds_admin_smoke_{}.events", std::process::id()));
-    dds_stream::save_events(&events, &path).expect("write event file");
-
-    // One follow replay with metrics attached; when `board` is given the
-    // admin plane is live and the loop seals it per epoch (the wiring
-    // `dds stream --admin` uses).
-    let run = |registry: &Registry, board: Option<&StatusBoard>| {
-        let mut engine = StreamEngine::new(StreamConfig::default());
-        engine.attach_obs(registry);
-        let mut epochs = 0u64;
-        let mut events_total = 0u64;
-        let mut apply_wall = Duration::ZERO;
-        follow_events(
-            &path,
-            FollowConfig {
-                batch: 100,
-                poll: Duration::from_millis(1),
-                idle_exit: Some(Duration::ZERO),
-                cursor: 0,
-            },
-            |batch, cur| {
-                events_total += batch.events.len() as u64;
-                let t0 = std::time::Instant::now();
-                let r = engine.apply(&batch);
-                apply_wall += t0.elapsed();
-                epochs = r.epoch;
-                if let Some(board) = board {
-                    board.record_seal(
-                        r.epoch,
-                        events_total,
-                        cur,
-                        r.density.to_f64(),
-                        r.lower,
-                        r.upper,
-                    );
-                    board.set_ready();
-                }
-                std::ops::ControlFlow::Continue(())
-            },
-        )
-        .expect("follow");
-        (epochs, apply_wall)
-    };
-
-    let mut best_ratio = f64::INFINITY;
-    let mut scrapes_total = 0u64;
-    let mut last = None;
-    for _ in 0..ROUNDS {
-        // Baseline: metrics attached, no admin plane.
-        let (_, bare_wall) = run(&Registry::new(), None);
-
-        // Attached: admin endpoint live, scraper hammering on a 50 ms
-        // cadence for the whole replay.
-        let registry = Registry::new();
-        let board = Arc::new(StatusBoard::new("stream"));
-        let ring = Arc::new(SlowRing::new(16, 1_000));
-        let admin = AdminServer::start(
-            "127.0.0.1:0",
-            registry.clone(),
-            Arc::clone(&board),
-            Arc::clone(&ring),
-        )
-        .expect("bind admin endpoint");
-        let addr = admin.addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let scraper = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut scrapes = 0u64;
-                let mut ready_seen = false;
-                loop {
-                    scrape_admin(addr, &mut ready_seen);
-                    scrapes += 1;
-                    if stop.load(Ordering::Relaxed) {
-                        return scrapes;
-                    }
-                    std::thread::sleep(SCRAPE_EVERY);
-                }
-            })
-        };
-        let (epochs, admin_wall) = run(&registry, Some(&board));
-        stop.store(true, Ordering::Relaxed);
-        scrapes_total += scraper.join().expect("scraper thread");
-        assert_eq!(board.ready_flips(), 1, "/readyz must flip exactly once");
-        best_ratio = best_ratio.min(admin_wall.as_secs_f64() / bare_wall.as_secs_f64());
-        last = Some((registry, board, epochs));
-        drop(admin);
-    }
-    let (registry, board, epochs) = last.expect("the rounds ran");
-    assert_eq!(board.epoch(), epochs, "board must carry the sealed epoch");
-    assert!(
-        registry.counter_value("dds_stream_epochs_total") == Some(epochs),
-        "live registry must reconcile with the driver"
-    );
-    assert!(
-        best_ratio <= OVERHEAD_FACTOR,
-        "admin-plane overhead budget exceeded: every one of {ROUNDS} paired rounds ran \
-         the admin-attached replay more than {OVERHEAD_FACTOR}x its bare-metrics \
-         adjacent replay (best ratio {best_ratio:.3})"
-    );
-    std::fs::remove_file(&path).ok();
-    println!(
-        "admin-smoke: OK ({scrapes_total} scrapes over {ROUNDS} rounds, zero failed; \
-         best paired overhead ratio {best_ratio:.3}, budget {OVERHEAD_FACTOR}x)"
-    );
 }
 
 /// The worker half of the `cluster-smoke` re-exec harness: one real OS

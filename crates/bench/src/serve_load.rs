@@ -9,9 +9,8 @@
 //! tolerated while the served epoch is still 0 (nothing published yet:
 //! `CORE` legitimately answers "no core maintained" then).
 //!
-//! For the admin plane (E19 and `admin-smoke`),
-//! [`scrape_admin`] is one checked scrape of `/metrics`, `/status` and
-//! `/readyz`.
+//! For the admin plane (E19), [`scrape_admin`] is one checked scrape of
+//! `/metrics`, `/status` and `/readyz`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -22,7 +22,7 @@ use dds_core::{
 };
 use dds_graph::io::{load_edge_list, save_edge_list, ParseOptions};
 use dds_graph::{gen, DiGraph, GraphStats, Pair};
-use dds_obs::{AdminServer, LagGauges, Registry, SlowRing, StatusBoard, TraceProfile, Tracer};
+use dds_obs::{AdminRig, Registry, TraceProfile, Tracer};
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
 use dds_shard::{ShardConfig, ShardedEngine};
 use dds_sketch::{SketchConfig, SketchStats};
@@ -1168,8 +1168,6 @@ struct ObsFlags {
     slow_us: Option<u64>,
 }
 
-/// Slots in the slow-op ring (`--slow-us` / `--admin`).
-const SLOW_RING_CAPACITY: usize = 32;
 /// Default slow-op threshold when `--admin` is on but `--slow-us` unset.
 const DEFAULT_SLOW_US: u64 = 1_000;
 
@@ -1209,101 +1207,20 @@ impl ObsFlags {
         out: &mut dyn Write,
         role: &'static str,
         registry: Option<&Registry>,
-        tracer: &Tracer,
     ) -> Result<Option<AdminRig>, CliError> {
         if self.admin.is_none() && self.slow_us.is_none() {
             return Ok(None);
         }
-        let board = std::sync::Arc::new(StatusBoard::new(role));
-        let ring = std::sync::Arc::new(SlowRing::new(
-            SLOW_RING_CAPACITY,
+        let rig = AdminRig::start(
+            role,
             self.slow_us.unwrap_or(DEFAULT_SLOW_US),
-        ));
-        tracer.attach_slow_ring(std::sync::Arc::clone(&ring));
-        let mut lag = LagGauges::standalone();
-        if let Some(reg) = registry {
-            lag.attach_obs(reg);
+            registry,
+            self.admin.as_deref(),
+        )?;
+        if let Some(addr) = rig.addr() {
+            writeln!(out, "admin endpoint on {addr}")?;
         }
-        let server = match &self.admin {
-            Some(addr) => {
-                let registry = registry.expect("--admin implies a registry").clone();
-                let server = AdminServer::start(
-                    addr,
-                    registry,
-                    std::sync::Arc::clone(&board),
-                    std::sync::Arc::clone(&ring),
-                )
-                .map_err(CliError::Io)?;
-                writeln!(out, "admin endpoint on {}", server.addr())?;
-                Some(server)
-            }
-            None => None,
-        };
-        Ok(Some(AdminRig {
-            board,
-            ring,
-            lag,
-            _server: server,
-            last_seal: None,
-        }))
-    }
-}
-
-/// The live introspection plane behind `--admin`/`--slow-us`: the status
-/// board the HTTP routes read, the slow-op ring, and the `dds_lag_*`
-/// staleness gauges. Only constructed when asked for; its absence is the
-/// ingest loop's license to never touch the wall clock.
-struct AdminRig {
-    board: std::sync::Arc<StatusBoard>,
-    ring: std::sync::Arc<SlowRing>,
-    lag: LagGauges,
-    /// Held for its lifetime — dropping it shuts the listener down.
-    _server: Option<AdminServer>,
-    /// When the previous epoch sealed, for the follow-idle gauge.
-    last_seal: Option<std::time::Instant>,
-}
-
-impl AdminRig {
-    /// Folds one sealed epoch into the board and staleness gauges, and
-    /// records the seal in the slow-op ring if it was over threshold.
-    /// `events` is cumulative, `behind` counts the input bytes past
-    /// `cursor`, and `sealed_at` is when sealing began.
-    fn on_seal(
-        &mut self,
-        row: &EpochRow,
-        events: u64,
-        cursor: u64,
-        behind: u64,
-        sealed_at: std::time::Instant,
-    ) {
-        let now = std::time::Instant::now();
-        let us = u64::try_from(now.duration_since(sealed_at).as_micros()).unwrap_or(u64::MAX);
-        self.ring
-            .record("epoch.seal", us, &format!("epoch={}", row.epoch));
-        if let Some(prev) = self.last_seal {
-            let idle = sealed_at.saturating_duration_since(prev);
-            self.lag
-                .follow_idle_ms
-                .set(u64::try_from(idle.as_millis()).unwrap_or(u64::MAX));
-        }
-        self.last_seal = Some(now);
-        self.board
-            .record_seal(row.epoch, events, cursor, row.density, row.lower, row.upper);
-        self.board.set_ready();
-        self.board.set_tail_bytes(behind);
-        self.lag.tail_bytes.set(behind);
-        self.lag
-            .snapshot_age_epochs
-            .set(self.board.snapshot_age_epochs());
-    }
-
-    /// Records a durable snapshot (a checkpoint, or a published query
-    /// snapshot for `dds serve`) as the staleness reference point.
-    fn on_snapshot(&self, epoch: u64) {
-        self.board.publish_snapshot(epoch);
-        self.lag
-            .snapshot_age_epochs
-            .set(self.board.snapshot_age_epochs());
+        Ok(Some(rig))
     }
 }
 
@@ -1795,7 +1712,7 @@ impl Sealer {
             Some(path) => Tracer::to_file(path, false)?,
             None => Tracer::detached(),
         };
-        let admin = obs.admin_rig(out, role, registry.as_ref(), &tracer)?;
+        let admin = obs.admin_rig(out, role, registry.as_ref())?;
         let query = match serve {
             Some(opts) => Some(ServeRig::start(
                 out,
@@ -1865,7 +1782,14 @@ impl Sealer {
         );
         self.totals.add(row, sealed.events);
         if let (Some(admin), Some(t0)) = (&mut self.admin, sealed.began) {
-            admin.on_seal(row, self.totals.events, sealed.cursor, sealed.behind, t0);
+            admin.on_seal(
+                epoch,
+                self.totals.events,
+                sealed.cursor,
+                sealed.behind,
+                (row.density, row.lower, row.upper),
+                t0,
+            );
         }
         if row.mode.is_some() || (self.log_every > 0 && epoch.is_multiple_of(self.log_every)) {
             row.write(out)?;

@@ -184,7 +184,9 @@ pub struct ClusterEpoch {
     /// The live-edge count the upper bound used: the exact sum over
     /// fresh slots, plus the straggler inflation of stale ones.
     pub m: u64,
-    /// Events folded at this seal (fresh slots only).
+    /// Events of the digests folded since the previous seal: this
+    /// epoch's fresh digests plus any late catch-up or rebase-drained
+    /// ones, so every digest's events land in exactly one seal.
     pub events: u64,
     /// How many slots were fresh.
     pub fresh: u32,
@@ -278,6 +280,8 @@ pub struct ClusterCore {
     escalations: u64,
     digest_bytes: u64,
     degraded_seals: u64,
+    /// Events folded since the last seal; the next seal reports them.
+    unsealed_events: u64,
     tracer: Tracer,
     /// Registry each merged refresh's short-lived [`SketchEngine`] sums
     /// its `dds_sketch_*`/`dds_exact_*` series into.
@@ -303,6 +307,7 @@ impl ClusterCore {
             escalations: 0,
             digest_bytes: 0,
             degraded_seals: 0,
+            unsealed_events: 0,
             tracer: Tracer::detached(),
             obs: None,
         }
@@ -425,7 +430,8 @@ impl ClusterCore {
 
     /// Applies one digest to its slot: replays the sample delta onto
     /// the replica (validating it), overwrites the absolute counters,
-    /// and maintains the witness hit count incrementally.
+    /// maintains the witness hit count incrementally, and holds the
+    /// digest's events for the next seal.
     fn fold(&mut self, k: usize, d: &ShardDigest) -> Result<(), WireError> {
         let witness = &self.witness;
         let slot = &mut self.slots[k];
@@ -471,6 +477,7 @@ impl ClusterCore {
         slot.cursor = d.cursor;
         slot.tail_bytes = d.tail_bytes;
         slot.folded = d.epoch;
+        self.unsealed_events += d.events;
         Ok(())
     }
 
@@ -492,11 +499,9 @@ impl ClusterCore {
         if !ready && (!force || self.head_epoch() < e) {
             return Ok(None);
         }
-        let mut events = 0u64;
         for k in 0..self.slots.len() {
             if self.slots[k].folded == e - 1 {
                 if let Some(d) = self.slots[k].pending.remove(&e) {
-                    events += d.events;
                     self.fold(k, &d)?;
                 }
             }
@@ -529,7 +534,7 @@ impl ClusterCore {
             epoch: e,
             n,
             m,
-            events,
+            events: mem::take(&mut self.unsealed_events),
             fresh: (self.slots.len() - stale.len()) as u32,
             stale,
             degraded,
@@ -825,11 +830,13 @@ mod tests {
         // Both shards ship epoch 1; only shard 0 ships epochs 2 and 3.
         let mut held = Vec::new();
         let mut m_at = [Vec::new(), Vec::new()];
+        let mut shipped_events = 0;
         for step in 0..3 {
             let batch = batch_at(step, cfg.batch);
             for (k, w) in ws.iter_mut().enumerate() {
                 let (d, bytes) = digest_of(w, &batch);
                 m_at[k].push(d.m);
+                shipped_events += d.events;
                 if step >= 1 && k == 1 {
                     held.push((d, bytes));
                 } else {
@@ -837,7 +844,7 @@ mod tests {
                 }
             }
         }
-        assert!(core.seal_next(false).unwrap().is_some(), "epoch 1 fresh");
+        let e1 = core.seal_next(false).unwrap().expect("epoch 1 fresh");
         assert!(core.seal_next(false).unwrap().is_none(), "epoch 2 waits");
         let e2 = core.seal_next(true).unwrap().expect("forced");
         assert!(e2.degraded && e2.stale == vec![1]);
@@ -855,12 +862,21 @@ mod tests {
         let batch = batch_at(3, cfg.batch);
         for w in ws.iter_mut() {
             let (d, bytes) = digest_of(w, &batch);
+            shipped_events += d.events;
             core.offer(d, bytes).unwrap();
         }
         let e4 = core.seal_next(false).unwrap().expect("fresh again");
         assert!(!e4.degraded);
         let m_now: u64 = ws.iter().map(WorkerState::m).sum();
         assert_eq!(e4.m, m_now, "exact counters after recovery");
+        // The late digests' events land in the next seal, so the seals
+        // count every shipped event once.
+        assert_eq!(shipped_events, 4 * cfg.batch as u64);
+        assert_eq!(
+            e1.events + e2.events + e3.events + e4.events,
+            shipped_events,
+            "every folded digest's events reach a seal"
+        );
     }
 
     #[test]

@@ -84,7 +84,6 @@ mod exact;
 pub mod parallel;
 mod peel;
 pub mod pool;
-mod refine;
 mod result;
 mod topk;
 pub mod validate;
@@ -93,6 +92,5 @@ pub use approx::{core_approx, CoreApproxResult, ExhaustivePeel, GridPeel, PeelRe
 pub use exact::{DcExact, ExactOptions, ExactReport, FlowExact, SolveContext};
 pub use peel::{peel_at_f64_ratio, peel_at_rational_ratio};
 pub use pool::{auto_threads, PoolScope, PoolStats, WorkerPool};
-pub use refine::refine_to_component;
 pub use result::{DdsSolution, SolveStats};
 pub use topk::{top_k_dense_pairs, TopKSolver};

@@ -51,7 +51,7 @@ pub use builder::GraphBuilder;
 pub use dot::{to_dot, weakly_connected_components};
 pub use error::GraphError;
 pub use graph::DiGraph;
-pub use stats::{degree_histogram, GraphStats};
+pub use stats::GraphStats;
 pub use view::{Pair, StMask};
 
 /// Dense vertex identifier (`0..n`).

@@ -56,17 +56,6 @@ impl GraphStats {
     }
 }
 
-/// Histogram of out-degrees (index = degree, value = vertex count); the
-/// companion for power-law sanity checks in the workload generators.
-#[must_use]
-pub fn degree_histogram(g: &DiGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_out_degree() + 1];
-    for v in 0..g.n() as VertexId {
-        hist[g.out_degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +80,5 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.avg_degree, 0.0);
         assert_eq!(s.reciprocity, 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_n() {
-        let g = crate::gen::out_star(5);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), g.n());
-        assert_eq!(h[5], 1, "the centre");
-        assert_eq!(h[0], 5, "the leaves");
     }
 }

@@ -1,5 +1,7 @@
 //! The admin HTTP endpoint: a minimal hand-rolled HTTP/1.1 listener
-//! serving live introspection for a running serving process.
+//! serving live introspection for a running serving process, and
+//! [`AdminRig`], the serving loop's side of it, which seals each epoch
+//! into what the routes read.
 //!
 //! Routes:
 //!
@@ -27,10 +29,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::slow::escape_json;
-use crate::{Registry, SlowRing};
+use crate::{LagGauges, Registry, SlowRing};
 
 /// How long the listener waits on a request before dropping the
 /// connection (a stuck scraper must not pin the admin thread).
@@ -305,6 +307,123 @@ impl Drop for AdminServer {
     }
 }
 
+/// Slots in an [`AdminRig`]'s slow-op ring.
+const RIG_RING_CAPACITY: usize = 32;
+
+/// The serving loop's side of the introspection plane: the
+/// [`StatusBoard`] the routes read, the slow-op ring, the `dds_lag_*`
+/// staleness gauges, and the optional [`AdminServer`] answering from
+/// them. A loop builds one only when asked to; its absence is the loop's
+/// license never to read the wall clock.
+#[derive(Debug)]
+pub struct AdminRig {
+    /// What `/status` and `/readyz` report.
+    pub board: Arc<StatusBoard>,
+    /// Over-threshold epoch seals (and serve queries, when a query tier
+    /// shares the ring).
+    pub ring: Arc<SlowRing>,
+    /// The staleness gauges, registered when the rig was given a registry.
+    pub lag: LagGauges,
+    /// Held for its lifetime — dropping it shuts the listener down.
+    server: Option<AdminServer>,
+    /// When the previous epoch sealed, for the follow-idle gauge.
+    last_seal: Option<Instant>,
+}
+
+impl AdminRig {
+    /// Builds the plane of a `role` process: a board, a ring keeping
+    /// seals of at least `slow_us` µs, and the lag gauges, registered in
+    /// `registry` when one is given. With `listen`, an [`AdminServer`]
+    /// bound there serves `registry`.
+    ///
+    /// # Errors
+    /// Returns the bind error.
+    ///
+    /// # Panics
+    /// Panics if `listen` comes without a registry for `/metrics`.
+    pub fn start(
+        role: &'static str,
+        slow_us: u64,
+        registry: Option<&Registry>,
+        listen: Option<&str>,
+    ) -> std::io::Result<AdminRig> {
+        let board = Arc::new(StatusBoard::new(role));
+        let ring = Arc::new(SlowRing::new(RIG_RING_CAPACITY, slow_us));
+        let mut lag = LagGauges::standalone();
+        if let Some(reg) = registry {
+            lag.attach_obs(reg);
+        }
+        let server = listen
+            .map(|addr| {
+                let registry = registry.expect("an admin endpoint serves a registry");
+                AdminServer::start(
+                    addr,
+                    registry.clone(),
+                    Arc::clone(&board),
+                    Arc::clone(&ring),
+                )
+            })
+            .transpose()?;
+        Ok(AdminRig {
+            board,
+            ring,
+            lag,
+            server,
+            last_seal: None,
+        })
+    }
+
+    /// The admin endpoint's bound address, when one is serving.
+    #[must_use]
+    pub fn addr(&self) -> Option<SocketAddr> {
+        self.server.as_ref().map(AdminServer::addr)
+    }
+
+    /// Folds one sealed epoch into the board and staleness gauges, and
+    /// records the seal in the slow-op ring if it was over threshold.
+    /// `events` is cumulative, `behind` counts the input bytes past
+    /// `cursor`, the bracket is `(density, lower, upper)`, and
+    /// `sealed_at` is when sealing began.
+    pub fn on_seal(
+        &mut self,
+        epoch: u64,
+        events: u64,
+        cursor: u64,
+        behind: u64,
+        (density, lower, upper): (f64, f64, f64),
+        sealed_at: Instant,
+    ) {
+        let now = Instant::now();
+        let us = u64::try_from(now.duration_since(sealed_at).as_micros()).unwrap_or(u64::MAX);
+        self.ring
+            .record("epoch.seal", us, &format!("epoch={epoch}"));
+        if let Some(prev) = self.last_seal {
+            let idle = sealed_at.saturating_duration_since(prev);
+            self.lag
+                .follow_idle_ms
+                .set(u64::try_from(idle.as_millis()).unwrap_or(u64::MAX));
+        }
+        self.last_seal = Some(now);
+        self.board
+            .record_seal(epoch, events, cursor, density, lower, upper);
+        self.board.set_ready();
+        self.board.set_tail_bytes(behind);
+        self.lag.tail_bytes.set(behind);
+        self.lag
+            .snapshot_age_epochs
+            .set(self.board.snapshot_age_epochs());
+    }
+
+    /// Records a durable snapshot (a checkpoint, or a published query
+    /// snapshot) as the staleness reference point.
+    pub fn on_snapshot(&self, epoch: u64) {
+        self.board.publish_snapshot(epoch);
+        self.lag
+            .snapshot_age_epochs
+            .set(self.board.snapshot_age_epochs());
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     stop: &AtomicBool,
@@ -430,8 +549,8 @@ fn respond(
     stream.flush()
 }
 
-/// A minimal HTTP/1.1 GET client for the admin plane (tests, smokes, and
-/// quick operator checks): returns `(status_code, body)`.
+/// A minimal HTTP/1.1 GET client for the admin plane (tests, the bench
+/// harness, and quick operator checks): returns `(status_code, body)`.
 ///
 /// # Errors
 /// Returns connection/IO errors and malformed status lines as

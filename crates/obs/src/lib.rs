@@ -29,7 +29,7 @@ mod profile;
 mod slow;
 mod trace;
 
-pub use http::{http_get, AdminServer, StatusBoard};
+pub use http::{http_get, AdminRig, AdminServer, StatusBoard};
 pub use profile::{render_folded, render_table, TraceProfile};
 pub use slow::{SlowOp, SlowRing};
 pub use trace::{Span, Tracer};

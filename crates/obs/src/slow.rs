@@ -1,8 +1,8 @@
 //! The slow-op ring: a fixed-capacity, non-blocking record of the
 //! slowest operations seen so far.
 //!
-//! The ring keeps the N slowest over-threshold operations (spans, apply
-//! batches, queries) by duration. Recording never blocks and never waits:
+//! The ring keeps the N slowest over-threshold operations (epoch seals,
+//! serve queries) by duration. Recording never blocks and never waits:
 //! a slot is *claimed* with a single `try_lock` compare-and-swap and
 //! overwritten in place; if the claim races with another writer or a
 //! drain, the record is dropped and counted — an ingest or reader thread
@@ -11,9 +11,9 @@
 //! find-the-minimum scan touches no slot claims at all.
 //!
 //! Feeding is behind a threshold knob: an op shorter than `threshold_us`
-//! costs one compare and returns. With timing off (the deterministic
-//! replay mode) no durations exist, so the ring stays empty and drains
-//! print nothing — byte-identical replays stay byte-identical.
+//! costs one compare and returns. Only an [`crate::AdminRig`] and the
+//! query tier sharing its ring feed it, so a replay without the admin
+//! plane times nothing and stays byte-identical.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +22,7 @@ use std::sync::Mutex;
 /// One recorded slow operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlowOp {
-    /// Operation name (span name, `serve.query`, …).
+    /// Operation name (`epoch.seal`, `serve.query`, …).
     pub name: String,
     /// Free-form context (the query line, batch size, …); may be empty.
     pub detail: String,

@@ -17,10 +17,8 @@
 use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use crate::SlowRing;
 
 struct TracerState {
     seq: u64,
@@ -31,8 +29,6 @@ struct TracerState {
 
 struct TracerInner {
     timing: bool,
-    /// Slow-op sink for timed spans (set once; reads are lock-free).
-    slow: OnceLock<Arc<SlowRing>>,
     state: Mutex<TracerState>,
 }
 
@@ -66,22 +62,12 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 timing,
-                slow: OnceLock::new(),
                 state: Mutex::new(TracerState {
                     seq: 0,
                     stack: Vec::new(),
                     out: writer,
                 }),
             })),
-        }
-    }
-
-    /// Feeds over-threshold timed spans into `ring` as they close. Only
-    /// meaningful on a timing tracer (the deterministic mode never has a
-    /// duration to offer); at most one ring per tracer, first wins.
-    pub fn attach_slow_ring(&self, ring: Arc<SlowRing>) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.slow.set(ring);
         }
     }
 
@@ -161,9 +147,6 @@ impl Tracer {
         if let Some(start) = span.start {
             let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
             let _ = write!(line, ",\"dur_us\":{us}");
-            if let Some(ring) = inner.slow.get() {
-                ring.record(span.name, us, span.fields.strip_prefix(',').unwrap_or(""));
-            }
         }
         line.push_str("}\n");
         let mut state = inner.state.lock().expect("tracer poisoned");
@@ -323,30 +306,6 @@ mod tests {
             s.close();
         });
         assert!(text.contains("\"dur_us\":"), "{text}");
-    }
-
-    #[test]
-    fn timed_spans_feed_the_slow_ring_and_deterministic_ones_do_not() {
-        let ring = Arc::new(SlowRing::new(4, 0));
-        let _ = capture(true, |tracer| {
-            tracer.attach_slow_ring(Arc::clone(&ring));
-            let mut s = tracer.span("work");
-            s.record("epoch", 7);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        });
-        let ops = ring.snapshot();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].name, "work");
-        assert_eq!(ops[0].detail, "\"epoch\":7");
-        assert!(ops[0].dur_us >= 1_000);
-
-        // The deterministic mode never reads the clock, so nothing feeds.
-        let quiet = Arc::new(SlowRing::new(4, 0));
-        let _ = capture(false, |tracer| {
-            tracer.attach_slow_ring(Arc::clone(&quiet));
-            let _s = tracer.span("work");
-        });
-        assert!(quiet.snapshot().is_empty());
     }
 
     #[test]

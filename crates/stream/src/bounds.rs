@@ -16,10 +16,12 @@
 //!   `sqrt(aΔ·bΔ)` density — `E_Δ(S,T) ≤ min(|S|·aΔ, |T|·bΔ)
 //!   ≤ sqrt(|S||T|·aΔ·bΔ)` by AM–GM — so scattered churn consumes almost
 //!   no certificate budget even when thousands of edges have moved;
-//! * [`CertEdges`] — the certified graph's **surviving** edges (present at
-//!   the last certification and not yet deleted/expired) with exact degree
-//!   maxima `aC`/`bC`. Every current edge is a surviving certified edge or
-//!   a delta edge, so `ρ_now ≤ min(ρ₁, sqrt(aC·bC)) + sqrt(aΔ·bΔ)`: as
+//! * [`CertEdges`] — the degrees of the certified graph's **surviving**
+//!   edges (present at the last certification and not yet deleted/expired)
+//!   with exact maxima `aC`/`bC`. Every current edge is a surviving
+//!   certified edge or a delta edge — the surviving edges are exactly the
+//!   live edges minus the delta, so no copy of them is kept — and
+//!   `ρ_now ≤ min(ρ₁, sqrt(aC·bC)) + sqrt(aΔ·bΔ)`: as
 //!   pre-certification edges leave (a sliding window expiring its whole
 //!   ring, say), `aC·bC` falls and the upper bound falls with it — the
 //!   *refund* that keeps the band alive on long windows, where the frozen
@@ -34,6 +36,7 @@ use dds_num::Density;
 use dds_sketch::certify::{structural_upper, CertifiedBounds, WitnessTracker, SAFETY};
 use dds_sketch::{MaxTracker, SketchEngine};
 
+use crate::snapshot::SnapshotError;
 use crate::state::DynamicGraph;
 use crate::witness::denser_pair;
 
@@ -57,12 +60,15 @@ impl DeltaDrift {
 
     /// Records an applied deletion, refunding the drift budget when the
     /// deleted edge postdates the last certification (the bound argument
-    /// only counts inserted-and-still-present edges).
-    fn on_delete(&mut self, u: VertexId, v: VertexId) {
-        if self.inserted.remove(&(u, v)) {
+    /// only counts inserted-and-still-present edges). Returns whether it
+    /// did, that is whether the edge was a delta edge.
+    fn on_delete(&mut self, u: VertexId, v: VertexId) -> bool {
+        let delta = self.inserted.remove(&(u, v));
+        if delta {
             self.out.decr(u as usize);
             self.r#in.decr(v as usize);
         }
+        delta
     }
 
     /// Forgets the delta (a fresh certification just happened).
@@ -82,73 +88,45 @@ impl DeltaDrift {
         (self.out.max(), self.r#in.max())
     }
 
-    /// The delta edges in canonical (sorted) order — the snapshot form.
-    fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
-        let mut edges: Vec<_> = self.inserted.iter().copied().collect();
-        edges.sort_unstable();
-        edges
+    /// Whether `u → v` is a delta edge.
+    fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        self.inserted.contains(&(u, v))
     }
 }
 
-/// The surviving certified edges: the edge set frozen at the last
-/// certification, shrunk as those edges are deleted or expire (see module
-/// docs). Degree maxima are exact (count-of-counts), so the refund bound
-/// `sqrt(aC·bC)` decays monotonically as the certified graph erodes.
+/// The degrees of the surviving certified edges: the graph frozen at the
+/// last certification, shrunk as its edges are deleted or expire (see
+/// module docs). Those edges are the live edges minus the delta, so only
+/// their degree counts are kept. Degree maxima are exact
+/// (count-of-counts), so the refund bound `sqrt(aC·bC)` decays
+/// monotonically as the certified graph erodes.
 #[derive(Clone, Debug, Default)]
 struct CertEdges {
-    present: HashSet<(VertexId, VertexId)>,
     out: MaxTracker,
     r#in: MaxTracker,
 }
 
 impl CertEdges {
-    /// Freezes the current graph as the certified edge set (`O(m)`, run
-    /// once per certification — the same order as the solve it follows).
+    /// Freezes `g` as the certified graph: with the delta empty, its
+    /// degrees are the live graph's.
     fn reset(&mut self, g: &DynamicGraph) {
-        self.present.clear();
-        self.out.clear();
-        self.r#in.clear();
-        for (u, v) in g.edges() {
-            self.present.insert((u, v));
-            self.out.incr(u as usize);
-            self.r#in.incr(v as usize);
-        }
+        let (out, inc) = g.degree_trackers();
+        self.out.clone_from(out);
+        self.r#in.clone_from(inc);
     }
 
-    /// Records an applied deletion/expiry, refunding the certified-degree
-    /// budget when the edge predates the certification. (Re-inserting it
+    /// Records the deletion/expiry of a certified edge (one outside the
+    /// delta), refunding its certified-degree budget. (Re-inserting it
     /// later does *not* restore it here — it re-enters as a delta edge in
     /// [`DeltaDrift`], preserving the C/Δ partition the bound needs.)
     fn on_delete(&mut self, u: VertexId, v: VertexId) {
-        if self.present.remove(&(u, v)) {
-            self.out.decr(u as usize);
-            self.r#in.decr(v as usize);
-        }
+        self.out.decr(u as usize);
+        self.r#in.decr(v as usize);
     }
 
     /// The surviving certified edges' degree maxima `(aC, bC)`.
     fn degree_maxima(&self) -> (u64, u64) {
         (self.out.max(), self.r#in.max())
-    }
-
-    /// The surviving certified edges in canonical (sorted) order — the
-    /// snapshot form.
-    fn edges_sorted(&self) -> Vec<(VertexId, VertexId)> {
-        let mut edges: Vec<_> = self.present.iter().copied().collect();
-        edges.sort_unstable();
-        edges
-    }
-
-    /// Rebuilds the certified edge set from a snapshot's edge list (the
-    /// restore path — [`CertEdges::reset`] freezes a live graph instead).
-    fn restore<I: IntoIterator<Item = (VertexId, VertexId)>>(edges: I) -> Self {
-        let mut cert = CertEdges::default();
-        for (u, v) in edges {
-            cert.present.insert((u, v));
-            cert.out.incr(u as usize);
-            cert.r#in.incr(v as usize);
-        }
-        cert
     }
 }
 
@@ -247,8 +225,9 @@ impl BoundTracker {
     /// Records an applied deletion or expiry (the edge was genuinely
     /// removed).
     pub(crate) fn on_delete(&mut self, u: VertexId, v: VertexId) {
-        self.drift.on_delete(u, v);
-        self.cert.on_delete(u, v);
+        if !self.drift.on_delete(u, v) {
+            self.cert.on_delete(u, v);
+        }
         self.witness.on_delete(u, v);
     }
 
@@ -364,11 +343,13 @@ impl BoundTracker {
         }
     }
 
-    /// The snapshot form of the certificate state: `ρ₁`, the gap, the
-    /// witness pair, and the delta/certified edge sets in canonical order.
+    /// The snapshot form of the certificate state on the live graph `g`:
+    /// `ρ₁`, the gap, the witness pair, the delta edges, and the
+    /// surviving certified edges (`g`'s edges minus the delta).
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot_state(
         &self,
+        g: &DynamicGraph,
     ) -> (
         f64,
         f64,
@@ -380,15 +361,27 @@ impl BoundTracker {
             self.rho_at_cert,
             self.gap_at_cert,
             self.witness.pair(),
-            self.drift.edges_sorted(),
-            self.cert.edges_sorted(),
+            self.drift.inserted.iter().copied().collect(),
+            self.cert_edges(g),
         )
     }
 
-    /// Resumes from snapshot state: `rho_at_cert` is stored
-    /// already-inflated (bit-exact round trip, no double inflation), the
-    /// witness is recounted against the restored graph, and the drift /
-    /// certified-edge trackers are replayed from their edge lists.
+    /// The surviving certified edges: `g`'s edges minus the delta.
+    fn cert_edges(&self, g: &DynamicGraph) -> Vec<(VertexId, VertexId)> {
+        g.edges()
+            .filter(|&(u, v)| !self.drift.contains(u, v))
+            .collect()
+    }
+
+    /// Resumes from snapshot state on the restored graph `g`:
+    /// `rho_at_cert` is stored already-inflated (bit-exact round trip, no
+    /// double inflation), the witness is recounted against `g`, the drift
+    /// is replayed from its edge list, and the certified degrees are `g`'s
+    /// minus the delta's.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError::Format`] when a delta edge is not live in
+    /// `g`, or when `cert_edges` is not exactly `g`'s edges minus the delta.
     pub(crate) fn restore(
         &mut self,
         g: &DynamicGraph,
@@ -396,15 +389,32 @@ impl BoundTracker {
         gap_at_cert: f64,
         witness: Option<Pair>,
         drift_edges: &[(VertexId, VertexId)],
-        cert_edges: Vec<(VertexId, VertexId)>,
-    ) {
+        mut cert_edges: Vec<(VertexId, VertexId)>,
+    ) -> Result<(), SnapshotError> {
         self.rho_at_cert = rho_at_cert;
         self.gap_at_cert = gap_at_cert;
         self.drift.clear();
+        self.cert.reset(g);
         for &(u, v) in drift_edges {
-            self.drift.on_insert(u, v);
+            if !g.has_edge(u, v) {
+                return Err(SnapshotError::Format(format!(
+                    "delta edge {u} -> {v} is not a live edge"
+                )));
+            }
+            if !self.drift.contains(u, v) {
+                self.drift.on_insert(u, v);
+                self.cert.on_delete(u, v);
+            }
         }
-        self.cert = CertEdges::restore(cert_edges);
+        let mut expected = self.cert_edges(g);
+        expected.sort_unstable();
+        cert_edges.sort_unstable();
+        if cert_edges != expected {
+            return Err(SnapshotError::Format(
+                "certified edge list is not the live edges minus the delta".into(),
+            ));
+        }
         self.witness.reset(g.n(), witness, g.edges());
+        Ok(())
     }
 }

@@ -474,7 +474,7 @@ impl StreamEngine {
         w.put_u64(self.metrics.resolve_band.get());
         let mut edges: Vec<_> = self.state.edges().collect();
         w.put_edges(&mut edges);
-        let (rho, gap, witness, mut drift, mut cert) = self.tracker.snapshot_state();
+        let (rho, gap, witness, mut drift, mut cert) = self.tracker.snapshot_state(&self.state);
         w.put_f64(rho);
         w.put_f64(gap);
         w.put_pair(witness);
@@ -499,8 +499,10 @@ impl StreamEngine {
     ///
     /// # Errors
     /// Returns [`SnapshotError::Format`] on malformed bytes, a kind/
-    /// version mismatch, or an edge list violating the simple-graph
-    /// invariants.
+    /// version mismatch, an edge list violating the simple-graph
+    /// invariants, or certificate edge lists that do not partition the
+    /// edge list (a delta edge that is not live, or a certified list other
+    /// than the live edges minus the delta).
     pub fn restore(config: StreamConfig, bytes: &[u8]) -> Result<(Self, u64), SnapshotError> {
         let (mut r, cursor) = SnapshotReader::open(bytes, SnapshotKind::Stream)?;
         let n = r.take_u64()? as usize;
@@ -564,7 +566,7 @@ impl StreamEngine {
         let mut engine = StreamEngine::new(config);
         engine
             .tracker
-            .restore(&state, rho, gap, witness, &drift, cert);
+            .restore(&state, rho, gap, witness, &drift, cert)?;
         engine.state = state;
         engine.sketch = sketch;
         engine.metrics.epochs.store(epoch);
@@ -1000,6 +1002,50 @@ mod tests {
         let err = StreamEngine::restore(StreamConfig::default(), &w.finish())
             .expect_err("out-of-range witness must be rejected");
         assert!(err.to_string().contains("witness vertex 9"), "{err}");
+    }
+
+    /// A stream snapshot of the graph `0 → 1 → 2` certified at density 1,
+    /// with the given delta and certified edge lists.
+    fn snapshot_with_cert_lists(drift: &[(u32, u32)], cert: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(SnapshotKind::Stream, 0);
+        w.put_u64(3); // n
+        for counter in [2, 2, 0, 2, 0, 0, 1, 1] {
+            // epoch, resolves, sketch_resolves, inserts, deletes,
+            // ignored, resolve_cause_cold, resolve_cause_band
+            w.put_u64(counter);
+        }
+        w.put_edges(&mut [(0, 1), (1, 2)]);
+        w.put_f64(1.0); // rho at solve
+        w.put_f64(1.0); // gap
+        w.put_pair(Some(&Pair::new(vec![0], vec![1])));
+        w.put_edges(&mut drift.to_vec());
+        w.put_edges(&mut cert.to_vec());
+        w.put_u8(0); // no sketch
+        w.finish()
+    }
+
+    #[test]
+    fn restore_rejects_cert_lists_that_do_not_partition_the_live_edges() {
+        let restore = |drift: &[(u32, u32)], cert: &[(u32, u32)]| {
+            StreamEngine::restore(
+                StreamConfig::default(),
+                &snapshot_with_cert_lists(drift, cert),
+            )
+        };
+        let bytes = snapshot_with_cert_lists(&[(1, 2)], &[(0, 1)]);
+        let (engine, _) = restore(&[(1, 2)], &[(0, 1)]).expect("live = cert + delta");
+        assert_eq!(engine.snapshot(0), bytes);
+        for (drift, cert, why) in [
+            (&[(5, 6)][..], &[(0, 1), (1, 2)][..], "not a live edge"),
+            (&[(1, 2)][..], &[(0, 1), (1, 2)][..], "minus the delta"),
+            (&[(1, 2)][..], &[][..], "minus the delta"),
+            (&[][..], &[(0, 1)][..], "minus the delta"),
+        ] {
+            match restore(drift, cert) {
+                Err(SnapshotError::Format(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("delta {drift:?}, cert {cert:?} restored: {other:?}"),
+            }
+        }
     }
 
     #[test]

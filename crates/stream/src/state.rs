@@ -85,6 +85,12 @@ impl DynamicGraph {
         self.in_deg.max()
     }
 
+    /// The exact out- and in-degree counters, for a certificate that
+    /// freezes the current degrees.
+    pub(crate) fn degree_trackers(&self) -> (&MaxTracker, &MaxTracker) {
+        (&self.out_deg, &self.in_deg)
+    }
+
     /// Inserts `u → v`. Returns `false` (state unchanged) for self-loops
     /// and already-present edges; vertex ids are still registered so the
     /// vertex count reflects every id the stream mentioned.
