@@ -1693,6 +1693,7 @@ pub fn e18_serve(quick: bool) -> BenchRecord {
 const E19_BATCH: usize = 100;
 
 /// What one E19 replay sealed.
+#[derive(Default)]
 struct AdminReplay {
     epochs: u64,
     resolves: u64,
@@ -1702,106 +1703,138 @@ struct AdminReplay {
     /// Time spent sealing: `engine.apply`, plus the rig's `on_seal` when
     /// one is given — batch assembly and the loop stay out of it.
     seal_wall: Duration,
-    /// The whole replay loop.
-    wall: Duration,
 }
 
-/// Replays `stream` in [`E19_BATCH`]-event epochs on a fresh stream
-/// engine, attached to `registry` when given, sealing every epoch into
-/// `rig` when given as `dds stream --admin` does.
-fn admin_replay(
-    stream: &[TimedEvent],
-    registry: Option<&dds_obs::Registry>,
-    mut rig: Option<&mut dds_obs::AdminRig>,
-) -> AdminReplay {
-    let mut engine = StreamEngine::new(StreamConfig::default());
-    if let Some(reg) = registry {
-        engine.attach_obs(reg);
-    }
-    let (mut epochs, mut events, mut max_factor) = (0u64, 0u64, 1.0f64);
-    let mut seal_wall = Duration::ZERO;
-    let ((), wall) = time(|| {
-        for chunk in stream.chunks(E19_BATCH) {
-            let batch = Batch::from_events(chunk.to_vec());
-            events += chunk.len() as u64;
-            let t0 = std::time::Instant::now();
-            let r = engine.apply(&batch);
-            if let Some(rig) = rig.as_deref_mut() {
-                let bracket = (r.density.to_f64(), r.lower, r.upper);
-                rig.on_seal(r.epoch, events, events, 0, bracket, t0);
-            }
-            seal_wall += t0.elapsed();
-            epochs = r.epoch;
-            max_factor = max_factor.max(r.certified_factor);
+/// One E19 replay in progress: a fresh stream engine, attached to a
+/// registry when given, sealing every epoch into a rig when given as
+/// `dds stream --admin` does.
+struct AdminLane<'a> {
+    engine: StreamEngine,
+    rig: Option<&'a mut dds_obs::AdminRig>,
+    events: u64,
+    run: AdminReplay,
+}
+
+impl<'a> AdminLane<'a> {
+    fn new(registry: Option<&dds_obs::Registry>, rig: Option<&'a mut dds_obs::AdminRig>) -> Self {
+        let mut engine = StreamEngine::new(StreamConfig::default());
+        if let Some(reg) = registry {
+            engine.attach_obs(reg);
         }
-    });
-    AdminReplay {
-        epochs,
-        resolves: engine.resolves(),
-        ready_flips: rig.map_or(0, |rig| rig.board.ready_flips()),
-        max_factor,
-        seal_wall,
-        wall,
+        AdminLane {
+            engine,
+            rig,
+            events: 0,
+            run: AdminReplay {
+                max_factor: 1.0,
+                ..AdminReplay::default()
+            },
+        }
+    }
+
+    /// Seals one epoch of `batch`, timing it into `seal_wall`.
+    fn seal(&mut self, batch: &Batch) {
+        self.events += batch.events.len() as u64;
+        let t0 = std::time::Instant::now();
+        let r = self.engine.apply(batch);
+        if let Some(rig) = self.rig.as_deref_mut() {
+            let bracket = (r.density.to_f64(), r.lower, r.upper);
+            rig.on_seal(r.epoch, self.events, self.events, 0, bracket, t0);
+        }
+        self.run.seal_wall += t0.elapsed();
+        self.run.epochs = r.epoch;
+        self.run.max_factor = self.run.max_factor.max(r.certified_factor);
+    }
+
+    fn finish(mut self) -> AdminReplay {
+        self.run.resolves = self.engine.resolves();
+        self.run.ready_flips = self.rig.map_or(0, |rig| rig.board.ready_flips());
+        self.run
     }
 }
 
-/// One E19 replay with the admin plane live: a registry, an
-/// [`dds_obs::AdminRig`] serving it on an ephemeral port, and `scrapers`
-/// threads, each scraping at least once and pausing `pause` between
-/// scrapes, every scrape checked by [`crate::serve_load::scrape_admin`].
-/// Asserts that readiness flipped exactly once, that the board carries
-/// the sealed epoch, and that a final scrape parses and reconciles with
-/// it. Returns the replay and the scrapers' `/metrics` latencies.
-fn admin_run(stream: &[TimedEvent], scrapers: usize, pause: Duration) -> (AdminReplay, Vec<u64>) {
-    use crate::serve_load::scrape_admin;
-    use dds_obs::{http_get, parse_exposition, AdminRig, Registry};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+/// The admin plane live around a replay: a registry, an
+/// [`dds_obs::AdminRig`] serving it on an ephemeral port, and scraper
+/// threads, each scraping at least once and pausing between scrapes,
+/// every scrape checked by [`crate::serve_load::scrape_admin`].
+struct AdminPlane {
+    registry: dds_obs::Registry,
+    rig: dds_obs::AdminRig,
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    scrapers: Vec<std::thread::JoinHandle<Vec<u64>>>,
+}
 
-    let registry = Registry::new();
-    let mut rig = AdminRig::start("stream", 0, Some(&registry), Some("127.0.0.1:0"))
-        .expect("bind ephemeral admin port");
-    let addr = rig.addr().expect("the rig serves");
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..scrapers)
-        .map(|_| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut ready_seen = false;
-                let mut latencies_us = Vec::new();
-                loop {
-                    latencies_us.push(scrape_admin(addr, &mut ready_seen));
-                    if stop.load(Ordering::Relaxed) {
-                        return latencies_us;
+impl AdminPlane {
+    fn start(scrapers: usize, pause: Duration) -> Self {
+        use crate::serve_load::scrape_admin;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let registry = dds_obs::Registry::new();
+        let rig = dds_obs::AdminRig::start("stream", 0, Some(&registry), Some("127.0.0.1:0"))
+            .expect("bind ephemeral admin port");
+        let addr = rig.addr().expect("the rig serves");
+        let stop = Arc::new(AtomicBool::new(false));
+        let scrapers = (0..scrapers)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut ready_seen = false;
+                    let mut latencies_us = Vec::new();
+                    loop {
+                        latencies_us.push(scrape_admin(addr, &mut ready_seen));
+                        if stop.load(Ordering::Relaxed) {
+                            return latencies_us;
+                        }
+                        std::thread::sleep(pause);
                     }
-                    std::thread::sleep(pause);
-                }
+                })
             })
-        })
-        .collect();
-    let run = admin_replay(stream, Some(&registry), Some(&mut rig));
-    stop.store(true, Ordering::Relaxed);
-    let mut latencies_us = Vec::new();
-    for h in handles {
-        latencies_us.append(&mut h.join().expect("scraper thread"));
+            .collect();
+        AdminPlane {
+            registry,
+            rig,
+            stop,
+            scrapers,
+        }
     }
-    assert_eq!(run.ready_flips, 1, "readiness flips exactly once");
-    assert_eq!(
-        rig.board.epoch(),
-        run.epochs,
-        "board must carry the sealed epoch"
-    );
-    let (code, body) = http_get(addr, "/metrics").expect("final scrape");
-    assert_eq!(code, 200, "final scrape failed");
-    let parsed = parse_exposition(&body).expect("final exposition parses");
-    assert!(
-        parsed
-            .get("dds_stream_epochs_total")
-            .is_some_and(|v| v.as_u64() == Some(run.epochs)),
-        "final scrape must reconcile with {} sealed epochs",
-        run.epochs
-    );
-    (run, latencies_us)
+
+    /// A lane sealing into this plane's rig and registry.
+    fn lane(&mut self) -> AdminLane<'_> {
+        AdminLane::new(Some(&self.registry), Some(&mut self.rig))
+    }
+
+    /// Stops the scrapers once `run` (the lane this plane served) is
+    /// done. Asserts that readiness flipped exactly once, that the board
+    /// carries the sealed epoch, and that a final scrape parses and
+    /// reconciles with it. Returns the scrapers' `/metrics` latencies.
+    fn finish(self, run: &AdminReplay) -> Vec<u64> {
+        use dds_obs::{http_get, parse_exposition};
+
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        let mut latencies_us = Vec::new();
+        for h in self.scrapers {
+            latencies_us.append(&mut h.join().expect("scraper thread"));
+        }
+        assert_eq!(run.ready_flips, 1, "readiness flips exactly once");
+        assert_eq!(
+            self.rig.board.epoch(),
+            run.epochs,
+            "board must carry the sealed epoch"
+        );
+        let addr = self.rig.addr().expect("the rig serves");
+        let (code, body) = http_get(addr, "/metrics").expect("final scrape");
+        assert_eq!(code, 200, "final scrape failed");
+        let parsed = parse_exposition(&body).expect("final exposition parses");
+        assert!(
+            parsed
+                .get("dds_stream_epochs_total")
+                .is_some_and(|v| v.as_u64() == Some(run.epochs)),
+            "final scrape must reconcile with {} sealed epochs",
+            run.epochs
+        );
+        latencies_us
+    }
 }
 
 /// Checks a replay's registry against the replay of `events` events:
@@ -1862,14 +1895,18 @@ fn reconcile_registry(registry: &dds_obs::Registry, run: &AdminReplay, events: u
 /// ingest, never steer it.
 ///
 /// The second table holds the planes to their cost: each of 5 rounds
-/// runs three adjacent replays — detached, with a metrics registry
-/// attached, and with the registry plus the admin rig and one scraper
-/// every 50 ms — and times their seals. In full mode the smallest
+/// replays the stream on three engines at once — detached, with a
+/// metrics registry attached, and with the registry plus the admin rig
+/// and one scraper every 50 ms — applying every batch to the three in
+/// turn, with the one that goes first rotating from batch to batch, and
+/// sums each engine's seal times. In full mode the smallest
 /// attached/detached and the smallest admin/attached ratio must each be
-/// at most 1.02: pairing cancels drift between rounds, and a real
-/// overhead lifts every round while noise rarely lifts all five. Every attached registry must reconcile with its replay: the
-/// exposition parses and survives the atomic file writer, and its
-/// counters cover every epoch and event and at least one re-solve.
+/// at most 1.02: pairing each epoch's seals cancels drift that outlasts
+/// an epoch, and a real overhead lifts every round while noise rarely
+/// lifts all five. Every attached registry must reconcile with its
+/// replay: the exposition parses and survives the atomic file writer,
+/// and its counters cover every epoch and event and at least one
+/// re-solve.
 /// Scrape counts, ring contents and the ratios depend on scheduling, so
 /// they stay out of the record.
 pub fn e19_admin(quick: bool) -> BenchRecord {
@@ -1884,6 +1921,10 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
     );
     let stream = churn_stream(4_000, quick);
     let events = stream.len() as u64;
+    let batches: Vec<Batch> = stream
+        .chunks(E19_BATCH)
+        .map(|chunk| Batch::from_events(chunk.to_vec()))
+        .collect();
     println!("{events} events, n = 400, background m = 4000, block 32x32, batch = {E19_BATCH}");
 
     let mut t = Table::new(
@@ -1896,8 +1937,16 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
     let mut bare_wall = None;
     let mut record = None;
     for scrapers in [0usize, 1, 4] {
-        let (run, latencies_us) = admin_run(&stream, scrapers, Duration::ZERO);
-        let bare = *bare_wall.get_or_insert(run.wall);
+        let mut plane = AdminPlane::start(scrapers, Duration::ZERO);
+        let (run, wall) = time(|| {
+            let mut lane = plane.lane();
+            for batch in &batches {
+                lane.seal(batch);
+            }
+            lane.finish()
+        });
+        let latencies_us = plane.finish(&run);
+        let bare = *bare_wall.get_or_insert(wall);
         t.row(vec![
             scrapers.to_string(),
             run.epochs.to_string(),
@@ -1908,17 +1957,14 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
             percentile(&latencies_us, 50.0).to_string(),
             percentile(&latencies_us, 99.0).to_string(),
             format!("{:.3}", run.max_factor),
-            fmt_duration(run.wall),
-            format!(
-                "{:.2}x",
-                run.wall.as_secs_f64() / bare.as_secs_f64().max(1e-9)
-            ),
+            fmt_duration(wall),
+            format!("{:.2}x", wall.as_secs_f64() / bare.as_secs_f64().max(1e-9)),
         ]);
         if scrapers == 1 {
             record = Some(BenchRecord::new(
                 "e19",
                 quick,
-                run.wall,
+                wall,
                 [
                     ("epochs", run.epochs),
                     ("ready_flips", run.ready_flips),
@@ -1945,11 +1991,21 @@ pub fn e19_admin(quick: bool) -> BenchRecord {
     );
     let (mut best_attached, mut best_admin) = (f64::INFINITY, f64::INFINITY);
     for round in 1..=ROUNDS {
-        let detached = admin_replay(&stream, None, None);
         let registry = Registry::new();
-        let attached = admin_replay(&stream, Some(&registry), None);
+        let mut plane = AdminPlane::start(1, SCRAPE_EVERY);
+        let mut lanes = [
+            AdminLane::new(None, None),
+            AdminLane::new(Some(&registry), None),
+            plane.lane(),
+        ];
+        for (i, batch) in batches.iter().enumerate() {
+            for k in 0..lanes.len() {
+                lanes[(i + k) % lanes.len()].seal(batch);
+            }
+        }
+        let [detached, attached, admin] = lanes.map(AdminLane::finish);
         reconcile_registry(&registry, &attached, events);
-        let (admin, latencies_us) = admin_run(&stream, 1, SCRAPE_EVERY);
+        let latencies_us = plane.finish(&admin);
         let secs = |run: &AdminReplay| run.seal_wall.as_secs_f64();
         let attached_ratio = secs(&attached) / secs(&detached);
         let admin_ratio = secs(&admin) / secs(&attached);

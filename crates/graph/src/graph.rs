@@ -6,7 +6,8 @@ use crate::{GraphBuilder, GraphError, VertexId};
 /// directions.
 ///
 /// The structure is immutable after construction (build one with
-/// [`GraphBuilder`] or [`DiGraph::from_edges`]). Adjacency lists are sorted,
+/// [`GraphBuilder`], [`DiGraph::from_edges`], or from rows already in CSR
+/// order with [`DiGraph::from_sorted_rows`]). Adjacency lists are sorted,
 /// which gives `O(log d)` [`DiGraph::has_edge`] and cache-friendly linear
 /// scans — the access pattern of every peeling loop and flow-network build
 /// in the workspace.
@@ -22,7 +23,8 @@ pub struct DiGraph {
 impl DiGraph {
     /// Assembles a graph from pre-sorted CSR arrays. Internal: callers go
     /// through [`GraphBuilder`], which establishes the invariants (sorted,
-    /// deduplicated, in/out views consistent).
+    /// deduplicated, in/out views consistent), or through
+    /// [`DiGraph::from_sorted_rows`], which checks them in debug builds.
     pub(crate) fn from_csr(
         n: usize,
         out_offsets: Vec<usize>,
@@ -39,6 +41,51 @@ impl DiGraph {
             out_targets,
             in_offsets,
             in_sources,
+        }
+    }
+
+    /// Builds a graph on `n` vertices by copying adjacency rows:
+    /// `out_rows[u]` holds `u`'s out-neighbours and `in_rows[v]` holds
+    /// `v`'s in-neighbours, each sorted ascending without duplicates, and
+    /// the two sides mirror each other (`v` is in `out_rows[u]` iff `u` is
+    /// in `in_rows[v]`). Vertices past the end of a slice get empty rows,
+    /// so the offsets are padded out to `n`.
+    ///
+    /// `O(n + m)` with no sort: for callers that keep their adjacency
+    /// sorted anyway (`dds-stream`'s `DynamicGraph`); everything else goes
+    /// through [`GraphBuilder`]. Debug builds check the invariants.
+    ///
+    /// # Panics
+    /// Panics if either slice holds more than `n` rows.
+    #[must_use]
+    pub fn from_sorted_rows<R: AsRef<[VertexId]>>(n: usize, out_rows: &[R], in_rows: &[R]) -> Self {
+        let (out_offsets, out_targets) = concat_rows(n, out_rows);
+        let (in_offsets, in_sources) = concat_rows(n, in_rows);
+        let g = DiGraph::from_csr(n, out_offsets, out_targets, in_offsets, in_sources);
+        if cfg!(debug_assertions) {
+            g.assert_sorted_mirrored_rows();
+        }
+        g
+    }
+
+    /// The contract of [`DiGraph::from_sorted_rows`]: every row strictly
+    /// ascending with ids below `n`, and every out-edge in its head's
+    /// in-row (with the equal edge counts `from_csr` checks, both sides
+    /// then hold the same edges).
+    fn assert_sorted_mirrored_rows(&self) {
+        let sorted = |row: &[VertexId]| {
+            row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&v| (v as usize) < self.n)
+        };
+        for u in 0..self.n as VertexId {
+            let row = self.out_neighbors(u);
+            assert!(
+                sorted(row) && sorted(self.in_neighbors(u)),
+                "the rows of {u} are not sorted, deduplicated and in range"
+            );
+            for &v in row {
+                let mirrored = self.in_neighbors(v).binary_search(&u).is_ok();
+                assert!(mirrored, "edge {u} -> {v} is missing from in-row {v}");
+            }
         }
     }
 
@@ -206,6 +253,22 @@ impl DiGraph {
     }
 }
 
+/// One CSR direction from `rows`: offsets padded out to `n + 1` and the
+/// rows copied back to back.
+fn concat_rows<R: AsRef<[VertexId]>>(n: usize, rows: &[R]) -> (Vec<usize>, Vec<VertexId>) {
+    assert!(rows.len() <= n, "{} rows for {n} vertices", rows.len());
+    let m = rows.iter().map(|row| row.as_ref().len()).sum();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut flat = Vec::with_capacity(m);
+    offsets.push(0);
+    for row in rows {
+        flat.extend_from_slice(row.as_ref());
+        offsets.push(flat.len());
+    }
+    offsets.resize(n + 1, m);
+    (offsets, flat)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,5 +372,12 @@ mod tests {
         assert_eq!(h.m(), 3);
         assert!(!h.has_edge(0, 1));
         assert!(h.has_edge(3, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "missing from in-row")]
+    fn unmirrored_rows_are_rejected_in_debug_builds() {
+        let _ = DiGraph::from_sorted_rows(3, &[vec![1], vec![]], &[vec![], vec![], vec![0]]);
     }
 }

@@ -7,7 +7,10 @@
 //! graph is materialized **only** when a query type actually needs it:
 //!
 //! * `--core X,Y` recomputes the `[x, y]`-core every epoch (a core is a
-//!   property of the current graph, not of the last solve);
+//!   property of the current graph, not of the last solve). That costs
+//!   one `O(n + m)` copy of the engine's sorted adjacency rows into a CSR
+//!   plus the peel, which starts from the CSR's degrees: `O(n)` when
+//!   `X, Y ≤ 1`, and up to `O(n + m)` when larger thresholds cascade;
 //! * `--topk K` re-runs [`dds_core::top_k_dense_pairs`] only on epochs
 //!   whose certificate was re-established by a solve — between solves the
 //!   list cannot have been re-certified either, so the previous list is

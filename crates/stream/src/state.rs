@@ -2,29 +2,62 @@
 //!
 //! [`dds_graph::DiGraph`] is an immutable CSR — ideal for the solvers,
 //! wrong for per-event mutation. [`DynamicGraph`] is the complementary
-//! representation: a hash edge set plus degree arrays, `O(1)` per update,
-//! materialised into a `DiGraph` only when a solver actually runs.
+//! representation: one sorted out-row and one sorted in-row per vertex,
+//! `O(log d + d)` per update, materialised into a `DiGraph` only when a
+//! solver or a server needs one — by one `O(n + m)` copy of the rows, not
+//! a sort of the edge set.
 
-use std::collections::HashSet;
-
-use dds_graph::{DiGraph, GraphBuilder, VertexId};
+use dds_graph::{DiGraph, VertexId};
 use dds_sketch::MaxTracker;
 
 /// A simple directed graph under edge insertions/deletions.
 ///
-/// Enforces the same invariants as [`GraphBuilder`]: no self-loops, no
-/// parallel edges. Vertex ids grow on demand; `n()` is one past the
-/// largest id ever seen (matching how the solvers index vertices). The
-/// maximum out-/in-degree is maintained exactly in `O(1)` per update
+/// Enforces the same invariants as [`dds_graph::GraphBuilder`]: no
+/// self-loops, no parallel edges. Each vertex keeps its out-neighbours
+/// and its in-neighbours in ascending order, the CSR's own row layout, so
+/// an update is a binary search plus a shift (`O(log d + d)`) and
+/// [`DynamicGraph::materialize`] copies the rows as they stand. Vertex
+/// ids grow on demand; `n()` is one past the largest id ever seen
+/// (matching how the solvers index vertices). The rows reach only as far
+/// as the largest endpoint of an applied insert — ids registered by
+/// no-ops or [`DynamicGraph::ensure_vertices`] allocate nothing — and
+/// `materialize` pads the CSR offsets out to `n()`. The maximum
+/// out-/in-degree is maintained exactly in `O(1)` per update
 /// (count-of-counts), because the engine's structural upper bound
 /// `ρ ≤ sqrt(d⁺_max · d⁻_max)` reads it every batch.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicGraph {
-    edges: HashSet<(VertexId, VertexId)>,
+    /// `out_rows[u]`: `u`'s out-neighbours, ascending.
+    out_rows: Vec<Vec<VertexId>>,
+    /// `in_rows[v]`: `v`'s in-neighbours, ascending; as long as `out_rows`.
+    in_rows: Vec<Vec<VertexId>>,
+    m: usize,
     out_deg: MaxTracker,
     in_deg: MaxTracker,
     n: usize,
     version: u64,
+}
+
+/// Inserts `x` into the ascending `row`; `false` if it is already there.
+fn insert_sorted(row: &mut Vec<VertexId>, x: VertexId) -> bool {
+    match row.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            row.insert(at, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the ascending `row`; `false` if it is not there.
+fn remove_sorted(row: &mut Vec<VertexId>, x: VertexId) -> bool {
+    match row.binary_search(&x) {
+        Ok(at) => {
+            row.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
 }
 
 impl DynamicGraph {
@@ -43,7 +76,7 @@ impl DynamicGraph {
     /// Number of edges currently present.
     #[must_use]
     pub fn m(&self) -> usize {
-        self.edges.len()
+        self.m
     }
 
     /// Mutation counter: bumps on every *applied* insert/delete (no-ops do
@@ -55,10 +88,13 @@ impl DynamicGraph {
         self.version
     }
 
-    /// Whether `u → v` is currently present.
+    /// Whether `u → v` is currently present (a binary search of `u`'s
+    /// out-row).
     #[must_use]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.edges.contains(&(u, v))
+        self.out_rows
+            .get(u as usize)
+            .is_some_and(|row| row.binary_search(&v).is_ok())
     }
 
     /// Current out-degree of `u` (0 for unseen vertices).
@@ -96,9 +132,20 @@ impl DynamicGraph {
     /// vertex count reflects every id the stream mentioned.
     pub fn insert(&mut self, u: VertexId, v: VertexId) -> bool {
         self.n = self.n.max(u as usize + 1).max(v as usize + 1);
-        if u == v || !self.edges.insert((u, v)) {
+        if u == v {
             return false;
         }
+        let len = u.max(v) as usize + 1;
+        if self.out_rows.len() < len {
+            self.out_rows.resize_with(len, Vec::new);
+            self.in_rows.resize_with(len, Vec::new);
+        }
+        if !insert_sorted(&mut self.out_rows[u as usize], v) {
+            return false;
+        }
+        let mirrored = insert_sorted(&mut self.in_rows[v as usize], u);
+        debug_assert!(mirrored, "in-row {v} already held {u}");
+        self.m += 1;
         self.out_deg.incr(u as usize);
         self.in_deg.incr(v as usize);
         self.version += 1;
@@ -109,41 +156,162 @@ impl DynamicGraph {
     /// the snapshot-restore path, where the stored vertex count can
     /// exceed the largest id any surviving edge mentions (ids the stream
     /// once named still count, exactly as [`DynamicGraph::insert`]
-    /// registers no-op endpoints). Never shrinks.
+    /// registers no-op endpoints). Never shrinks, and allocates nothing:
+    /// `n` may come from untrusted snapshot bytes.
     pub fn ensure_vertices(&mut self, n: usize) {
         self.n = self.n.max(n);
     }
 
     /// Deletes `u → v`. Returns `false` (state unchanged) if absent.
     pub fn delete(&mut self, u: VertexId, v: VertexId) -> bool {
-        if !self.edges.remove(&(u, v)) {
+        let Some(row) = self.out_rows.get_mut(u as usize) else {
+            return false;
+        };
+        if !remove_sorted(row, v) {
             return false;
         }
+        let mirrored = remove_sorted(&mut self.in_rows[v as usize], u);
+        debug_assert!(mirrored, "in-row {v} did not hold {u}");
+        self.m -= 1;
         self.out_deg.decr(u as usize);
         self.in_deg.decr(v as usize);
         self.version += 1;
         true
     }
 
-    /// Iterates over the current edges (arbitrary order).
+    /// Iterates over the current edges in ascending `(u, v)` order.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        self.edges.iter().copied()
+        self.out_rows
+            .iter()
+            .enumerate()
+            .flat_map(|(u, row)| row.iter().map(move |&v| (u as VertexId, v)))
     }
 
-    /// Freezes the current state into the immutable CSR the solvers use.
+    /// Freezes the current state into the immutable CSR the solvers use:
+    /// one `O(n + m)` copy of the rows, offsets padded out to `n()`.
     #[must_use]
     pub fn materialize(&self) -> DiGraph {
-        let mut b = GraphBuilder::with_min_vertices(self.n());
-        for &(u, v) in &self.edges {
-            b.add_edge(u, v);
-        }
-        b.build()
+        DiGraph::from_sorted_rows(self.n, &self.out_rows, &self.in_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The model's state: the edge set, the vertex count and the number of
+    /// applied mutations.
+    #[derive(Default)]
+    struct Model {
+        edges: BTreeSet<(VertexId, VertexId)>,
+        n: usize,
+        version: u64,
+    }
+
+    /// Everything `g` reports against `model`: counts, membership on and
+    /// past every row, both degrees and both maxima, the ascending edge
+    /// iterator, and the materialized CSR row for row against the
+    /// builder's graph of the model's edges.
+    fn check_against_model(g: &DynamicGraph, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.m(), model.edges.len());
+        prop_assert_eq!(g.n(), model.n);
+        prop_assert_eq!(g.version(), model.version);
+        let ids = model.n as VertexId + 2;
+        let degree = |side: fn(&(VertexId, VertexId)) -> VertexId, id| {
+            model.edges.iter().filter(|e| side(e) == id).count() as u32
+        };
+        let (mut max_out, mut max_in) = (0u64, 0u64);
+        for a in 0..ids {
+            for b in 0..ids {
+                prop_assert_eq!(
+                    g.has_edge(a, b),
+                    model.edges.contains(&(a, b)),
+                    "{} -> {}",
+                    a,
+                    b
+                );
+            }
+            let (out, inn) = (degree(|e| e.0, a), degree(|e| e.1, a));
+            prop_assert_eq!(g.out_degree(a), out, "out-degree of {}", a);
+            prop_assert_eq!(g.in_degree(a), inn, "in-degree of {}", a);
+            max_out = max_out.max(out.into());
+            max_in = max_in.max(inn.into());
+        }
+        prop_assert_eq!((g.max_out_degree(), g.max_in_degree()), (max_out, max_in));
+        let listed: Vec<_> = g.edges().collect();
+        let expect: Vec<_> = model.edges.iter().copied().collect();
+        prop_assert_eq!(&listed, &expect);
+        let frozen = g.materialize();
+        let built = DiGraph::from_edges(model.n, &expect).expect("model ids are below n");
+        prop_assert_eq!(frozen.n(), built.n());
+        for v in 0..model.n as VertexId {
+            prop_assert_eq!(
+                frozen.out_neighbors(v),
+                built.out_neighbors(v),
+                "out-row {}",
+                v
+            );
+            prop_assert_eq!(
+                frozen.in_neighbors(v),
+                built.in_neighbors(v),
+                "in-row {}",
+                v
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random operation sequences against a `BTreeSet` model, checked
+        /// after every operation: inserts among ids `0..8` (self-loops and
+        /// duplicates included), deletes of ids up to 13 (absent edges and
+        /// ids past every row included), deletes of a present edge, and
+        /// `ensure_vertices` past the largest id.
+        #[test]
+        fn rows_match_a_btreeset_model(
+            ops in prop::collection::vec((0u8..8, 0u32..14, 0u32..14), 1..80),
+        ) {
+            let mut g = DynamicGraph::new();
+            let mut model = Model::default();
+            for (kind, a, b) in ops {
+                let applied = match kind {
+                    0..=3 => {
+                        let (u, v) = (a % 8, b % 8);
+                        model.n = model.n.max(u as usize + 1).max(v as usize + 1);
+                        let fresh = u != v && model.edges.insert((u, v));
+                        prop_assert_eq!(g.insert(u, v), fresh, "insert {} -> {}", u, v);
+                        fresh
+                    }
+                    4 => {
+                        let gone = model.edges.remove(&(a, b));
+                        prop_assert_eq!(g.delete(a, b), gone, "delete {} -> {}", a, b);
+                        gone
+                    }
+                    5 | 6 => {
+                        let pick = (a * 14 + b) as usize % model.edges.len().max(1);
+                        let Some(&(u, v)) = model.edges.iter().nth(pick) else {
+                            continue;
+                        };
+                        model.edges.remove(&(u, v));
+                        prop_assert!(g.delete(u, v), "delete present {} -> {}", u, v);
+                        true
+                    }
+                    _ => {
+                        let n = (a + 8) as usize;
+                        model.n = model.n.max(n);
+                        g.ensure_vertices(n);
+                        false
+                    }
+                };
+                model.version += u64::from(applied);
+                check_against_model(&g, &model)?;
+            }
+        }
+    }
 
     #[test]
     fn insert_delete_roundtrip() {

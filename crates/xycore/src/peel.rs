@@ -4,9 +4,20 @@ use dds_graph::{DiGraph, StMask, VertexId};
 
 /// Computes the `[x, y]`-core of `g` (starting from all vertices on both
 /// sides). See the crate docs for the definition.
+///
+/// Under the full mask the masked counts [`xy_core_within`] takes are
+/// `g`'s own degrees, so the peel starts from the CSR's row lengths in
+/// `O(n)` instead of recounting every edge. The cascade is still
+/// `O(n + m)` at worst; when `x, y ≤ 1` it only removes vertex-sides of
+/// degree 0, which touch no edge, so the whole core costs `O(n)` (the
+/// `--core 1,1` a server recomputes every epoch).
 #[must_use]
 pub fn xy_core(g: &DiGraph, x: u64, y: u64) -> StMask {
-    xy_core_within(g, &StMask::full(g.n()), x, y)
+    let n = g.n();
+    let mask = StMask::full(n);
+    let deg_out = (0..n).map(|u| g.out_degree(u as VertexId) as u64).collect();
+    let deg_in = (0..n).map(|v| g.in_degree(v as VertexId) as u64).collect();
+    peel(g, mask, deg_out, deg_in, x, y)
 }
 
 /// Computes the `[x, y]`-core of the subgraph selected by `base`.
@@ -16,33 +27,43 @@ pub fn xy_core(g: &DiGraph, x: u64, y: u64) -> StMask {
 /// calls this with its current working mask to tighten it as the density
 /// lower bound grows.
 ///
-/// Runs in `O(n + m)`: every vertex-side is removed at most once and each
-/// removal touches its incident edges once.
+/// Runs in `O(n + m)`: counting the degrees under `base` reads every edge
+/// once, every vertex-side is removed at most once, and each removal
+/// touches its incident edges once.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // parallel-array indexing
 pub fn xy_core_within(g: &DiGraph, base: &StMask, x: u64, y: u64) -> StMask {
     let n = g.n();
     debug_assert_eq!(base.in_s.len(), n);
-    let mut mask = base.clone();
+    let mask = base.clone();
 
     // Current S→T out-degrees and S→T in-degrees under the mask.
     let mut deg_out = vec![0u64; n];
     let mut deg_in = vec![0u64; n];
-    for u in 0..n {
-        if mask.in_s[u] {
-            let d = g
-                .out_neighbors(u as VertexId)
-                .iter()
-                .filter(|&&v| mask.in_t[v as usize])
-                .count() as u64;
-            deg_out[u] = d;
-            for &v in g.out_neighbors(u as VertexId) {
-                if mask.in_t[v as usize] {
-                    deg_in[v as usize] += 1;
-                }
+    for u in (0..n).filter(|&u| mask.in_s[u]) {
+        let row = g.out_neighbors(u as VertexId);
+        deg_out[u] = row.iter().filter(|&&v| mask.in_t[v as usize]).count() as u64;
+        for &v in row {
+            if mask.in_t[v as usize] {
+                deg_in[v as usize] += 1;
             }
         }
     }
+    peel(g, mask, deg_out, deg_in, x, y)
+}
+
+/// The cascade shared by both entry points: removes every vertex-side of
+/// `mask` whose degree (`deg_out` on the S side, `deg_in` on the T side,
+/// both counted under `mask`) is below its threshold, until none is left.
+#[allow(clippy::needless_range_loop)] // parallel-array indexing
+fn peel(
+    g: &DiGraph,
+    mut mask: StMask,
+    mut deg_out: Vec<u64>,
+    mut deg_in: Vec<u64>,
+    x: u64,
+    y: u64,
+) -> StMask {
+    let n = g.n();
 
     // Worklist of violating (vertex, side) entries; side false = S-side.
     // A vertex-side enters it once: here if it starts below its

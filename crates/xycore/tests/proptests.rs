@@ -137,12 +137,19 @@ fn pruned_sweep_matches_reference_on_stars_and_bicliques() {
 
 /// `cache` answers every `[x, y]`-core with `x, y ≤ hi` on `g` as a direct
 /// peel does: zero thresholds peel the whole graph, the rest peel inside
-/// the level filter.
+/// the level filter. The direct peel, seeded from the CSR degrees, also
+/// equals a masked peel from the full mask.
 fn assert_cache_matches_peels(cache: &mut CoreCache, g: &DiGraph, hi: u64, what: &str) {
+    let full = StMask::full(g.n());
     for x in 0..=hi {
         for y in 0..=hi {
+            let direct = xy_core(g, x, y);
             assert!(
-                cache.core(g, x, y) == xy_core(g, x, y),
+                direct == xy_core_within(g, &full, x, y),
+                "{what}: the [{x}, {y}]-core from CSR degrees differs from the masked peel"
+            );
+            assert!(
+                cache.core(g, x, y) == direct,
                 "{what}: the cached [{x}, {y}]-core differs from a direct peel"
             );
         }

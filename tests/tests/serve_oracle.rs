@@ -7,24 +7,31 @@
 //! * every `DENSITY` answer reproduces the epoch's bracket and counters
 //!   exactly (same `format!` the server uses — not an epsilon match);
 //! * every `MEMBER` answer agrees with the engine's witness pair;
-//! * every `CORE` answer agrees with a fresh [`xy_core`] of the
-//!   materialized graph;
+//! * every `CORE` answer agrees with an independent reference: a
+//!   `BTreeSet` mirror of the raw events, built by [`DiGraph::from_edges`]
+//!   and peeled by [`xy_core_within`] from the full mask — neither the
+//!   engine's `materialize` nor the publisher's [`dds_xycore::xy_core`];
 //! * answers are internally consistent (no torn reads: one response
 //!   never mixes fields from two epochs, pinned by the epoch id each
 //!   response carries) and epoch ids are strictly monotone across
 //!   publishes.
 //!
+//! The body runs twice: serving the `[1, 1]`-core `dds serve --core 1,1`
+//! serves, and the `[3, 2]`-core, whose peel cascades.
+//!
 //! Concurrency (readers hammering *during* ingestion) is E18's job; this
 //! oracle is deliberately lockstep so every served answer has exactly one
 //! correct value to compare against.
 
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use dds_graph::{DiGraph, StMask, VertexId};
 use dds_serve::{EpochFacts, PublishOptions, Publisher, ServeMetrics, Server, SnapshotCell};
-use dds_stream::{Batch, SolverKind, StreamConfig, StreamEngine};
-use dds_xycore::xy_core;
+use dds_stream::{Batch, Event, SolverKind, StreamConfig, StreamEngine, TimedEvent};
+use dds_xycore::xy_core_within;
 
 struct Client {
     stream: TcpStream,
@@ -62,10 +69,53 @@ fn epoch_of(response: &str) -> u64 {
         .expect("epoch id parses")
 }
 
+/// The raw events folded into an edge set and a vertex count, by the
+/// stream's rules: inserts register both ids, self-loops and duplicates
+/// add no edge, and deleting an absent edge does nothing.
+#[derive(Default)]
+struct Mirror {
+    edges: BTreeSet<(VertexId, VertexId)>,
+    n: usize,
+}
+
+impl Mirror {
+    fn apply(&mut self, events: &[TimedEvent]) {
+        for ev in events {
+            match ev.event {
+                Event::Insert(u, v) => {
+                    self.n = self.n.max(u as usize + 1).max(v as usize + 1);
+                    if u != v {
+                        self.edges.insert((u, v));
+                    }
+                }
+                Event::Delete(u, v) => {
+                    self.edges.remove(&(u, v));
+                }
+            }
+        }
+    }
+
+    /// The mirror's `[x, y]`-core, peeled from the full mask.
+    fn core(&self, x: u64, y: u64) -> StMask {
+        let edges: Vec<_> = self.edges.iter().copied().collect();
+        let graph = DiGraph::from_edges(self.n, &edges).expect("mirror ids are below n");
+        xy_core_within(&graph, &StMask::full(self.n), x, y)
+    }
+}
+
 #[test]
 fn served_answers_match_the_engine_report_for_every_epoch() {
-    const CORE_X: u64 = 1;
-    const CORE_Y: u64 = 1;
+    serve_and_check((1, 1));
+}
+
+#[test]
+fn served_cascading_core_matches_the_reference_for_every_epoch() {
+    serve_and_check((3, 2));
+}
+
+/// Replays the oracle's churn stream in lockstep with a server that
+/// serves the `(core_x, core_y)`-core and checks every answer.
+fn serve_and_check((core_x, core_y): (u64, u64)) {
     let events = dds_bench::churn(100, 600, (8, 8), 3_000, 0x5EED);
 
     let mut engine = StreamEngine::new(StreamConfig {
@@ -80,7 +130,7 @@ fn served_answers_match_the_engine_report_for_every_epoch() {
     let mut publisher = Publisher::new(
         Arc::clone(&cell),
         PublishOptions {
-            core: Some((CORE_X, CORE_Y)),
+            core: Some((core_x, core_y)),
             top_k: 2,
         },
         Arc::clone(&metrics),
@@ -96,9 +146,11 @@ fn served_answers_match_the_engine_report_for_every_epoch() {
         "OK DENSITY epoch=0 n=0 m=0 density=0.000000 lower=0.000000 upper=0.000000"
     );
 
-    let mut last_epoch = 0u64;
+    let mut mirror = Mirror::default();
+    let (mut last_epoch, mut core_epochs) = (0u64, 0u64);
     for chunk in events.chunks(50) {
         let r = engine.apply(&Batch::from_events(chunk.to_vec()));
+        mirror.apply(chunk);
         publisher.publish(
             EpochFacts {
                 epoch: r.epoch,
@@ -160,16 +212,15 @@ fn served_answers_match_the_engine_report_for_every_epoch() {
             );
         }
 
-        // CORE: sampled vertices agree with a fresh xy_core of the
-        // materialized graph (the publisher's own recompute path).
-        let graph = engine.materialize();
-        let mask = xy_core(&graph, CORE_X, CORE_Y);
-        for v in (0..r.n).step_by((r.n / 5).max(1)) {
-            let response = client.query(&format!("CORE {CORE_X} {CORE_Y} {v}"));
+        // CORE: every vertex agrees with the mirror's core.
+        assert_eq!(mirror.n, r.n, "epoch {}: vertex count", r.epoch);
+        assert_eq!(mirror.edges.len(), r.m, "epoch {}: edge count", r.epoch);
+        let mask = mirror.core(core_x, core_y);
+        core_epochs += u64::from(!mask.is_empty());
+        for v in 0..r.n {
+            let response = client.query(&format!("CORE {core_x} {core_y} {v}"));
             assert_eq!(epoch_of(&response), r.epoch, "torn read: {response}");
-            let in_s = mask.in_s.get(v).copied().unwrap_or(false);
-            let in_t = mask.in_t.get(v).copied().unwrap_or(false);
-            let want = match (in_s, in_t) {
+            let want = match (mask.in_s[v], mask.in_t[v]) {
                 (true, true) => "BOTH",
                 (true, false) => "S",
                 (false, true) => "T",
@@ -178,7 +229,7 @@ fn served_answers_match_the_engine_report_for_every_epoch() {
             assert_eq!(
                 response,
                 format!(
-                    "OK CORE epoch={} x={CORE_X} y={CORE_Y} v={v} side={want}",
+                    "OK CORE epoch={} x={core_x} y={core_y} v={v} side={want}",
                     r.epoch
                 ),
                 "epoch {}",
@@ -210,18 +261,22 @@ fn served_answers_match_the_engine_report_for_every_epoch() {
 
         // A core the publisher does not maintain is an ERR naming the
         // served one — never a silent wrong answer.
-        let mismatch = client.query(&format!("CORE {} {} 0", CORE_X + 7, CORE_Y));
+        let mismatch = client.query(&format!("CORE {} {} 0", core_x + 7, core_y));
         assert!(
             mismatch.starts_with(&format!("ERR epoch={}", r.epoch)),
             "{mismatch}"
         );
         assert!(
-            mismatch.contains(&format!("serving [{CORE_X},{CORE_Y}]")),
+            mismatch.contains(&format!("serving [{core_x},{core_y}]")),
             "{mismatch}"
         );
     }
 
     assert!(last_epoch >= 10, "the stream must produce real epochs");
+    assert!(
+        core_epochs > 0,
+        "an empty [{core_x}, {core_y}]-core at every epoch checks nothing"
+    );
     assert_eq!(
         metrics.publishes.get(),
         last_epoch,
