@@ -11,20 +11,24 @@
 //!
 //!   1. **structural band** — a pair with ratio `c'` has
 //!      `ρ ≤ min(d⁺max·√c', d⁻max/√c')` (each side's edges are bounded by
-//!      its size times the opposite max degree), so intervals entirely
-//!      outside `[ρ̃²/d⁺max², d⁻max²/ρ̃²]` are discarded with an exact
-//!      rational comparison, and test ratios are jumped into the band;
+//!      its size times the opposite max degree), so no ratio outside
+//!      `[ρ̃²/d⁺max², d⁻max²/ρ̃²]` can beat the best density ρ̃; intervals
+//!      entirely outside are discarded with an exact rational comparison;
 //!   2. **γ transfer certificates** — a per-ratio certificate
 //!      "`β*(c₀) ≤ u`" implies, for every pair of ratio `c'`,
 //!      `ρ ≤ (u/√(a₀b₀))·γ(c₀, c')` with
-//!      `γ(c, c') = (√(c'/c) + √(c/c'))/2`; an interval whose endpoints
-//!      stay below the best density is pruned. The comparison runs in `f64`
-//!      with a relative safety margin; when it lands inside the margin —
-//!      the regime where a bound *ties* the incumbent — an **exact integer
-//!      comparison** decides it, so intervals that cannot *strictly* beat
-//!      the incumbent are discarded too (see [`ExactOptions::tie_pruning`];
-//!      without it, the tree spine adjacent to the optimum's own ratio ties
-//!      forever and `Θ(n)` hopeless ratios get solved);
+//!      `γ(c, c') = (√(c'/c) + √(c/c'))/2`, a bound that stays below ρ̃ on
+//!      a closed range of ratios around `c₀`. The band's two sides and
+//!      every certificate's range act as one union of **dead zones**
+//!      ([`DeadZones`], `f64` with safety margins): an interval the union
+//!      covers is pruned even when no single zone covers it, and an
+//!      interval it leaves open is split at a live ratio. A certificate
+//!      that *ties* the incumbent adds no zone; an **exact integer
+//!      comparison** decides it instead, so intervals that cannot
+//!      *strictly* beat the incumbent are discarded too (see
+//!      [`ExactOptions::tie_pruning`]; without it, the tree spine adjacent
+//!      to the optimum's own ratio ties forever and `Θ(n)` hopeless ratios
+//!      get solved);
 //!   3. **seeds and cores** — each per-ratio search is Newton's iteration
 //!      from the best β-value over the incumbent and the maximisers of the
 //!      interval's two solved endpoints, carried on the queued interval,
@@ -44,8 +48,8 @@
 //! matches the classic breadth-first walk). All workers share:
 //!
 //! * the **incumbent** — best pair + exact density, under a mutex, with its
-//!   `f64` image additionally published through an atomic so the γ fast
-//!   path never locks;
+//!   `f64` image additionally published through an atomic, so the dead
+//!   zones follow a sibling's improvement at once;
 //! * the **certificate list** — one entry per solved ratio (RwLock); the
 //!   maximisers that seed the per-ratio searches ride on the queued
 //!   intervals instead, so they are dropped with the subtree that needs
@@ -58,10 +62,13 @@
 //! strictly inside an interval is a Stern–Brocot descendant of the
 //! *simplest* ratio inside it, and descent only grows both components, so
 //! "simplest exceeds `n`" certifies the interval holds no candidate. The
-//! solved ratio itself may be chosen anywhere inside the interval — by
-//! default the simplest, but jumped into the structural density band when
-//! that clips the interval (see [`choose_test_ratio`]) — because the two
-//! child intervals still cover everything else.
+//! solved ratio itself may be chosen anywhere inside the interval, because
+//! the two child intervals still cover everything else. By default it is
+//! the simplest, jumped into the structural density band when that clips
+//! the interval (see [`choose_test_ratio`]); with γ-pruning on, a choice
+//! that a dead zone holds moves to the simplest ratio of the first live
+//! gap, so the search never pays a flow for a ratio its certificates
+//! already rule out.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -87,7 +94,9 @@ pub struct ExactOptions {
     pub divide_and_conquer: bool,
     /// Run each flow decision on the guess-derived `[x, y]`-core.
     pub core_pruning: bool,
-    /// Prune ratio intervals with γ transfer certificates.
+    /// Prune ratio intervals with γ transfer certificates, united with the
+    /// structural band into dead zones, and solve only ratios they leave
+    /// open.
     pub gamma_pruning: bool,
     /// Seed the best density with `core_approx` before any flow.
     pub warm_start: bool,
@@ -124,11 +133,12 @@ pub struct ExactReport {
     pub ratios_solved: usize,
     /// Intervals discarded by the structural density band.
     pub ratios_pruned_structural: usize,
-    /// Intervals discarded by γ transfer certificates (includes the exact
-    /// tie prunes counted separately in `ratios_pruned_tie`).
+    /// Intervals discarded by the union of dead zones, which the γ
+    /// certificates and the band's two sides form together (includes the
+    /// exact tie prunes counted separately in `ratios_pruned_tie`).
     pub ratios_pruned_gamma: usize,
     /// Subset of the γ prunes that only the exact tie comparison could
-    /// discard (the `f64` fast path was inconclusive).
+    /// discard (the dead zones left the interval open).
     pub ratios_pruned_tie: usize,
     /// Total flow decisions executed.
     pub flow_decisions: usize,
@@ -191,7 +201,7 @@ impl ExactReport {
 
 /// A certificate `β*(c₀) ≤ bound` for ratio `c₀ = a₀/b₀`: the exact
 /// rational bound for the tie test, plus pre-divided `f64` images for the
-/// lock-free fast path.
+/// dead zones.
 #[derive(Clone, Copy, Debug)]
 struct Certificate {
     a0: u64,
@@ -206,6 +216,19 @@ struct Certificate {
     g0: f64,
 }
 
+impl Certificate {
+    fn new(c: Ratio, bound: Frac) -> Self {
+        let ab = (c.a() as f64) * (c.b() as f64);
+        Certificate {
+            a0: c.a(),
+            b0: c.b(),
+            bound,
+            c0: c.to_f64(),
+            g0: (bound.to_f64() / ab.sqrt()) * (1.0 + PRUNE_MARGIN),
+        }
+    }
+}
+
 /// `γ(c, c') = (√(c'/c) + √(c/c'))/2`; `∞` at the virtual endpoints.
 fn gamma(c0: f64, c_prime: f64) -> f64 {
     if c_prime <= 0.0 || c_prime.is_infinite() {
@@ -218,17 +241,141 @@ fn gamma(c0: f64, c_prime: f64) -> f64 {
 /// γ values carry ~1e-15 relative error, so 1e-9 is vastly conservative.
 const PRUNE_MARGIN: f64 = 1e-9;
 
+/// Relative amount by which each dead-zone end is pulled inward, so the
+/// rounding of `r²` and of the band edges cannot push a zone past the
+/// ratios it provably rules out.
+const ZONE_SHRINK: f64 = 1e-12;
+
 /// Width of the ambiguous band around the incumbent in which the `f64`
 /// comparison abstains and the exact integer tie test decides. Only a
 /// conservative trigger — the exact test alone is correctness-bearing.
 const TIE_BAND: f64 = 1e-6;
 
-/// What a γ-certificate sweep concluded about an interval.
+/// The ratios `c'` at which no pair can strictly beat the incumbent
+/// density `ρ̃`, as sorted, disjoint, closed `f64` intervals:
+///
+/// * the structural band's two sides, `c' ≤ ρ̃²/d⁺max²` and
+///   `c' ≥ d⁻max²/ρ̃²` (see [`structurally_pruned`]);
+/// * per certificate `(c₀, g₀)`, the range where its transfer bound
+///   `g₀·γ(c₀, c')` stays below `ρ̃`. With `x = √(c'/c₀)` that is
+///   `x + 1/x < 2t` for `t = ρ̃/g₀`, i.e. `c' ∈ [c₀/r², c₀·r²]` with
+///   `r = t + √(t² − 1)`, non-empty only when `t > 1`. `t` carries
+///   [`PRUNE_MARGIN`] on both `ρ̃` and `g₀`, so a certificate that ties
+///   the incumbent in `f64` contributes no zone and is left to the exact
+///   tie test.
+///
+/// Every zone end is pulled inward by [`ZONE_SHRINK`]. An interval the
+/// union covers holds no ratio that can beat `ρ̃`, though no single zone
+/// may cover it; γ is infinite at the virtual endpoints `0` and `∞`, so
+/// only the band zones reach them.
+struct DeadZones(Vec<(f64, f64)>);
+
+impl DeadZones {
+    /// The merged zones of the band and of every certificate against the
+    /// incumbent density `rho` (none when there is no incumbent yet).
+    fn new(certs: &[Certificate], rho: f64, d_out_max: u64, d_in_max: u64) -> Self {
+        let mut zones = Vec::with_capacity(certs.len() + 2);
+        if rho > 0.0 {
+            let (d_out, d_in) = (d_out_max as f64, d_in_max as f64);
+            let rho2 = rho * rho;
+            zones.push((0.0, rho2 / (d_out * d_out) * (1.0 - ZONE_SHRINK)));
+            zones.push((d_in * d_in / rho2 * (1.0 + ZONE_SHRINK), f64::INFINITY));
+            let target = rho * (1.0 - PRUNE_MARGIN) / (1.0 + PRUNE_MARGIN);
+            zones.extend(certs.iter().filter_map(|cert| cert_zone(cert, target)));
+        }
+        zones.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(zones.len());
+        for (lo, hi) in zones {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        DeadZones(merged)
+    }
+
+    /// `true` when one merged zone holds the whole open interval
+    /// `(cl, cr)`.
+    fn cover(&self, cl: Ratio, cr: Ratio) -> bool {
+        let (lo, hi) = (cl.to_f64(), cr.to_f64());
+        self.0.iter().any(|&(zl, zh)| zl <= lo && hi <= zh)
+    }
+
+    /// The ratio to solve inside `(cl, cr)`: `choice` when no zone holds
+    /// it, else the simplest ratio with components `≤ n` in the first
+    /// live gap that has one. Any ratio strictly inside the interval is a
+    /// valid split, so this only steers the search; `choice` stays when
+    /// every gap is too narrow to hold a candidate.
+    fn live_ratio(&self, cl: Ratio, cr: Ratio, choice: Ratio, n: u64) -> Ratio {
+        let c = choice.to_f64();
+        if !self.0.iter().any(|&(zl, zh)| zl <= c && c <= zh) {
+            return choice;
+        }
+        self.gaps(cl.to_f64(), cr.to_f64())
+            .find_map(|(lo, hi)| simplest_in(lo, hi, n))
+            .filter(|&c| cl < c && c < cr)
+            .unwrap_or(choice)
+    }
+
+    /// The open sub-intervals of `(lo, hi)` that no zone touches, in
+    /// order.
+    fn gaps(&self, lo: f64, hi: f64) -> impl Iterator<Item = (f64, f64)> + '_ {
+        let mut from = lo;
+        self.0
+            .iter()
+            .copied()
+            .chain([(hi, hi)])
+            .filter_map(move |(zl, zh)| {
+                let gap = (from, zl.min(hi));
+                from = from.max(zh);
+                (gap.0 < gap.1).then_some(gap)
+            })
+    }
+}
+
+/// The zone `[c₀/r², c₀·r²]` where `cert`'s transfer bound stays below
+/// `target` (see [`DeadZones`]), shrunk by [`ZONE_SHRINK`].
+fn cert_zone(cert: &Certificate, target: f64) -> Option<(f64, f64)> {
+    let t = target / cert.g0;
+    if t <= 1.0 {
+        return None;
+    }
+    let r = t + (t * t - 1.0).sqrt();
+    let r2 = r * r;
+    Some((
+        cert.c0 / r2 * (1.0 + ZONE_SHRINK),
+        cert.c0 * r2 * (1.0 - ZONE_SHRINK),
+    ))
+}
+
+/// The simplest ratio (smallest components) whose `f64` value lies
+/// strictly inside `(lo, hi)`, or `None` when it needs a component above
+/// `n`: a Stern–Brocot descent, at most `2n` steps, which rounding cannot
+/// misorder because it is monotone.
+fn simplest_in(lo: f64, hi: f64, n: u64) -> Option<Ratio> {
+    let (mut left, mut right) = ((0, 1), (1, 0));
+    loop {
+        let (a, b) = (left.0 + right.0, left.1 + right.1);
+        if a > n || b > n {
+            return None;
+        }
+        let m = a as f64 / b as f64;
+        if m <= lo {
+            left = (a, b);
+        } else if m >= hi {
+            right = (a, b);
+        } else {
+            return Some(Ratio::new(a, b));
+        }
+    }
+}
+
+/// What the γ rules concluded about an interval.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PruneVerdict {
-    /// No certificate rules the interval out.
-    Keep,
-    /// The `f64` fast path pruned it (bound strictly below the incumbent).
+    /// No rule covers the interval; solve this ratio.
+    Keep(Ratio),
+    /// The dead-zone union covers it.
     Gamma,
     /// Only the exact tie comparison could prune it (bound ties the
     /// incumbent, or sits within float noise of it).
@@ -278,44 +425,45 @@ fn transfer_cannot_beat(cert: &Certificate, c: Ratio, best: Density) -> bool {
     cmp_prod3(lhs, lhs, st, rhs, rhs, pq) != std::cmp::Ordering::Greater
 }
 
-/// Sweeps the certificate list over interval `(cl, cr)`.
+/// Judges interval `(cl, cr)` by the band and the certificate list, and
+/// picks the ratio to solve when neither rules it out.
 ///
 /// `best` is the worker's exact incumbent snapshot; `best_floor` is the
 /// freshest published `f64` lower bound (the atomic incumbent floor — in
-/// the parallel engine it may already exceed the snapshot).
+/// the parallel engine it may already exceed the snapshot). `choice` is
+/// [`choose_test_ratio`]'s pick, kept unless a zone holds it.
+#[allow(clippy::too_many_arguments)] // the interval, the incumbent and the band
 fn gamma_prunes(
     certs: &[Certificate],
-    cl: Ratio,
-    cr: Ratio,
+    (cl, cr): (Ratio, Ratio),
     best: Density,
     best_floor: f64,
+    (d_out_max, d_in_max): (u64, u64),
+    choice: Ratio,
+    n: u64,
     tie_pruning: bool,
 ) -> PruneVerdict {
     let best_f = best_floor.max(best.to_f64());
-    if best_f <= 0.0 {
-        return PruneVerdict::Keep;
+    let zones = DeadZones::new(certs, best_f, d_out_max, d_in_max);
+    if zones.cover(cl, cr) {
+        return PruneVerdict::Gamma;
     }
+    // Inside the float-noise band around the incumbent the zones cannot
+    // distinguish "ties" (prunable — a tie can never *strictly* improve
+    // the answer) from "a hair above" (must solve). The exact integer
+    // comparison against the snapshot density decides; γ is quasi-convex
+    // in c', so checking both endpoints covers the whole interval.
     let (cl_f, cr_f) = (cl.to_f64(), cr.to_f64());
-    for cert in certs {
+    let tied = |cert: &Certificate| {
         let ub = cert.g0 * gamma(cert.c0, cl_f).max(gamma(cert.c0, cr_f));
-        if ub * (1.0 + PRUNE_MARGIN) <= best_f * (1.0 - PRUNE_MARGIN) {
-            return PruneVerdict::Gamma;
-        }
-        // Inside the float-noise band around the incumbent the fast path
-        // cannot distinguish "ties" (prunable — a tie can never *strictly*
-        // improve the answer) from "a hair above" (must solve). The exact
-        // integer comparison against the snapshot density decides; γ is
-        // quasi-convex in c', so checking both endpoints covers the whole
-        // interval.
-        if tie_pruning
-            && ub <= best_f * (1.0 + TIE_BAND)
+        ub <= best_f * (1.0 + TIE_BAND)
             && transfer_cannot_beat(cert, cl, best)
             && transfer_cannot_beat(cert, cr, best)
-        {
-            return PruneVerdict::Tie;
-        }
+    };
+    if tie_pruning && certs.iter().any(tied) {
+        return PruneVerdict::Tie;
     }
-    PruneVerdict::Keep
+    PruneVerdict::Keep(zones.live_ratio(cl, cr, choice, n))
 }
 
 /// The simplest ratio (componentwise-minimal) strictly inside `(cl, cr)`;
@@ -471,8 +619,8 @@ struct Search<'g> {
     /// Exact incumbent: best pair + density (achieved, hence a sound prune
     /// reference at all times).
     incumbent: Mutex<DdsSolution>,
-    /// `f64` image of the incumbent density, published lock-free so the γ
-    /// fast path and sibling workers see improvements immediately.
+    /// `f64` image of the incumbent density, published lock-free so the
+    /// dead zones of sibling workers see improvements immediately.
     floor_bits: AtomicU64,
     certs: RwLock<Vec<Certificate>>,
     metrics: Mutex<Metrics>,
@@ -568,18 +716,10 @@ impl<'g> Search<'g> {
             }
         }
         if tighten {
-            let bound = outcome.certified_upper;
-            let ab = (c.a() as f64) * (c.b() as f64);
             self.certs
                 .write()
                 .expect("certs poisoned")
-                .push(Certificate {
-                    a0: c.a(),
-                    b0: c.b(),
-                    bound,
-                    c0: c.to_f64(),
-                    g0: (bound.to_f64() / ab.sqrt()) * (1.0 + PRUNE_MARGIN),
-                });
+                .push(Certificate::new(c, outcome.certified_upper));
         }
         let maximizer = outcome.maximizer.map(Arc::new);
         if let Some(pair) = maximizer
@@ -616,7 +756,7 @@ impl<'g> Search<'g> {
         cores: &Mutex<&mut CoreCache>,
     ) -> Option<[Interval; 2]> {
         let best = self.incumbent.lock().expect("incumbent poisoned").clone();
-        let c = choose_test_ratio(cl, cr, &best, self.d_out_max, self.d_in_max, self.n)?;
+        let mut c = choose_test_ratio(cl, cr, &best, self.d_out_max, self.d_in_max, self.n)?;
         {
             self.metrics
                 .lock()
@@ -635,14 +775,18 @@ impl<'g> Search<'g> {
                 let certs = self.certs.read().expect("certs poisoned");
                 gamma_prunes(
                     &certs,
-                    cl,
-                    cr,
+                    (cl, cr),
                     best.density,
                     self.floor(),
+                    (self.d_out_max, self.d_in_max),
+                    c,
+                    self.n,
                     self.opts.tie_pruning,
                 )
             };
-            if verdict != PruneVerdict::Keep {
+            if let PruneVerdict::Keep(live) = verdict {
+                c = live;
+            } else {
                 let mut m = self.metrics.lock().expect("metrics poisoned");
                 m.pruned_gamma += 1;
                 if verdict == PruneVerdict::Tie {
@@ -1172,6 +1316,183 @@ mod tests {
         assert_eq!(r.solution.density, Density::new(1, 1, 1));
         assert_eq!(r.solution.pair.s(), &[0]);
         assert_eq!(r.solution.pair.t(), &[1]);
+    }
+
+    /// A certificate at `a/b` whose transfer factor is `g₀ = g` exactly
+    /// (`a·b` a perfect square keeps the bound rational).
+    fn cert(a: u64, b: u64, g: i128) -> Certificate {
+        let root = (a * b).isqrt();
+        assert_eq!(root * root, a * b, "a·b must be a perfect square");
+        Certificate::new(Ratio::new(a, b), Frac::from(g * i128::from(root)))
+    }
+
+    fn r(a: u64, b: u64) -> Ratio {
+        Ratio::new(a, b)
+    }
+
+    /// ρ̃ = 10; with `g₀ = 9`, `t = 10/9` and `r² ≈ 2.545`, so each zone is
+    /// about `[c₀/2.545, 2.545·c₀]`.
+    const RHO: Density = Density {
+        edges: 10,
+        s: 1,
+        t: 1,
+    };
+
+    /// A band wide enough (`[10⁻⁴, 10⁴]`) to stay out of the way.
+    const WIDE: (u64, u64) = (1_000, 1_000);
+
+    fn verdict(certs: &[Certificate], cl: Ratio, cr: Ratio, band: (u64, u64)) -> PruneVerdict {
+        let choice = simplest_ratio_between(cl, cr);
+        gamma_prunes(certs, (cl, cr), RHO, 0.0, band, choice, 100, true)
+    }
+
+    #[test]
+    fn zones_that_tile_an_interval_prune_it() {
+        let (a, b) = (cert(1, 1, 9), cert(4, 1, 9)); // [0.39, 2.55] and [1.57, 10.2]
+        let (cl, cr) = (r(1, 2), r(8, 1));
+        let zones = |certs: &[Certificate]| DeadZones::new(certs, 10.0, WIDE.0, WIDE.1);
+        assert!(!zones(&[a]).cover(cl, cr));
+        assert!(!zones(&[b]).cover(cl, cr));
+        assert!(zones(&[a, b]).cover(cl, cr));
+        assert_eq!(verdict(&[a, b], cl, cr, WIDE), PruneVerdict::Gamma);
+        assert_eq!(verdict(&[a], cl, cr, WIDE), PruneVerdict::Keep(r(3, 1)));
+    }
+
+    #[test]
+    fn a_gap_between_zones_keeps_the_interval_and_gets_the_test_ratio() {
+        // [0.39, 2.55] and [6.29, 40.7]: the gap between them is live, and
+        // the default choice 1 sits inside the first zone.
+        let certs = [cert(1, 1, 9), cert(16, 1, 9)];
+        let (cl, cr) = (r(1, 2), r(20, 1));
+        assert_eq!(simplest_ratio_between(cl, cr), Ratio::ONE);
+        assert_eq!(verdict(&certs, cl, cr, WIDE), PruneVerdict::Keep(r(3, 1)));
+        // A live choice stays.
+        let zones = DeadZones::new(&certs, 10.0, WIDE.0, WIDE.1);
+        assert_eq!(zones.live_ratio(cl, cr, r(9, 2), 100), r(9, 2));
+        // A gap that holds no ratio with components ≤ n keeps the choice:
+        // with `n = 2` the candidates are 1/2, 1 and 2.
+        assert_eq!(zones.live_ratio(cl, cr, Ratio::ONE, 2), Ratio::ONE);
+    }
+
+    #[test]
+    fn intervals_touching_the_virtual_ends_die_by_the_band() {
+        // Band [1/16, 16] at ρ̃ = 10 with d⁺max = d⁻max = 40; γ is infinite
+        // at 0 and ∞, so no certificate zone reaches them.
+        let band = (40, 40);
+        let certs = [
+            cert(1, 9, 9), // [0.044, 0.28]
+            cert(1, 4, 9), // [0.098, 0.64]
+            cert(4, 1, 9), // [1.57, 10.2]
+            cert(9, 1, 9), // [3.54, 22.9]
+        ];
+        for (cl, cr) in [(Ratio::ZERO, r(1, 2)), (r(2, 1), Ratio::INFINITY)] {
+            assert!(!structurally_pruned(
+                cl,
+                cr,
+                &DdsSolution {
+                    pair: Pair::new(vec![0], vec![1]),
+                    density: RHO,
+                },
+                band.0,
+                band.1
+            ));
+            assert_eq!(verdict(&certs, cl, cr, band), PruneVerdict::Gamma);
+            assert!(matches!(
+                verdict(&certs, cl, cr, WIDE),
+                PruneVerdict::Keep(_)
+            ));
+        }
+        // With no incumbent there are no zones at all.
+        assert!(DeadZones::new(&certs, 0.0, band.0, band.1).0.is_empty());
+    }
+
+    #[test]
+    fn a_tied_certificate_adds_no_zone_and_the_exact_test_decides() {
+        // Incumbent: a 2×2 block, ρ̃ = 2 at ratio 1. A certificate
+        // β*(1) = 2 ties ρ̃: no zone. A certificate β*(1/2) = 8/3 (the
+        // block's β there) has a transfer bound that reaches ρ̃ exactly at
+        // 1, so its zone stops short of 1 and only the exact test prunes
+        // (1/2, 1).
+        let best = Density::new(4, 2, 2);
+        let target = 2.0 * (1.0 - PRUNE_MARGIN) / (1.0 + PRUNE_MARGIN);
+        let tied = Certificate::new(Ratio::ONE, Frac::from(2u64));
+        assert_eq!(cert_zone(&tied, target), None);
+        assert_eq!(DeadZones::new(&[tied], 2.0, WIDE.0, WIDE.1).0.len(), 2);
+        let half = Certificate::new(r(1, 2), Frac::new(8, 3));
+        let (cl, cr) = (r(1, 2), Ratio::ONE);
+        assert!(!DeadZones::new(&[half], 2.0, WIDE.0, WIDE.1).cover(cl, cr));
+        let choice = simplest_ratio_between(cl, cr);
+        let judge = |tie| gamma_prunes(&[half], (cl, cr), best, 0.0, WIDE, choice, 100, tie);
+        assert_eq!(judge(true), PruneVerdict::Tie);
+        assert!(matches!(judge(false), PruneVerdict::Keep(_)));
+    }
+
+    #[test]
+    fn simplest_in_matches_the_exact_search() {
+        let pairs = [
+            (r(0, 1), r(1, 1)),
+            (r(1, 3), r(1, 2)),
+            (r(5, 7), r(3, 4)),
+            (r(3, 11), r(4, 15)),
+            (r(9, 10), r(10, 11)),
+            (r(43, 12), r(25, 7)),
+            (r(5, 2), r(40, 1)),
+        ];
+        for (x, y) in pairs {
+            let (lo, hi) = if x < y { (x, y) } else { (y, x) };
+            let want = simplest_ratio_between(lo, hi);
+            assert_eq!(simplest_in(lo.to_f64(), hi.to_f64(), 1_000), Some(want));
+            let cap = want.a().max(want.b()) - 1;
+            assert_eq!(simplest_in(lo.to_f64(), hi.to_f64(), cap), None);
+        }
+        assert_eq!(simplest_in(5.3, f64::INFINITY, 10), Some(r(6, 1)));
+        assert_eq!(simplest_in(0.0, 0.01, 1_000), Some(r(1, 101)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every ratio inside a certificate's zone has a transfer bound
+        /// strictly below the incumbent (in `f64`), and every rational
+        /// there passes the exact "cannot beat" test.
+        #[test]
+        fn zone_ratios_cannot_beat_the_incumbent(
+            (a0, b0) in (1u64..40, 1u64..40),
+            (edges, s, t) in (1u64..400, 1u64..30, 1u64..30),
+            permille in 200u32..=1_000,
+            steps in proptest::collection::vec(0u32..=1_000, 8),
+        ) {
+            let best = Density::new(edges, s, t);
+            let rho = best.to_f64();
+            let c0 = Ratio::new(a0, b0);
+            let root_ab = ((c0.a() * c0.b()) as f64).sqrt();
+            // β*(c₀) = permille‰ of ρ̃·√(a₀b₀), rounded down to a rational.
+            let beta = rho * root_ab * f64::from(permille) / 1_000.0;
+            let bound = Frac::new((beta * 1e6).floor() as i128, 1_000_000);
+            let certificate = Certificate::new(c0, bound);
+            let target = rho * (1.0 - PRUNE_MARGIN) / (1.0 + PRUNE_MARGIN);
+            let Some((lo, hi)) = cert_zone(&certificate, target) else {
+                return Ok(());
+            };
+            proptest::prop_assert!(0.0 < lo && lo <= hi);
+            let g0 = bound.to_f64() / root_ab;
+            for step in steps.into_iter().chain([0, 1_000]) {
+                let c = lo * (hi / lo).powf(f64::from(step) / 1_000.0);
+                let c = c.clamp(lo, hi);
+                proptest::prop_assert!(
+                    g0 * gamma(c0.to_f64(), c) < rho,
+                    "c'={c} in [{lo}, {hi}] reaches ρ̃={rho}"
+                );
+            }
+            for p in 1..=40 {
+                for q in 1..=40 {
+                    let c = Ratio::new(p, q);
+                    if (lo..=hi).contains(&c.to_f64()) {
+                        proptest::prop_assert!(transfer_cannot_beat(&certificate, c, best));
+                    }
+                }
+            }
+        }
     }
 
     use dds_graph::DiGraph;

@@ -3,12 +3,14 @@
 //! core-approximation solver, each also with a sketch tier that engages
 //! mid-stream, and [`WindowEngine`] with exact escalation on, off, and
 //! with a sketch tier. Each run replays a small seeded stream at one
-//! thread and pins its counters, its final answer and its worst certified
-//! factor, so a refactor of the shared certificate cannot move any of
-//! them unnoticed. Every value is deterministic: seeded generators,
+//! thread and pins its counters, its final answer, its worst certified
+//! factor and the exact solver's summed work, so a refactor of the shared
+//! certificate, or of the solver's ratio search, cannot move any of them
+//! unnoticed. Every value is deterministic: seeded generators,
 //! deterministic solvers, no wall clock in any decision.
 
 use dds_bench::stream_workloads::{arrivals, churn};
+use dds_core::SolveStats;
 use dds_sketch::SketchConfig;
 use dds_stream::{
     replay, replay_window, BatchBy, SketchTier, SolverKind, StreamConfig, StreamEngine,
@@ -32,6 +34,8 @@ struct Pinned {
     density: (u64, u64, u64),
     /// The worst certified factor over all epochs, to 6 decimals.
     max_factor: String,
+    /// `(ratios_solved, flow_decisions)` summed over every epoch's solve.
+    work: (usize, usize),
 }
 
 /// A sketch tier small enough to subsample these streams, engaging once
@@ -48,6 +52,12 @@ fn tier(min_m: usize) -> SketchTier {
 
 fn max_factor(factors: impl Iterator<Item = f64>) -> String {
     format!("{:.6}", factors.fold(1.0f64, f64::max))
+}
+
+fn total_work(stats: impl Iterator<Item = Option<SolveStats>>) -> (usize, usize) {
+    stats.flatten().fold((0, 0), |(ratios, flows), s| {
+        (ratios + s.ratios_solved, flows + s.flow_decisions)
+    })
 }
 
 /// FNV-1a over `bytes`: a stable fingerprint (std's hasher is not
@@ -83,6 +93,7 @@ fn run_stream(solver: SolverKind, sketch: Option<SketchTier>) -> (Pinned, Stream
         m: last.m,
         density: (last.density.edges, last.density.s, last.density.t),
         max_factor: max_factor(reports.iter().map(|r| r.certified_factor)),
+        work: total_work(reports.iter().map(|r| r.solve_stats)),
     };
     (pinned, engine)
 }
@@ -119,11 +130,12 @@ fn run_window(exact_escalation: bool, sketch: Option<SketchTier>) -> Pinned {
         m: last.m,
         density: (last.density.edges, last.density.s, last.density.t),
         max_factor: max_factor(reports.iter().map(|r| r.certified_factor)),
+        work: total_work(reports.iter().map(|r| r.solve_stats)),
     }
 }
 
 /// One run's recorded values, grouped as `(refreshes, exact, sketch)` and
-/// `(repairs, expired)`.
+/// `(repairs, expired)`, with no solver work (see [`Pinned::work`]).
 fn pinned(
     epochs: u64,
     (refreshes, exact, sketch): (u64, u64, u64),
@@ -142,6 +154,17 @@ fn pinned(
         m,
         density,
         max_factor: max_factor.to_string(),
+        work: (0, 0),
+    }
+}
+
+impl Pinned {
+    /// The same record with the solver's summed `ratios` and `flows`.
+    fn work(self, ratios: usize, flows: usize) -> Pinned {
+        Pinned {
+            work: (ratios, flows),
+            ..self
+        }
     }
 }
 
@@ -150,7 +173,7 @@ fn stream_engine_modes_are_pinned() {
     let (exact, engine) = run_stream(SolverKind::Exact, None);
     assert_eq!(
         exact,
-        pinned(134, (77, 77, 0), (0, 0), 384, (36, 6, 6), "1.247219")
+        pinned(134, (77, 77, 0), (0, 0), 384, (36, 6, 6), "1.247219").work(310, 331)
     );
     assert_eq!(
         fnv1a(&engine.snapshot(0)),
@@ -165,12 +188,12 @@ fn stream_engine_modes_are_pinned() {
     let (exact_sketch, _) = run_stream(SolverKind::Exact, Some(tier(200)));
     assert_eq!(
         exact_sketch,
-        pinned(134, (5, 3, 2), (0, 0), 384, (36, 6, 6), "2.081666")
+        pinned(134, (5, 3, 2), (0, 0), 384, (36, 6, 6), "2.081666").work(16, 21)
     );
     let (approx_sketch, _) = run_stream(SolverKind::CoreApprox, Some(tier(200)));
     assert_eq!(
         approx_sketch,
-        pinned(134, (3, 0, 1), (0, 0), 384, (36, 6, 6), "2.081666")
+        pinned(134, (3, 0, 1), (0, 0), 384, (36, 6, 6), "2.081666").work(3, 4)
     );
 }
 
@@ -178,7 +201,7 @@ fn stream_engine_modes_are_pinned() {
 fn window_engine_modes_are_pinned() {
     assert_eq!(
         run_window(true, None),
-        pinned(60, (20, 4, 0), (802, 832), 294, (172, 30, 44), "2.828427")
+        pinned(60, (20, 4, 0), (802, 832), 294, (172, 30, 44), "2.828427").work(27, 54)
     );
     assert_eq!(
         run_window(false, None),
@@ -186,6 +209,6 @@ fn window_engine_modes_are_pinned() {
     );
     assert_eq!(
         run_window(true, Some(tier(200))),
-        pinned(60, (7, 1, 4), (0, 832), 294, (7, 4, 12), "17.748239")
+        pinned(60, (7, 1, 4), (0, 832), 294, (7, 4, 12), "17.748239").work(38, 73)
     );
 }
