@@ -1,6 +1,6 @@
 //! The experiment suite (E1–E20): one function per table/figure of the
 //! reconstructed evaluation (E1–E11 follow the paper's own evaluation;
-//! E12–E16 cover the streaming subsystems, E17 the persistent worker pool,
+//! E12–E16 cover the streaming subsystems, E17 the parallel exact lanes,
 //! E18 the query-serving tier, E19 the admin plane, E20 the cross-process
 //! cluster tier). Each prints an aligned table to stdout, writes the same
 //! data to `bench_results/<id>.csv`, and states the *expected shape* in
@@ -1384,31 +1384,33 @@ pub fn e16_shard_scaling(quick: bool) -> BenchRecord {
     record.expect("the K = 4 row ran")
 }
 
-/// E17 — the persistent worker pool on the exact interval queue, on a
+/// E17 — the exact interval queue on parallel lanes, on a
 /// single-dominant-ratio instance. Config A is the serial engine
-/// (threads = 1), config B the pool-backed interval queue with one
-/// worker per core. Both must land on the **bit-identical** density (the
-/// queue changes scheduling, never answers). The planted block
-/// concentrates nearly all solve time in the ratios around its own
-/// `|S|/|T|`, so B is not expected to beat A here; the table records the
-/// honest numbers. The record holds A's counters and B's wall time.
+/// (threads = 1), config B the interval queue with one lane per core:
+/// lane 0 on the caller, the rest on scoped threads. Both must land on
+/// the **bit-identical** density (the lanes change scheduling, never
+/// answers). The planted block concentrates nearly all solve time in the
+/// ratios around its own `|S|/|T|`, so B is not expected to beat A here;
+/// the table records the honest numbers. The record holds A's counters
+/// and B's wall time.
 ///
-/// The pool's own counters (tasks, steals, parks) are printed as deltas
-/// around the sweep, pinning that the work actually routed through it.
+/// The lanes B spawned (cores − 1) are printed as the pool's task delta
+/// around the sweep, pinning that the solve actually forked.
 pub fn e17_pool_parallel(quick: bool) -> BenchRecord {
     use dds_core::WorkerPool;
 
-    println!("\n=== E17: worker pool (expected: bit-identical densities serial vs interval queue)");
+    println!(
+        "\n=== E17: parallel lanes (expected: bit-identical densities serial vs interval queue)"
+    );
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let n = if quick { 250 } else { 2_500 };
     let p = planted_block(n);
     let planted_rho = p.pair.density(&p.graph);
     let pool_before = WorkerPool::global().stats();
     println!(
-        "planted block: n = {n}, m = {}, planted rho = {} ({cores} core(s), pool width {})",
+        "planted block: n = {n}, m = {}, planted rho = {} ({cores} core(s))",
         p.graph.m(),
         planted_rho,
-        WorkerPool::global().width(),
     );
 
     let mut t = Table::new(
@@ -1449,12 +1451,9 @@ pub fn e17_pool_parallel(quick: bool) -> BenchRecord {
         "solver missed the planted block"
     );
 
-    let pool_after = WorkerPool::global().stats();
     println!(
-        "pool deltas: {} tasks, {} steals, {} parks",
-        pool_after.tasks - pool_before.tasks,
-        pool_after.steals - pool_before.steals,
-        pool_after.parks - pool_before.parks,
+        "lanes spawned: {}",
+        WorkerPool::global().stats().tasks - pool_before.tasks
     );
     BenchRecord::new(
         "e17",

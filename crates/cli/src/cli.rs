@@ -1696,7 +1696,7 @@ struct Sealer {
 impl Sealer {
     /// Opens the planes `obs` and `serve` ask for: a registry for
     /// `--metrics` or `--admin` (whose `/metrics` scrapes it live), with
-    /// the worker pool's series; the tracer; the admin rig; the query tier.
+    /// the pool's lane counter; the tracer; the admin rig; the query tier.
     fn open(
         out: &mut dyn Write,
         role: &'static str,

@@ -242,5 +242,25 @@ mod tests {
         assert_eq!(reseeded.density, reseeded.pair.density(&sparse));
     }
 
+    #[test]
+    fn oversized_thread_requests_get_one_arena_per_lane() {
+        // Only 4 × the host width: were the cap to regress, the solve
+        // would start that many threads, so no huge count is tried here.
+        let width = crate::auto_threads();
+        let g = gen::planted(60, 200, 5, 6, 1.0, 3).graph;
+        let mut ctx = SolveContext::new();
+        let par = crate::parallel::dc_exact_parallel_with(
+            &mut ctx,
+            &g,
+            crate::ExactOptions::default(),
+            4 * width,
+        );
+        assert!(ctx.arenas.len() <= width, "{} arenas", ctx.arenas.len());
+        assert_eq!(
+            par.solution.density,
+            crate::DcExact::new().solve(&g).solution.density
+        );
+    }
+
     use dds_graph::DiGraph;
 }

@@ -44,8 +44,10 @@
 //! # The work queue and the incumbent
 //!
 //! The traversal is organised as a queue of ratio intervals consumed by
-//! `threads` workers (one worker = the serial engine; the queue order then
-//! matches the classic breadth-first walk). All workers share:
+//! one worker per lane: `threads` capped at the host width, forked once
+//! per solve through [`WorkerPool::fork_join`] (one worker = the serial
+//! engine; the queue order then matches the classic breadth-first walk).
+//! All workers share:
 //!
 //! * the **incumbent** — best pair + exact density, under a mutex, with its
 //!   `f64` image additionally published through an atomic, so the dead
@@ -818,8 +820,8 @@ impl<'g> Search<'g> {
 /// Retires one popped interval on drop — *including during a panic
 /// unwind*, so a crashing worker decrements `in_flight` and wakes its
 /// siblings instead of stranding them in the condvar wait forever. The
-/// siblings then drain and exit, the pool scope joins, and the original
-/// panic propagates normally.
+/// siblings then drain and exit, the lanes join, and the original panic
+/// propagates normally.
 struct IntervalGuard<'a, 'g> {
     search: &'a Search<'g>,
     children: Option<[Interval; 2]>,
@@ -852,12 +854,13 @@ pub(crate) fn run_with_context(
     ctx: &mut SolveContext,
     threads: usize,
 ) -> ExactReport {
-    let workers = threads.max(1);
+    let pool = WorkerPool::global();
+    let lanes = pool.lanes(threads);
     let mut report = ExactReport::new();
     if g.m() == 0 {
         return report;
     }
-    ctx.prepare(g, workers);
+    ctx.prepare(g, lanes);
     let arena_hits_before = ctx.arena_reuse_hits();
     let core_hits_before = ctx.core_cache_hits();
 
@@ -878,23 +881,9 @@ pub(crate) fn run_with_context(
         let search = Search::new(g, opts, seed);
         let SolveContext { arenas, cores, .. } = ctx;
         let cores_mx = Mutex::new(cores);
-        if workers == 1 {
-            search.worker(&mut arenas[0], &cores_mx);
-        } else {
-            let search_ref = &search;
-            let cores_ref = &cores_mx;
-            WorkerPool::global().scope(|s| {
-                let mut lanes = arenas.iter_mut().take(workers);
-                let own = lanes.next().expect("at least one arena");
-                for arena in lanes {
-                    s.spawn(move || search_ref.worker(arena, cores_ref));
-                }
-                // The calling thread is always one of the lanes, so the
-                // search progresses even on a saturated (or zero-background)
-                // pool.
-                search_ref.worker(own, cores_ref);
-            });
-        }
+        pool.fork_join(arenas.iter_mut().take(lanes), |arena| {
+            search.worker(arena, &cores_mx);
+        });
         let metrics = search.metrics.into_inner().expect("metrics poisoned");
         report.solution = search.incumbent.into_inner().expect("incumbent poisoned");
         report.ratios_considered = metrics.ratios_considered;

@@ -28,8 +28,9 @@
 //! between decisions, never reallocated), a memoised `[x, y]`-core table
 //! keyed by the β-floor thresholds, and the incumbent witness threaded
 //! from solve to solve. The ratio traversal is a work queue of
-//! Stern–Brocot intervals consumed by one or more workers
-//! ([`parallel::dc_exact_parallel`]); workers share the incumbent through
+//! Stern–Brocot intervals consumed by one worker per lane
+//! ([`parallel::dc_exact_parallel_with`], lanes forked once per solve by
+//! [`WorkerPool::fork_join`]); workers share the incumbent through
 //! an **atomic density floor** (lock-free reads on the γ fast path, a
 //! mutex only for the exact pair) and discard intervals whose certified
 //! bound cannot *strictly* beat it — exact ties are resolved by a 384-bit
@@ -91,6 +92,6 @@ pub mod validate;
 pub use approx::{core_approx, CoreApproxResult, ExhaustivePeel, GridPeel, PeelResult};
 pub use exact::{DcExact, ExactOptions, ExactReport, FlowExact, SolveContext};
 pub use peel::{peel_at_f64_ratio, peel_at_rational_ratio};
-pub use pool::{auto_threads, PoolScope, PoolStats, WorkerPool};
+pub use pool::{auto_threads, PoolStats, WorkerPool};
 pub use result::{DdsSolution, SolveStats};
 pub use topk::{top_k_dense_pairs, TopKSolver};

@@ -5,11 +5,11 @@
 //! reader until the client disconnects (or sends `QUIT`), so the pool
 //! size bounds the number of *concurrent connections*, not just in-flight
 //! queries — size `readers` to the expected concurrent client count
-//! (excess connections queue until a reader frees up). The readers are a
-//! *dedicated* pool rather than `dds_core::pool::WorkerPool`: the compute pool's
-//! workers must never park inside a blocking socket read (a stalled
-//! client would steal a core from the solver), whereas these threads
-//! exist precisely to block on sockets.
+//! (excess connections queue until a reader frees up). The readers are
+//! long-lived threads of their own, unlike the solvers' fork-join lanes
+//! (`dds_core::pool`), which live for one solve and never block on I/O:
+//! these threads exist precisely to block on sockets, so a stalled client
+//! holds a reader, never a solver lane.
 //!
 //! Reads use a short poll timeout so every reader re-checks the shutdown
 //! flag a few times a second; [`Server::shutdown`] therefore returns even

@@ -630,6 +630,9 @@ impl ShardedEngine {
                 )))
             }
         };
+        // 12 bytes per shard (level + mutation count): reject a count the
+        // payload cannot hold before allocating for it.
+        r.need(shards.saturating_mul(12))?;
         let mut levels = Vec::with_capacity(shards);
         for _ in 0..shards {
             let level = r.take_u32()?;
@@ -998,6 +1001,18 @@ mod tests {
         let err = ShardedEngine::restore(other, &bytes).unwrap_err();
         assert!(err.to_string().contains("state bound"), "{err}");
         assert!(ShardedEngine::restore(config(3), b"junk").is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_shard_count_the_payload_cannot_hold() {
+        let mut bytes = ShardedEngine::new(config(3)).snapshot(0);
+        // The shard count follows the 17-byte header (magic, version,
+        // kind, cursor).
+        bytes[17..21].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ShardedEngine::restore(config(3), &bytes)
+            .expect_err("a hostile shard count must be rejected");
+        assert!(matches!(err, SnapshotError::Format(_)), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]

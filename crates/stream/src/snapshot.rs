@@ -224,7 +224,12 @@ impl<'a> SnapshotReader<'a> {
         Ok((r, cursor))
     }
 
-    fn need(&self, len: usize) -> Result<(), SnapshotError> {
+    /// Checks that `len` more bytes remain, so a count read from the
+    /// input can be bounded before anything is allocated for it.
+    ///
+    /// # Errors
+    /// Returns [`SnapshotError::Format`] when fewer bytes remain.
+    pub fn need(&self, len: usize) -> Result<(), SnapshotError> {
         // Checked: `len` can come straight from a corrupt length prefix
         // near usize::MAX, and overflow here must be a Format error, not
         // a panic (or a wrapped-past-the-guard capacity abort).

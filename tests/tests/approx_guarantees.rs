@@ -50,8 +50,10 @@ fn grid_peel_guarantee_scales_with_epsilon() {
 fn parallel_variants_match_sequential_quality() {
     let g = gen::power_law(200, 1200, 2.2, 31);
     let seq_grid = GridPeel::new(0.2).solve(&g);
-    let par_grid = parallel::grid_peel_parallel(&g, 0.2, 4);
-    assert_eq!(seq_grid.solution.density, par_grid.solution.density);
+    for threads in [1, 2, 8] {
+        let par_grid = parallel::grid_peel_parallel(&g, 0.2, threads);
+        assert_eq!(seq_grid.solution, par_grid.solution, "threads={threads}");
+    }
 }
 
 #[test]

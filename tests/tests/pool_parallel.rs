@@ -1,12 +1,12 @@
-//! Pinning the pool-backed exact engine to its serial counterpart.
+//! Pinning the lane-parallel exact engine to its serial counterpart.
 //!
-//! The parallelism contract of the worker pool: scheduling changes,
-//! answers do not. The pool-backed divide-and-conquer engine must return
-//! the same exact density (and a witness certifying it) as the serial
-//! engine at every thread count — also when the solves themselves run
-//! inside pool tasks, the shape sharded escalations produce.
+//! The parallelism contract of the fork-join lanes: scheduling changes,
+//! answers do not. The divide-and-conquer engine on parallel lanes must
+//! return the same exact density (and a witness certifying it) as the
+//! serial engine at every thread count — also when the solves themselves
+//! run on lanes of an enclosing fork.
 
-use dds_core::{parallel, DcExact, ExactOptions, SolveContext};
+use dds_core::{parallel, DcExact, ExactOptions, SolveContext, WorkerPool};
 use dds_graph::GraphBuilder;
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = dds_graph::
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pool-backed divide-and-conquer equals the serial engine: same
+    /// Lane-parallel divide-and-conquer equals the serial engine: same
     /// exact density at every thread count, and the parallel witness
     /// certifies the density it claims.
     #[test]
@@ -39,21 +39,20 @@ proptest! {
     }
 }
 
-/// Exact solves nested inside pool tasks: `for_each_mut` fans four graphs
-/// over two lanes and each lane runs a three-worker interval queue on the
-/// same global pool, so interval workers of different solves share (and
-/// steal from) one set of pool threads while their owners are themselves
-/// pool tasks. Every solve must finish and match the serial engine.
+/// Exact solves nested inside lanes: an outer fork runs four graphs on
+/// four lanes and each lane runs a three-thread interval queue of its
+/// own, so the interval workers of different solves run at once while
+/// their owners are themselves lanes. Every solve must finish and match
+/// the serial engine.
 #[test]
 fn exact_solves_nested_in_pool_tasks_match_serial() {
-    let mut graphs: Vec<dds_graph::DiGraph> = [
+    let graphs = [
         dds_graph::gen::gnm(30, 140, 1),
         dds_graph::gen::power_law(40, 220, 2.2, 2),
         dds_graph::gen::gnm(24, 110, 3),
         dds_graph::gen::planted(50, 120, 4, 5, 1.0, 4).graph,
-    ]
-    .into();
-    let densities = parallel::for_each_mut(&mut graphs, 2, |_, g| {
+    ];
+    let densities = WorkerPool::global().fork_join(&graphs, |g| {
         let mut ctx = SolveContext::new();
         parallel::dc_exact_parallel_with(&mut ctx, g, ExactOptions::default(), 3)
             .solution

@@ -31,7 +31,7 @@ proptest! {
         prop_assert_eq!(serial.solution.density, want);
         prop_assert_eq!(serial.solution.pair.density(&g), serial.solution.density);
 
-        let par = parallel::dc_exact_parallel(&g, 3);
+        let par = parallel::dc_exact_parallel_with(&mut SolveContext::new(), &g, ExactOptions::default(), 3);
         prop_assert_eq!(par.solution.density, want);
         prop_assert_eq!(par.solution.pair.density(&g), par.solution.density);
     }
