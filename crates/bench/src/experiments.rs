@@ -534,6 +534,8 @@ pub fn e9_case_study(quick: bool) {
 }
 
 /// E10 — core-decomposition statistics (skyline extent, sweep costs).
+/// On every dataset whose skyline it computes, asserts that the pruned
+/// sweep's product is the skyline's largest `x·y`.
 pub fn e10_cores(quick: bool) {
     println!("\n=== E10: [x,y]-core decomposition (expected: skyline sweep ≫ double sweep; both grow ~linearly)");
     let max_scale = if quick { Scale::S } else { Scale::M };
@@ -550,17 +552,23 @@ pub fn e10_cores(quick: bool) {
     );
     for w in registry(max_scale, quick) {
         let g = &w.graph;
-        let (sky_cell, sky_ms) = if w.scale <= Scale::S {
+        let (sky, sky_ms) = if w.scale <= Scale::S {
             let (sky, d) = time(|| skyline(g));
-            (
-                sky.len().to_string(),
-                format!("{:.1}", d.as_secs_f64() * 1e3),
-            )
+            (Some(sky), format!("{:.1}", d.as_secs_f64() * 1e3))
         } else {
-            ("skipped".into(), "-".into())
+            (None, "-".into())
         };
         let (best, d) = time(|| max_product_core(g));
         let (prod, evals) = best.map_or((0, 0), |b| (b.product(), b.sweep_evals));
+        if let Some(sky) = &sky {
+            let sky_max = sky.iter().map(|p| p.x * p.y).max().unwrap_or(0);
+            assert_eq!(
+                prod, sky_max,
+                "{}: the sweep's product is not the skyline's largest x·y",
+                w.name
+            );
+        }
+        let sky_cell = sky.map_or("skipped".into(), |sky| sky.len().to_string());
         t.row(vec![
             w.name.clone(),
             sky_cell,

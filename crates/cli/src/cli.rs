@@ -149,8 +149,9 @@ const USAGE: &str = "usage:
               (aggregate a --trace file into a per-span count/total/self-time table; --folded also writes
                flamegraph-ready folded stacks — weights are self-µs for timed traces, span counts otherwise)
   dds help
-(--threads 0 or omitted on exact/stream/serve auto-detects the host parallelism; the resolved
- count is printed in each command's stats footer, marked \"(auto)\" when detected; dds serve
+(--threads 0 or omitted on exact/stream/serve auto-detects the host parallelism; the lanes the
+ solves run on, the resolved count capped at the host width, are printed in each command's stats
+ footer, marked \"(auto)\" when detected or with the count asked for when capped; dds serve
  --shards takes no --threads, as the sharded engine applies its partitions in one serial pass)";
 
 /// Entry point shared by `main` and the tests.
@@ -248,6 +249,18 @@ fn resolve_threads(flag: Option<usize>) -> (usize, &'static str) {
     match flag {
         Some(t) if t > 0 => (t, ""),
         _ => (dds_core::auto_threads(), " (auto)"),
+    }
+}
+
+/// The stats footer's thread count: the lanes a solve asking for
+/// `threads` runs on ([`dds_core::WorkerPool::lanes`]), then `suffix`, or
+/// the count asked for when the host width cut it.
+fn lanes_footer(threads: usize, suffix: &str) -> String {
+    let lanes = dds_core::WorkerPool::global().lanes(threads);
+    if lanes == threads {
+        format!("{lanes}{suffix}")
+    } else {
+        format!("{lanes} ({threads} requested)")
     }
 }
 
@@ -389,7 +402,11 @@ fn cmd_exact<'a>(
     };
     write_solution(out, &report.solution)?;
     write_solve_totals(out, "solve totals", &report.stats())?;
-    writeln!(out, "threads              {threads}{threads_auto}")?;
+    writeln!(
+        out,
+        "threads              {}",
+        lanes_footer(threads, threads_auto)
+    )?;
     writeln!(
         out,
         "pruned (structural)  {}",
@@ -1980,7 +1997,7 @@ fn ingest<T: Tier>(
         100.0 * (totals.epochs - totals.recertified) as f64 / totals.epochs.max(1) as f64,
     )?;
     if let Some((threads, auto)) = run.threads {
-        writeln!(out, "threads {threads}{auto}")?;
+        writeln!(out, "threads {}", lanes_footer(threads, auto))?;
     }
     writeln!(out, "max certified factor {:.4}", totals.max_factor)?;
     engine.summary(out, totals)?;
@@ -2454,9 +2471,24 @@ mod tests {
             "--verbose",
         ]);
         assert!(ablated.contains("network nodes"), "{ablated}");
+        // The footer prints the lanes the solve ran on: the count asked for,
+        // capped at the host width, with a note when the cap cut it.
+        let lanes = |threads| dds_core::WorkerPool::global().lanes(threads);
         let par = run_ok(&["exact", &path, "--threads", "2"]);
         assert!(par.contains("6/√(2·3)"), "{par}");
-        assert!(par.contains("threads              2\n"), "{par}");
+        let want = if lanes(2) == 2 {
+            "threads              2\n".to_string()
+        } else {
+            format!("threads              {} (2 requested)\n", lanes(2))
+        };
+        assert!(par.contains(&want), "{par}");
+        let huge = run_ok(&["exact", &path, "--threads", "4000000000"]);
+        assert!(huge.contains("6/√(2·3)"), "{huge}");
+        let want = format!(
+            "threads              {} (4000000000 requested)\n",
+            lanes(4_000_000_000)
+        );
+        assert!(huge.contains(&want), "{huge}");
         // --threads 0 (and an omitted flag) auto-detect the host; the
         // footer marks the resolved count so runs stay reproducible.
         let auto = run_ok(&["exact", &path, "--threads", "0"]);
@@ -2816,7 +2848,8 @@ mod tests {
             out.contains("sketch tier: 1 of 1 re-solves sketched"),
             "{out}"
         );
-        assert!(out.contains("threads 1\n"), "{out}");
+        let lanes = dds_core::WorkerPool::global().lanes(1);
+        assert!(out.contains(&format!("threads {lanes}\n")), "{out}");
         assert!(out.contains("final density"), "{out}");
         assert!(out.contains("witness |S|"), "{out}");
         // A tiny bound forces subsampling even on the toy stream.

@@ -16,7 +16,7 @@
 //! |---|---|---|---|
 //! | [`DcExact`] | exact | optimal | few flow calls on core-shrunk networks |
 //! | [`FlowExact`] | exact baseline | optimal | `Θ(n²)` ratio searches |
-//! | [`core_approx`] | approximation | `ρ ≥ ρ_opt / 2` | `O(√m · (n + m))` |
+//! | [`core_approx`] | approximation | `ρ ≥ ρ_opt / 2` | one `O(n + d_max)` sort, then `O(Σ_{u∈S_x} d⁺(u) + Σ_{v∈T_x} d⁻(v))` per sweep point; `O(√m · (n + m))` at worst |
 //! | [`GridPeel`] | approximation | `ρ ≥ ρ_opt / (2(1+ε))` | `O((n+m)·log₁₊ε n)` |
 //! | [`ExhaustivePeel`] | approximation baseline | `ρ ≥ ρ_opt / 2` | `Θ(n²)` peels |
 //! | [`validate::brute_force_dds`] | ground truth | optimal | exponential (tiny `n`) |

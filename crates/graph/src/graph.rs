@@ -224,9 +224,8 @@ impl DiGraph {
         (b.build(), to_old)
     }
 
-    /// The transpose graph (every edge reversed). O(1): the two CSR
-    /// directions simply swap roles. Used by the `[x, y]`-core double sweep
-    /// to reuse one peeling implementation for both orientations.
+    /// The transpose graph (every edge reversed): the two CSR directions,
+    /// copied in `O(n + m)` with their roles swapped.
     #[must_use]
     pub fn reverse(&self) -> DiGraph {
         DiGraph {

@@ -2,7 +2,9 @@
 
 use dds_graph::{gen, DiGraph, GraphBuilder, StMask, VertexId};
 use dds_num::isqrt;
-use dds_xycore::{max_product_core, skyline, xy_core, xy_core_within, y_max_core, CoreCache};
+use dds_xycore::{
+    max_product_core, skyline, x_max, xy_core, xy_core_within, y_max_core, CoreCache,
+};
 use proptest::prelude::*;
 
 fn graph_strategy(max_n: u32, max_m: usize) -> impl Strategy<Value = DiGraph> {
@@ -36,10 +38,33 @@ fn is_fixpoint(g: &DiGraph, mask: &StMask, x: u64, y: u64) -> bool {
     })
 }
 
+/// The last non-empty core of the chain `levels(1), levels(2), …` inside
+/// `base`, with its level: `y_max` or `x_max` found by iterated cascading
+/// peels ([`xy_core_within`]), each inside the core before it, and no code
+/// of the sweep.
+fn peeled_max(
+    g: &DiGraph,
+    base: &StMask,
+    levels: impl Fn(u64) -> (u64, u64),
+) -> Option<(u64, StMask)> {
+    let mut last = None;
+    let mut core = base.clone();
+    for k in 1..=g.n() as u64 + 1 {
+        let (x, y) = levels(k);
+        core = xy_core_within(g, &core, x, y);
+        if core.is_empty() {
+            break;
+        }
+        last = Some((k, core.clone()));
+    }
+    last
+}
+
 /// The unpruned sweep: a forward sweep over `x = 1..⌊√m⌋` and a reverse
 /// sweep over `y = 1..⌊√m⌋`, each stopping only on the `⌊√m⌋`-times-
-/// current bound. The pruned [`max_product_core`] must reproduce it point
-/// for point. Returns `(x, y, mask, sweep_evals)`.
+/// current bound, with every point found by [`peeled_max`]. The pruned
+/// [`max_product_core`] must reproduce it point for point. Returns
+/// `(x, y, mask, sweep_evals)`.
 fn reference_max_product_core(g: &DiGraph) -> Option<(u64, u64, StMask, usize)> {
     if g.m() == 0 {
         return None;
@@ -49,37 +74,34 @@ fn reference_max_product_core(g: &DiGraph) -> Option<(u64, u64, StMask, usize)> 
     let mut evals = 0usize;
     let product = |best: &Option<(u64, u64, StMask)>| best.as_ref().map_or(0, |b| b.0 * b.1);
 
+    // Each sweep's bases nest: the [x, 1]-core (the [1, y]-core in
+    // reverse) holds every later point.
     let mut base = StMask::full(g.n());
     for x in 1..=limit {
         base = xy_core_within(g, &base, x, 1);
-        let Some(r) = y_max_core(g, &base, x) else {
+        let Some((y, mask)) = peeled_max(g, &base, |y| (x, y)) else {
             break;
         };
         evals += 1;
-        if x * r.y > product(&best) {
-            best = Some((x, r.y, r.mask));
+        if x * y > product(&best) {
+            best = Some((x, y, mask));
         }
-        if limit * r.y <= product(&best) {
+        if limit * y <= product(&best) {
             break;
         }
     }
 
-    let rev = g.reverse();
     let mut base = StMask::full(g.n());
     for y in 1..=limit {
-        base = xy_core_within(&rev, &base, y, 1);
-        let Some(r) = y_max_core(&rev, &base, y) else {
+        base = xy_core_within(g, &base, 1, y);
+        let Some((x, mask)) = peeled_max(g, &base, |x| (x, y)) else {
             break;
         };
         evals += 1;
-        if r.y * y > product(&best) {
-            let mask = StMask {
-                in_s: r.mask.in_t,
-                in_t: r.mask.in_s,
-            };
-            best = Some((r.y, y, mask));
+        if x * y > product(&best) {
+            best = Some((x, y, mask));
         }
-        if limit * r.y <= product(&best) {
+        if limit * x <= product(&best) {
             break;
         }
     }
@@ -272,31 +294,22 @@ proptest! {
         }
     }
 
-    /// y_max agrees with the naive "peel until empty" loop.
+    /// `y_max` and `x_max` agree with [`peeled_max`] inside a base that is
+    /// full or drops every k-th vertex from S, T or both, as in
+    /// `core_within_restricts`: the no-cascade `[x, 1]`-core must hold in
+    /// any base, and with `x = 0` every base S vertex stays.
     #[test]
-    fn y_max_matches_naive(g in graph_strategy(12, 60), x in 0u64..4) {
-        let fast = y_max_core(&g, &StMask::full(g.n()), x);
-        let mut naive: Option<(u64, StMask)> = None;
-        for y in 1..=(g.m() as u64 + 1) {
-            let core = xy_core(&g, x, y);
-            if core.is_empty() {
-                break;
-            }
-            naive = Some((y, core));
+    fn y_max_matches_naive(g in graph_strategy(12, 60), k in 2usize..5, cut in 0u8..4) {
+        let mut base = StMask::full(g.n());
+        for v in (0..g.n()).step_by(k) {
+            base.in_s[v] &= cut & 1 == 0;
+            base.in_t[v] &= cut & 2 == 0;
         }
-        match (fast, naive) {
-            (None, None) => {}
-            (Some(f), Some((ny, nmask))) => {
-                prop_assert_eq!(f.y, ny);
-                prop_assert_eq!(f.mask, nmask);
-            }
-            (f, n) => {
-                return Err(TestCaseError::fail(format!(
-                    "fast={:?} naive={:?}",
-                    f.map(|r| r.y),
-                    n.map(|r| r.0)
-                )));
-            }
+        for x in 0u64..4 {
+            let fast = y_max_core(&g, &base, x).map(|r| (r.y, r.mask));
+            prop_assert_eq!(fast, peeled_max(&g, &base, |y| (x, y)), "y_max({})", x);
+            let fast = x_max(&g, &base, x).map(|r| (r.y, r.mask));
+            prop_assert_eq!(fast, peeled_max(&g, &base, |level| (level, x)), "x_max({})", x);
         }
     }
 
