@@ -1,5 +1,6 @@
-//! Microbenchmarks of the performance-critical kernels: the flow decision,
-//! fixed-ratio peeling, and the `[x, y]`-core primitives.
+//! Microbenchmarks of the performance-critical kernels: the input
+//! decoders, the flow decision, fixed-ratio peeling, and the `[x, y]`-core
+//! primitives.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -7,9 +8,36 @@ use std::time::Duration;
 
 use dds_core::peel_at_rational_ratio;
 use dds_flow::{decide, decide_in, FlowArena};
+use dds_graph::io::{read_edge_list, write_edge_list, ParseOptions};
 use dds_graph::{gen, StMask};
 use dds_num::Frac;
+use dds_stream::{read_events, write_events};
 use dds_xycore::{max_product_core, xy_core, y_max_core};
+
+/// The parse layer alone, from bytes in memory, on inputs shaped like the
+/// repository benchmark's: the `churn-serve` event file (about 1M events)
+/// and the `static-exact` edge list (about 106k edges).
+fn bench_parse(c: &mut Criterion) {
+    let mut events = Vec::new();
+    write_events(
+        &dds_bench::churn(400, 4_000, (32, 32), 1_000_000, 0xDD5),
+        &mut events,
+    )
+    .expect("write to memory");
+    c.bench_function("parse/events-churn", |b| {
+        b.iter(|| read_events(black_box(events.as_slice())).expect("parses"))
+    });
+    let mut edges = Vec::new();
+    write_edge_list(
+        &gen::planted(15_000, 105_000, 30, 34, 0.9, 1).graph,
+        &mut edges,
+    )
+    .expect("write to memory");
+    let opts = ParseOptions::default();
+    c.bench_function("parse/edge-list-planted", |b| {
+        b.iter(|| read_edge_list(black_box(edges.as_slice()), &opts).expect("parses"))
+    });
+}
 
 fn bench_flow_decision(c: &mut Criterion) {
     let g = gen::power_law(2_000, 12_000, 2.2, 1);
@@ -67,6 +95,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_flow_decision, bench_peel, bench_cores
+    targets = bench_parse, bench_flow_decision, bench_peel, bench_cores
 }
 criterion_main!(kernels);

@@ -71,8 +71,8 @@ impl GraphBuilder {
         self.dropped_self_loops
     }
 
-    /// Number of parallel duplicates dropped (populated by
-    /// [`GraphBuilder::build`]).
+    /// Number of parallel duplicates dropped, over every
+    /// [`GraphBuilder::build`] so far.
     #[must_use]
     pub fn dropped_parallel_edges(&self) -> usize {
         self.dropped_parallel
@@ -88,16 +88,18 @@ impl GraphBuilder {
             .map_or(0, |m| m as usize + 1)
             .max(self.min_vertices);
 
-        // Sort + dedup gives the sorted out-CSR directly.
-        let mut edges = self.edges.clone();
-        edges.sort_unstable();
-        let before = edges.len();
-        edges.dedup();
-        self.dropped_parallel = before - edges.len();
+        // Sort + dedup in place gives the sorted out-CSR directly. The
+        // builder keeps the deduplicated list, so a later build drops
+        // only the duplicates added since, and the count accumulates.
+        self.edges.sort_unstable();
+        let before = self.edges.len();
+        self.edges.dedup();
+        self.dropped_parallel += before - self.edges.len();
+        let edges = &self.edges;
         let m = edges.len();
 
         let mut out_offsets = vec![0usize; n + 1];
-        for &(u, _) in &edges {
+        for &(u, _) in edges {
             out_offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
@@ -108,7 +110,7 @@ impl GraphBuilder {
         // Counting sort by target builds the in-CSR; sources come out in
         // ascending order because `edges` is sorted by (u, v).
         let mut in_offsets = vec![0usize; n + 1];
-        for &(_, v) in &edges {
+        for &(_, v) in edges {
             in_offsets[v as usize + 1] += 1;
         }
         for i in 0..n {
@@ -116,7 +118,7 @@ impl GraphBuilder {
         }
         let mut cursor = in_offsets.clone();
         let mut in_sources = vec![0 as VertexId; m];
-        for &(u, v) in &edges {
+        for &(u, v) in edges {
             in_sources[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
@@ -196,6 +198,41 @@ mod tests {
         assert_eq!(g2.m(), 2);
         assert_eq!(g1.n(), 2);
         assert_eq!(g2.n(), 3);
+    }
+
+    #[test]
+    fn rebuilding_after_more_edges_matches_a_fresh_build() {
+        let mut b = GraphBuilder::new();
+        b.add_edge(2, 0)
+            .add_edge(0, 1)
+            .add_edge(2, 0)
+            .add_edge(1, 2);
+        let g1 = b.build();
+        assert_eq!(
+            g1,
+            DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap()
+        );
+        assert_eq!(b.dropped_parallel_edges(), 1);
+        // Duplicates of edges the first build kept, a duplicate among the
+        // new edges, and new edges.
+        b.add_edge(0, 1)
+            .add_edge(3, 1)
+            .add_edge(2, 0)
+            .add_edge(3, 1);
+        let g2 = b.build();
+        let want = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (3, 1)]).unwrap();
+        assert_eq!(g2, want);
+        assert_eq!(
+            b.dropped_parallel_edges(),
+            4,
+            "every duplicate ever added, as a build over all 8 edges counts"
+        );
+        assert_eq!(
+            b.build(),
+            want,
+            "a build with nothing new is the same graph"
+        );
+        assert_eq!(b.dropped_parallel_edges(), 4);
     }
 
     #[test]

@@ -17,10 +17,12 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Seek, SeekFrom};
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::{Duration, Instant};
+
+use dds_graph::io::LineScanner;
 
 use crate::events::{parse_event_line, Batch, StreamError, TimedEvent};
 
@@ -97,11 +99,10 @@ where
     let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(config.cursor))?;
 
-    // `line_start` is the byte offset where the current (possibly still
-    // incomplete) line begins; `carry` holds its bytes read so far.
+    // `line_start` is the byte offset where the next (possibly still
+    // incomplete) line begins; the scanner holds its bytes read so far.
+    let mut lines = LineScanner::new(file);
     let mut line_start = config.cursor;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut lineno = 0usize; // counts from the cursor (see the Errors doc)
     let mut pending: VecDeque<(TimedEvent, u64)> = VecDeque::new();
     let mut outcome = FollowOutcome {
         cursor: config.cursor,
@@ -110,35 +111,21 @@ where
         stopped_by_callback: false,
     };
     let mut last_growth = Instant::now();
-    let mut chunk = vec![0u8; 64 * 1024];
 
     loop {
-        // Drain everything currently readable.
-        let mut grew = false;
-        loop {
-            let read = file.read(&mut chunk)?;
-            if read == 0 {
-                break;
+        // Drain everything currently readable. Line numbers count from
+        // the cursor (see the Errors doc).
+        let seen = lines.position();
+        while let Some((lineno, line)) = lines.next_line()? {
+            let end = line_start + line.len() as u64 + 1;
+            let parsed = parse_event_line(line, lineno)
+                .map_err(|e| tail_error(e, line_start, outcome.events + pending.len() as u64))?;
+            line_start = end;
+            if let Some(ev) = parsed {
+                pending.push_back((ev, end));
             }
-            grew = true;
-            let mut slice = &chunk[..read];
-            while let Some(nl) = slice.iter().position(|&b| b == b'\n') {
-                carry.extend_from_slice(&slice[..nl]);
-                slice = &slice[nl + 1..];
-                let begins_at = line_start;
-                let end = line_start + carry.len() as u64 + 1;
-                lineno += 1;
-                let line = String::from_utf8_lossy(&carry).into_owned();
-                carry.clear();
-                line_start = end;
-                let parsed = parse_event_line(&line, lineno)
-                    .map_err(|e| tail_error(e, begins_at, outcome.events + pending.len() as u64))?;
-                if let Some(ev) = parsed {
-                    pending.push_back((ev, end));
-                }
-            }
-            carry.extend_from_slice(slice);
         }
+        let grew = lines.position() > seen;
 
         // Seal full batches.
         while pending.len() >= config.batch {
@@ -159,12 +146,9 @@ where
                 // the producer has gone idle — parse it like `read_events`
                 // would, so a replay through the tail loop and a bulk load
                 // see the same events.
-                if !carry.is_empty() {
-                    lineno += 1;
-                    let line = String::from_utf8_lossy(&carry).into_owned();
-                    let end = line_start + carry.len() as u64;
-                    carry.clear();
-                    let parsed = parse_event_line(&line, lineno).map_err(|e| {
+                if let Some((lineno, line)) = lines.finish() {
+                    let end = line_start + line.len() as u64;
+                    let parsed = parse_event_line(line, lineno).map_err(|e| {
                         tail_error(e, line_start, outcome.events + pending.len() as u64)
                     })?;
                     if let Some(ev) = parsed {
@@ -475,6 +459,53 @@ mod tests {
             }
             other => panic!("expected a tail error, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A data line with a non-ASCII byte fails at the line, and with the
+    /// message, `read_events` reports.
+    #[test]
+    fn non_ascii_data_lines_fail_as_in_read_events() {
+        let path = temp_path("non_ascii");
+        std::fs::write(&path, b"0 + 1 2\n1 + 2\xFF 3\n2 + 3 4\n").unwrap();
+        let err = follow_events(&path, quick(10, 0), |_, _| ControlFlow::Continue(()))
+            .expect_err("a non-ASCII byte in a data line must fail");
+        match err {
+            StreamError::Tail {
+                line,
+                byte,
+                event,
+                msg,
+            } => {
+                assert_eq!((line, byte, event), (2, 8, 1));
+                assert_eq!(msg, "invalid source vertex \"2\\xff\"");
+            }
+            other => panic!("expected a tail error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Comments may hold any bytes, and a line may outgrow the 64 KiB read
+    /// buffer: the tail loop reads both as `read_events` does.
+    #[test]
+    fn byte_comments_and_long_lines_read_as_in_read_events() {
+        let path = temp_path("bytes");
+        let mut text = b"# \xFF\xFE\n0 + 1 2\n%".to_vec();
+        text.extend(std::iter::repeat_n(0xFF, 70_000));
+        text.extend_from_slice(format!("\n1 -{}1 2\n", " ".repeat(70_000)).as_bytes());
+        std::fs::write(&path, &text).unwrap();
+        let mut seen = Vec::new();
+        let outcome = follow_events(&path, quick(1, 0), |batch, _| {
+            seen.extend(batch.events);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(seen, crate::read_events(text.as_slice()).unwrap());
+        assert_eq!(
+            seen.iter().map(|ev| ev.event).collect::<Vec<_>>(),
+            vec![Event::Insert(1, 2), Event::Delete(1, 2)]
+        );
+        assert_eq!(outcome.cursor, text.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 
